@@ -4,8 +4,8 @@ Matrices travel as JSON documents with separate row-major real and imaginary
 arrays (``{"dim": d, "re": [...], "im": [...]}``, plus ``"dims": [dA, dB]``
 for factored states); channels as a list of Kraus blocks in the same style.
 Numbers are printed with 12 significant digits and ``inf`` is printed as the
-literal string ``inf``.  Exit codes: 0 success, 1 domain error or bad usage,
-2 suite failure.
+literal string ``inf``.  Exit codes: 0 success, 1 domain error, bad usage or an
+optimizer whose starts did not converge or agree, 2 suite failure.
 """
 
 from __future__ import annotations
@@ -156,7 +156,6 @@ def _build_parser() -> _Parser:
     p_ce.add_argument("--seed", type=int, default=0)
     p_ce.add_argument("--value-tol", type=float, default=1e-6)
     p_ce.add_argument("--max-iters", type=int, default=500)
-    p_ce.add_argument("--fd-step", type=float, default=1e-5)
 
     p_b = sub.add_parser("bounds", help="two-sided conditional entropy bounds")
     p_b.add_argument("--state", required=True, metavar="FILE")
@@ -217,10 +216,15 @@ def _cmd_condent(args) -> int:
             starts=args.starts,
             value_tol=args.value_tol,
             max_iters=args.max_iters,
-            fd_step=args.fd_step,
             seed=args.seed,
         )
-        value = conditional_entropy_optimize(state, f, opts).value
+        report = conditional_entropy_optimize(state, f, opts)
+        if not report.converged:
+            raise ConvergenceError(
+                f"optimizer starts disagree by more than --value-tol {args.value_tol:g} "
+                f"(best value {format_number(report.value)})"
+            )
+        value = report.value
     print(format_number(value))
     return 0
 

@@ -4,7 +4,8 @@ The defining quantity is ``-inf_sigma D_f(rho || 1 (x) sigma)`` over normalized
 density operators ``sigma`` living on the support of the reduced state of the
 conditioning factor.  The generic path solves that minimization numerically
 with a multi-start quasi-Newton descent over an exponential parameterization
-``sigma(H) = exp(H) / tr exp(H)``, which keeps iterates strictly feasible.
+``sigma(H) = exp(H) / tr exp(H)``, which keeps iterates strictly feasible; its
+gradient is exact, from Daleckii-Krein divided differences.
 For the power family there is an independent closed form (the reduced
 ``alpha``-power trace), and for ``alpha = 1`` the entropy-difference formula;
 both are cross-validated against the optimizer in the test suite.
@@ -76,7 +77,6 @@ class OptimizerOptions:
     starts: int = 4
     value_tol: float = 1e-6
     max_iters: int = 500
-    fd_step: float = 1e-5
     seed: int = 0
 
 
@@ -154,12 +154,29 @@ def _pack_hermitian(h: np.ndarray) -> np.ndarray:
     return np.concatenate((np.diagonal(h).real, h[iu].real, h[iu].imag))
 
 
-class _Objective:
-    """Batched divergence evaluation over the exponential parameterization.
+# sigma's eigenvalues are floored here so that g(s) = s f(w/s) stays finite
+_S_FLOOR = 1e-300
+# relative step of the central difference giving g', and the relative gap below
+# which a divided difference of g switches to the mean of g' at its two ends;
+# eps**(1/3) balances truncation against rounding in both
+_REL_STEP = 1e-5
+_STEPS = np.array([[1.0], [1.0 + _REL_STEP], [1.0 - _REL_STEP]])
+# weights moved onto one eigenvector of sigma when probing a finished start
+_PROBE_WEIGHTS = np.logspace(-1, -15, 15)[:, None, None]
 
-    The joint state is eigendecomposed once; afterwards one parameter vector
-    costs a single ``r x r`` eigensolve plus small contractions, and finite
-    difference gradients are evaluated as one batch.
+
+class _Objective:
+    """Divergence against ``1 (x) sigma(theta)`` and its exact gradient in theta.
+
+    The joint state is eigendecomposed once.  Writing ``rho = sum_n w_n
+    |psi_n><psi_n|`` and ``R_n = tr_rest |psi_n><psi_n|`` restricted to the
+    support of the conditioning marginal, the objective is
+    ``F = sum_n tr(R_n g_n(sigma))`` with ``g_n(s) = s f(w_n / s)``.  One
+    parameter vector costs a single ``r x r`` eigensolve of ``H(theta)``; the
+    gradient chains two Daleckii-Krein divided-difference matrices (Bhatia,
+    *Matrix Analysis*, V.3): those of ``g_n`` at sigma's eigenvalues give the
+    sigma-gradient ``G = sum_n Gamma_n o (U^dag R_n U)``, and those of ``exp``
+    at H's eigenvalues carry it through ``sigma = exp(H) / tr exp(H)``.
     """
 
     def __init__(self, entries: np.ndarray, d_rest: int, d_cond: int, f: DivergenceFunction):
@@ -172,61 +189,99 @@ class _Objective:
         r = self.support.shape[1]
         self.rank = r
         pos = w > 0.0
-        self.weights = w[pos]
+        self.weights = w[pos, None]
         kets = np.ascontiguousarray(psi[:, pos].T).reshape(-1, d_rest, d_cond)
         reduced = np.einsum("nkb,nkc->nbc", kets, kets.conj())
-        self.reduced = np.einsum("br,nbc,cs->nrs", self.support.conj(), reduced, self.support)
-        self.iu = np.triu_indices(r, 1)
+        self.reduced = self.support.conj().T @ reduced @ self.support
         self.n_params = r * r
+        # theta -> H as one linear map, in the layout of _pack_hermitian
+        iu = np.triu_indices(r, 1)
+        k = np.arange(len(iu[0]))
+        diag = np.arange(r)
+        basis = np.zeros((r, r, r * r), dtype=np.complex128)
+        basis[diag, diag, diag] = 1.0
+        basis[iu[0], iu[1], r + k] = 1.0
+        basis[iu[1], iu[0], r + k] = 1.0
+        basis[iu[0], iu[1], r + len(k) + k] = 1j
+        basis[iu[1], iu[0], r + len(k) + k] = -1j
+        self.basis = basis.reshape(r * r, r * r)
 
-    def hermitian(self, thetas: np.ndarray) -> np.ndarray:
-        m, r = thetas.shape[0], self.rank
-        npair = r * (r - 1) // 2
-        h = np.zeros((m, r, r), dtype=np.complex128)
-        idx = np.arange(r)
-        h[:, idx, idx] = thetas[:, :r]
-        if npair:
-            re = thetas[:, r : r + npair]
-            im = thetas[:, r + npair :]
-            h[:, self.iu[0], self.iu[1]] = re + 1j * im
-            h[:, self.iu[1], self.iu[0]] = re - 1j * im
-        return h
-
-    def value_batch(self, thetas: np.ndarray) -> np.ndarray:
-        lam, u = np.linalg.eigh(self.hermitian(np.atleast_2d(thetas)))
-        lam = lam - lam.max(axis=1, keepdims=True)
+    def _frame(self, theta: np.ndarray):
+        """Eigenvalues of H (shifted to max 0), its eigenvectors, sigma's eigenvalues,
+        and the ``U^dag R_n U``."""
+        r = self.rank
+        lam, u = np.linalg.eigh((self.basis @ theta).reshape(r, r))
+        lam = lam - lam[-1]
         ex = np.exp(lam)
-        s = ex / ex.sum(axis=1, keepdims=True)
-        s = np.maximum(s, 1e-300)  # keeps 0 * inf out of the sum below
-        overlap = np.einsum("mrj,nrs,msj->mnj", u.conj(), self.reduced, u).real
-        ratios = self.weights[None, :, None] / s[:, None, :]
+        p = ex / ex.sum()
+        return lam, u, p, u.conj().T @ self.reduced @ u
+
+    def _g(self, s: np.ndarray) -> np.ndarray:
+        """``g_n(s_j)`` for eigenvalue rows ``s`` of shape ``(..., r)``: shape ``(..., N, r)``."""
+        s = np.maximum(s, _S_FLOOR)[..., None, :]
+        return s * self.f(self.weights / s)
+
+    @staticmethod
+    def _total(g: np.ndarray, a_diag: np.ndarray) -> np.ndarray:
+        """``sum_n sum_j g_n(s_j) (U^dag R_n U)_jj`` over the last two axes, ``0 * inf = 0``."""
+        terms = g * a_diag
+        if not np.isfinite(terms).all():
+            terms = np.where(np.isinf(g) & (a_diag <= 0.0), 0.0, terms)
+        return terms.sum(axis=(-2, -1))
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        lam, u, p, a = self._frame(theta)
+        s = np.maximum(p, _S_FLOOR)
         with np.errstate(all="ignore"):
-            fvals = np.asarray(self.f(ratios))
-            bad = np.isinf(fvals) & (overlap <= 0.0)
-            if bad.any():
-                fvals = np.where(bad, 0.0, fvals)
-            terms = s[:, None, :] * fvals * overlap
-        return terms.sum(axis=(1, 2))
+            # g_n at s and at s (1 +- step), for the value and g_n'
+            g0, g_up, g_down = self._g(s * _STEPS)
+            value = float(self._total(g0, np.diagonal(a, axis1=1, axis2=2).real))
+            dg = (g_up - g_down) / ((2.0 * _REL_STEP) * s)
+            gap = s[:, None] - s[None, :]
+            near = np.abs(gap) <= _REL_STEP * np.maximum(s[:, None], s[None, :])
+            gamma = np.where(
+                near,
+                0.5 * (dg[:, :, None] + dg[:, None, :]),
+                (g0[:, :, None] - g0[:, None, :]) / np.where(near, 1.0, gap),
+            )
+            gt = (gamma * a).sum(axis=0)
+            g_mean = gt.diagonal().real @ p
+        # K = (E / tr exp H) o G - tr(G sigma) diag(sigma), with E the divided
+        # differences of exp at lam, written e^max(lam_j, lam_k) expm1(-d) / -d
+        # for d = |lam_j - lam_k| so that equal eigenvalues (theta = 0) stay exact
+        d = -np.abs(lam[:, None] - lam[None, :])
+        e_div = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
+        k = e_div * np.maximum(p[:, None], p[None, :]) * gt
+        k[np.diag_indices(self.rank)] -= g_mean * p
+        m = u @ k @ u.conj().T
+        grad = (m.T.ravel() @ self.basis).real
+        if not np.isfinite(grad).all():
+            grad = np.nan_to_num(grad, nan=0.0, posinf=1e12, neginf=-1e12)
+        return value, grad
 
-    def value(self, theta: np.ndarray) -> float:
-        return float(self.value_batch(theta[None])[0])
+    def beaten_on_eigenvectors(self, theta: np.ndarray, tol: float) -> bool:
+        """Whether moving weight onto one eigenvector of sigma(theta) lowers the value by > tol.
 
-    def fd_gradient(self, theta: np.ndarray, step: float) -> np.ndarray:
-        k = self.n_params
-        pts = np.tile(theta, (2 * k, 1))
-        idx = np.arange(k)
-        pts[idx, idx] += step
-        pts[k + idx, idx] -= step
-        vals = self.value_batch(pts)
-        grad = (vals[:k] - vals[k:]) / (2.0 * step)
-        return np.nan_to_num(grad, nan=0.0, posinf=1e12, neginf=-1e12)
+        Along an eigenvector whose eigenvalue has underflowed, the theta-gradient
+        vanishes whatever the objective does, so a descent can settle on a face
+        of the state space away from the minimum.  There ``g_n'`` is lost to
+        rounding too, since ``s f(w/s)`` no longer resolves its variation, so
+        the face is exposed by values instead: sigma is mixed with each of its
+        eigenprojectors at the weights ``_PROBE_WEIGHTS``.  A feasible point
+        lower by more than ``tol``, beyond rounding, means this start cannot be
+        within ``tol`` of the minimum.
+        """
+        _, _, p, a = self._frame(theta)
+        a_diag = np.diagonal(a, axis1=1, axis2=2).real
+        mixed = (1.0 - _PROBE_WEIGHTS) * p + _PROBE_WEIGHTS * np.eye(self.rank)
+        with np.errstate(all="ignore"):
+            base = self._total(self._g(p), a_diag)
+            probes = self._total(self._g(mixed), a_diag)
+        return bool(np.any(probes < base - tol - 1e-12 * (1.0 + abs(base))))
 
     def sigma(self, theta: np.ndarray) -> np.ndarray:
-        lam, u = np.linalg.eigh(self.hermitian(theta[None])[0])
-        lam = lam - lam.max()
-        ex = np.exp(lam)
-        s = ex / ex.sum()
-        inner = (u * s) @ u.conj().T
+        _, u, p, _ = self._frame(theta)
+        inner = (u * p) @ u.conj().T
         return self.support @ inner @ self.support.conj().T
 
 
@@ -236,14 +291,13 @@ class _StallStop:
     window = 20
     min_improvement = 1e-10
 
-    def __init__(self, objective: _Objective):
-        self.objective = objective
+    def __init__(self):
         self.best = math.inf
         self.flat = 0
         self.stalled = False
 
-    def __call__(self, xk) -> None:
-        v = self.objective.value(np.asarray(xk))
+    def __call__(self, intermediate_result) -> None:
+        v = float(intermediate_result.fun)
         if self.best - v < self.min_improvement:
             self.flat += 1
         else:
@@ -280,10 +334,12 @@ def conditional_entropy_optimize(
 ) -> OptimizationReport:
     """Conditional entropy by direct minimization over the conditioning marginal.
 
-    Runs ``opts.starts`` independent BFGS descents (finite-difference
+    Runs ``opts.starts`` independent BFGS descents (exact Daleckii-Krein
     gradients) over ``sigma(H) = exp(H) / tr exp(H)`` restricted to the support
     of the reduced conditioning state; the divergence is convex there, so all
-    converged starts must agree within ``opts.value_tol``.  Raises
+    converged starts must agree within ``opts.value_tol``.  A start that
+    settles on a face of the state space with a feasible point lower by more
+    than ``opts.value_tol`` fails as saturated.  Raises
     :class:`ConvergenceError` when no start converges.
     """
     _require_wellbehaved(f)
@@ -309,18 +365,21 @@ def conditional_entropy_optimize(
 
     runs = []
     for x0 in _start_points(objective, opts):
-        stop = _StallStop(objective)
+        stop = _StallStop()
         res = minimize(
-            objective.value,
+            objective.value_and_grad,
             x0,
-            jac=lambda th: objective.fd_gradient(th, opts.fd_step),
+            jac=True,
             method="BFGS",
             callback=stop,
             options={"gtol": 1e-9, "maxiter": opts.max_iters},
         )
         grad_norm = float(np.abs(res.jac).max()) if res.jac is not None else math.inf
         ok = bool(res.success) or stop.stalled or (res.status == 2 and grad_norm <= 1e-6)
-        runs.append((float(res.fun), np.asarray(res.x), int(res.nit), ok, res.message))
+        message = res.message
+        if ok and objective.beaten_on_eigenvectors(res.x, opts.value_tol):
+            ok, message = False, "saturated on a face of the state space"
+        runs.append((float(res.fun), np.asarray(res.x), int(res.nit), ok, message))
 
     converged = [(v, i) for i, (v, _, _, ok, _) in enumerate(runs) if ok]
     if not converged:

@@ -3,9 +3,11 @@
 Every registered property runs a randomized ensemble and records signed
 margins: for an inequality ``LHS <= RHS`` the margin is ``RHS - LHS`` (slack),
 for an exact identity it is ``-|residual|``.  A trial violates the property
-when its margin falls below ``-tolerance``, and the property passes when no
-trial violates it.  Seeds derive deterministically from the master seed and
-the property id, so reports are reproducible up to timing.
+when its margin falls below ``-tolerance`` or is NaN (an undefined residual, or
+an optimizer solve whose starts disagree), and the property passes when it
+recorded at least one margin and no trial violates it.  Seeds derive
+deterministically from the master seed and the property id, so reports are
+reproducible up to timing.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ class PropertyReport:
         def _num(x: float):
             if math.isinf(x):
                 return "inf" if x > 0 else "-inf"
+            if math.isnan(x):
+                return "nan"
             return x
 
         return {
@@ -120,6 +124,12 @@ def _random_bipartite(dims: tuple[int, int], rank: int, seed: int) -> BipartiteS
 
 def _entropy(state: BipartiteState, alpha: float, cond: str = "B") -> float:
     return conditional_entropy_tsallis_closed(state, alpha, cond=cond)[0]
+
+
+def _optimized(state: BipartiteState, alpha: float, opts: OptimizerOptions) -> float:
+    """Optimizer value, or NaN (a violation) when its starts disagree."""
+    report = conditional_entropy_optimize(state, make_tsallis_f(alpha), opts)
+    return report.value if report.converged else math.nan
 
 
 def _run_dpi(cfg: _Resolved) -> list[float]:
@@ -236,8 +246,7 @@ def _run_mixture_exact(cfg: _Resolved) -> list[float]:
         assembled = build_classical_register_state(blocks, p)
         h_blocks = [_entropy(b, alpha) for b in blocks]
         formula = classical_register_closed_form(h_blocks, p, alpha)
-        opts = OptimizerOptions(seed=_sub(cfg, "opt", t))
-        direct = conditional_entropy_optimize(assembled, make_tsallis_f(alpha), opts).value
+        direct = _optimized(assembled, alpha, OptimizerOptions(seed=_sub(cfg, "opt", t)))
         margins.append(-abs(formula - direct))
     return margins
 
@@ -294,11 +303,10 @@ def _run_extension_independence(cfg: _Resolved) -> list[float]:
         alpha = cfg.alphas[t % len(cfg.alphas)]
         rank = 1 + t % math.prod(dims)
         state = _random_bipartite(dims, rank, _sub(cfg, "state", t))
-        f = make_tsallis_f(alpha)
         opts = OptimizerOptions(seed=_sub(cfg, "opt", t))
-        base = conditional_entropy_optimize(state, f, opts).value
+        base = _optimized(state, alpha, opts)
         for k in paddings:
-            padded = conditional_entropy_optimize(embed_ancilla(state, k), f, opts).value
+            padded = _optimized(embed_ancilla(state, k), alpha, opts)
             margins.append(-abs(padded - base))
     return margins
 
@@ -354,8 +362,7 @@ def _run_closed_vs_optimizer(cfg: _Resolved) -> list[float]:
         rank = 1 + t % math.prod(dims)
         state = _random_bipartite(dims, rank, _sub(cfg, "state", t))
         closed, _ = conditional_entropy_tsallis_closed(state, alpha)
-        opts = OptimizerOptions(seed=_sub(cfg, "opt", t))
-        direct = conditional_entropy_optimize(state, make_tsallis_f(alpha), opts).value
+        direct = _optimized(state, alpha, OptimizerOptions(seed=_sub(cfg, "opt", t)))
         margins.append(-abs(closed - direct))
     return margins
 
@@ -461,12 +468,18 @@ def run_property(property_id: str, config: PropertyConfig | None = None) -> Prop
     margins = spec.runner(cfg)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     margins_arr = np.asarray(margins, dtype=float)
-    violations = int(np.sum(margins_arr < -cfg.tolerance))
+    if margins_arr.size == 0:
+        # an ensemble that checked nothing must not pass
+        violations, worst = 1, -math.inf
+    else:
+        # a NaN margin (inf - inf, an unconverged solve) is a violation
+        violations = int(np.sum(~(margins_arr >= -cfg.tolerance)))
+        worst = float(margins_arr.min())
     return PropertyReport(
         property_id=property_id,
         trials=len(margins),
         violations=violations,
-        worst_margin=float(margins_arr.min(initial=math.inf)),
+        worst_margin=worst,
         tolerance=cfg.tolerance,
         seed=cfg.seed,
         elapsed_ms=elapsed_ms,

@@ -106,6 +106,22 @@ class TestCondentCommand:
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(-1.0, abs=1e-8)
 
+    def test_unconverged_optimizer_exits_nonzero(self, bell_file, capsys):
+        # with no slack at all, the four starts cannot agree to the last bit
+        code = main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "0.5",
+                     "--method", "optimize", "--seed", "7", "--value-tol", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "disagree" in captured.err
+
+    def test_fd_step_option_is_gone(self, bell_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "2",
+                  "--method", "optimize", "--fd-step", "1e-5"])
+        assert exc.value.code == 1
+        assert "--fd-step" in capsys.readouterr().err
+
     def test_custom_rejects_closed(self, bell_file, capsys):
         code = main(["condent", "--state", bell_file, "--family", "custom",
                      "--alpha", "2", "--method", "closed"])

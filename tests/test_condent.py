@@ -9,6 +9,7 @@ from qfdiv.channels import (
     pure_bipartite_from_schmidt,
     random_density,
 )
+import qfdiv.condent as condent
 from qfdiv.condent import (
     BipartiteState,
     OptimizerOptions,
@@ -22,9 +23,10 @@ from qfdiv.condent import (
     thm2_bounds,
     tsallis_entropy,
 )
-from qfdiv.errors import DomainError, PreconditionError
+from qfdiv.errors import ConvergenceError, DomainError, PreconditionError
 from qfdiv.fdiv import DivergenceFunction, make_tsallis_f, quantum_f_divergence
 from qfdiv.linalg import partial_trace, support_projector
+from qfdiv.propsuite import derive_seed
 
 from conftest import bell_matrix
 
@@ -33,6 +35,36 @@ LN2 = math.log(2.0)
 
 def random_bipartite(dims, rank, seed):
     return BipartiteState(random_density(int(np.prod(dims)), rank, seed), dims)
+
+
+def mix_function():
+    """A non-catalog operator-convex mix of the alpha = 0.5 and alpha = 2 functions."""
+    f_half = make_tsallis_f(0.5)
+    f_two = make_tsallis_f(2.0)
+    return DivergenceFunction(
+        name="mix",
+        fn=lambda x: 0.5 * (f_half.fn(x) + f_two.fn(x)),
+        f_at_zero=0.0,
+        ell=math.inf,
+        f_at_one=0.0,
+        operator_convex=True,
+    )
+
+
+def objective_for(state, f):
+    return condent._Objective(*condent._conditioning_view(state, "B"), f)
+
+
+def fd_gradient(objective, theta, step=1e-6):
+    """Central finite differences of the objective value, one parameter at a time."""
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = step
+        up = objective.value_and_grad(theta + e)[0]
+        down = objective.value_and_grad(theta - e)[0]
+        grad[i] = (up - down) / (2.0 * step)
+    return grad
 
 
 class TestAlphaLog:
@@ -177,14 +209,7 @@ class TestOptimizer:
         # a non-catalog operator-convex mix exercises the fully generic path
         f_half = make_tsallis_f(0.5)
         f_two = make_tsallis_f(2.0)
-        mix = DivergenceFunction(
-            name="mix",
-            fn=lambda x: 0.5 * (f_half.fn(x) + f_two.fn(x)),
-            f_at_zero=0.0,
-            ell=math.inf,
-            f_at_one=0.0,
-            operator_convex=True,
-        )
+        mix = mix_function()
         state = random_bipartite((2, 2), 3, seed=11)
         report = conditional_entropy_optimize(state, mix)
         assert report.converged
@@ -264,6 +289,137 @@ class TestOptimizer:
             for mu in (0.25, 0.5, 0.75, 1.0)
         ]
         assert all(a >= b - 1e-10 for a, b in zip(values, values[1:]))
+
+
+GRADIENT_FUNCTIONS = [make_tsallis_f(a) for a in (0.3, 0.5, 1.0, 1.5, 2.0)] + [mix_function()]
+
+
+class TestObjectiveGradient:
+    """The exact gradient against central finite differences of the value."""
+
+    @staticmethod
+    def assert_matches_fd(objective, theta):
+        grad = objective.value_and_grad(theta)[1]
+        reference = fd_gradient(objective, theta)
+        scale = max(np.abs(reference).max(), 1e-3)
+        assert np.abs(grad - reference).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 4), (2, 8)])
+    def test_matches_finite_differences(self, dims, f):
+        d = dims[0] * dims[1]
+        gen = np.random.Generator(np.random.Philox(key=d))
+        for rank in sorted({1, 2, d // 2, d}):
+            objective = objective_for(random_bipartite(dims, rank, seed=40 + rank), f)
+            for theta in (
+                np.zeros(objective.n_params),
+                0.7 * gen.standard_normal(objective.n_params),
+            ):
+                self.assert_matches_fd(objective, theta)
+
+    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
+    def test_padded_marginal(self, f):
+        state = embed_ancilla(random_bipartite((2, 3), 4, seed=41), 2)
+        objective = objective_for(state, f)
+        gen = np.random.Generator(np.random.Philox(key=5))
+        self.assert_matches_fd(objective, np.zeros(objective.n_params))
+        self.assert_matches_fd(objective, gen.standard_normal(objective.n_params))
+
+    @staticmethod
+    def floored_theta(objective):
+        # exp(-800) underflows, so one eigenvalue of sigma sits at the 1e-300 floor
+        gen = np.random.Generator(np.random.Philox(key=6))
+        theta = 0.3 * gen.standard_normal(objective.n_params)
+        theta[0] = -800.0
+        assert objective._frame(theta)[2].min() == 0.0
+        return theta
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_floored_eigenvalue(self, alpha):
+        objective = objective_for(random_bipartite((2, 3), 6, seed=42), make_tsallis_f(alpha))
+        self.assert_matches_fd(objective, self.floored_theta(objective))
+
+    @pytest.mark.parametrize(
+        "f", [make_tsallis_f(1.5), make_tsallis_f(2.0), mix_function()], ids=lambda f: f.name
+    )
+    def test_floored_eigenvalue_with_infinite_slope(self, f):
+        # ell = inf: the value is inf at the floor, and the gradient stays finite
+        objective = objective_for(random_bipartite((2, 3), 6, seed=42), f)
+        value, grad = objective.value_and_grad(self.floored_theta(objective))
+        assert value == math.inf
+        assert np.isfinite(grad).all()
+
+    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
+    def test_value_matches_divergence_engine(self, f):
+        state = random_bipartite((2, 3), 5, seed=43)
+        objective = objective_for(state, f)
+        gen = np.random.Generator(np.random.Philox(key=7))
+        theta = gen.standard_normal(objective.n_params)
+        sigma = objective.sigma(theta)
+        expected = quantum_f_divergence(state.entries, np.kron(np.eye(2), sigma), f)
+        assert objective.value_and_grad(theta)[0] == pytest.approx(expected, rel=1e-10)
+
+
+class TestSaturatedStarts:
+    """A start that settles on a face of the state space away from the minimum fails."""
+
+    @staticmethod
+    def face_start(objective):
+        theta = np.zeros(objective.n_params)
+        theta[0] = -800.0  # sigma's first eigenvalue underflows to 0
+        return theta
+
+    @pytest.mark.parametrize("t,dims", [(24, (3, 4)), (80, (4, 4))])
+    def test_seed_42_solves_converge(self, t, dims):
+        # the closed-form-vs-optimizer solves of the seed-42 suite that used to
+        # accept a start stuck on a face, at alpha = 0.3
+        seed = derive_seed(42, "closed-form-vs-optimizer")
+        state = BipartiteState(
+            random_density(dims[0] * dims[1], 1 + t % (dims[0] * dims[1]),
+                           derive_seed(seed, f"state/{t}")),
+            dims,
+        )
+        opts = OptimizerOptions(seed=derive_seed(seed, f"opt/{t}"))
+        report = conditional_entropy_optimize(state, make_tsallis_f(0.3), opts)
+        closed, _ = conditional_entropy_tsallis_closed(state, 0.3)
+        assert report.converged
+        assert report.value == pytest.approx(closed, abs=1e-6)
+
+    def test_probe_separates_face_from_minimum(self):
+        state = random_bipartite((2, 3), 6, seed=44)
+        f = make_tsallis_f(0.5)
+        objective = objective_for(state, f)
+        # the closed form's minimizer, written in the parameterization
+        _, sigma_opt = conditional_entropy_tsallis_closed(state, 0.5)
+        w, v = np.linalg.eigh(objective.support.conj().T @ sigma_opt.entries @ objective.support)
+        h = (v * np.log(w)) @ v.conj().T
+        assert not objective.beaten_on_eigenvectors(condent._pack_hermitian(h), 1e-6)
+        assert objective.beaten_on_eigenvectors(self.face_start(objective), 1e-6)
+
+    def test_start_forced_onto_face_is_rejected(self, monkeypatch):
+        state = random_bipartite((2, 3), 6, seed=45)
+        f = make_tsallis_f(0.5)
+        monkeypatch.setattr(condent, "_start_points", lambda obj, opts: [self.face_start(obj)])
+        with pytest.raises(ConvergenceError, match="start 0: saturated"):
+            conditional_entropy_optimize(state, f)
+
+    def test_face_start_does_not_spoil_agreement(self, monkeypatch):
+        state = random_bipartite((2, 3), 6, seed=45)
+        f = make_tsallis_f(0.5)
+        monkeypatch.setattr(
+            condent,
+            "_start_points",
+            lambda obj, opts: [self.face_start(obj), np.zeros(obj.n_params)],
+        )
+        report = conditional_entropy_optimize(state, f)
+        assert report.converged
+        assert report.best_start_index == 1
+        assert report.value == pytest.approx(
+            conditional_entropy_tsallis_closed(state, 0.5)[0], abs=1e-6
+        )
+
+    def test_options_have_no_fd_step(self):
+        assert "fd_step" not in OptimizerOptions.__dataclass_fields__
 
 
 class TestClosedForm:

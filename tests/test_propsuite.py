@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+import qfdiv.propsuite as propsuite
 from qfdiv.errors import DomainError
 from qfdiv.propsuite import (
     REGISTRY,
@@ -75,6 +77,53 @@ class TestRunSuite:
         assert not reports[0].passed
         assert reports[0].trials == 0
         assert reports[0].worst_margin == -math.inf
+
+    def test_nan_margin_is_a_violation(self, monkeypatch):
+        spec = _PropertySpec(
+            runner=lambda cfg: [0.0, math.inf - math.inf, 1.0],
+            trials=3,
+            dims=(2,),
+            alphas=(1.0,),
+            tolerance=1e-9,
+            statement="one undefined residual",
+        )
+        monkeypatch.setitem(REGISTRY, "nan-margin", spec)
+        report = run_property("nan-margin")
+        assert not report.passed
+        assert report.violations == 1
+        assert report.trials == 3
+        assert math.isnan(report.worst_margin)
+        assert report.to_dict()["worst_margin"] == "nan"
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_empty_ensemble_fails(self, monkeypatch):
+        spec = _PropertySpec(
+            runner=lambda cfg: [],
+            trials=0,
+            dims=(2,),
+            alphas=(1.0,),
+            tolerance=1e-9,
+            statement="checks nothing",
+        )
+        monkeypatch.setitem(REGISTRY, "empty", spec)
+        report = run_property("empty")
+        assert not report.passed
+        assert report.trials == 0
+        assert report.worst_margin == -math.inf
+
+    @pytest.mark.parametrize(
+        "pid", ["mixture-exact", "extension-independence", "closed-form-vs-optimizer"]
+    )
+    def test_unconverged_optimizer_is_a_violation(self, pid, monkeypatch):
+        original = propsuite.conditional_entropy_optimize
+
+        def disagreeing(*args, **kwargs):
+            return dataclasses.replace(original(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", disagreeing)
+        report = run_property(pid, PropertyConfig(trials=1, seed=4))
+        assert not report.passed
+        assert report.violations >= 1
 
     def test_reports_deterministic_across_runs(self):
         props = ["homogeneity", "pure-bounds", "alpha-continuity"]
