@@ -2,8 +2,9 @@
 
 Finite-dimensional density matrices only.  The package is organized as:
 
-- :mod:`qfdiv.linalg`: Hermitian eigendecomposition with spectral clustering,
-  supports, tensor products, partial traces, spectral matrix functions.
+- :mod:`qfdiv.linalg`: operator types, the one kernel rule for the spectrum
+  of a positive operator (eigensolve, PSD check, kernel clamped to exact
+  zeros), supports, tensor products, partial traces.
 - :mod:`qfdiv.fdiv`: the divergence-function catalog and the classical and
   quantum f-divergence engines (spectral form plus epsilon-sweep validation).
 - :mod:`qfdiv.condent`: conditional entropies -- generic minimization over the
@@ -51,13 +52,8 @@ from .fdiv import (
 from .linalg import (
     DensityOperator,
     HermitianOperator,
-    SpectralDecomposition,
-    apply_spectral_function,
-    eig_hermitian,
-    hs_inner,
     kron,
     partial_trace,
-    projector_join,
     support_projector,
 )
 from .propsuite import PropertyConfig, PropertyReport, run_property, run_suite
@@ -77,10 +73,8 @@ __all__ = [
     "PreconditionError",
     "PropertyConfig",
     "PropertyReport",
-    "SpectralDecomposition",
     "alpha_log",
     "apply_channel",
-    "apply_spectral_function",
     "build_classical_register_state",
     "chain_rule_rhs",
     "classical_register_closed_form",
@@ -88,13 +82,10 @@ __all__ = [
     "conditional_entropy_tsallis_closed",
     "conditional_entropy_vn_closed",
     "csiszar_divergence",
-    "eig_hermitian",
     "embed_ancilla",
-    "hs_inner",
     "kron",
     "make_tsallis_f",
     "partial_trace",
-    "projector_join",
     "pure_bipartite_from_schmidt",
     "pure_state_bounds_tsallis",
     "quantum_f_divergence",

@@ -28,11 +28,11 @@ from . import rng
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .fdiv import ALPHA_ONE_TOL, DivergenceFunction, quantum_f_divergence
 from .linalg import (
-    RANK_TOL,
     DensityOperator,
     as_matrix,
-    clamped_psd_eigh,
+    clamp_psd_spectrum,
     permute_subsystems,
+    psd_eigh,
     ptrace_entries,
 )
 
@@ -108,9 +108,9 @@ def tsallis_entropy(rho, alpha: float) -> float:
     alpha = float(alpha)
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    w = np.linalg.eigvalsh(as_matrix(rho))
-    # rank floor: fractional powers amplify eigenvalue noise of the kernel
-    w = w[w > RANK_TOL * float(np.abs(w).max(initial=0.0))]
+    # the kernel is dropped: fractional powers would amplify its eigenvalue noise
+    w = clamp_psd_spectrum(np.linalg.eigvalsh(as_matrix(rho)))
+    w = w[w > 0.0]
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return float(-np.sum(w * np.log(w)))
     return (1.0 - float(np.sum(w**alpha))) / (alpha - 1.0)
@@ -181,9 +181,9 @@ class _Objective:
 
     def __init__(self, entries: np.ndarray, d_rest: int, d_cond: int, f: DivergenceFunction):
         self.f = f
-        w, psi = clamped_psd_eigh(entries)
+        w, psi = psd_eigh(entries)
         rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
-        wb, vb = clamped_psd_eigh(rho_cond)
+        wb, vb = psd_eigh(rho_cond)
         self.support = vb[:, wb > 0.0]
         self.rho_cond = rho_cond
         r = self.support.shape[1]
@@ -418,10 +418,10 @@ def conditional_entropy_tsallis_closed(
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         value = tsallis_entropy(entries, 1.0) - tsallis_entropy(rho_cond, 1.0)
         return value, DensityOperator(rho_cond)
-    w, v = clamped_psd_eigh(entries)
+    w, v = psd_eigh(entries)
     rho_pow = (v * w**alpha) @ v.conj().T
     reduced = ptrace_entries(rho_pow, (d_rest, d_cond), [1])
-    wt, vt = clamped_psd_eigh(reduced)
+    wt, vt = psd_eigh(reduced)
     root = (vt * wt ** (1.0 / alpha)) @ vt.conj().T
     norm = float(np.trace(root).real)
     value = (1.0 - norm**alpha) / (alpha - 1.0)
@@ -448,7 +448,7 @@ def thm2_bounds(
     """
     _require_wellbehaved(f)
     entries, _, d_cond = _conditioning_view(state, cond)
-    w, _ = clamped_psd_eigh(entries)
+    w, _ = psd_eigh(entries)
     w = w[w > 0.0]
     lower = -float(np.sum(f(d_cond * w))) / d_cond
     upper = -float(np.sum(f(w)))

@@ -7,9 +7,13 @@ divergence returned here is an extended real: a finite ``float`` or ``math.inf``
 The kernel convention ``0 * inf = 0`` is applied explicitly where the mass of
 the first argument outside the support of the second vanishes.
 
-The primary evaluation path is the exact spectral double sum over clustered
-eigenvalue pairs plus a kernel term weighted by ``ell``; the epsilon sweep
-(second argument regularized to full rank) is a cross-validation mode.
+The primary evaluation path is the exact spectral double sum over the
+eigenvalue pairs of the two operators plus a kernel term weighted by ``ell``;
+the epsilon sweep (second argument regularized to full rank) is a
+cross-validation mode.  Every route, closed forms included, reads both
+spectra through :func:`qfdiv.linalg.psd_eigh` and calls a kernel mass
+significant when it exceeds ``rank_tol`` times the trace of the operator it
+is taken from.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .linalg import CLUSTER_TOL, RANK_TOL, _psd_spectrum, as_matrix, clamped_psd_eigh
+from .linalg import RANK_TOL, as_matrix, psd_eigh
 
 INF = math.inf
 
@@ -126,68 +130,75 @@ def csiszar_divergence(p, q, f: DivergenceFunction) -> float:
     return total
 
 
-def _overlap_table(m_a: np.ndarray, m_b: np.ndarray, cluster_tol: float, rank_tol: float):
-    """Clustered spectra of two PSD operators plus their projector overlap table.
+def _spectra(A, B, rank_tol: float):
+    """Clamped spectra of two PSD operators, their overlap table, and their kernel sizes.
 
-    Returns ``(a_vals, b_vals, O)`` with ``O[i, j] = tr(P_a_i Q_b_j)``.
+    Returns ``(a, b, table, ka, kb)``: ascending eigenvalues from
+    :func:`qfdiv.linalg.psd_eigh`, ``table[i, j] = |<u_i|v_j>|^2`` for the
+    eigenvectors, and the number of leading zeros of ``a`` and of ``b``.
+    The double sums below do not depend on the basis chosen inside an
+    eigenspace, so near-equal eigenvalues need no merging.
     """
-    a_vals, a_starts, _, u = _psd_spectrum(m_a, cluster_tol, rank_tol)
-    b_vals, b_starts, _, v = _psd_spectrum(m_b, cluster_tol, rank_tol)
-    g = np.abs(u.conj().T @ v) ** 2
-    table = np.add.reduceat(np.add.reduceat(g, a_starts, axis=0), b_starts, axis=1)
-    return a_vals, b_vals, table
+    m_a = as_matrix(A)
+    m_b = as_matrix(B)
+    if m_a.shape != m_b.shape:
+        raise DomainError(f"dimension mismatch: {m_a.shape} vs {m_b.shape}")
+    a, u = psd_eigh(m_a, rank_tol)
+    b, v = psd_eigh(m_b, rank_tol)
+    table = np.abs(u.conj().T @ v) ** 2
+    return a, b, table, int(a.searchsorted(0.0, "right")), int(b.searchsorted(0.0, "right"))
+
+
+def _kernel_mass(a, table, ka: int, kb: int) -> float:
+    """``tr(A (1 - B^0))``: the mass of ``A`` on the kernel of ``B``."""
+    return float(a[ka:] @ table[ka:, :kb].sum(axis=1))
 
 
 def quantum_f_divergence(
     A,
     B,
     f: DivergenceFunction,
-    cluster_tol: float = CLUSTER_TOL,
     rank_tol: float = RANK_TOL,
 ) -> float:
     """Quantum f-divergence of PSD operator ``A`` with respect to ``B``.
 
     Evaluates the spectral double sum ``sum_{a, b>0} b f(a/b) tr(P_a Q_b)``
-    plus the kernel term ``ell * tr(A (1 - B^0))``; the result is ``inf``
-    exactly when ``ell = inf`` and the kernel mass exceeds ``rank_tol`` (or a
-    cross term hits an infinite ``f_at_zero``).
+    over the eigenpairs of ``A`` and ``B``, plus the kernel term
+    ``ell * tr(A (1 - B^0))`` and, when ``f(0+)`` is nonzero, the term
+    ``f(0+) * tr(B (1 - A^0))``.  Both spectra come from
+    :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below ``rank_tol`` times
+    the operator's largest eigenvalue are the kernel and count as exact
+    zeros.  The result is ``inf`` exactly when ``ell = inf`` and the kernel
+    mass exceeds ``rank_tol * tr A``, or ``f(0+) = inf`` and the mass of
+    ``B`` on the kernel of ``A`` exceeds ``rank_tol * tr B``; below those
+    thresholds the infinite coefficient multiplies a mass taken as zero.
     """
-    m_a = as_matrix(A)
-    m_b = as_matrix(B)
-    if m_a.shape != m_b.shape:
-        raise DomainError(f"dimension mismatch: {m_a.shape} vs {m_b.shape}")
-    a_vals, b_vals, table = _overlap_table(m_a, m_b, cluster_tol, rank_tol)
-
+    a, b, table, ka, kb = _spectra(A, B, rank_tol)
     total = 0.0
-    pos_a = a_vals > 0
-    pos_b = b_vals > 0
-    if pos_b.any():
-        b_pos = b_vals[pos_b]
-        if pos_a.any():
-            ratios = np.divide.outer(a_vals[pos_a], b_pos)
-            block = table[np.ix_(pos_a, pos_b)]
-            with np.errstate(all="ignore"):
-                fvals = np.asarray(f(ratios))
-                bad = np.isinf(fvals) & (block <= 0.0)  # inf * 0 := 0
-                if bad.any():
-                    fvals = np.where(bad, 0.0, fvals)
-                total += float(np.sum(b_pos * fvals * block))
-        if (~pos_a).any():
-            zero_mass = float(np.sum(b_pos * table[np.ix_(~pos_a, pos_b)]))
-            if f.f_at_zero == INF:
-                if zero_mass > rank_tol:
-                    return INF
-            else:
-                total += f.f_at_zero * zero_mass
-    if (~pos_b).any():
-        kernel_mass = float(a_vals @ table[:, ~pos_b].sum(axis=1))
-        if f.ell == INF:
-            if kernel_mass > rank_tol:
+    if kb:
+        kernel_mass = _kernel_mass(a, table, ka, kb)
+        if f.ell != INF:
+            total = f.ell * kernel_mass
+        elif kernel_mass > rank_tol * a.sum():
+            return INF
+        # else 0 * inf := 0 -- mass inside rank tolerance contributes nothing
+    b_pos = b[kb:]
+    if ka and f.f_at_zero != 0.0:
+        zero_mass = float(table[:ka, kb:].sum(axis=0) @ b_pos)
+        if f.f_at_zero == INF:
+            if zero_mass > rank_tol * b.sum():
                 return INF
-            # 0 * inf := 0 -- mass inside rank tolerance contributes nothing
         else:
-            total += f.ell * kernel_mass
-    return total
+            total += f.f_at_zero * zero_mass
+    block = table[ka:, kb:]
+    with np.errstate(all="ignore"):
+        fvals = f(a[ka:, None] / b_pos)
+        pair_sum = float((fvals * block).sum(axis=0) @ b_pos)
+        if not math.isfinite(pair_sum):
+            # inf * 0 := 0 for eigenvector pairs that do not overlap
+            fvals = np.where(np.isinf(fvals) & (block <= 0.0), 0.0, fvals)
+            pair_sum = float((fvals * block).sum(axis=0) @ b_pos)
+    return total + pair_sum
 
 
 def quantum_f_divergence_eps_sweep(
@@ -195,15 +206,18 @@ def quantum_f_divergence_eps_sweep(
     B,
     f: DivergenceFunction,
     eps_schedule: Sequence[float] = (1e-5, 1e-6, 1e-7),
-    cluster_tol: float = CLUSTER_TOL,
     rank_tol: float = RANK_TOL,
 ) -> tuple[list[float], float]:
-    """Divergence against ``B + eps * I`` along a decreasing epsilon schedule.
+    """Divergence against ``B + eps * tr(B) * I`` along a decreasing epsilon schedule.
 
-    The regularized second argument is full rank, so no kernel term arises.
+    The regularized second argument is full rank, so no kernel term arises;
+    the shift scales with ``B``, so scaling both arguments scales every value.
     Returns the per-epsilon values and the linear extrapolation to zero of the
-    last two points, or ``inf`` when successive values grow by more than a
-    factor of 10 (the signature of a divergent limit).
+    last two points.  The limit is ``inf`` when ``ell = inf`` and the mass of
+    ``A`` on the kernel of ``B`` exceeds ``rank_tol * tr A`` (the same test as
+    :func:`quantum_f_divergence`; the regularized values then grow only like
+    ``log(1/eps)`` or a power of it), or when successive values grow by more
+    than a factor of 10.
     """
     eps = [float(e) for e in eps_schedule]
     if not eps:
@@ -211,11 +225,12 @@ def quantum_f_divergence_eps_sweep(
     if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise DomainError("eps_schedule must be strictly decreasing and positive")
     m_b = as_matrix(B)
-    eye = np.eye(m_b.shape[0])
-    values = [
-        quantum_f_divergence(A, m_b + e * eye, f, cluster_tol=cluster_tol, rank_tol=rank_tol)
-        for e in eps
-    ]
+    shift = float(np.trace(m_b).real) * np.eye(m_b.shape[0])
+    values = [quantum_f_divergence(A, m_b + e * shift, f, rank_tol=rank_tol) for e in eps]
+    if f.ell == INF:
+        a, _, table, ka, kb = _spectra(A, m_b, rank_tol)
+        if _kernel_mass(a, table, ka, kb) > rank_tol * a.sum():
+            return values, INF
     if len(values) == 1:
         return values, values[0]
     v0, v1 = values[-2], values[-1]
@@ -235,38 +250,32 @@ def tsallis_divergence_closed(
     """Power-family divergence via the closed trace form, powers on supports.
 
     Computes ``(tr(A^alpha B^(1-alpha)) - tr A) / (alpha - 1)``; for
-    ``alpha > 1`` the value is ``inf`` unless the range of ``A`` lies in the
-    range of ``B``.  Within ``1e-6`` of ``alpha = 1`` this delegates to the
-    logarithmic form.
+    ``alpha > 1`` the value is ``inf`` when the mass of ``A`` on the kernel of
+    ``B`` exceeds ``rank_tol * tr A``.  Within ``1e-6`` of ``alpha = 1`` this
+    delegates to the logarithmic form.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return vn_relative_entropy_closed(A, B, rank_tol=rank_tol)
-    a_vals, a_vecs = clamped_psd_eigh(as_matrix(A), rank_tol)
-    b_vals, b_vecs = clamped_psd_eigh(as_matrix(B), rank_tol)
-    g = np.abs(a_vecs.conj().T @ b_vecs) ** 2
-    pos_b = b_vals > 0
-    if alpha > 1.0:
-        kernel_mass = float(a_vals @ g[:, ~pos_b].sum(axis=1)) if (~pos_b).any() else 0.0
-        if kernel_mass > rank_tol:
-            return INF
-    cross = float(a_vals**alpha @ g[:, pos_b] @ b_vals[pos_b] ** (1.0 - alpha))
-    return (cross - float(a_vals.sum())) / (alpha - 1.0)
+    a, b, table, ka, kb = _spectra(A, B, rank_tol)
+    if alpha > 1.0 and _kernel_mass(a, table, ka, kb) > rank_tol * a.sum():
+        return INF
+    cross = float(a[ka:] ** alpha @ table[ka:, kb:] @ b[kb:] ** (1.0 - alpha))
+    return (cross - float(a.sum())) / (alpha - 1.0)
 
 
 def vn_relative_entropy_closed(A, B, rank_tol: float = RANK_TOL) -> float:
-    """Relative entropy ``tr(A log A - A log B)`` on supports, ``inf`` off-support."""
-    a_vals, a_vecs = clamped_psd_eigh(as_matrix(A), rank_tol)
-    b_vals, b_vecs = clamped_psd_eigh(as_matrix(B), rank_tol)
-    g = np.abs(a_vecs.conj().T @ b_vecs) ** 2
-    pos_a = a_vals > 0
-    pos_b = b_vals > 0
-    kernel_mass = float(a_vals @ g[:, ~pos_b].sum(axis=1)) if (~pos_b).any() else 0.0
-    if kernel_mass > rank_tol:
+    """Relative entropy ``tr(A log A - A log B)`` on supports, ``inf`` off-support.
+
+    Off-support means the mass of ``A`` on the kernel of ``B`` exceeds
+    ``rank_tol * tr A``.
+    """
+    a, b, table, ka, kb = _spectra(A, B, rank_tol)
+    if _kernel_mass(a, table, ka, kb) > rank_tol * a.sum():
         return INF
-    a_pos = a_vals[pos_a]
+    a_pos = a[ka:]
     first = float(np.sum(a_pos * np.log(a_pos)))
-    second = float(a_pos @ g[np.ix_(pos_a, pos_b)] @ np.log(b_vals[pos_b]))
+    second = float(a_pos @ table[ka:, kb:] @ np.log(b[kb:]))
     return first - second

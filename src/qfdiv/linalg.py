@@ -1,11 +1,12 @@
 """Complex Hermitian linear algebra kernel.
 
 Eigendecompositions are computed with ``numpy.linalg.eigh`` (LAPACK
-``heevd``), which is deterministic for fixed input bits.  Exact degeneracy
-of spectra does not survive floating point, so eigenvalues are re-grouped
-into clusters before they are treated as a discrete spectrum; ``CLUSTER_TOL``
-controls the merging gap and ``RANK_TOL`` the eigenvalue floor below which a
-positive operator is considered to leave its support.
+``heevd``), which is deterministic for fixed input bits.  Every engine reads
+the spectrum of a positive operator through one rule, :func:`psd_eigh`: one
+eigensolve, a positive semi-definiteness check, and eigenvalues at or below
+``RANK_TOL * ||M||`` set to exact zeros (the kernel).  Nothing is merged:
+near-equal eigenvalues stay separate, which leaves spectral sums unchanged
+because they do not depend on the basis chosen inside an eigenspace.
 
 Tensor index convention: ``kron(A, B)`` puts the A index outer and the B
 index inner, i.e. the composite row index is ``i_A * dim_B + i_B`` (the
@@ -16,20 +17,17 @@ the same convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
 
-CLUSTER_TOL = 1e-8
 RANK_TOL = 1e-10
 
 _HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
 _TRACE_TOL = 1e-12
-_PROJECTOR_TOL = 1e-8
 
 _FACTOR_LABELS = "ABC"
 
@@ -44,19 +42,7 @@ class HermitianOperator:
     __slots__ = ("entries",)
 
     def __init__(self, entries) -> None:
-        m = np.array(entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise DomainError("matrix entries must be finite")
-        scale = 1.0 + np.abs(m).max(initial=0.0)
-        defect = np.abs(m - m.conj().T).max(initial=0.0)
-        if defect > _HERM_TOL * scale:
-            raise DomainError(
-                f"Hermiticity violated: max |M - M^dag| = {defect:.3e} "
-                f"exceeds {_HERM_TOL:.0e} * (1 + max|M|)"
-            )
-        m = (m + m.conj().T) / 2.0
+        m = as_matrix(entries)
         m.setflags(write=False)
         self.entries = m
 
@@ -78,11 +64,7 @@ class DensityOperator(HermitianOperator):
 
     def __init__(self, entries) -> None:
         super().__init__(entries)
-        lo = float(np.linalg.eigvalsh(self.entries).min())
-        if lo < -_PSD_TOL:
-            raise DomainError(
-                f"positive semi-definiteness violated: smallest eigenvalue {lo:.3e}"
-            )
+        clamp_psd_spectrum(np.linalg.eigvalsh(self.entries))
         t = self.trace_value
         if not 0.0 < t <= 1.0 + _TRACE_TOL:
             raise DomainError(f"trace bound violated: trace = {t!r}, expected in (0, 1]")
@@ -92,145 +74,69 @@ class DensityOperator(HermitianOperator):
         return float(np.trace(self.entries).real)
 
 
-class EigenCluster(NamedTuple):
-    eigenvalue: float
-    projector: HermitianOperator
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Clustered spectrum: pairwise orthogonal projectors, ascending eigenvalues."""
-
-    clusters: tuple[EigenCluster, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.clusters[0].projector.dim
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for value, proj, _ in self.clusters:
-            out += value * proj.entries
-        return out
-
-
 def as_matrix(x, check: bool = True) -> np.ndarray:
-    """Coerce an operator wrapper or array-like to a complex square ndarray."""
+    """Coerce an operator wrapper or array-like to a complex square ndarray.
+
+    A wrapper's entries are returned as they are, since its constructor
+    validated them.  Unless ``check`` is false, a raw array must be finite
+    and Hermitian within ``1e-12 * (1 + max|M|)``, and is symmetrized into a
+    new array.
+    """
     if isinstance(x, HermitianOperator):
         return x.entries
     m = np.asarray(x, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if check:
-        scale = 1.0 + np.abs(m).max(initial=0.0)
-        defect = np.abs(m - m.conj().T).max(initial=0.0)
-        if defect > _HERM_TOL * scale:
-            raise DomainError(f"Hermiticity violated: max |M - M^dag| = {defect:.3e}")
-        m = (m + m.conj().T) / 2.0
-    return m
-
-
-def _grouped_eigh(m: np.ndarray, cluster_tol: float):
-    """Eigendecompose and merge eigenvalues separated by less than the tolerance.
-
-    Returns ``(values, starts, ends, vecs)`` where ``values[k]`` is the mean
-    eigenvalue of cluster ``k``, ``starts[k]:ends[k]`` its eigenvector column
-    range, and ``vecs`` the full eigenvector matrix (ascending eigenvalues).
-    """
-    w, v = np.linalg.eigh(m)
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    thr = cluster_tol * scale
-    gaps = np.diff(w)
-    starts = np.concatenate(([0], np.nonzero(gaps >= thr)[0] + 1))
-    ends = np.concatenate((starts[1:], [w.size]))
-    values = np.array([w[s:e].mean() for s, e in zip(starts, ends)])
-    return values, starts, ends, v
-
-
-def _psd_spectrum(m: np.ndarray, cluster_tol: float, rank_tol: float):
-    """Clustered spectrum of a PSD operator with the near-zero clusters clamped to 0.
-
-    Eigenvalues at or below ``rank_tol * ||m||`` count as the kernel and are
-    replaced by an exact 0 (merged into a single leading cluster).  Eigenvalues
-    materially below the PSD tolerance raise a domain error.
-    """
-    values, starts, ends, v = _grouped_eigh(m, cluster_tol)
-    norm = float(np.abs(values).max(initial=0.0))
-    floor = rank_tol * norm
-    bad = values < -max(_PSD_TOL, floor)
-    if bad.any():
+    if not check:
+        return m
+    scale = 1.0 + np.abs(m).max(initial=0.0)
+    if not math.isfinite(scale):  # max propagates NaN
+        raise DomainError("matrix entries must be finite")
+    mh = m.conj().T
+    defect = np.abs(m - mh).max(initial=0.0)
+    if defect > _HERM_TOL * scale:
         raise DomainError(
-            f"positive semi-definiteness violated: eigenvalue {values[bad].min():.3e}"
+            f"Hermiticity violated: max |M - M^dag| = {defect:.3e} "
+            f"exceeds {_HERM_TOL:.0e} * (1 + max|M|)"
         )
-    zero = values <= floor
-    if zero.any():
-        # collapse every clamped cluster into one kernel cluster
-        keep = ~zero
-        nz_start = int(ends[zero][-1])
-        values = np.concatenate(([0.0], values[keep]))
-        starts = np.concatenate(([0], starts[keep]))
-        ends = np.concatenate(([nz_start], ends[keep]))
-    return values, starts, ends, v
+    return (m + mh) / 2.0
 
 
-def clamped_psd_eigh(m: np.ndarray, rank_tol: float = RANK_TOL):
-    """Raw ascending eigensystem of a PSD matrix with the kernel clamped to exact zeros.
+def clamp_psd_spectrum(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """The kernel rule, applied in place to the ascending spectrum of a PSD matrix.
 
-    Eigenvalues at or below ``rank_tol * ||m||`` become 0; anything materially
-    below the PSD tolerance raises a domain error.
+    An eigenvalue below ``-max(1e-10, rank_tol * ||M||)`` is a domain error;
+    eigenvalues at or below ``rank_tol * ||M||`` become exact zeros, so the
+    kernel is a leading block of zeros.
+    """
+    if not w.size:
+        return w
+    floor = rank_tol * max(w[-1], -w[0])
+    if w[0] < -max(_PSD_TOL, floor):
+        raise DomainError(f"positive semi-definiteness violated: eigenvalue {w[0]:.3e}")
+    w[w <= floor] = 0.0
+    return w
+
+
+def psd_eigh(m: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigensystem of a PSD matrix with the kernel clamped to exact zeros.
+
+    One ``eigh`` followed by :func:`clamp_psd_spectrum`, so the eigenvalues
+    read ``[0, ..., 0, positive part]``.
     """
     w, v = np.linalg.eigh(m)
-    floor = rank_tol * float(np.abs(w).max(initial=0.0))
-    if w.min(initial=0.0) < -max(_PSD_TOL, floor):
-        raise DomainError(f"positive semi-definiteness violated: eigenvalue {w.min():.3e}")
-    return np.where(w <= floor, 0.0, w), v
-
-
-def eig_hermitian(M, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
-    """Clustered spectral decomposition of a Hermitian operator.
-
-    Eigenvalues whose mutual gap is below ``cluster_tol * max(1, ||M||)`` are
-    merged into a single cluster whose projector sums the corresponding rank-1
-    projectors.  Clusters are returned in ascending eigenvalue order.
-    """
-    m = as_matrix(M)
-    values, starts, ends, v = _grouped_eigh(m, cluster_tol)
-    clusters = []
-    for val, s, e in zip(values, starts, ends):
-        block = v[:, s:e]
-        proj = HermitianOperator(block @ block.conj().T)
-        clusters.append(EigenCluster(float(val), proj, int(e - s)))
-    return SpectralDecomposition(tuple(clusters))
+    return clamp_psd_spectrum(w, rank_tol), v
 
 
 def support_projector(A, rank_tol: float = RANK_TOL) -> HermitianOperator:
     """Orthogonal projector onto the range of a positive operator.
 
-    Eigenvectors with eigenvalue above ``rank_tol * ||A||`` span the support;
-    the zero operator maps to the zero projector.
+    The eigenvectors that :func:`psd_eigh` leaves outside the kernel span the
+    support; the zero operator maps to the zero projector.
     """
-    m = as_matrix(A)
-    w, v = np.linalg.eigh(m)
-    thr = rank_tol * float(np.abs(w).max(initial=0.0))
-    cols = v[:, w > thr]
+    w, v = psd_eigh(as_matrix(A), rank_tol)
+    cols = v[:, w > 0.0]
     return HermitianOperator(cols @ cols.conj().T)
-
-
-def is_projector(P, tol: float = _PROJECTOR_TOL) -> bool:
-    """True when ``P`` is Hermitian and idempotent within ``tol``."""
-    try:
-        m = as_matrix(P)
-    except DomainError:
-        return False
-    return bool(np.abs(m @ m - m).max(initial=0.0) <= tol)
-
-
-def projector_join(P, Q) -> HermitianOperator:
-    """Projector onto the sum of the ranges of two projectors."""
-    if not is_projector(P) or not is_projector(Q):
-        raise DomainError("projector_join expects idempotent Hermitian inputs")
-    return support_projector(as_matrix(P) + as_matrix(Q))
 
 
 def _factor_indices(keep: str, n_factors: int) -> list[int]:
@@ -294,40 +200,3 @@ def kron(A, B):
     if isinstance(A, HermitianOperator) and isinstance(B, HermitianOperator):
         return HermitianOperator(out)
     return out
-
-
-def apply_spectral_function(
-    A,
-    g: Callable[[float], float],
-    on_support_only: bool = False,
-    cluster_tol: float = CLUSTER_TOL,
-    rank_tol: float = RANK_TOL,
-) -> HermitianOperator:
-    """Apply a scalar function to the clustered eigenvalues of a PSD operator.
-
-    With ``on_support_only`` the kernel cluster is skipped (stays zero), which
-    realizes the convention that powers of a positive operator are taken on
-    its support.  A non-finite value of ``g`` at a present eigenvalue is a
-    domain error.
-    """
-    m = as_matrix(A)
-    values, starts, ends, v = _psd_spectrum(m, cluster_tol, rank_tol)
-    mapped = np.zeros(m.shape[0])
-    for val, s, e in zip(values, starts, ends):
-        if val == 0.0 and on_support_only:
-            continue
-        with np.errstate(all="ignore"):
-            y = float(g(val))
-        if not math.isfinite(y):
-            raise DomainError(f"spectral function undefined at eigenvalue {val!r}")
-        mapped[s:e] = y
-    return HermitianOperator((v * mapped) @ v.conj().T)
-
-
-def hs_inner(X, Y) -> complex:
-    """Hilbert-Schmidt inner product tr(X^dag Y)."""
-    x = as_matrix(X, check=False)
-    y = as_matrix(Y, check=False)
-    if x.shape != y.shape:
-        raise DomainError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return complex(np.vdot(x, y))

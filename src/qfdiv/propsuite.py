@@ -164,7 +164,7 @@ def _run_nonnegativity(cfg: _Resolved) -> list[float]:
 
 def _run_homogeneity(cfg: _Resolved) -> list[float]:
     margins = []
-    lams = (0.1, 0.5, 2.0)
+    lams = (1e-9, 0.1, 0.5, 2.0)
     for t in range(cfg.trials):
         d = cfg.dims[t % len(cfg.dims)]
         f = make_tsallis_f(cfg.alphas[t % len(cfg.alphas)])

@@ -258,3 +258,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["explode"])
         assert exc.value.code == 1
+
+
+class TestEpsSweepCommand:
+    @pytest.mark.parametrize("family", [["--family", "kl"], ["--family", "tsallis", "--alpha", "1.5"]])
+    def test_support_violation_prints_inf(self, tmp_path, capsys, family):
+        a = write_state(tmp_path / "a.json", np.eye(2) / 2)
+        b = write_state(tmp_path / "b.json", np.diag([1.0, 0.0]))
+        assert main(["divergence", "--a", a, "--b", b, *family, "--eps-sweep"]) == 0
+        assert capsys.readouterr().out.strip() == "inf"

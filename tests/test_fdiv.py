@@ -308,3 +308,97 @@ class TestEpsSweep:
             quantum_f_divergence_eps_sweep(
                 KET0, KET1, make_tsallis_f(1.0), eps_schedule=(1e-3, 1e-3)
             )
+
+
+def all_routes(a, b, alpha):
+    """The spectral sum, the closed form and the epsilon-sweep limit for one pair."""
+    f = make_tsallis_f(alpha)
+    closed = (
+        vn_relative_entropy_closed(a, b) if alpha == 1.0 else tsallis_divergence_closed(a, b, alpha)
+    )
+    return quantum_f_divergence(a, b, f), closed, quantum_f_divergence_eps_sweep(a, b, f)[1]
+
+
+class TestKernelRule:
+    """Every route clamps the kernel first and compares masses relative to the traces."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_small_eigenvalue_is_not_merged_into_the_kernel(self, alpha):
+        # B's 1e-9 eigenvalue is support, not kernel; A has mass 1/3 on B's kernel
+        a = np.eye(3) / 3
+        b = np.diag([1.0 - 1e-9, 1e-9, 0.0])
+        assert all_routes(a, b, alpha) == (INF, INF, INF)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("lam", [1.0, 1e-9, 1e-12])
+    def test_support_violation_at_any_scale(self, lam, alpha):
+        a = lam * np.eye(2) / 2
+        b = lam * np.diag([1.0, 0.0])
+        assert all_routes(a, b, alpha) == (INF, INF, INF)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("lam", [1e-9, 1e-12])
+    def test_finite_ell_scales_with_both_arguments(self, lam, alpha):
+        a = np.eye(2) / 2
+        b = np.diag([1.0, 0.0])
+        base = all_routes(a, b, alpha)
+        scaled = all_routes(lam * a, lam * b, alpha)
+        for got, want in zip(scaled, base):
+            assert got == pytest.approx(lam * want, rel=1e-9)
+        # the sweep's linear extrapolation converges like sqrt(eps) on a rank-deficient B
+        assert base[0] == pytest.approx(base[1], rel=1e-12)
+        assert base[2] == pytest.approx(base[0], abs=1e-3)
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-12])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_homogeneity_at_tiny_scale(self, lam, alpha):
+        # eigenvalues of lam * A lie within 1e-8 of each other; none may merge
+        f = make_tsallis_f(alpha)
+        for seed in (81, 82, 83):
+            a, b = conditioned_pair(3, 2, seed=seed)
+            base = quantum_f_divergence(a, b, f)
+            got = quantum_f_divergence(lam * a, lam * b, f)
+            assert got == pytest.approx(lam * base, rel=1e-9)
+
+    def test_kernel_mass_inside_tolerance_is_dropped(self):
+        # A's mass on B's kernel is 1e-12 of tr A: inside rank_tol, so 0 * inf = 0
+        a = np.diag([1.0 - 1e-12, 1e-12]) * 1e-6
+        b = np.diag([1.0, 0.0]) * 1e-6
+        for alpha in (1.0, 1.5):
+            spectral, closed, _ = all_routes(a, b, alpha)
+            assert math.isfinite(spectral) and math.isfinite(closed)
+            assert spectral == pytest.approx(closed, abs=1e-15)
+
+    def test_degenerate_eigenspaces_need_no_merging(self):
+        # a rotation inside B's degenerate eigenspace leaves the sum unchanged
+        a = channels.random_density(4, 3, seed=131).entries
+        u = np.eye(4, dtype=complex)
+        u[:2, :2] = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+        b = np.diag([0.3, 0.3, 0.4, 0.0])
+        for alpha in (0.5, 1.5):
+            f = make_tsallis_f(alpha)
+            plain = quantum_f_divergence(a, b, f)
+            rotated = quantum_f_divergence(a, u @ b @ u.conj().T, f)
+            assert rotated == pytest.approx(plain, rel=1e-12)
+
+    def test_no_cluster_tolerance_parameter(self):
+        with pytest.raises(TypeError):
+            quantum_f_divergence(KET0, KET0, make_tsallis_f(1.0), cluster_tol=1e-8)
+        with pytest.raises(TypeError):
+            quantum_f_divergence_eps_sweep(KET0, KET0, make_tsallis_f(1.0), cluster_tol=1e-8)
+
+
+class TestEpsSweepDivergence:
+    """Regularized values may grow only like log(1/eps) or a power of it."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_slow_growth_is_still_divergent(self, alpha):
+        a = np.eye(2) / 2
+        values, limit = quantum_f_divergence_eps_sweep(a, KET0, make_tsallis_f(alpha))
+        assert values[-1] < 10.0 * values[-2]  # too slow for the growth test alone
+        assert limit == INF
+
+    def test_finite_ell_keeps_the_extrapolation(self):
+        values, limit = quantum_f_divergence_eps_sweep(np.eye(2) / 2, KET0, make_tsallis_f(0.5))
+        assert all(math.isfinite(v) for v in values)
+        assert limit == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-3)

@@ -6,13 +6,11 @@ from qfdiv.errors import DomainError
 from qfdiv.linalg import (
     DensityOperator,
     HermitianOperator,
-    apply_spectral_function,
-    eig_hermitian,
-    hs_inner,
     kron,
+    as_matrix,
     partial_trace,
     permute_subsystems,
-    projector_join,
+    psd_eigh,
     ptrace_entries,
     support_projector,
 )
@@ -49,44 +47,57 @@ class TestOperatorTypes:
             rho.entries[0, 0] = 1.0
 
 
-class TestEigHermitian:
-    def test_diagonal_with_degeneracy(self):
-        dec = eig_hermitian(np.diag([0.0, 0.0, 1.0]))
-        assert [c.multiplicity for c in dec.clusters] == [2, 1]
-        assert dec.clusters[0].eigenvalue == pytest.approx(0.0)
-        np.testing.assert_allclose(dec.clusters[0].projector.entries, np.diag([1, 1, 0]), atol=1e-14)
-        np.testing.assert_allclose(dec.clusters[1].projector.entries, np.diag([0, 0, 1]), atol=1e-14)
+class TestAsMatrix:
+    def test_rejects_non_hermitian_array(self):
+        with pytest.raises(DomainError, match="Hermiticity"):
+            as_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_scalar_matrix_single_cluster(self):
-        dec = eig_hermitian(np.eye(2) / 2)
-        assert len(dec.clusters) == 1
-        assert dec.clusters[0].eigenvalue == pytest.approx(0.5)
-        assert dec.clusters[0].multiplicity == 2
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_array(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            as_matrix(np.diag([1.0, bad]))
+        with pytest.raises(DomainError, match="finite"):
+            HermitianOperator(np.diag([1.0, bad]))
 
-    def test_pauli_x(self):
-        # analytic 2x2 eigensolve: eigenvalues +-1, projectors (1 +- X)/2
-        dec = eig_hermitian(PAULI_X)
-        assert [c.eigenvalue for c in dec.clusters] == pytest.approx([-1.0, 1.0])
-        np.testing.assert_allclose(dec.clusters[0].projector.entries, (np.eye(2) - PAULI_X) / 2, atol=1e-14)
-        np.testing.assert_allclose(dec.clusters[1].projector.entries, (np.eye(2) + PAULI_X) / 2, atol=1e-14)
+    def test_symmetrizes_a_new_array(self):
+        m = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
+        out = as_matrix(m)
+        assert out is not m
+        np.testing.assert_array_equal(out, out.conj().T)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_wrapped_entries_pass_through(self):
+        rho = DensityOperator(np.eye(2) / 2)
+        assert as_matrix(rho) is rho.entries
+
+
+class TestPsdEigh:
+    def test_kernel_is_a_leading_block_of_exact_zeros(self):
+        w, v = psd_eigh(np.diag([0.5, 0.0, 0.5, 1e-14]))
+        np.testing.assert_array_equal(w, [0.0, 0.0, 0.5, 0.5])
+        np.testing.assert_allclose(np.abs(v[:, :2]).sum(axis=1), [0, 1, 0, 1], atol=1e-14)
+
+    @pytest.mark.parametrize("lam", [1.0, 1e-9, 1e-12])
+    def test_floor_is_relative_to_the_norm(self, lam):
+        # a 1e-9 eigenvalue is support and a 1e-11 one kernel, at every scale
+        w, _ = psd_eigh(lam * np.diag([1.0, 1e-9, 1e-11]))
+        np.testing.assert_array_equal(w == 0.0, [True, False, False])
+        assert w[1] == pytest.approx(lam * 1e-9)
+
+    def test_near_equal_eigenvalues_stay_separate(self):
+        w, _ = psd_eigh(np.diag([0.5, 0.5 + 1e-12, 1e-9]))
+        assert w[0] == 1e-9
+        assert w[1] != w[2]
 
     @pytest.mark.parametrize("dim", [2, 5, 9, 16])
-    def test_reconstruction_and_projector_algebra(self, dim):
-        m = random_hermitian(dim, seed=100 + dim)
-        dec = eig_hermitian(m)
-        norm = np.abs(np.linalg.eigvalsh(m)).max()
-        assert np.abs(dec.reconstruct() - m).max() <= 1e-9 * norm
-        total = sum(c.projector.entries for c in dec.clusters)
-        assert np.abs(total - np.eye(dim)).max() <= 1e-10
-        for i, ci in enumerate(dec.clusters):
-            for j, cj in enumerate(dec.clusters):
-                prod = ci.projector.entries @ cj.projector.entries
-                expected = ci.projector.entries if i == j else 0.0
-                assert np.abs(prod - expected).max() <= 1e-10
+    def test_reconstruction(self, dim):
+        rho = channels.random_density(dim, max(1, dim // 2), seed=100 + dim).entries
+        w, v = psd_eigh(rho)
+        np.testing.assert_allclose((v * w) @ v.conj().T, rho, atol=1e-12)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(DomainError, match="semi-definiteness"):
+            psd_eigh(PAULI_X)
 
 
 class TestSupportProjector:
@@ -105,29 +116,10 @@ class TestSupportProjector:
     def test_zero_operator(self):
         np.testing.assert_allclose(support_projector(np.zeros((3, 3))).entries, 0.0)
 
-
-class TestProjectorJoin:
-    def test_orthogonal_diagonals(self):
-        p = projector_join(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(p.entries, np.eye(2), atol=1e-12)
-
-    def test_idempotent(self):
-        p = np.diag([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(projector_join(p, p).entries, p, atol=1e-12)
-
-    def test_three_dim_join(self):
-        # |0><0| joined with |+>(2,3): rank-2 support containing both ranges
-        p = np.diag([1.0, 0.0, 0.0])
-        q = np.zeros((3, 3))
-        q[np.ix_((1, 2), (1, 2))] = 0.5
-        j = projector_join(p, q).entries
-        assert np.linalg.matrix_rank(j, tol=1e-10) == 2
-        np.testing.assert_allclose(j @ p, p, atol=1e-10)
-        np.testing.assert_allclose(j @ q, q, atol=1e-10)
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(DomainError, match="idempotent"):
-            projector_join(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
+    @pytest.mark.parametrize("lam", [1.0, 1e-12])
+    def test_same_kernel_as_psd_eigh(self, lam):
+        p = support_projector(lam * np.diag([1.0, 1e-9, 1e-11]))
+        np.testing.assert_allclose(p.entries, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 class TestPartialTrace:
@@ -200,38 +192,3 @@ class TestPermuteSubsystems:
     def test_invalid_permutation(self):
         with pytest.raises(DomainError):
             permute_subsystems(np.eye(4), (2, 2), (0, 0))
-
-
-class TestSpectralFunction:
-    def test_identity_function(self):
-        rho = channels.random_density(3, 3, seed=31)
-        out = apply_spectral_function(rho, lambda x: x)
-        np.testing.assert_allclose(out.entries, rho.entries, atol=1e-12)
-
-    def test_inverse_on_support(self):
-        out = apply_spectral_function(np.eye(2) / 2, lambda x: 1.0 / x, on_support_only=True)
-        np.testing.assert_allclose(out.entries, 2 * np.eye(2), atol=1e-12)
-
-    def test_sqrt_on_support(self):
-        out = apply_spectral_function(np.diag([0.5, 0.5, 0.0]), np.sqrt, on_support_only=True)
-        np.testing.assert_allclose(out.entries, np.diag([np.sqrt(0.5), np.sqrt(0.5), 0.0]), atol=1e-12)
-
-    def test_undefined_off_support_raises(self):
-        with pytest.raises(DomainError, match="undefined"):
-            apply_spectral_function(np.diag([1.0, 0.0]), lambda x: 1.0 / x, on_support_only=False)
-
-
-class TestHsInner:
-    def test_identity_inner(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_orthogonal_projectors(self):
-        assert hs_inner(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_frobenius_identity(self):
-        x = random_hermitian(4, seed=41)
-        assert hs_inner(x, x) == pytest.approx(np.sum(np.abs(x) ** 2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            hs_inner(np.eye(2), np.eye(3))

@@ -34,6 +34,12 @@ class TestRunProperty:
         assert report.trials == 10
         assert report.worst_margin >= -report.tolerance
 
+    def test_homogeneity_covers_tiny_scale(self):
+        # four scale factors per trial, the smallest 1e-9
+        report = run_property("homogeneity", PropertyConfig(trials=12, seed=3))
+        assert report.trials == 48
+        assert report.passed
+
     def test_config_overrides_tolerance(self):
         report = run_property("alpha-continuity", PropertyConfig(trials=5, tolerance=0.5))
         assert report.tolerance == 0.5
