@@ -52,8 +52,11 @@ from .fdiv import (
 from .linalg import (
     DensityOperator,
     HermitianOperator,
+    apply_spectral_function,
+    hs_inner,
     kron,
     partial_trace,
+    projector_join,
     support_projector,
 )
 from .propsuite import PropertyConfig, PropertyReport, run_property, run_suite
@@ -75,6 +78,7 @@ __all__ = [
     "PropertyReport",
     "alpha_log",
     "apply_channel",
+    "apply_spectral_function",
     "build_classical_register_state",
     "chain_rule_rhs",
     "classical_register_closed_form",
@@ -83,9 +87,11 @@ __all__ = [
     "conditional_entropy_vn_closed",
     "csiszar_divergence",
     "embed_ancilla",
+    "hs_inner",
     "kron",
     "make_tsallis_f",
     "partial_trace",
+    "projector_join",
     "pure_bipartite_from_schmidt",
     "pure_state_bounds_tsallis",
     "quantum_f_divergence",

@@ -17,7 +17,7 @@ the same convention.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ RANK_TOL = 1e-10
 _HERM_TOL = 1e-12
 _PSD_TOL = 1e-10
 _TRACE_TOL = 1e-12
+_PROJECTOR_TOL = 1e-8
 
 _FACTOR_LABELS = "ABC"
 
@@ -139,6 +140,22 @@ def support_projector(A, rank_tol: float = RANK_TOL) -> HermitianOperator:
     return HermitianOperator(cols @ cols.conj().T)
 
 
+def is_projector(P, tol: float = _PROJECTOR_TOL) -> bool:
+    """True when ``P`` is Hermitian and idempotent within ``tol``."""
+    try:
+        m = as_matrix(P)
+    except DomainError:
+        return False
+    return bool(np.abs(m @ m - m).max(initial=0.0) <= tol)
+
+
+def projector_join(P, Q) -> HermitianOperator:
+    """Projector onto the sum of the ranges of two projectors."""
+    if not is_projector(P) or not is_projector(Q):
+        raise DomainError("projector_join expects idempotent Hermitian inputs")
+    return support_projector(as_matrix(P) + as_matrix(Q))
+
+
 def _factor_indices(keep: str, n_factors: int) -> list[int]:
     labels = _FACTOR_LABELS[:n_factors]
     if not keep or any(c not in labels for c in keep) or len(set(keep)) != len(keep):
@@ -200,3 +217,38 @@ def kron(A, B):
     if isinstance(A, HermitianOperator) and isinstance(B, HermitianOperator):
         return HermitianOperator(out)
     return out
+
+
+def apply_spectral_function(
+    A,
+    g: Callable[[float], float],
+    on_support_only: bool = False,
+    rank_tol: float = RANK_TOL,
+) -> HermitianOperator:
+    """Apply a scalar function to the eigenvalues of a PSD operator.
+
+    The spectrum is read through :func:`psd_eigh`.  With ``on_support_only``
+    the kernel stays zero, which realizes the convention that powers of a
+    positive operator are taken on its support.  A non-finite value of ``g``
+    at a present eigenvalue is a domain error.
+    """
+    w, v = psd_eigh(as_matrix(A), rank_tol)
+    mapped = np.zeros(w.shape[0])
+    with np.errstate(all="ignore"):
+        for i, val in enumerate(w):
+            if val == 0.0 and on_support_only:
+                continue
+            y = float(g(val))
+            if not math.isfinite(y):
+                raise DomainError(f"spectral function undefined at eigenvalue {float(val)!r}")
+            mapped[i] = y
+    return HermitianOperator((v * mapped) @ v.conj().T)
+
+
+def hs_inner(X, Y) -> complex:
+    """Hilbert-Schmidt inner product tr(X^dag Y)."""
+    x = as_matrix(X, check=False)
+    y = as_matrix(Y, check=False)
+    if x.shape != y.shape:
+        raise DomainError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return complex(np.vdot(x, y))

@@ -6,10 +6,13 @@ from qfdiv.errors import DomainError
 from qfdiv.linalg import (
     DensityOperator,
     HermitianOperator,
-    kron,
+    apply_spectral_function,
     as_matrix,
+    hs_inner,
+    kron,
     partial_trace,
     permute_subsystems,
+    projector_join,
     psd_eigh,
     ptrace_entries,
     support_projector,
@@ -192,3 +195,62 @@ class TestPermuteSubsystems:
     def test_invalid_permutation(self):
         with pytest.raises(DomainError):
             permute_subsystems(np.eye(4), (2, 2), (0, 0))
+
+
+class TestProjectorJoin:
+    def test_orthogonal_diagonals(self):
+        p = projector_join(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(p.entries, np.eye(2), atol=1e-12)
+
+    def test_idempotent(self):
+        p = np.diag([1.0, 0.0, 0.0])
+        np.testing.assert_allclose(projector_join(p, p).entries, p, atol=1e-12)
+
+    def test_three_dim_join(self):
+        # |0><0| joined with |+>(2,3): rank-2 support containing both ranges
+        p = np.diag([1.0, 0.0, 0.0])
+        q = np.zeros((3, 3))
+        q[np.ix_((1, 2), (1, 2))] = 0.5
+        j = projector_join(p, q).entries
+        assert np.linalg.matrix_rank(j, tol=1e-10) == 2
+        np.testing.assert_allclose(j @ p, p, atol=1e-10)
+        np.testing.assert_allclose(j @ q, q, atol=1e-10)
+
+    def test_rejects_non_projector(self):
+        with pytest.raises(DomainError, match="idempotent"):
+            projector_join(np.diag([0.5, 0.0]), np.diag([1.0, 0.0]))
+
+
+class TestSpectralFunction:
+    def test_identity_function(self):
+        rho = channels.random_density(3, 3, seed=31)
+        out = apply_spectral_function(rho, lambda x: x)
+        np.testing.assert_allclose(out.entries, rho.entries, atol=1e-12)
+
+    def test_inverse_on_support(self):
+        out = apply_spectral_function(np.eye(2) / 2, lambda x: 1.0 / x, on_support_only=True)
+        np.testing.assert_allclose(out.entries, 2 * np.eye(2), atol=1e-12)
+
+    def test_sqrt_on_support(self):
+        out = apply_spectral_function(np.diag([0.5, 0.5, 0.0]), np.sqrt, on_support_only=True)
+        np.testing.assert_allclose(out.entries, np.diag([np.sqrt(0.5), np.sqrt(0.5), 0.0]), atol=1e-12)
+
+    def test_undefined_off_support_raises(self):
+        with pytest.raises(DomainError, match="undefined"):
+            apply_spectral_function(np.diag([1.0, 0.0]), lambda x: 1.0 / x, on_support_only=False)
+
+
+class TestHsInner:
+    def test_identity_inner(self):
+        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
+
+    def test_orthogonal_projectors(self):
+        assert hs_inner(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(0.0)
+
+    def test_frobenius_identity(self):
+        x = random_hermitian(4, seed=41)
+        assert hs_inner(x, x) == pytest.approx(np.sum(np.abs(x) ** 2))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            hs_inner(np.eye(2), np.eye(3))
