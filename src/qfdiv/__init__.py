@@ -1,10 +1,12 @@
 """Quantum f-divergences and the conditional entropies they define.
 
-Finite-dimensional density matrices only.  The package is organized as:
+Finite-dimensional density matrices only.  The package is organized in
+layers, each importing only from the layers listed before it (the shared
+:mod:`qfdiv.errors` and :mod:`qfdiv.rng` sit at the bottom):
 
-- :mod:`qfdiv.linalg`: operator types, the one kernel rule for the spectrum
-  of a positive operator (eigensolve, PSD check, kernel clamped to exact
-  zeros), supports, tensor products, partial traces.
+- :mod:`qfdiv.linalg`: operator types and factored states, the one kernel
+  rule for the spectrum of a positive operator (eigensolve, PSD check,
+  kernel clamped to exact zeros), supports, tensor products, partial traces.
 - :mod:`qfdiv.fdiv`: the divergence-function catalog and the classical and
   quantum f-divergence engines (spectral form plus epsilon-sweep validation).
 - :mod:`qfdiv.condent`: conditional entropies -- generic minimization over the
@@ -26,7 +28,6 @@ from .channels import (
     validate_tpcp,
 )
 from .condent import (
-    BipartiteState,
     OptimizationReport,
     OptimizerOptions,
     alpha_log,
@@ -50,6 +51,7 @@ from .fdiv import (
     vn_relative_entropy_closed,
 )
 from .linalg import (
+    BipartiteState,
     DensityOperator,
     HermitianOperator,
     apply_spectral_function,

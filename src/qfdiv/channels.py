@@ -15,9 +15,15 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .condent import BipartiteState
 from .errors import DomainError
-from .linalg import DensityOperator, as_matrix, support_projector
+from .linalg import (
+    BipartiteState,
+    DensityOperator,
+    _probability_vector,
+    _schmidt_coefficients,
+    as_matrix,
+    support_projector,
+)
 
 _TPCP_TOL = 1e-9
 
@@ -115,11 +121,7 @@ def pure_bipartite_from_schmidt(
     seed: int,
 ) -> BipartiteState:
     """Pure bipartite state with the given Schmidt coefficients in Haar-random bases."""
-    c = np.asarray(coeffs, dtype=float).ravel()
-    if (c < 0).any():
-        raise DomainError("Schmidt coefficients must be nonnegative")
-    if abs(float(np.sum(c**2)) - 1.0) > 1e-10:
-        raise DomainError(f"Schmidt coefficients must have unit square sum, got {np.sum(c**2)!r}")
+    c = _schmidt_coefficients(coeffs)
     if c.size > min(d_a, d_b):
         raise DomainError(f"at most min({d_a}, {d_b}) Schmidt coefficients allowed")
     gen = rng.generator(seed)
@@ -176,11 +178,9 @@ def build_classical_register_state(
     """
     if not blocks:
         raise DomainError("at least one block is required")
-    w = np.asarray(p, dtype=float).ravel()
+    w = _probability_vector(p)
     if w.size != len(blocks):
         raise DomainError("probability vector length must match the number of blocks")
-    if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-10:
-        raise DomainError("p must be a probability distribution")
     if any(len(b.dims) != 2 for b in blocks):
         raise DomainError("blocks must be two-factor states")
     d_a = blocks[0].dims[0]

@@ -17,10 +17,8 @@ import sys
 
 import numpy as np
 
-from . import rng
 from .channels import KrausChannel, random_channel, random_density
 from .condent import (
-    BipartiteState,
     OptimizerOptions,
     conditional_entropy_optimize,
     conditional_entropy_tsallis_closed,
@@ -29,7 +27,7 @@ from .condent import (
 )
 from .errors import ConvergenceError, DomainError
 from .fdiv import make_tsallis_f, quantum_f_divergence, quantum_f_divergence_eps_sweep
-from .linalg import DensityOperator
+from .linalg import BipartiteState, DensityOperator
 
 
 def format_number(x: float) -> str:
@@ -275,10 +273,8 @@ def _cmd_random(args) -> int:
     else:  # pure
         if len(dims) != 2:
             raise DomainError("random pure needs --dims d_A d_B")
-        gen = rng.generator(args.seed)
-        psi = rng.complex_gaussian(gen, (dims[0] * dims[1],))
-        psi /= np.linalg.norm(psi)
-        write_matrix_file(args.out, np.outer(psi, psi.conj()), dims=dims)
+        rho = random_density(dims[0] * dims[1], 1, args.seed)
+        write_matrix_file(args.out, rho.entries, dims=dims)
     return 0
 
 

@@ -26,49 +26,19 @@ from scipy.optimize import minimize
 
 from . import rng
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .fdiv import ALPHA_ONE_TOL, DivergenceFunction, quantum_f_divergence
+from .fdiv import ALPHA_ONE_TOL, DivergenceFunction, _positive_alpha, quantum_f_divergence
 from .linalg import (
+    BipartiteState,
     DensityOperator,
+    _factor_indices,
+    _probability_vector,
+    _schmidt_coefficients,
     as_matrix,
     clamp_psd_spectrum,
     permute_subsystems,
     psd_eigh,
     ptrace_entries,
 )
-
-_NORMALIZED_TOL = 1e-10
-_FACTOR_LABELS = "ABC"
-
-
-class BipartiteState:
-    """A normalized density operator together with its tensor factor dimensions."""
-
-    __slots__ = ("rho", "dims")
-
-    def __init__(self, rho, dims: Sequence[int]) -> None:
-        if not isinstance(rho, DensityOperator):
-            rho = DensityOperator(rho)
-        dims = tuple(int(d) for d in dims)
-        if len(dims) not in (2, 3) or any(d < 1 for d in dims):
-            raise DomainError(f"dims must be two or three positive factors, got {dims}")
-        if math.prod(dims) != rho.dim:
-            raise DomainError(
-                f"dimension mismatch: factors {dims} give {math.prod(dims)}, state has {rho.dim}"
-            )
-        if abs(rho.trace_value - 1.0) > _NORMALIZED_TOL:
-            raise DomainError(
-                f"conditional entropies need a normalized state, trace = {rho.trace_value!r}"
-            )
-        self.rho = rho
-        self.dims = dims
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.rho.entries
-
-    def __repr__(self) -> str:
-        return f"BipartiteState(dims={self.dims})"
-
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -90,14 +60,20 @@ class OptimizationReport:
     converged: bool
 
 
+def _monotone_alpha(alpha: float) -> float:
+    """``alpha`` as a float; the conditional-entropy formulas need ``0 < alpha <= 2``."""
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 2.0:
+        raise PreconditionError(f"alpha must lie in (0, 2], got {alpha!r}")
+    return alpha
+
+
 def alpha_log(xi: float, alpha: float) -> float:
     """Deformed logarithm ``(xi**(1-alpha) - 1) / (1 - alpha)``, ``log`` at ``alpha=1``."""
     xi = float(xi)
-    alpha = float(alpha)
     if xi <= 0.0:
         raise DomainError(f"alpha_log needs a positive argument, got {xi!r}")
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    alpha = _positive_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return math.log(xi)
     return (xi ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
@@ -105,9 +81,7 @@ def alpha_log(xi: float, alpha: float) -> float:
 
 def tsallis_entropy(rho, alpha: float) -> float:
     """Power-family entropy ``(1 - tr rho**alpha) / (alpha - 1)`` of a normalized state."""
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    alpha = _positive_alpha(alpha)
     # the kernel is dropped: fractional powers would amplify its eigenvalue noise
     w = clamp_psd_spectrum(np.linalg.eigvalsh(as_matrix(rho)))
     w = w[w > 0.0]
@@ -123,10 +97,7 @@ def _conditioning_view(state: BipartiteState, cond: str):
     """
     dims = state.dims
     n = len(dims)
-    labels = _FACTOR_LABELS[:n]
-    if not cond or any(c not in labels for c in cond) or len(set(cond)) != len(cond):
-        raise DomainError(f"conditioning label {cond!r} invalid for factors {labels!r}")
-    cond_idx = sorted(labels.index(c) for c in cond)
+    cond_idx = _factor_indices(cond, n)
     rest = [i for i in range(n) if i not in cond_idx]
     if not rest:
         raise DomainError("cannot condition on every factor")
@@ -410,14 +381,11 @@ def conditional_entropy_tsallis_closed(
     ``(1 - (tr [tr_rest(rho**alpha)]**(1/alpha))**alpha) / (alpha - 1)``.
     Valid for ``alpha`` in ``(0, 2]`` where the divergence is monotone.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise PreconditionError(f"alpha must lie in (0, 2], got {alpha!r}")
+    alpha = _monotone_alpha(alpha)
     entries, d_rest, d_cond = _conditioning_view(state, cond)
-    rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        value = tsallis_entropy(entries, 1.0) - tsallis_entropy(rho_cond, 1.0)
-        return value, DensityOperator(rho_cond)
+        rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
+        return conditional_entropy_vn_closed(state, cond), DensityOperator(rho_cond)
     w, v = psd_eigh(entries)
     rho_pow = (v * w**alpha) @ v.conj().T
     reduced = ptrace_entries(rho_pow, (d_rest, d_cond), [1])
@@ -466,14 +434,8 @@ def pure_state_bounds_tsallis(
     coefficients are all equal, and the upper bound is strictly negative for
     entangled states.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise PreconditionError(f"alpha must lie in (0, 2], got {alpha!r}")
-    c = np.asarray(schmidt_coeffs, dtype=float).ravel()
-    if (c < 0).any():
-        raise DomainError("Schmidt coefficients must be nonnegative")
-    if abs(float(np.sum(c**2)) - 1.0) > 1e-10:
-        raise DomainError(f"Schmidt coefficients must have unit square sum, got {np.sum(c**2)!r}")
+    alpha = _monotone_alpha(alpha)
+    c = _schmidt_coefficients(schmidt_coeffs)
     schmidt_number = int(np.sum(c > 1e-12))
     lower = alpha_log(1.0 / schmidt_number, alpha)
     upper = alpha_log(float(np.max(c) ** 2), alpha)
@@ -491,15 +453,11 @@ def classical_register_closed_form(
     ``1/alpha`` power mean of ``1 + (1 - alpha) H_y``; at ``alpha = 1`` this
     degenerates to the plain average.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise PreconditionError(f"alpha must lie in (0, 2], got {alpha!r}")
+    alpha = _monotone_alpha(alpha)
     h = np.asarray(block_entropies, dtype=float).ravel()
-    w = np.asarray(p, dtype=float).ravel()
+    w = _probability_vector(p)
     if h.size != w.size or h.size == 0:
         raise DomainError("block entropies and probabilities must align and be non-empty")
-    if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-10:
-        raise DomainError("p must be a probability distribution")
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return float(np.dot(w, h))
     t = 1.0 + (1.0 - alpha) * h
@@ -516,9 +474,7 @@ def chain_rule_rhs(h_abc_given_bc: float, d_c: int, alpha: float) -> float:
     d_c = int(d_c)
     if d_c < 1:
         raise DomainError(f"d_C must be at least 1, got {d_c}")
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise PreconditionError(f"alpha must lie in (0, 2], got {alpha!r}")
+    alpha = _monotone_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return float(h_abc_given_bc) + math.log(d_c)
     return d_c ** (1.0 - alpha) * float(h_abc_given_bc) + alpha_log(float(d_c), alpha)

@@ -67,6 +67,14 @@ def _xlogx(xi: np.ndarray) -> np.ndarray:
     return xi * np.log(xi)
 
 
+def _positive_alpha(alpha: float) -> float:
+    """``alpha`` as a float; a power-family order must be positive."""
+    alpha = float(alpha)
+    if alpha <= 0.0:
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    return alpha
+
+
 def make_tsallis_f(alpha: float) -> DivergenceFunction:
     """Build the power-family divergence function of order ``alpha``.
 
@@ -75,9 +83,7 @@ def make_tsallis_f(alpha: float) -> DivergenceFunction:
     the quotient.  The family is operator convex exactly for ``alpha`` in
     ``(0, 2]``.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    alpha = _positive_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return DivergenceFunction(
             name="kl",
@@ -254,9 +260,7 @@ def tsallis_divergence_closed(
     ``B`` exceeds ``rank_tol * tr A``.  Within ``1e-6`` of ``alpha = 1`` this
     delegates to the logarithmic form.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    alpha = _positive_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         return vn_relative_entropy_closed(A, B, rank_tol=rank_tol)
     a, b, table, ka, kb = _spectra(A, B, rank_tol)

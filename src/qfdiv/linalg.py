@@ -26,8 +26,8 @@ from .errors import DomainError
 RANK_TOL = 1e-10
 
 _HERM_TOL = 1e-12
-_PSD_TOL = 1e-10
 _TRACE_TOL = 1e-12
+_NORMALIZED_TOL = 1e-10
 _PROJECTOR_TOL = 1e-8
 
 _FACTOR_LABELS = "ABC"
@@ -75,6 +75,36 @@ class DensityOperator(HermitianOperator):
         return float(np.trace(self.entries).real)
 
 
+class BipartiteState:
+    """A normalized density operator together with its tensor factor dimensions."""
+
+    __slots__ = ("rho", "dims")
+
+    def __init__(self, rho, dims: Sequence[int]) -> None:
+        if not isinstance(rho, DensityOperator):
+            rho = DensityOperator(rho)
+        dims = tuple(int(d) for d in dims)
+        if len(dims) not in (2, 3) or any(d < 1 for d in dims):
+            raise DomainError(f"dims must be two or three positive factors, got {dims}")
+        if math.prod(dims) != rho.dim:
+            raise DomainError(
+                f"dimension mismatch: factors {dims} give {math.prod(dims)}, state has {rho.dim}"
+            )
+        if abs(rho.trace_value - 1.0) > _NORMALIZED_TOL:
+            raise DomainError(
+                f"conditional entropies need a normalized state, trace = {rho.trace_value!r}"
+            )
+        self.rho = rho
+        self.dims = dims
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.rho.entries
+
+    def __repr__(self) -> str:
+        return f"BipartiteState(dims={self.dims})"
+
+
 def as_matrix(x, check: bool = True) -> np.ndarray:
     """Coerce an operator wrapper or array-like to a complex square ndarray.
 
@@ -106,14 +136,15 @@ def as_matrix(x, check: bool = True) -> np.ndarray:
 def clamp_psd_spectrum(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """The kernel rule, applied in place to the ascending spectrum of a PSD matrix.
 
-    An eigenvalue below ``-max(1e-10, rank_tol * ||M||)`` is a domain error;
-    eigenvalues at or below ``rank_tol * ||M||`` become exact zeros, so the
-    kernel is a leading block of zeros.
+    An eigenvalue below ``-rank_tol * ||M||`` is a domain error; eigenvalues
+    at or below ``rank_tol * ||M||`` become exact zeros, so the kernel is a
+    leading block of zeros.  Both thresholds are relative, so the rule does
+    not depend on the overall scale of ``M``.
     """
     if not w.size:
         return w
     floor = rank_tol * max(w[-1], -w[0])
-    if w[0] < -max(_PSD_TOL, floor):
+    if w[0] < -floor:
         raise DomainError(f"positive semi-definiteness violated: eigenvalue {w[0]:.3e}")
     w[w <= floor] = 0.0
     return w
@@ -164,6 +195,24 @@ def _factor_indices(keep: str, n_factors: int) -> list[int]:
     return idx
 
 
+def _probability_vector(p) -> np.ndarray:
+    """``p`` as a flat float array; a negative entry or a sum off 1 is a domain error."""
+    w = np.asarray(p, dtype=float).ravel()
+    if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-10:
+        raise DomainError("p must be a probability distribution")
+    return w
+
+
+def _schmidt_coefficients(coeffs) -> np.ndarray:
+    """Schmidt coefficients as a flat float array: nonnegative with unit square sum."""
+    c = np.asarray(coeffs, dtype=float).ravel()
+    if (c < 0).any():
+        raise DomainError("Schmidt coefficients must be nonnegative")
+    if abs(float(np.sum(c**2)) - 1.0) > 1e-10:
+        raise DomainError(f"Schmidt coefficients must have unit square sum, got {np.sum(c**2)!r}")
+    return c
+
+
 def ptrace_entries(entries: np.ndarray, dims: Sequence[int], keep_idx: Sequence[int]) -> np.ndarray:
     """Partial trace at the array level, keeping the listed factor indices in order."""
     dims = tuple(int(d) for d in dims)
@@ -184,7 +233,7 @@ def ptrace_entries(entries: np.ndarray, dims: Sequence[int], keep_idx: Sequence[
 def partial_trace(rho, keep: str, dims: Sequence[int] | None = None) -> DensityOperator:
     """Reduced state over the kept subsystems, e.g. ``keep="B"`` traces out A.
 
-    ``rho`` may be a :class:`~qfdiv.condent.BipartiteState` (dims taken from it),
+    ``rho`` may be a :class:`BipartiteState` (dims taken from it),
     or any operator together with an explicit ``dims`` tuple.
     """
     if dims is None:

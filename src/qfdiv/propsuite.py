@@ -1,11 +1,15 @@
 """Executable verification of the package's inequalities and identities.
 
-Every registered property runs a randomized ensemble and records signed
-margins: for an inequality ``LHS <= RHS`` the margin is ``RHS - LHS`` (slack),
-for an exact identity it is ``-|residual|``.  A trial violates the property
-when its margin falls below ``-tolerance`` or is NaN (an undefined residual, or
-an optimizer solve whose starts disagree), and the property passes when it
-recorded at least one margin and no trial violates it.  Seeds derive
+A property is one row of :data:`REGISTRY`: a per-trial ``check`` together
+with its ensemble defaults (trials, dims, alphas, tolerance) and the
+statement it verifies.  :func:`run_property` is the one trial driver: trial
+``t`` sees the ``t``-th dims and alpha of the cycled lists and sub-seeds
+derived from the master seed, the trial label and ``t``.  A check returns
+signed margins: for an inequality ``LHS <= RHS`` the margin is ``RHS - LHS``
+(slack), for an exact identity it is ``-|residual|``.  A margin violates the
+property when it falls below ``-tolerance`` or is NaN (an undefined residual,
+or an optimizer solve whose starts disagree), and the property passes when it
+recorded at least one margin and none violates it.  Seeds derive
 deterministically from the master seed and the property id, so reports are
 reproducible up to timing.
 """
@@ -20,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .channels import (
     apply_channel,
@@ -27,12 +32,12 @@ from .channels import (
     embed_ancilla,
     extend_with_identity,
     pure_bipartite_from_schmidt,
+    random_bipartite,
     random_channel,
     random_density,
     trace_out_last_factor_channel,
 )
 from .condent import (
-    BipartiteState,
     OptimizerOptions,
     chain_rule_rhs,
     classical_register_closed_form,
@@ -44,6 +49,7 @@ from .condent import (
 )
 from .errors import DomainError
 from .fdiv import make_tsallis_f, quantum_f_divergence
+from .linalg import BipartiteState
 from .rng import generator
 
 log = logging.getLogger(__name__)
@@ -101,25 +107,35 @@ class PropertyReport:
         }
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    trials: int
-    dims: tuple
-    alphas: tuple[float, ...]
-    seed: int
-    tolerance: float
-
-
 _BIPARTITE_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2))
 _WIDE_ALPHAS = (0.3, 0.5, 1.0, 1.5, 2.0)
 
 
-def _sub(cfg: _Resolved, label: str, t: int) -> int:
-    return derive_seed(cfg.seed, f"{label}/{t}")
+@dataclass(frozen=True)
+class _Trial:
+    """Trial ``t`` of a property: the cycled dims and alpha, sub-seeds and a random state."""
 
+    cfg: PropertyConfig  # every field resolved against the registry row
+    t: int
 
-def _random_bipartite(dims: tuple[int, int], rank: int, seed: int) -> BipartiteState:
-    return BipartiteState(random_density(math.prod(dims), rank, seed), dims)
+    @property
+    def dims(self):
+        return self.cfg.dims[self.t % len(self.cfg.dims)]
+
+    @property
+    def next_dims(self):
+        return self.cfg.dims[(self.t + 1) % len(self.cfg.dims)]
+
+    @property
+    def alpha(self) -> float:
+        return self.cfg.alphas[self.t % len(self.cfg.alphas)]
+
+    def seed(self, label: str) -> int:
+        return derive_seed(self.cfg.seed, f"{label}/{self.t}")
+
+    def state(self, label: str = "state") -> BipartiteState:
+        """Random state on ``dims`` whose rank ``1 + t % prod(dims)`` grows with ``t``."""
+        return random_bipartite(self.dims, 1 + self.t % math.prod(self.dims), self.seed(label))
 
 
 def _entropy(state: BipartiteState, alpha: float, cond: str = "B") -> float:
@@ -132,244 +148,166 @@ def _optimized(state: BipartiteState, alpha: float, opts: OptimizerOptions) -> f
     return report.value if report.converged else math.nan
 
 
-def _run_dpi(cfg: _Resolved) -> list[float]:
+def _check_dpi(trial: _Trial) -> list[float]:
+    d, t = trial.dims, trial.t
     margins = []
-    for ai, alpha in enumerate(cfg.alphas):
+    for ai, alpha in enumerate(trial.cfg.alphas):
         f = make_tsallis_f(alpha)
-        for t in range(cfg.trials):
-            d = cfg.dims[t % len(cfg.dims)]
-            d_out = cfg.dims[(t + 1) % len(cfg.dims)]
-            rho = random_density(d, 1 + t % d, _sub(cfg, f"rho{ai}", t))
-            sig = random_density(d, d, _sub(cfg, f"sig{ai}", t))
-            phi = random_channel(d, d_out, 2, _sub(cfg, f"phi{ai}", t))
-            pre = quantum_f_divergence(rho.entries, sig.entries, f)
-            post = quantum_f_divergence(
-                apply_channel(phi, rho).entries, apply_channel(phi, sig).entries, f
-            )
-            margins.append(pre - post)
+        rho = random_density(d, 1 + t % d, trial.seed(f"rho{ai}"))
+        sig = random_density(d, d, trial.seed(f"sig{ai}"))
+        phi = random_channel(d, trial.next_dims, 2, trial.seed(f"phi{ai}"))
+        pre = quantum_f_divergence(rho.entries, sig.entries, f)
+        post = quantum_f_divergence(
+            apply_channel(phi, rho).entries, apply_channel(phi, sig).entries, f
+        )
+        margins.append(pre - post)
     return margins
 
 
-def _run_nonnegativity(cfg: _Resolved) -> list[float]:
+def _check_nonnegativity(trial: _Trial) -> list[float]:
+    d = trial.dims
+    rho = random_density(d, 1 + trial.t % d, trial.seed("rho"))
+    sig = random_density(d, d, trial.seed("sig"))
+    return [quantum_f_divergence(rho.entries, sig.entries, make_tsallis_f(trial.alpha))]
+
+
+def _check_homogeneity(trial: _Trial) -> list[float]:
+    d = trial.dims
+    f = make_tsallis_f(trial.alpha)
+    a = random_density(d, 1 + trial.t % d, trial.seed("a")).entries
+    b = random_density(d, d, trial.seed("b")).entries
+    base = quantum_f_divergence(a, b, f)
+    return [
+        -abs(quantum_f_divergence(lam * a, lam * b, f) - lam * base)
+        for lam in (1e-9, 0.1, 0.5, 2.0)
+    ]
+
+
+def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
+    d1, d2, t = trial.dims, trial.next_dims, trial.t
+    f = make_tsallis_f(trial.alpha)
+    a1 = random_density(d1, 1 + t % d1, trial.seed("a1")).entries
+    b1 = random_density(d1, d1, trial.seed("b1")).entries
+    a2 = random_density(d2, 1 + (t + 1) % d2, trial.seed("a2")).entries
+    b2 = random_density(d2, d2, trial.seed("b2")).entries
+    whole = quantum_f_divergence(block_diag(a1, a2), block_diag(b1, b2), f)
+    parts = quantum_f_divergence(a1, b1, f) + quantum_f_divergence(a2, b2, f)
+    return [-abs(whole - parts)]
+
+
+def _check_thm2_bounds(trial: _Trial) -> list[float]:
+    state = trial.state()
+    h = _entropy(state, trial.alpha)
+    lower, upper = thm2_bounds(state, make_tsallis_f(trial.alpha))
+    return [h - lower, upper - h]
+
+
+def _check_chain_rule(trial: _Trial) -> list[float]:
     margins = []
-    alphas = cfg.alphas
-    for t in range(cfg.trials):
-        d = cfg.dims[t % len(cfg.dims)]
-        f = make_tsallis_f(alphas[t % len(alphas)])
-        rho = random_density(d, 1 + t % d, _sub(cfg, "rho", t))
-        sig = random_density(d, d, _sub(cfg, "sig", t))
-        margins.append(quantum_f_divergence(rho.entries, sig.entries, f))
+    for alpha in trial.cfg.alphas:
+        state = trial.state(f"state{alpha:g}")
+        h_b = _entropy(state, alpha, cond="B")
+        h_bc = _entropy(state, alpha, cond="BC")
+        margins.append(chain_rule_rhs(h_bc, state.dims[2], alpha) - h_b)
     return margins
 
 
-def _run_homogeneity(cfg: _Resolved) -> list[float]:
-    margins = []
-    lams = (1e-9, 0.1, 0.5, 2.0)
-    for t in range(cfg.trials):
-        d = cfg.dims[t % len(cfg.dims)]
-        f = make_tsallis_f(cfg.alphas[t % len(cfg.alphas)])
-        a = random_density(d, 1 + t % d, _sub(cfg, "a", t)).entries
-        b = random_density(d, d, _sub(cfg, "b", t)).entries
-        base = quantum_f_divergence(a, b, f)
-        for lam in lams:
-            scaled = quantum_f_divergence(lam * a, lam * b, f)
-            margins.append(-abs(scaled - lam * base))
-    return margins
-
-
-def _run_orthogonal_additivity(cfg: _Resolved) -> list[float]:
-    margins = []
-    for t in range(cfg.trials):
-        d1 = cfg.dims[t % len(cfg.dims)]
-        d2 = cfg.dims[(t + 1) % len(cfg.dims)]
-        f = make_tsallis_f(cfg.alphas[t % len(cfg.alphas)])
-        a1 = random_density(d1, 1 + t % d1, _sub(cfg, "a1", t)).entries
-        b1 = random_density(d1, d1, _sub(cfg, "b1", t)).entries
-        a2 = random_density(d2, 1 + (t + 1) % d2, _sub(cfg, "a2", t)).entries
-        b2 = random_density(d2, d2, _sub(cfg, "b2", t)).entries
-
-        def dsum(x, y):
-            out = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
-            out[:d1, :d1] = x
-            out[d1:, d1:] = y
-            return out
-
-        whole = quantum_f_divergence(dsum(a1, a2), dsum(b1, b2), f)
-        parts = quantum_f_divergence(a1, b1, f) + quantum_f_divergence(a2, b2, f)
-        margins.append(-abs(whole - parts))
-    return margins
-
-
-def _run_thm2_bounds(cfg: _Resolved) -> list[float]:
-    margins = []
-    for t in range(cfg.trials):
-        dims = cfg.dims[t % len(cfg.dims)]
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        rank = 1 + t % math.prod(dims)
-        state = _random_bipartite(dims, rank, _sub(cfg, "state", t))
-        h = _entropy(state, alpha)
-        lower, upper = thm2_bounds(state, make_tsallis_f(alpha))
-        margins.append(h - lower)
-        margins.append(upper - h)
-    return margins
-
-
-def _run_chain_rule(cfg: _Resolved) -> list[float]:
-    margins = []
-    dims = (2, 2, 2)
-    for alpha in cfg.alphas:
-        for t in range(cfg.trials):
-            rank = 1 + t % math.prod(dims)
-            state = _random_bipartite(dims, rank, _sub(cfg, f"state{alpha:g}", t))
-            h_b = _entropy(state, alpha, cond="B")
-            h_bc = _entropy(state, alpha, cond="BC")
-            margins.append(chain_rule_rhs(h_bc, dims[2], alpha) - h_b)
-    return margins
-
-
-def _register_blocks(cfg: _Resolved, t: int, n_blocks: int):
+def _register_blocks(trial: _Trial):
+    """Two or three random blocks on (2, 1) or (2, 2), and their mixing weights."""
+    t = trial.t
     blocks = []
-    for y in range(n_blocks):
+    for y in range(2 + t % 2):
         d_b = 1 + (t + y) % 2
         rank = 1 + (t + y) % (2 * d_b)
-        blocks.append(_random_bipartite((2, d_b), rank, _sub(cfg, f"block{y}", t)))
-    gen = generator(_sub(cfg, "p", t))
-    w = gen.random(n_blocks) + 0.1
+        blocks.append(random_bipartite((2, d_b), rank, trial.seed(f"block{y}")))
+    w = generator(trial.seed("p")).random(len(blocks)) + 0.1
     return blocks, w / w.sum()
 
 
-def _run_mixture_exact(cfg: _Resolved) -> list[float]:
-    margins = []
-    for t in range(cfg.trials):
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        blocks, p = _register_blocks(cfg, t, 2 + t % 2)
-        assembled = build_classical_register_state(blocks, p)
-        h_blocks = [_entropy(b, alpha) for b in blocks]
-        formula = classical_register_closed_form(h_blocks, p, alpha)
-        direct = _optimized(assembled, alpha, OptimizerOptions(seed=_sub(cfg, "opt", t)))
-        margins.append(-abs(formula - direct))
-    return margins
+def _check_mixture_exact(trial: _Trial) -> list[float]:
+    alpha = trial.alpha
+    blocks, p = _register_blocks(trial)
+    assembled = build_classical_register_state(blocks, p)
+    formula = classical_register_closed_form([_entropy(b, alpha) for b in blocks], p, alpha)
+    direct = _optimized(assembled, alpha, OptimizerOptions(seed=trial.seed("opt")))
+    return [-abs(formula - direct)]
 
 
-def _run_mixture_lower(cfg: _Resolved) -> list[float]:
-    margins = []
-    for t in range(cfg.trials):
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        blocks, p = _register_blocks(cfg, t, 2 + t % 2)
-        assembled = build_classical_register_state(blocks, p)
-        lhs = float(np.dot(p, [_entropy(b, alpha) for b in blocks]))
-        rhs = _entropy(assembled, alpha)
-        margins.append(rhs - lhs)
-    return margins
+def _check_mixture_lower(trial: _Trial) -> list[float]:
+    alpha = trial.alpha
+    blocks, p = _register_blocks(trial)
+    lhs = float(np.dot(p, [_entropy(b, alpha) for b in blocks]))
+    rhs = _entropy(build_classical_register_state(blocks, p), alpha)
+    return [rhs - lhs]
 
 
-def _run_pure_bounds(cfg: _Resolved) -> list[float]:
-    margins = []
-    for t in range(cfg.trials):
-        dims = cfg.dims[t % len(cfg.dims)]
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        k = 1 + t % min(dims)
-        if t % 10 == 0:
-            coeffs = np.full(k, 1.0 / math.sqrt(k))  # equal coefficients saturate
-        else:
-            gen = generator(_sub(cfg, "coeffs", t))
-            u = gen.random(k) + 1e-3
-            coeffs = np.sqrt(u / u.sum())
-        state = pure_bipartite_from_schmidt(coeffs, dims[0], dims[1], _sub(cfg, "bases", t))
-        h = _entropy(state, alpha)
-        lower, upper = pure_state_bounds_tsallis(coeffs, alpha)
-        margins.append(h - lower)
-        margins.append(upper - h)
-    return margins
+def _check_pure_bounds(trial: _Trial) -> list[float]:
+    dims, t = trial.dims, trial.t
+    k = 1 + t % min(dims)
+    if t % 10 == 0:
+        coeffs = np.full(k, 1.0 / math.sqrt(k))  # equal coefficients saturate
+    else:
+        u = generator(trial.seed("coeffs")).random(k) + 1e-3
+        coeffs = np.sqrt(u / u.sum())
+    state = pure_bipartite_from_schmidt(coeffs, dims[0], dims[1], trial.seed("bases"))
+    h = _entropy(state, trial.alpha)
+    lower, upper = pure_state_bounds_tsallis(coeffs, trial.alpha)
+    return [h - lower, upper - h]
 
 
-def _run_product_identity(cfg: _Resolved) -> list[float]:
-    margins = []
-    for t in range(cfg.trials):
-        dims = cfg.dims[t % len(cfg.dims)]
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        rho_a = random_density(dims[0], 1 + t % dims[0], _sub(cfg, "a", t))
-        rho_b = random_density(dims[1], 1 + (t + 1) % dims[1], _sub(cfg, "b", t))
-        state = BipartiteState(np.kron(rho_a.entries, rho_b.entries), dims)
-        margins.append(-abs(_entropy(state, alpha) - tsallis_entropy(rho_a, alpha)))
-    return margins
+def _check_product_identity(trial: _Trial) -> list[float]:
+    dims, t = trial.dims, trial.t
+    rho_a = random_density(dims[0], 1 + t % dims[0], trial.seed("a"))
+    rho_b = random_density(dims[1], 1 + (t + 1) % dims[1], trial.seed("b"))
+    state = BipartiteState(np.kron(rho_a.entries, rho_b.entries), dims)
+    return [-abs(_entropy(state, trial.alpha) - tsallis_entropy(rho_a, trial.alpha))]
 
 
-def _run_extension_independence(cfg: _Resolved) -> list[float]:
-    margins = []
-    paddings = (1, 2, 4)
-    for t in range(cfg.trials):
-        dims = cfg.dims[t % len(cfg.dims)]
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        rank = 1 + t % math.prod(dims)
-        state = _random_bipartite(dims, rank, _sub(cfg, "state", t))
-        opts = OptimizerOptions(seed=_sub(cfg, "opt", t))
-        base = _optimized(state, alpha, opts)
-        for k in paddings:
-            padded = _optimized(embed_ancilla(state, k), alpha, opts)
-            margins.append(-abs(padded - base))
-    return margins
+def _check_extension_independence(trial: _Trial) -> list[float]:
+    state = trial.state()
+    opts = OptimizerOptions(seed=trial.seed("opt"))
+    base = _optimized(state, trial.alpha, opts)
+    return [
+        -abs(_optimized(embed_ancilla(state, k), trial.alpha, opts) - base)
+        for k in (1, 2, 4)
+    ]
 
 
-def _run_thm3_data_processing(cfg: _Resolved) -> list[float]:
-    margins = []
-    outs = (2, 3)
-    for t in range(cfg.trials):
-        dims = cfg.dims[t % len(cfg.dims)]
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        rank = 1 + t % math.prod(dims)
-        state = _random_bipartite(dims, rank, _sub(cfg, "state", t))
-        d_out = outs[t % len(outs)]
-        psi = random_channel(dims[1], d_out, 2, _sub(cfg, "chan", t))
-        lifted = extend_with_identity(psi, dims[0])
-        moved = BipartiteState(apply_channel(lifted, state.rho), (dims[0], d_out))
-        margins.append(_entropy(moved, alpha) - _entropy(state, alpha))
-    return margins
+def _check_thm3_data_processing(trial: _Trial) -> list[float]:
+    state = trial.state()
+    d_a, d_b = state.dims
+    d_out = (2, 3)[trial.t % 2]
+    psi = random_channel(d_b, d_out, 2, trial.seed("chan"))
+    moved = BipartiteState(apply_channel(extend_with_identity(psi, d_a), state.rho), (d_a, d_out))
+    return [_entropy(moved, trial.alpha) - _entropy(state, trial.alpha)]
 
 
-def _run_conditioning_reduces(cfg: _Resolved) -> list[float]:
-    margins = []
-    dims = (2, 2, 2)
-    tracer = trace_out_last_factor_channel(dims[0] * dims[1], dims[2])
-    for t in range(cfg.trials):
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        rank = 1 + t % math.prod(dims)
-        state = _random_bipartite(dims, rank, _sub(cfg, "state", t))
-        reduced = BipartiteState(apply_channel(tracer, state.rho), dims[:2])
-        h_bc = _entropy(state, alpha, cond="BC")
-        h_b = _entropy(reduced, alpha, cond="B")
-        margins.append(h_b - h_bc)
-    return margins
+def _check_conditioning_reduces(trial: _Trial) -> list[float]:
+    state = trial.state()
+    d_a, d_b, d_c = state.dims
+    tracer = trace_out_last_factor_channel(d_a * d_b, d_c)
+    reduced = BipartiteState(apply_channel(tracer, state.rho), (d_a, d_b))
+    return [_entropy(reduced, trial.alpha, cond="B") - _entropy(state, trial.alpha, cond="BC")]
 
 
-def _run_alpha_continuity(cfg: _Resolved) -> list[float]:
-    margins = []
-    for t in range(cfg.trials):
-        dims = cfg.dims[t % len(cfg.dims)]
-        rank = 1 + t % math.prod(dims)
-        state = _random_bipartite(dims, rank, _sub(cfg, "state", t))
-        h_one = _entropy(state, 1.0)
-        for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
-            margins.append(-abs(_entropy(state, alpha) - h_one))
-    return margins
+def _check_alpha_continuity(trial: _Trial) -> list[float]:
+    state = trial.state()
+    h_one = _entropy(state, 1.0)
+    return [-abs(_entropy(state, alpha) - h_one) for alpha in (1.0 - 1e-4, 1.0 + 1e-4)]
 
 
-def _run_closed_vs_optimizer(cfg: _Resolved) -> list[float]:
-    margins = []
-    for t in range(cfg.trials):
-        dims = cfg.dims[t % len(cfg.dims)]
-        alpha = cfg.alphas[t % len(cfg.alphas)]
-        rank = 1 + t % math.prod(dims)
-        state = _random_bipartite(dims, rank, _sub(cfg, "state", t))
-        closed, _ = conditional_entropy_tsallis_closed(state, alpha)
-        direct = _optimized(state, alpha, OptimizerOptions(seed=_sub(cfg, "opt", t)))
-        margins.append(-abs(closed - direct))
-    return margins
+def _check_closed_vs_optimizer(trial: _Trial) -> list[float]:
+    state = trial.state()
+    closed = _entropy(state, trial.alpha)
+    direct = _optimized(state, trial.alpha, OptimizerOptions(seed=trial.seed("opt")))
+    return [-abs(closed - direct)]
 
 
 @dataclass(frozen=True)
 class _PropertySpec:
-    runner: Callable[[_Resolved], list[float]]
+    """One property: its per-trial ``check``, ensemble defaults and statement."""
+
+    check: Callable[[_Trial], list[float]]
     trials: int
     dims: tuple
     alphas: tuple[float, ...]
@@ -379,64 +317,64 @@ class _PropertySpec:
 
 REGISTRY: dict[str, _PropertySpec] = {
     "dpi": _PropertySpec(
-        _run_dpi, 200, (2, 3, 4), _WIDE_ALPHAS, 1e-8,
+        _check_dpi, 200, (2, 3, 4), _WIDE_ALPHAS, 1e-8,
         "divergences do not increase under trace-preserving completely positive maps",
     ),
     "nonnegativity": _PropertySpec(
-        _run_nonnegativity, 500, (2, 3, 4), (0.5, 1.0, 1.5, 2.0), 1e-10,
+        _check_nonnegativity, 500, (2, 3, 4), (0.5, 1.0, 1.5, 2.0), 1e-10,
         "divergence of normalized states with compatible supports is nonnegative",
     ),
     "homogeneity": _PropertySpec(
-        _run_homogeneity, 45, (2, 3, 4), (0.5, 1.0, 1.5, 2.0), 1e-9,
+        _check_homogeneity, 45, (2, 3, 4), (0.5, 1.0, 1.5, 2.0), 1e-9,
         "scaling both arguments scales the divergence by the same factor",
     ),
     "orthogonal-additivity": _PropertySpec(
-        _run_orthogonal_additivity, 45, (2, 3), (0.5, 1.0, 1.5, 2.0), 1e-9,
+        _check_orthogonal_additivity, 45, (2, 3), (0.5, 1.0, 1.5, 2.0), 1e-9,
         "divergence of orthogonal direct sums is the sum of block divergences",
     ),
     "thm2-bounds": _PropertySpec(
-        _run_thm2_bounds, 200, _BIPARTITE_DIMS, _WIDE_ALPHAS, 1e-7,
+        _check_thm2_bounds, 200, _BIPARTITE_DIMS, _WIDE_ALPHAS, 1e-7,
         "conditional entropy sits between the scaled-state trace bounds",
     ),
     "chain-rule": _PropertySpec(
-        _run_chain_rule, 100, ((2, 2, 2),), (0.5, 1.0, 2.0), 1e-7,
+        _check_chain_rule, 100, ((2, 2, 2),), (0.5, 1.0, 2.0), 1e-7,
         "conditioning on less is bounded by the dimension-corrected entropy",
     ),
     "mixture-exact": _PropertySpec(
-        _run_mixture_exact, 12, ((2,),), (0.5, 0.8, 1.0, 1.3, 2.0), 1e-6,
+        _check_mixture_exact, 12, ((2,),), (0.5, 0.8, 1.0, 1.3, 2.0), 1e-6,
         "register-state conditional entropy equals the power-mean of block entropies",
     ),
     "mixture-lower": _PropertySpec(
-        _run_mixture_lower, 40, ((2,),), (0.5, 0.8, 1.0, 1.3, 2.0), 1e-7,
+        _check_mixture_lower, 40, ((2,),), (0.5, 0.8, 1.0, 1.3, 2.0), 1e-7,
         "the weighted block entropies lower-bound the register-state entropy",
     ),
     "pure-bounds": _PropertySpec(
-        _run_pure_bounds, 100, ((2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (4, 3)),
+        _check_pure_bounds, 100, ((2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (4, 3)),
         (0.3, 0.7, 1.0, 1.5, 2.0), 1e-7,
         "pure-state conditional entropy lies in the Schmidt-data bracket",
     ),
     "product-identity": _PropertySpec(
-        _run_product_identity, 50, _BIPARTITE_DIMS, _WIDE_ALPHAS, 1e-8,
+        _check_product_identity, 50, _BIPARTITE_DIMS, _WIDE_ALPHAS, 1e-8,
         "conditional entropy of a product state is the first-factor entropy",
     ),
     "extension-independence": _PropertySpec(
-        _run_extension_independence, 50, ((2, 2),), (0.5, 1.0, 2.0), 1e-7,
+        _check_extension_independence, 50, ((2, 2),), (0.5, 1.0, 2.0), 1e-7,
         "zero-padding the conditioning space leaves the conditional entropy fixed",
     ),
     "thm3-data-processing": _PropertySpec(
-        _run_thm3_data_processing, 100, ((2, 2), (2, 3)), _WIDE_ALPHAS, 1e-7,
+        _check_thm3_data_processing, 100, ((2, 2), (2, 3)), _WIDE_ALPHAS, 1e-7,
         "a channel on the conditioning system cannot decrease the conditional entropy",
     ),
     "conditioning-reduces": _PropertySpec(
-        _run_conditioning_reduces, 100, ((2, 2, 2),), _WIDE_ALPHAS, 1e-7,
+        _check_conditioning_reduces, 100, ((2, 2, 2),), _WIDE_ALPHAS, 1e-7,
         "conditioning on an additional system can only reduce the entropy",
     ),
     "alpha-continuity": _PropertySpec(
-        _run_alpha_continuity, 50, _BIPARTITE_DIMS, (1.0,), 1e-3,
+        _check_alpha_continuity, 50, _BIPARTITE_DIMS, (1.0,), 1e-3,
         "the power-family entropy approaches the logarithmic one as alpha -> 1",
     ),
     "closed-form-vs-optimizer": _PropertySpec(
-        _run_closed_vs_optimizer, 100,
+        _check_closed_vs_optimizer, 100,
         ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 3), (4, 4)),
         (0.3, 0.5, 1.5, 2.0), 1e-6,
         "the closed trace form agrees with the generic spectral minimizer",
@@ -444,28 +382,30 @@ REGISTRY: dict[str, _PropertySpec] = {
 }
 
 
-def describe(property_id: str) -> str:
-    """Human-readable statement a property verifies."""
+def _spec(property_id: str) -> _PropertySpec:
     if property_id not in REGISTRY:
         raise DomainError(f"unknown property id {property_id!r}")
-    return REGISTRY[property_id].statement
+    return REGISTRY[property_id]
+
+
+def describe(property_id: str) -> str:
+    """Human-readable statement a property verifies."""
+    return _spec(property_id).statement
 
 
 def run_property(property_id: str, config: PropertyConfig | None = None) -> PropertyReport:
     """Run one property's ensemble and summarize its margins."""
-    if property_id not in REGISTRY:
-        raise DomainError(f"unknown property id {property_id!r}")
-    spec = REGISTRY[property_id]
+    spec = _spec(property_id)
     config = config or PropertyConfig()
-    cfg = _Resolved(
+    cfg = replace(
+        config,
         trials=config.trials if config.trials is not None else spec.trials,
         dims=config.dims if config.dims is not None else spec.dims,
         alphas=config.alphas if config.alphas is not None else spec.alphas,
-        seed=config.seed,
         tolerance=config.tolerance if config.tolerance is not None else spec.tolerance,
     )
     start = time.perf_counter()
-    margins = spec.runner(cfg)
+    margins = [m for t in range(cfg.trials) for m in spec.check(_Trial(cfg, t))]
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     margins_arr = np.asarray(margins, dtype=float)
     if margins_arr.size == 0:
@@ -501,8 +441,7 @@ def run_suite(
         properties = list(REGISTRY)
     reports = []
     for pid in properties:
-        if pid not in REGISTRY:
-            raise DomainError(f"unknown property id {pid!r}")
+        _spec(pid)  # an unknown id is a usage error, not a failed property
         sub_config = replace(config, seed=derive_seed(config.seed, pid))
         try:
             reports.append(run_property(pid, sub_config))

@@ -237,7 +237,7 @@ class TestSuiteCommand:
         from qfdiv import propsuite
 
         broken = propsuite._PropertySpec(
-            runner=lambda cfg: [-1.0],
+            check=lambda trial: [-1.0],
             trials=1,
             dims=(2,),
             alphas=(1.0,),

@@ -3,6 +3,7 @@ import pytest
 
 from qfdiv import channels
 from qfdiv.errors import DomainError
+from qfdiv.fdiv import make_tsallis_f, quantum_f_divergence
 from qfdiv.linalg import (
     DensityOperator,
     HermitianOperator,
@@ -101,6 +102,20 @@ class TestPsdEigh:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(DomainError, match="semi-definiteness"):
             psd_eigh(PAULI_X)
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            psd_eigh,
+            DensityOperator,
+            lambda m: quantum_f_divergence(m, np.eye(2) / 2, make_tsallis_f(1.5)),
+        ],
+        ids=["psd_eigh", "DensityOperator", "quantum_f_divergence"],
+    )
+    def test_rejects_indefinite_matrix_at_tiny_scale(self, engine):
+        # eigenvalue -10 * ||M||: the PSD check is relative, so scale cannot hide it
+        with pytest.raises(DomainError, match="semi-definiteness"):
+            engine(1e-12 * np.diag([1.0, -10.0]))
 
 
 class TestSupportProjector:

@@ -51,6 +51,38 @@ class TestRunProperty:
         assert without_timing(a) == without_timing(b)
 
 
+# margins per run at trials=2: trials times the margins one trial yields (dpi
+# and chain-rule check every alpha in each trial)
+TRIALS_AT_TWO = {
+    "dpi": 10,
+    "nonnegativity": 2,
+    "homogeneity": 8,
+    "orthogonal-additivity": 2,
+    "thm2-bounds": 4,
+    "chain-rule": 6,
+    "mixture-exact": 2,
+    "mixture-lower": 2,
+    "pure-bounds": 4,
+    "product-identity": 2,
+    "extension-independence": 6,
+    "thm3-data-processing": 2,
+    "conditioning-reduces": 2,
+    "alpha-continuity": 4,
+    "closed-form-vs-optimizer": 2,
+}
+
+
+class TestTrialDriver:
+    def test_pins_cover_the_registry(self):
+        assert set(TRIALS_AT_TWO) == set(REGISTRY)
+
+    @pytest.mark.parametrize("pid", sorted(TRIALS_AT_TWO))
+    def test_margins_per_run(self, pid):
+        report = run_property(pid, PropertyConfig(trials=2))
+        assert report.trials == TRIALS_AT_TWO[pid]
+        assert report.passed
+
+
 class TestRunSuite:
     def test_empty_filter_runs_nothing(self):
         assert run_suite(PropertyConfig(seed=1), properties=[]) == []
@@ -70,7 +102,7 @@ class TestRunSuite:
 
     def test_errors_become_failed_reports(self, monkeypatch):
         broken = _PropertySpec(
-            runner=lambda cfg: [][1],  # raises IndexError
+            check=lambda trial: [][1],  # raises IndexError
             trials=1,
             dims=(2,),
             alphas=(1.0,),
@@ -86,8 +118,8 @@ class TestRunSuite:
 
     def test_nan_margin_is_a_violation(self, monkeypatch):
         spec = _PropertySpec(
-            runner=lambda cfg: [0.0, math.inf - math.inf, 1.0],
-            trials=3,
+            check=lambda trial: [0.0, math.inf - math.inf, 1.0],
+            trials=1,
             dims=(2,),
             alphas=(1.0,),
             tolerance=1e-9,
@@ -104,7 +136,7 @@ class TestRunSuite:
 
     def test_empty_ensemble_fails(self, monkeypatch):
         spec = _PropertySpec(
-            runner=lambda cfg: [],
+            check=lambda trial: [],
             trials=0,
             dims=(2,),
             alphas=(1.0,),
