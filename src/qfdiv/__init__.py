@@ -54,11 +54,8 @@ from .linalg import (
     BipartiteState,
     DensityOperator,
     HermitianOperator,
-    apply_spectral_function,
-    hs_inner,
     kron,
     partial_trace,
-    projector_join,
     support_projector,
 )
 from .propsuite import PropertyConfig, PropertyReport, run_property, run_suite
@@ -80,7 +77,6 @@ __all__ = [
     "PropertyReport",
     "alpha_log",
     "apply_channel",
-    "apply_spectral_function",
     "build_classical_register_state",
     "chain_rule_rhs",
     "classical_register_closed_form",
@@ -89,11 +85,9 @@ __all__ = [
     "conditional_entropy_vn_closed",
     "csiszar_divergence",
     "embed_ancilla",
-    "hs_inner",
     "kron",
     "make_tsallis_f",
     "partial_trace",
-    "projector_join",
     "pure_bipartite_from_schmidt",
     "pure_state_bounds_tsallis",
     "quantum_f_divergence",

@@ -143,12 +143,13 @@ def _build_parser() -> _Parser:
 
     p_ce = sub.add_parser("condent", help="conditional entropy of a factored state")
     p_ce.add_argument("--state", required=True, metavar="FILE")
-    p_ce.add_argument("--family", required=True, choices=("tsallis", "kl", "custom"))
+    p_ce.add_argument("--family", required=True, choices=("tsallis", "kl"))
     p_ce.add_argument("--alpha", type=float)
     p_ce.add_argument(
         "--method",
         choices=("optimize", "closed"),
-        help="closed form (default for tsallis/kl) or direct optimization",
+        default="closed",
+        help="closed form (default) or direct optimization",
     )
     p_ce.add_argument("--starts", type=int, default=4)
     p_ce.add_argument("--seed", type=int, default=0)
@@ -195,21 +196,13 @@ def _cmd_condent(args) -> int:
     state = parse_matrix_file(args.state)
     if not isinstance(state, BipartiteState):
         raise DomainError("condent needs a state file with a dims field")
-    method = args.method
-    if method is None:
-        method = "optimize" if args.family == "custom" else "closed"
-    if args.family == "custom" and method == "closed":
-        raise DomainError("family custom has no closed form; use --method optimize")
-
-    if method == "closed":
+    f = _family_function(args.family, args.alpha)
+    if args.method == "closed":
         if args.family == "kl":
             value = conditional_entropy_vn_closed(state)
         else:
-            if args.alpha is None:
-                raise DomainError("--alpha is required for family tsallis")
             value, _ = conditional_entropy_tsallis_closed(state, args.alpha)
     else:
-        f = _family_function(args.family, args.alpha)
         opts = OptimizerOptions(
             starts=args.starts,
             value_tol=args.value_tol,

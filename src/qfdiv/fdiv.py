@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .linalg import RANK_TOL, as_matrix, psd_eigh
+from .linalg import RANK_TOL, _probability_vector, as_matrix, psd_eigh
 
 INF = math.inf
 
@@ -109,15 +109,10 @@ def csiszar_divergence(p, q, f: DivergenceFunction) -> float:
     Terms with ``q_x = 0 < p_x`` contribute ``p_x * ell``; terms with
     ``p_x = q_x = 0`` contribute nothing.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
+    p = _probability_vector(p, "p")
+    q = _probability_vector(q, "q")
     if p.shape != q.shape:
         raise DomainError(f"length mismatch: {p.size} vs {q.size}")
-    if (p < 0).any() or (q < 0).any():
-        raise DomainError("probability vectors must be entrywise nonnegative")
-    for name, vec in (("p", p), ("q", q)):
-        if abs(vec.sum() - 1.0) > 1e-10:
-            raise DomainError(f"{name} must sum to 1, got {vec.sum()!r}")
 
     total = 0.0
     both = (p > 0) & (q > 0)

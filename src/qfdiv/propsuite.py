@@ -441,7 +441,7 @@ def run_suite(
         properties = list(REGISTRY)
     reports = []
     for pid in properties:
-        _spec(pid)  # an unknown id is a usage error, not a failed property
+        spec = _spec(pid)  # an unknown id is a usage error, not a failed property
         sub_config = replace(config, seed=derive_seed(config.seed, pid))
         try:
             reports.append(run_property(pid, sub_config))
@@ -453,7 +453,7 @@ def run_suite(
                     trials=0,
                     violations=1,
                     worst_margin=-math.inf,
-                    tolerance=sub_config.tolerance if sub_config.tolerance is not None else 0.0,
+                    tolerance=spec.tolerance if config.tolerance is None else config.tolerance,
                     seed=sub_config.seed,
                     elapsed_ms=0,
                 )

@@ -102,7 +102,9 @@ class TestCondentCommand:
         assert float(capsys.readouterr().out) == pytest.approx(-math.log(2.0), abs=1e-10)
 
     def test_custom_family_uses_optimizer(self, bell_file, capsys):
-        code = main(["condent", "--state", bell_file, "--family", "custom", "--alpha", "2"])
+        # the optimizer route that the removed --family custom used to name
+        code = main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "2",
+                     "--method", "optimize"])
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(-1.0, abs=1e-8)
 
@@ -122,11 +124,12 @@ class TestCondentCommand:
         assert exc.value.code == 1
         assert "--fd-step" in capsys.readouterr().err
 
-    def test_custom_rejects_closed(self, bell_file, capsys):
-        code = main(["condent", "--state", bell_file, "--family", "custom",
-                     "--alpha", "2", "--method", "closed"])
-        assert code == 1
-        assert "no closed form" in capsys.readouterr().err
+    def test_custom_family_is_gone(self, bell_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["condent", "--state", bell_file, "--family", "custom", "--alpha", "2",
+                  "--method", "optimize"])
+        assert exc.value.code == 1
+        assert "custom" in capsys.readouterr().err
 
     def test_missing_dims_is_domain_error(self, mixed_file, capsys):
         assert main(["condent", "--state", mixed_file, "--family", "kl"]) == 1

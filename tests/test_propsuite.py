@@ -116,6 +116,18 @@ class TestRunSuite:
         assert reports[0].trials == 0
         assert reports[0].worst_margin == -math.inf
 
+    def test_failed_report_keeps_registry_tolerance(self, monkeypatch):
+        broken = _PropertySpec(
+            check=lambda trial: [][1],  # raises IndexError
+            trials=1,
+            dims=(2,),
+            alphas=(1.0,),
+            tolerance=1e-9,
+            statement="always broken",
+        )
+        monkeypatch.setitem(REGISTRY, "broken", broken)
+        assert run_suite(PropertyConfig(seed=3), ["broken"])[0].tolerance == 1e-9
+
     def test_nan_margin_is_a_violation(self, monkeypatch):
         spec = _PropertySpec(
             check=lambda trial: [0.0, math.inf - math.inf, 1.0],
