@@ -5,7 +5,8 @@ arrays (``{"dim": d, "re": [...], "im": [...]}``, plus ``"dims": [dA, dB]``
 for factored states); channels as a list of Kraus blocks in the same style.
 Numbers are printed with 12 significant digits and ``inf`` is printed as the
 literal string ``inf``.  Exit codes: 0 success, 1 domain error, bad usage or an
-optimizer whose starts did not converge or agree, 2 suite failure.
+optimizer with no start certified within ``--value-tol`` (its Frank-Wolfe gap,
+an upper bound on its distance to the minimum), 2 suite failure.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def _build_parser() -> _Parser:
         default="closed",
         help="closed form (default) or direct optimization",
     )
-    p_ce.add_argument("--starts", type=int, default=4)
+    p_ce.add_argument("--starts", type=int, default=4, help="most optimizer starts to run")
     p_ce.add_argument("--seed", type=int, default=0)
     p_ce.add_argument("--value-tol", type=float, default=1e-6)
     p_ce.add_argument("--max-iters", type=int, default=500)
@@ -209,13 +210,7 @@ def _cmd_condent(args) -> int:
             max_iters=args.max_iters,
             seed=args.seed,
         )
-        report = conditional_entropy_optimize(state, f, opts)
-        if not report.converged:
-            raise ConvergenceError(
-                f"optimizer starts disagree by more than --value-tol {args.value_tol:g} "
-                f"(best value {format_number(report.value)})"
-            )
-        value = report.value
+        value = conditional_entropy_optimize(state, f, opts).value
     print(format_number(value))
     return 0
 

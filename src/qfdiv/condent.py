@@ -3,10 +3,12 @@
 The defining quantity is ``-inf_sigma D_f(rho || 1 (x) sigma)`` over normalized
 density operators ``sigma`` living on the support of the reduced state of the
 conditioning factor.  The generic path solves that minimization numerically
-with a multi-start quasi-Newton descent over an exponential parameterization
+with a quasi-Newton descent over an exponential parameterization
 ``sigma(H) = exp(H) / tr exp(H)``, which keeps iterates strictly feasible; its
 gradient is exact, from Daleckii-Krein divided differences.  Every rank of the
-conditioning marginal takes this one path, and one gradient threshold accepts a start.
+conditioning marginal takes this one path.  The objective is convex in sigma,
+so the Frank-Wolfe gap of its sigma-gradient certifies a start: starts run one
+at a time until one has a gap within the value tolerance.
 For the power family there is an independent closed form (the reduced
 ``alpha``-power trace), and for ``alpha = 1`` the entropy-difference formula;
 both are cross-validated against the optimizer in the test suite.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from . import rng
 from .errors import ConvergenceError, DomainError, PreconditionError
@@ -45,7 +47,7 @@ from .linalg import (
 class OptimizerOptions:
     """Knobs of the conditional-entropy minimizer; all surfaced by the CLI."""
 
-    starts: int = 4
+    starts: int = 4  # the most starts a solve may run; it stops at the first certified one
     value_tol: float = 1e-6
     max_iters: int = 500
     seed: int = 0
@@ -59,6 +61,7 @@ class OptimizationReport:
     iterations_per_start: tuple[int, ...]
     best_start_index: int
     converged: bool
+    gap: float  # Frank-Wolfe gap of the accepted start: its value is within it of the optimum
 
 
 def _monotone_alpha(alpha: float) -> float:
@@ -130,29 +133,35 @@ def _pack_hermitian(m: np.ndarray) -> np.ndarray:
 
 # sigma's eigenvalues are floored here so that g(s) = s f(w/s) stays finite
 _S_FLOOR = 1e-300
-# relative step of the central difference giving g', and the relative gap below
-# which a divided difference of g switches to the mean of g' at its two ends;
-# eps**(1/3) balances truncation against rounding in both
-_REL_STEP = 1e-5
-_STEPS = np.array([[1.0], [1.0 + _REL_STEP], [1.0 - _REL_STEP]])
-# weights moved onto one eigenvector of sigma when probing a finished start
-_PROBE_WEIGHTS = np.logspace(-1, -15, 15)[:, None, None]
-# the one acceptance rule: a finished start must have max|grad theta| at most this
-_GRAD_TOL = 1e-6
+# relative gap between two eigenvalues of sigma below which a divided difference
+# of g is replaced by the mean of g' at its two ends: the mean errs by about
+# (gap/s)**2 and the quotient's rounding by eps/(gap/s), which eps**(1/3) balances
+_NEAR_DEGENERATE = 1e-5
+# Frank-Wolfe steps a finished start may take to bring its gap within value_tol
+_POLISH_STEPS = 4
+
+
+def _fw_gap(gt: np.ndarray, g_mean: float) -> float:
+    """Frank-Wolfe gap ``tr(G sigma) - lambda_min(G)``; ``inf`` when G is not finite."""
+    if not (math.isfinite(g_mean) and np.isfinite(gt).all()):
+        return math.inf
+    return max(g_mean - float(np.linalg.eigvalsh(gt)[0]), 0.0)
 
 
 class _Objective:
-    """Divergence against ``1 (x) sigma(theta)`` and its exact gradient in theta.
+    """Divergence against ``1 (x) sigma(theta)``, its exact gradient in theta and its gap.
 
     The joint state is eigendecomposed once.  Writing ``rho = sum_n w_n
     |psi_n><psi_n|`` and ``R_n = tr_rest |psi_n><psi_n|`` restricted to the
     support of the conditioning marginal, the objective is
-    ``F = sum_n tr(R_n g_n(sigma))`` with ``g_n(s) = s f(w_n / s)``.  One
-    parameter vector costs a single ``r x r`` eigensolve of ``H(theta)``; the
-    gradient chains two Daleckii-Krein divided-difference matrices (Bhatia,
-    *Matrix Analysis*, V.3): those of ``g_n`` at sigma's eigenvalues give the
-    sigma-gradient ``G = sum_n Gamma_n o (U^dag R_n U)``, and those of ``exp``
-    at H's eigenvalues carry it through ``sigma = exp(H) / tr exp(H)``.
+    ``F = sum_n tr(R_n g_n(sigma))`` with ``g_n(s) = s f(w_n / s)``, whose
+    derivative ``g_n'(s)`` is ``f.slope(w_n / s)``.  One parameter vector costs
+    a single ``r x r`` eigensolve of ``H(theta)``; the gradient chains two
+    Daleckii-Krein divided-difference matrices (Bhatia, *Matrix Analysis*,
+    V.3): those of ``g_n`` at sigma's eigenvalues give the sigma-gradient
+    ``G = sum_n Gamma_n o (U^dag R_n U)``, and those of ``exp`` at H's
+    eigenvalues carry it through ``sigma = exp(H) / tr exp(H)``.  F is convex
+    in sigma, so the Frank-Wolfe gap of G bounds ``F(sigma) - min F``.
     """
 
     def __init__(self, entries: np.ndarray, d_rest: int, d_cond: int, f: DivergenceFunction):
@@ -172,88 +181,111 @@ class _Objective:
         self.n_params = r * r
 
     def _frame(self, theta: np.ndarray):
-        """Eigenvalues of H (shifted to max 0), its eigenvectors, sigma's eigenvalues,
-        and the ``U^dag R_n U``."""
+        """Eigenvalues of H (shifted to max 0), its eigenvectors and sigma's eigenvalues."""
         t = theta.reshape(self.rank, self.rank)
         # the inverse of _pack_hermitian
         lam, u = np.linalg.eigh(0.5 * ((t + t.T) + 1j * (t - t.T)))
         lam = lam - lam[-1]
         ex = np.exp(lam)
-        p = ex / ex.sum()
-        return lam, u, p, u.conj().T @ self.reduced @ u
+        return lam, u, ex / ex.sum()
 
-    def _g(self, s: np.ndarray) -> np.ndarray:
-        """``g_n(s_j)`` for eigenvalue rows ``s`` of shape ``(..., r)``: shape ``(..., N, r)``."""
-        s = np.maximum(s, _S_FLOOR)[..., None, :]
-        return s * self.f(self.weights / s)
-
-    @staticmethod
-    def _total(g: np.ndarray, a_diag: np.ndarray) -> np.ndarray:
-        """``sum_n sum_j g_n(s_j) (U^dag R_n U)_jj`` over the last two axes, ``0 * inf = 0``."""
-        terms = g * a_diag
-        if not np.isfinite(terms).all():
-            terms = np.where(np.isinf(g) & (a_diag <= 0.0), 0.0, terms)
-        return terms.sum(axis=(-2, -1))
-
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        lam, u, p, a = self._frame(theta)
+    def _at(self, p: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Value, sigma-gradient ``gt`` in the basis ``u`` and ``tr(G sigma)`` at
+        ``sigma = u diag(p) u^dag``; ``0 * inf = 0`` in the value."""
+        a = u.conj().T @ self.reduced @ u
+        a_diag = np.diagonal(a, axis1=1, axis2=2).real
         s = np.maximum(p, _S_FLOOR)
         with np.errstate(all="ignore"):
-            # g_n at s and at s (1 +- step), for the value and g_n'
-            g0, g_up, g_down = self._g(s * _STEPS)
-            value = float(self._total(g0, np.diagonal(a, axis1=1, axis2=2).real))
-            dg = (g_up - g_down) / ((2.0 * _REL_STEP) * s)
-            gap = s[:, None] - s[None, :]
-            near = np.abs(gap) <= _REL_STEP * np.maximum(s[:, None], s[None, :])
+            x = self.weights / s
+            g = s * self.f(x)
+            dg = self.f.slope(x)
+            terms = g * a_diag
+            if not np.isfinite(terms).all():
+                terms = np.where(np.isinf(g) & (a_diag <= 0.0), 0.0, terms)
+            diff = s[:, None] - s[None, :]
+            near = np.abs(diff) <= _NEAR_DEGENERATE * np.maximum(s[:, None], s[None, :])
             gamma = np.where(
                 near,
                 0.5 * (dg[:, :, None] + dg[:, None, :]),
-                (g0[:, :, None] - g0[:, None, :]) / np.where(near, 1.0, gap),
+                (g[:, :, None] - g[:, None, :]) / np.where(near, 1.0, diff),
             )
             gt = (gamma * a).sum(axis=0)
-            g_mean = gt.diagonal().real @ p
+            g_mean = float(gt.diagonal().real @ p)
+        return float(terms.sum()), gt, g_mean
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        lam, u, p = self._frame(theta)
+        value, gt, g_mean = self._at(p, u)
         # K = (E / tr exp H) o G - tr(G sigma) diag(sigma), with E the divided
         # differences of exp at lam, written e^max(lam_j, lam_k) expm1(-d) / -d
         # for d = |lam_j - lam_k| so that equal eigenvalues (theta = 0) stay exact
         d = -np.abs(lam[:, None] - lam[None, :])
         e_div = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
-        k = e_div * np.maximum(p[:, None], p[None, :]) * gt
-        k[np.diag_indices(self.rank)] -= g_mean * p
-        grad = _pack_hermitian(u @ k @ u.conj().T)
+        with np.errstate(all="ignore"):
+            k = e_div * np.maximum(p[:, None], p[None, :]) * gt
+            k[np.diag_indices(self.rank)] -= g_mean * p
+            grad = _pack_hermitian(u @ k @ u.conj().T)
         if not np.isfinite(grad).all():
             grad = np.nan_to_num(grad, nan=0.0, posinf=1e12, neginf=-1e12)
         return value, grad
 
-    def beaten_on_eigenvectors(self, theta: np.ndarray, tol: float) -> bool:
-        """Whether moving weight onto one eigenvector of sigma(theta) lowers the value by > tol.
+    def certify(self, theta: np.ndarray, tol: float) -> tuple[float, np.ndarray, float]:
+        """Value, sigma and gap of a finished start, polished while the gap exceeds ``tol``.
 
-        Along an eigenvector whose eigenvalue has underflowed, the theta-gradient
-        vanishes whatever the objective does, so a descent can settle on a face
-        of the state space away from the minimum.  There ``g_n'`` is lost to
-        rounding too, since ``s f(w/s)`` no longer resolves its variation, so
-        the face is exposed by values instead: sigma is mixed with each of its
-        eigenprojectors at the weights ``_PROBE_WEIGHTS``.  A feasible point
-        lower by more than ``tol``, beyond rounding, means this start cannot be
-        within ``tol`` of the minimum.
+        Near a face of the state space the theta-gradient vanishes along the
+        eigenvectors whose eigenvalues are tiny, however steep F is there, so
+        a descent can stop with a small theta-gradient and a large gap.  Such a
+        start takes up to ``_POLISH_STEPS`` Frank-Wolfe steps
+        ``sigma -> sigma + gamma (vv^dag - sigma)`` toward the eigenvector ``v``
+        of G's least eigenvalue, with ``gamma`` in ``[0, 1]`` where the slope
+        of F along the step changes sign.
         """
-        _, _, p, a = self._frame(theta)
-        a_diag = np.diagonal(a, axis1=1, axis2=2).real
-        mixed = (1.0 - _PROBE_WEIGHTS) * p + _PROBE_WEIGHTS * np.eye(self.rank)
-        with np.errstate(all="ignore"):
-            base = self._total(self._g(p), a_diag)
-            probes = self._total(self._g(mixed), a_diag)
-        return bool(np.any(probes < base - tol - 1e-12 * (1.0 + abs(base))))
+        _, u, p = self._frame(theta)
+        value, gt, g_mean = self._at(p, u)
+        gap = _fw_gap(gt, g_mean)
+        for _ in range(_POLISH_STEPS):
+            if gap <= tol or gap == math.inf:
+                break
+            v = np.linalg.eigh(gt)[1][:, 0]
+            direction = np.outer(v, v.conj()) - np.diag(p)  # in the basis u
+
+            def moved(gamma: float):
+                q, w = np.linalg.eigh(np.diag(p) + gamma * direction)
+                return np.clip(q, 0.0, None), u @ w, w
+
+            def slope(gamma: float) -> float:
+                q, uw, w = moved(gamma)
+                gt_gamma = self._at(q, uw)[1]
+                with np.errstate(all="ignore"):
+                    return float(np.sum(gt_gamma * (w.conj().T @ direction @ w).T).real)
+
+            # the value is inf past the point where an eigenvalue it needs vanishes
+            hi = 1.0
+            while not math.isfinite(slope_hi := slope(hi)):
+                hi *= 0.5
+            gamma = hi if slope_hi <= 0.0 else brentq(slope, 0.0, hi, xtol=1e-300, disp=False)
+            p, u, _ = moved(gamma)
+            value, gt, g_mean = self._at(p, u)
+            gap = _fw_gap(gt, g_mean)
+        return value, self._embed(p, u), gap
+
+    def _embed(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``u diag(p) u^dag`` written on the full conditioning space."""
+        return self.support @ ((u * p) @ u.conj().T) @ self.support.conj().T
 
     def sigma(self, theta: np.ndarray) -> np.ndarray:
-        _, u, p, _ = self._frame(theta)
-        inner = (u * p) @ u.conj().T
-        return self.support @ inner @ self.support.conj().T
+        _, u, p = self._frame(theta)
+        return self._embed(p, u)
 
 
-def _start_points(objective: _Objective, opts: OptimizerOptions) -> list[np.ndarray]:
-    """Mixed state on the support, the reduced state itself, then seeded random."""
+def _start_points(objective: _Objective, opts: OptimizerOptions):
+    """Mixed state on the support, the reduced state itself, then seeded random.
+
+    Yields at most ``opts.starts`` points, lazily: a solve draws the next one
+    only while no start has certified.
+    """
     r = objective.rank
-    starts = [np.zeros(objective.n_params)]
+    yield np.zeros(objective.n_params)
     if opts.starts >= 2:
         v = objective.support
         sig0 = v.conj().T @ objective.rho_cond @ v
@@ -261,11 +293,10 @@ def _start_points(objective: _Objective, opts: OptimizerOptions) -> list[np.ndar
         w0 = np.clip(w0.real, 1e-12, None)
         h = (u0 * np.log(w0)) @ u0.conj().T
         h = h - (np.trace(h).real / r) * np.eye(r)
-        starts.append(_pack_hermitian(h))
+        yield _pack_hermitian(h)
     gen = rng.generator(opts.seed)
-    for _ in range(opts.starts - len(starts)):
-        starts.append(0.5 * rng.standard_normals(gen, objective.n_params))
-    return starts
+    for _ in range(opts.starts - 2):
+        yield 0.5 * rng.standard_normals(gen, objective.n_params)
 
 
 def conditional_entropy_optimize(
@@ -276,14 +307,17 @@ def conditional_entropy_optimize(
 ) -> OptimizationReport:
     """Conditional entropy by direct minimization over the conditioning marginal.
 
-    Runs ``opts.starts`` independent BFGS descents (exact Daleckii-Krein
-    gradients) over ``sigma(H) = exp(H) / tr exp(H)`` restricted to the support
-    of the reduced conditioning state.  Whatever scipy's status, a start is
-    accepted iff its final ``max|grad theta| <= 1e-6`` and no mix of sigma with
-    one of its eigenprojectors is lower by more than ``opts.value_tol`` (else
-    it is saturated on a face of the state space).  The divergence is convex,
-    so ``converged`` needs the accepted starts to agree within ``opts.value_tol``.
-    Raises :class:`ConvergenceError` when no start is accepted.
+    Runs BFGS descents (exact Daleckii-Krein gradients) over
+    ``sigma(H) = exp(H) / tr exp(H)`` restricted to the support of the reduced
+    conditioning state, one start at a time and at most ``opts.starts`` of
+    them.  The divergence is convex in sigma, so the Frank-Wolfe gap
+    ``tr(G sigma) - lambda_min(G)`` of the sigma-gradient G bounds how far a
+    start's value lies above the minimum (Jaggi, ICML 2013).  Whatever
+    scipy's status, a finished start whose gap exceeds ``opts.value_tol`` takes
+    a few Frank-Wolfe polish steps, and a start is accepted iff its gap is then
+    at most ``opts.value_tol``.  The first accepted start ends the solve, so
+    ``converged`` is true on every report returned.  Raises
+    :class:`ConvergenceError`, with each start's gap, when no start is accepted.
     """
     _require_wellbehaved(f)
     opts = opts or OptimizerOptions()
@@ -301,27 +335,23 @@ def conditional_entropy_optimize(
             method="BFGS",
             options={"gtol": 1e-9, "maxiter": opts.max_iters},
         )
-        grad_norm = float(np.abs(res.jac).max())
-        failure = None if grad_norm <= _GRAD_TOL else f"max|grad| {grad_norm:.3g}: {res.message}"
-        if failure is None and objective.beaten_on_eigenvectors(res.x, opts.value_tol):
-            failure = "saturated on a face of the state space"
-        runs.append((float(res.fun), np.asarray(res.x), int(res.nit), failure))
-
-    converged = [(v, i) for i, (v, _, _, failure) in enumerate(runs) if failure is None]
-    if not converged:
-        details = "; ".join(f"start {i}: {failure}" for i, (*_, failure) in enumerate(runs))
-        raise ConvergenceError(f"no optimizer start converged ({details})")
-    best_value, best_index = min(converged)
-    spread = max(v for v, _ in converged) - best_value
-    sigma = objective.sigma(runs[best_index][1])
-    return OptimizationReport(
-        value=-best_value,
-        sigma_star=DensityOperator(sigma),
-        starts=len(runs),
-        iterations_per_start=tuple(r[2] for r in runs),
-        best_start_index=best_index,
-        converged=spread <= opts.value_tol,
+        value, sigma, gap = objective.certify(res.x, opts.value_tol)
+        runs.append((int(res.nit), gap, res.message))
+        if gap <= opts.value_tol:
+            return OptimizationReport(
+                value=-value,
+                sigma_star=DensityOperator(sigma),
+                starts=len(runs),
+                iterations_per_start=tuple(nit for nit, _, _ in runs),
+                best_start_index=len(runs) - 1,
+                converged=True,
+                gap=gap,
+            )
+    details = "; ".join(
+        f"start {i}: gap {gap:.3g} after {nit} iterations, {message}"
+        for i, (nit, gap, message) in enumerate(runs)
     )
+    raise ConvergenceError(f"no start certified within value_tol {opts.value_tol:g} ({details})")
 
 
 def conditional_entropy_tsallis_closed(

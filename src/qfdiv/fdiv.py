@@ -37,7 +37,10 @@ class DivergenceFunction:
     """Pointwise evaluator of f on (0, inf) plus the boundary data the kernel needs.
 
     ``fn`` must be vectorized over numpy arrays of positive floats and free of
-    side effects.  ``f_at_zero`` is the limit at 0+ and ``ell`` the limit of
+    side effects.  ``slope`` evaluates ``f(x) - x f'(x)``, the derivative of
+    the perspective ``s f(w/s)`` in ``s`` at ``x = w/s``, in the same way; it
+    should be written so that nothing cancels (``-x**alpha`` for the power
+    family).  ``f_at_zero`` is the limit at 0+ and ``ell`` the limit of
     ``f(x)/x`` at infinity; either may be ``inf``.  ``operator_convex`` records
     whether f is operator convex on the positive axis, which is what the
     monotonicity results need.
@@ -45,6 +48,7 @@ class DivergenceFunction:
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    slope: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     f_at_zero: float
     ell: float
     f_at_one: float
@@ -88,6 +92,7 @@ def make_tsallis_f(alpha: float) -> DivergenceFunction:
         return DivergenceFunction(
             name="kl",
             fn=_xlogx,
+            slope=np.negative,
             f_at_zero=0.0,
             ell=INF,
             f_at_one=0.0,
@@ -96,6 +101,7 @@ def make_tsallis_f(alpha: float) -> DivergenceFunction:
     return DivergenceFunction(
         name=f"tsallis-{alpha:g}",
         fn=lambda xi, a=alpha: (xi**a - xi) / (a - 1.0),
+        slope=lambda xi, a=alpha: -(xi**a),
         f_at_zero=0.0,
         ell=INF if alpha > 1.0 else 1.0 / (1.0 - alpha),
         f_at_one=0.0,
@@ -213,9 +219,14 @@ def quantum_f_divergence_eps_sweep(
 
     The regularized second argument is full rank, so no kernel term arises;
     the shift scales with ``B``, so scaling both arguments scales every value.
-    Returns the per-epsilon values and the linear extrapolation to zero of the
-    last two points.  The limit is ``inf`` when ``ell = inf`` and the mass of
-    ``A`` on the kernel of ``B`` exceeds ``rank_tol * tr A`` (the same test as
+    Returns the per-epsilon values and their extrapolation to zero: an Aitken
+    delta-squared step on the last three points when their differences
+    contract, else the linear step through the last two.  Aitken's step is
+    exact for a tail ``c * eps**p`` on a geometric schedule, which covers a
+    full-rank ``B`` (``p = 1``) and a rank-deficient ``B`` with finite ``ell``,
+    where the power-family tail decays like ``eps**(1 - alpha)``.  The limit
+    is ``inf`` when ``ell = inf`` and the mass of ``A`` on the kernel of
+    ``B`` exceeds ``rank_tol * tr A`` (the same test as
     :func:`quantum_f_divergence`; the regularized values then grow only like
     ``log(1/eps)`` or a power of it), or when successive values grow by more
     than a factor of 10.
@@ -238,8 +249,11 @@ def quantum_f_divergence_eps_sweep(
     e0, e1 = eps[-2], eps[-1]
     if abs(v1) > 10.0 * max(abs(v0), 1e-12) or abs(v1) > 1e12:
         return values, INF
-    extrapolated = v1 + (v1 - v0) * e1 / (e0 - e1)
-    return values, extrapolated
+    if len(values) >= 3:
+        d1, d2 = v0 - values[-3], v1 - v0
+        if abs(d2) < abs(d1):
+            return values, v1 - d2 * d2 / (d2 - d1)
+    return values, v1 + (v1 - v0) * e1 / (e0 - e1)
 
 
 def tsallis_divergence_closed(

@@ -8,7 +8,7 @@ derived from the master seed, the trial label and ``t``.  A check returns
 signed margins: for an inequality ``LHS <= RHS`` the margin is ``RHS - LHS``
 (slack), for an exact identity it is ``-|residual|``.  A margin violates the
 property when it falls below ``-tolerance`` or is NaN (an undefined residual,
-or an optimizer solve whose starts disagree), and the property passes when it
+or an optimizer report that is not converged), and the property passes when it
 recorded at least one margin and none violates it.  Seeds derive
 deterministically from the master seed and the property id, so reports are
 reproducible up to timing.
@@ -143,7 +143,7 @@ def _entropy(state: BipartiteState, alpha: float, cond: str = "B") -> float:
 
 
 def _optimized(state: BipartiteState, alpha: float, opts: OptimizerOptions) -> float:
-    """Optimizer value, or NaN (a violation) when its starts disagree."""
+    """Optimizer value, or NaN (a violation) when the report is not converged."""
     report = conditional_entropy_optimize(state, make_tsallis_f(alpha), opts)
     return report.value if report.converged else math.nan
 

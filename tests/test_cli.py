@@ -108,14 +108,18 @@ class TestCondentCommand:
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(-1.0, abs=1e-8)
 
-    def test_unconverged_optimizer_exits_nonzero(self, bell_file, capsys):
-        # with no slack at all, the four starts cannot agree to the last bit
-        code = main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "0.5",
-                     "--method", "optimize", "--seed", "7", "--value-tol", "0"])
+    def test_unconverged_optimizer_exits_nonzero(self, tmp_path, capsys):
+        # one iteration per start leaves every gap on this rank-3 state near 1e-2
+        state = str(tmp_path / "state.json")
+        assert main(["random", "state", "--dims", "2", "3", "--rank", "3", "--seed", "1",
+                     "--out", state]) == 0
+        code = main(["condent", "--state", state, "--family", "tsallis", "--alpha", "0.3",
+                     "--method", "optimize", "--max-iters", "1"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "disagree" in captured.err
+        assert "no start certified within value_tol 1e-06" in captured.err
+        assert "start 3: gap" in captured.err
 
     def test_fd_step_option_is_gone(self, bell_file, capsys):
         with pytest.raises(SystemExit) as exc:
