@@ -3,12 +3,14 @@
 The defining quantity is ``-inf_sigma D_f(rho || 1 (x) sigma)`` over normalized
 density operators ``sigma`` living on the support of the reduced state of the
 conditioning factor.  The generic path solves that minimization numerically
-with a quasi-Newton descent over an exponential parameterization
+with an in-package BFGS descent over an exponential parameterization
 ``sigma(H) = exp(H) / tr exp(H)``, which keeps iterates strictly feasible; its
-gradient is exact, from Daleckii-Krein divided differences.  Every rank of the
-conditioning marginal takes this one path.  The objective is convex in sigma,
-so the Frank-Wolfe gap of its sigma-gradient certifies a start: starts run one
-at a time until one has a gap within the value tolerance.
+gradient is exact, from Daleckii-Krein divided differences, and its line
+search is a weak-Wolfe bracketing search.  Every rank of the conditioning
+marginal takes this one path.  The objective is convex in sigma, so the
+Frank-Wolfe gap of its sigma-gradient certifies an iterate: a descent stops at
+the first iterate whose gap is within the value tolerance, and starts run one
+at a time until one is certified.
 For the power family there is an independent closed form (the reduced
 ``alpha``-power trace), and for ``alpha = 1`` the entropy-difference formula;
 both are cross-validated against the optimizer in the test suite.
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from . import rng
 from .errors import ConvergenceError, DomainError, PreconditionError
@@ -139,6 +140,13 @@ _S_FLOOR = 1e-300
 _NEAR_DEGENERATE = 1e-5
 # Frank-Wolfe steps a finished start may take to bring its gap within value_tol
 _POLISH_STEPS = 4
+# weak-Wolfe line search: sufficient-decrease and curvature constants, and the
+# most trial steps one search may take before it fails
+_ARMIJO = 1e-4
+_CURVATURE = 0.9
+_LINE_SEARCH_STEPS = 50
+# most slope evaluations of one polish step's root search
+_ROOT_STEPS = 100
 
 
 def _fw_gap(gt: np.ndarray, g_mean: float) -> float:
@@ -146,6 +154,39 @@ def _fw_gap(gt: np.ndarray, g_mean: float) -> float:
     if not (math.isfinite(g_mean) and np.isfinite(gt).all()):
         return math.inf
     return max(g_mean - float(np.linalg.eigvalsh(gt)[0]), 0.0)
+
+
+def _illinois(fn, f_lo: float, hi: float, f_hi: float) -> float:
+    """Root of ``fn`` in ``[0, hi]`` from ``fn(0) = f_lo < 0 < f_hi = fn(hi)``.
+
+    Regula falsi with the Illinois rule: when the same end of the bracket is
+    kept twice in a row, the value at the other end is halved.  A step that
+    did not halve the bracket is followed by a bisection, since the slope can
+    be huge next to ``hi``.  Stops when the bracket is a few ulps wide.
+    """
+    lo, kept, halved = 0.0, 0, True
+    for _ in range(_ROOT_STEPS):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) if halved else 0.5 * (lo + hi)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        width = hi - lo
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
+        else:
+            hi, f_hi = x, fx
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+            break
+        halved = hi - lo <= 0.5 * width
+    return 0.5 * (lo + hi)
 
 
 class _Objective:
@@ -213,7 +254,8 @@ class _Objective:
             g_mean = float(gt.diagonal().real @ p)
         return float(terms.sum()), gt, g_mean
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """Value, theta-gradient and Frank-Wolfe gap at ``sigma(theta)``."""
         lam, u, p = self._frame(theta)
         value, gt, g_mean = self._at(p, u)
         # K = (E / tr exp H) o G - tr(G sigma) diag(sigma), with E the divided
@@ -227,7 +269,7 @@ class _Objective:
             grad = _pack_hermitian(u @ k @ u.conj().T)
         if not np.isfinite(grad).all():
             grad = np.nan_to_num(grad, nan=0.0, posinf=1e12, neginf=-1e12)
-        return value, grad
+        return value, grad, _fw_gap(gt, g_mean)
 
     def certify(self, theta: np.ndarray, tol: float) -> tuple[float, np.ndarray, float]:
         """Value, sigma and gap of a finished start, polished while the gap exceeds ``tol``.
@@ -263,7 +305,7 @@ class _Objective:
             hi = 1.0
             while not math.isfinite(slope_hi := slope(hi)):
                 hi *= 0.5
-            gamma = hi if slope_hi <= 0.0 else brentq(slope, 0.0, hi, xtol=1e-300, disp=False)
+            gamma = hi if slope_hi <= 0.0 else _illinois(slope, -gap, hi, slope_hi)
             p, u, _ = moved(gamma)
             value, gt, g_mean = self._at(p, u)
             gap = _fw_gap(gt, g_mean)
@@ -299,6 +341,68 @@ def _start_points(objective: _Objective, opts: OptimizerOptions):
         yield 0.5 * rng.standard_normals(gen, objective.n_params)
 
 
+def _wolfe_step(
+    objective: _Objective, x: np.ndarray, value: float, grad: np.ndarray, direction: np.ndarray
+):
+    """A step ``x + t d`` that meets the weak Wolfe conditions, or ``None``.
+
+    Sufficient decrease ``F(x + t d) <= F(x) + c1 t g.d`` and curvature
+    ``grad F(x + t d).d >= c2 g.d``: t doubles while only the curvature test
+    fails and no step has yet been too long, and is bisected once one has
+    (Lewis and Overton, *Math. Programming* 2013).  A non-finite value counts
+    as too long.  Returns the new point with its value, gradient and gap.
+    """
+    slope = float(grad @ direction)
+    if not slope < 0.0:
+        return None
+    lo, hi, t = 0.0, math.inf, 1.0
+    for _ in range(_LINE_SEARCH_STEPS):
+        x_t = x + t * direction
+        value_t, grad_t, gap_t = objective.evaluate(x_t)
+        if not value_t <= value + _ARMIJO * t * slope:
+            hi = t
+        elif grad_t @ direction < _CURVATURE * slope:
+            lo = t
+        else:
+            return x_t, value_t, grad_t, gap_t
+        t = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+    return None
+
+
+def _descend(objective: _Objective, x: np.ndarray, tol: float, max_iters: int):
+    """BFGS from ``x`` that stops at the first iterate whose gap is at most ``tol``.
+
+    The inverse Hessian starts as the identity, is rescaled to
+    ``(s.y / y.y) I`` after the first step, and skips its update when
+    ``s.y <= 0``.  Returns the last iterate, the iterations taken and why the
+    descent stopped.
+    """
+    value, grad, gap = objective.evaluate(x)
+    if gap <= tol:
+        return x, 0, "certified"
+    if not math.isfinite(value):
+        return x, 0, "value not finite"
+    h = None
+    for it in range(1, max_iters + 1):
+        step = _wolfe_step(objective, x, value, grad, -(grad if h is None else h @ grad))
+        if step is None:
+            return x, it - 1, "line search failed"
+        x_new, value, grad_new, gap = step
+        s, y = x_new - x, grad_new - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = (sy / float(y @ y)) * np.eye(x.size)
+            hy = h @ y
+            h += (sy + float(y @ hy)) / sy**2 * np.outer(s, s) - (
+                np.outer(hy, s) + np.outer(s, hy)
+            ) / sy
+        x, grad = x_new, grad_new
+        if gap <= tol:
+            return x, it, "certified"
+    return x, max_iters, "max_iters reached"
+
+
 def conditional_entropy_optimize(
     state: BipartiteState,
     f: DivergenceFunction,
@@ -307,17 +411,20 @@ def conditional_entropy_optimize(
 ) -> OptimizationReport:
     """Conditional entropy by direct minimization over the conditioning marginal.
 
-    Runs BFGS descents (exact Daleckii-Krein gradients) over
-    ``sigma(H) = exp(H) / tr exp(H)`` restricted to the support of the reduced
-    conditioning state, one start at a time and at most ``opts.starts`` of
-    them.  The divergence is convex in sigma, so the Frank-Wolfe gap
-    ``tr(G sigma) - lambda_min(G)`` of the sigma-gradient G bounds how far a
-    start's value lies above the minimum (Jaggi, ICML 2013).  Whatever
-    scipy's status, a finished start whose gap exceeds ``opts.value_tol`` takes
-    a few Frank-Wolfe polish steps, and a start is accepted iff its gap is then
-    at most ``opts.value_tol``.  The first accepted start ends the solve, so
-    ``converged`` is true on every report returned.  Raises
-    :class:`ConvergenceError`, with each start's gap, when no start is accepted.
+    Runs BFGS descents (exact Daleckii-Krein gradients, weak-Wolfe line
+    search) over ``sigma(H) = exp(H) / tr exp(H)`` restricted to the support of
+    the reduced conditioning state, one start at a time and at most
+    ``opts.starts`` of them.  The divergence is convex in sigma, so the
+    Frank-Wolfe gap ``tr(G sigma) - lambda_min(G)`` of the sigma-gradient G
+    bounds how far an iterate's value lies above the minimum (Jaggi, ICML
+    2013).  A descent stops at the first iterate whose gap is at most
+    ``opts.value_tol``, after ``opts.max_iters`` iterations, or when its line
+    search fails.  Whatever the reason, a finished start whose gap exceeds
+    ``opts.value_tol`` takes a few Frank-Wolfe polish steps, and a start is
+    accepted iff its gap is then at most ``opts.value_tol``.  The first
+    accepted start ends the solve, so ``converged`` is true on every report
+    returned.  Raises :class:`ConvergenceError`, with each start's gap,
+    iterations and stop reason, when no start is accepted.
     """
     _require_wellbehaved(f)
     opts = opts or OptimizerOptions()
@@ -328,15 +435,9 @@ def conditional_entropy_optimize(
 
     runs = []
     for x0 in _start_points(objective, opts):
-        res = minimize(
-            objective.value_and_grad,
-            x0,
-            jac=True,
-            method="BFGS",
-            options={"gtol": 1e-9, "maxiter": opts.max_iters},
-        )
-        value, sigma, gap = objective.certify(res.x, opts.value_tol)
-        runs.append((int(res.nit), gap, res.message))
+        x, nit, reason = _descend(objective, x0, opts.value_tol, opts.max_iters)
+        value, sigma, gap = objective.certify(x, opts.value_tol)
+        runs.append((nit, gap, reason))
         if gap <= opts.value_tol:
             return OptimizationReport(
                 value=-value,
@@ -348,8 +449,8 @@ def conditional_entropy_optimize(
                 gap=gap,
             )
     details = "; ".join(
-        f"start {i}: gap {gap:.3g} after {nit} iterations, {message}"
-        for i, (nit, gap, message) in enumerate(runs)
+        f"start {i}: gap {gap:.3g} after {nit} iterations, {reason}"
+        for i, (nit, gap, reason) in enumerate(runs)
     )
     raise ConvergenceError(f"no start certified within value_tol {opts.value_tol:g} ({details})")
 

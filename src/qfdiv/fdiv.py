@@ -228,26 +228,29 @@ def quantum_f_divergence_eps_sweep(
     is ``inf`` when ``ell = inf`` and the mass of ``A`` on the kernel of
     ``B`` exceeds ``rank_tol * tr A`` (the same test as
     :func:`quantum_f_divergence`; the regularized values then grow only like
-    ``log(1/eps)`` or a power of it), or when successive values grow by more
-    than a factor of 10.
+    ``log(1/eps)`` or a power of it), or when the last value exceeds
+    ``1e12 tr A`` or ten times its predecessor (a predecessor below
+    ``1e-12 tr A`` counts as ``1e-12 tr A``).
     """
     eps = [float(e) for e in eps_schedule]
     if not eps:
         raise DomainError("eps_schedule must be non-empty")
     if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise DomainError("eps_schedule must be strictly decreasing and positive")
-    m_b = as_matrix(B)
+    m_a, m_b = as_matrix(A), as_matrix(B)
     shift = float(np.trace(m_b).real) * np.eye(m_b.shape[0])
-    values = [quantum_f_divergence(A, m_b + e * shift, f, rank_tol=rank_tol) for e in eps]
+    values = [quantum_f_divergence(m_a, m_b + e * shift, f, rank_tol=rank_tol) for e in eps]
     if f.ell == INF:
-        a, _, table, ka, kb = _spectra(A, m_b, rank_tol)
+        a, _, table, ka, kb = _spectra(m_a, m_b, rank_tol)
         if _kernel_mass(a, table, ka, kb) > rank_tol * a.sum():
             return values, INF
     if len(values) == 1:
         return values, values[0]
     v0, v1 = values[-2], values[-1]
     e0, e1 = eps[-2], eps[-1]
-    if abs(v1) > 10.0 * max(abs(v0), 1e-12) or abs(v1) > 1e12:
+    # the growth floor and cap scale with A, as every value does
+    scale = float(np.trace(m_a).real)
+    if abs(v1) > 10.0 * max(abs(v0), 1e-12 * scale) or abs(v1) > 1e12 * scale:
         return values, INF
     if len(values) >= 3:
         d1, d2 = v0 - values[-3], v1 - v0

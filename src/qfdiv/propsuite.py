@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .channels import (
     apply_channel,
@@ -183,6 +182,11 @@ def _check_homogeneity(trial: _Trial) -> list[float]:
     ]
 
 
+def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix ``a (+) b``."""
+    return np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
+
+
 def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
     d1, d2, t = trial.dims, trial.next_dims, trial.t
     f = make_tsallis_f(trial.alpha)
@@ -190,7 +194,7 @@ def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
     b1 = random_density(d1, d1, trial.seed("b1")).entries
     a2 = random_density(d2, 1 + (t + 1) % d2, trial.seed("a2")).entries
     b2 = random_density(d2, d2, trial.seed("b2")).entries
-    whole = quantum_f_divergence(block_diag(a1, a2), block_diag(b1, b2), f)
+    whole = quantum_f_divergence(_direct_sum(a1, a2), _direct_sum(b1, b2), f)
     parts = quantum_f_divergence(a1, b1, f) + quantum_f_divergence(a2, b2, f)
     return [-abs(whole - parts)]
 

@@ -300,6 +300,17 @@ class TestEpsSweep:
                 worst = max(worst, abs(limit - quantum_f_divergence(a, b, f)))
         assert worst <= 1e-4
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("lam", [1e-14, 1.0, 1e13])
+    def test_limit_scales_with_both_arguments(self, lam, alpha):
+        # the growth floor and cap are relative: at lam = 1e13 the values
+        # (2.11e12, 5.11e12 and 1.78e13) are finite, not divergent
+        a, b = np.diag([0.5, 0.5]), np.diag([0.9, 0.1])
+        f = make_tsallis_f(alpha)
+        unit = quantum_f_divergence_eps_sweep(a, b, f)[1]
+        _, limit = quantum_f_divergence_eps_sweep(lam * a, lam * b, f)
+        assert limit == pytest.approx(lam * unit, rel=1e-6)
+
     def test_rejects_empty_schedule(self):
         with pytest.raises(DomainError):
             quantum_f_divergence_eps_sweep(KET0, KET1, make_tsallis_f(1.0), eps_schedule=())

@@ -1,6 +1,9 @@
 """The modules of ``qfdiv`` form a strict layer order: imports only point down."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,21 @@ def test_every_module_has_a_layer():
 def test_imports_point_down(name):
     upward = sorted(m for m in relative_imports(name) if RANK[m] >= RANK[name])
     assert not upward, f"qfdiv.{name} imports from its own or a higher layer: {upward}"
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules loaded by other tests cannot hide an import;
+    # a None entry in sys.modules blocks an import and is not a loaded module
+    probe = (
+        "import sys, qfdiv; print(sorted(m for m, mod in sys.modules.items()"
+        " if m.startswith('scipy') and mod is not None))"
+    )
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "[]"
