@@ -6,7 +6,7 @@ layers, each importing only from the layers listed before it (the shared
 
 - :mod:`qfdiv.linalg`: operator types and factored states, the one kernel
   rule for the spectrum of a positive operator (eigensolve, PSD check,
-  kernel clamped to exact zeros), supports, tensor products, partial traces.
+  kernel clamped to exact zeros), supports, partial traces.
 - :mod:`qfdiv.fdiv`: the divergence-function catalog and the classical and
   quantum f-divergence engines (spectral form plus epsilon-sweep validation).
 - :mod:`qfdiv.condent`: conditional entropies -- generic minimization over the
@@ -24,8 +24,6 @@ from .channels import (
     pure_bipartite_from_schmidt,
     random_channel,
     random_density,
-    support_pinching_channel,
-    validate_tpcp,
 )
 from .condent import (
     OptimizationReport,
@@ -54,7 +52,6 @@ from .linalg import (
     BipartiteState,
     DensityOperator,
     HermitianOperator,
-    kron,
     partial_trace,
     support_projector,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "conditional_entropy_vn_closed",
     "csiszar_divergence",
     "embed_ancilla",
-    "kron",
     "make_tsallis_f",
     "partial_trace",
     "pure_bipartite_from_schmidt",
@@ -96,11 +92,9 @@ __all__ = [
     "random_density",
     "run_property",
     "run_suite",
-    "support_pinching_channel",
     "support_projector",
     "thm2_bounds",
     "tsallis_divergence_closed",
     "tsallis_entropy",
-    "validate_tpcp",
     "vn_relative_entropy_closed",
 ]

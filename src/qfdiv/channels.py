@@ -22,7 +22,6 @@ from .linalg import (
     _probability_vector,
     _schmidt_coefficients,
     as_matrix,
-    support_projector,
 )
 
 _TPCP_TOL = 1e-9
@@ -59,11 +58,6 @@ class KrausChannel:
 def _completeness_defect(phi: KrausChannel) -> float:
     acc = sum(k.conj().T @ k for k in phi.kraus_ops)
     return float(np.abs(acc - np.eye(phi.d_in)).max())
-
-
-def validate_tpcp(phi: KrausChannel, tol: float = _TPCP_TOL) -> bool:
-    """True when the Kraus operators resolve the identity within ``tol``."""
-    return _completeness_defect(phi) <= tol
 
 
 def apply_channel(phi: KrausChannel, rho):
@@ -131,21 +125,6 @@ def pure_bipartite_from_schmidt(
     for i, ci in enumerate(c):
         psi += ci * np.kron(u_a[:, i], u_b[:, i])
     return BipartiteState(np.outer(psi, psi.conj()), (d_a, d_b))
-
-
-def support_pinching_channel(rho_b, d_a: int) -> KrausChannel:
-    """Two-operator pinching onto the support of the conditioning marginal.
-
-    Kraus operators ``1_A (x) P`` and ``1_A (x) (1 - P)`` with ``P`` the support
-    projector of ``rho_b``; it leaves any joint state supported inside
-    ``range(rho_A) (x) range(rho_B)`` unchanged.
-    """
-    p = support_projector(rho_b).entries
-    d_b = p.shape[0]
-    eye_a = np.eye(d_a)
-    ops = (np.kron(eye_a, p), np.kron(eye_a, np.eye(d_b) - p))
-    d = d_a * d_b
-    return KrausChannel(ops, d_in=d, d_out=d)
 
 
 def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:

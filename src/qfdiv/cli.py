@@ -23,7 +23,6 @@ from .condent import (
     OptimizerOptions,
     conditional_entropy_optimize,
     conditional_entropy_tsallis_closed,
-    conditional_entropy_vn_closed,
     thm2_bounds,
 )
 from .errors import ConvergenceError, DomainError
@@ -199,10 +198,8 @@ def _cmd_condent(args) -> int:
         raise DomainError("condent needs a state file with a dims field")
     f = _family_function(args.family, args.alpha)
     if args.method == "closed":
-        if args.family == "kl":
-            value = conditional_entropy_vn_closed(state)
-        else:
-            value, _ = conditional_entropy_tsallis_closed(state, args.alpha)
+        alpha = 1.0 if args.family == "kl" else args.alpha
+        value, _ = conditional_entropy_tsallis_closed(state, alpha)
     else:
         opts = OptimizerOptions(
             starts=args.starts,

@@ -60,9 +60,10 @@ class OptimizationReport:
     sigma_star: DensityOperator
     starts: int
     iterations_per_start: tuple[int, ...]
-    best_start_index: int
     converged: bool
-    gap: float  # Frank-Wolfe gap of the accepted start: its value is within it of the optimum
+    # the accepted start's value minus the best lower bound on the optimum that its
+    # Frank-Wolfe gaps gave: its value is within this of the optimum
+    gap: float
 
 
 def _monotone_alpha(alpha: float) -> float:
@@ -280,14 +281,19 @@ class _Objective:
         start takes up to ``_POLISH_STEPS`` Frank-Wolfe steps
         ``sigma -> sigma + gamma (vv^dag - sigma)`` toward the eigenvector ``v``
         of G's least eigenvalue, with ``gamma`` in ``[0, 1]`` where the slope
-        of F along the step changes sign.
+        of F along the step changes sign.  Each point's ``F - gap`` bounds
+        ``min F`` from below, and the Frank-Wolfe gap is not monotone along
+        the steps, so the gap returned is the last value minus the greatest of
+        these bounds: never above any gap seen.
         """
         _, u, p = self._frame(theta)
         value, gt, g_mean = self._at(p, u)
-        gap = _fw_gap(gt, g_mean)
+        fw = gap = _fw_gap(gt, g_mean)
+        bound = -math.inf
         for _ in range(_POLISH_STEPS):
-            if gap <= tol or gap == math.inf:
+            if gap <= tol or fw == math.inf:
                 break
+            bound = max(bound, value - fw)
             v = np.linalg.eigh(gt)[1][:, 0]
             direction = np.outer(v, v.conj()) - np.diag(p)  # in the basis u
 
@@ -305,10 +311,11 @@ class _Objective:
             hi = 1.0
             while not math.isfinite(slope_hi := slope(hi)):
                 hi *= 0.5
-            gamma = hi if slope_hi <= 0.0 else _illinois(slope, -gap, hi, slope_hi)
+            gamma = hi if slope_hi <= 0.0 else _illinois(slope, -fw, hi, slope_hi)
             p, u, _ = moved(gamma)
             value, gt, g_mean = self._at(p, u)
-            gap = _fw_gap(gt, g_mean)
+            fw = _fw_gap(gt, g_mean)
+            gap = min(fw, value - bound)
         return value, self._embed(p, u), gap
 
     def _embed(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -444,7 +451,6 @@ def conditional_entropy_optimize(
                 sigma_star=DensityOperator(sigma),
                 starts=len(runs),
                 iterations_per_start=tuple(nit for nit, _, _ in runs),
-                best_start_index=len(runs) - 1,
                 converged=True,
                 gap=gap,
             )

@@ -2,8 +2,8 @@
 
 A divergence is described by a :class:`DivergenceFunction`: a convex scalar
 function on the positive axis together with its boundary data -- the limit at
-zero, the slope at infinity ``ell = lim f(x)/x``, and the value at one.  Every
-divergence returned here is an extended real: a finite ``float`` or ``math.inf``.
+zero and the slope at infinity ``ell = lim f(x)/x``.  Every divergence
+returned here is an extended real: a finite ``float`` or ``math.inf``.
 The kernel convention ``0 * inf = 0`` is applied explicitly where the mass of
 the first argument outside the support of the second vanishes.
 
@@ -12,7 +12,7 @@ eigenvalue pairs of the two operators plus a kernel term weighted by ``ell``;
 the epsilon sweep (second argument regularized to full rank) is a
 cross-validation mode.  Every route, closed forms included, reads both
 spectra through :func:`qfdiv.linalg.psd_eigh` and calls a kernel mass
-significant when it exceeds ``rank_tol`` times the trace of the operator it
+significant when it exceeds ``RANK_TOL`` times the trace of the operator it
 is taken from.
 """
 
@@ -51,17 +51,11 @@ class DivergenceFunction:
     slope: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     f_at_zero: float
     ell: float
-    f_at_one: float
     operator_convex: bool
 
     def __post_init__(self) -> None:
         if self.ell == -INF:
             raise DomainError("divergence functions with ell = -inf are not supported")
-        got = float(self.fn(np.asarray(1.0)))
-        if abs(got - self.f_at_one) > 1e-12:
-            raise DomainError(
-                f"f_at_one inconsistent with the evaluator: {self.f_at_one!r} vs f(1)={got!r}"
-            )
 
     def __call__(self, xi):
         return self.fn(np.asarray(xi, dtype=float))
@@ -95,7 +89,6 @@ def make_tsallis_f(alpha: float) -> DivergenceFunction:
             slope=np.negative,
             f_at_zero=0.0,
             ell=INF,
-            f_at_one=0.0,
             operator_convex=True,
         )
     return DivergenceFunction(
@@ -104,7 +97,6 @@ def make_tsallis_f(alpha: float) -> DivergenceFunction:
         slope=lambda xi, a=alpha: -(xi**a),
         f_at_zero=0.0,
         ell=INF if alpha > 1.0 else 1.0 / (1.0 - alpha),
-        f_at_one=0.0,
         operator_convex=alpha <= 2.0,
     )
 
@@ -137,7 +129,7 @@ def csiszar_divergence(p, q, f: DivergenceFunction) -> float:
     return total
 
 
-def _spectra(A, B, rank_tol: float):
+def _spectra(A, B):
     """Clamped spectra of two PSD operators, their overlap table, and their kernel sizes.
 
     Returns ``(a, b, table, ka, kb)``: ascending eigenvalues from
@@ -150,8 +142,8 @@ def _spectra(A, B, rank_tol: float):
     m_b = as_matrix(B)
     if m_a.shape != m_b.shape:
         raise DomainError(f"dimension mismatch: {m_a.shape} vs {m_b.shape}")
-    a, u = psd_eigh(m_a, rank_tol)
-    b, v = psd_eigh(m_b, rank_tol)
+    a, u = psd_eigh(m_a)
+    b, v = psd_eigh(m_b)
     table = np.abs(u.conj().T @ v) ** 2
     return a, b, table, int(a.searchsorted(0.0, "right")), int(b.searchsorted(0.0, "right"))
 
@@ -161,39 +153,34 @@ def _kernel_mass(a, table, ka: int, kb: int) -> float:
     return float(a[ka:] @ table[ka:, :kb].sum(axis=1))
 
 
-def quantum_f_divergence(
-    A,
-    B,
-    f: DivergenceFunction,
-    rank_tol: float = RANK_TOL,
-) -> float:
+def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
     """Quantum f-divergence of PSD operator ``A`` with respect to ``B``.
 
     Evaluates the spectral double sum ``sum_{a, b>0} b f(a/b) tr(P_a Q_b)``
     over the eigenpairs of ``A`` and ``B``, plus the kernel term
     ``ell * tr(A (1 - B^0))`` and, when ``f(0+)`` is nonzero, the term
     ``f(0+) * tr(B (1 - A^0))``.  Both spectra come from
-    :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below ``rank_tol`` times
+    :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below ``RANK_TOL`` times
     the operator's largest eigenvalue are the kernel and count as exact
     zeros.  The result is ``inf`` exactly when ``ell = inf`` and the kernel
-    mass exceeds ``rank_tol * tr A``, or ``f(0+) = inf`` and the mass of
-    ``B`` on the kernel of ``A`` exceeds ``rank_tol * tr B``; below those
+    mass exceeds ``RANK_TOL * tr A``, or ``f(0+) = inf`` and the mass of
+    ``B`` on the kernel of ``A`` exceeds ``RANK_TOL * tr B``; below those
     thresholds the infinite coefficient multiplies a mass taken as zero.
     """
-    a, b, table, ka, kb = _spectra(A, B, rank_tol)
+    a, b, table, ka, kb = _spectra(A, B)
     total = 0.0
     if kb:
         kernel_mass = _kernel_mass(a, table, ka, kb)
         if f.ell != INF:
             total = f.ell * kernel_mass
-        elif kernel_mass > rank_tol * a.sum():
+        elif kernel_mass > RANK_TOL * a.sum():
             return INF
         # else 0 * inf := 0 -- mass inside rank tolerance contributes nothing
     b_pos = b[kb:]
     if ka and f.f_at_zero != 0.0:
         zero_mass = float(table[:ka, kb:].sum(axis=0) @ b_pos)
         if f.f_at_zero == INF:
-            if zero_mass > rank_tol * b.sum():
+            if zero_mass > RANK_TOL * b.sum():
                 return INF
         else:
             total += f.f_at_zero * zero_mass
@@ -213,7 +200,6 @@ def quantum_f_divergence_eps_sweep(
     B,
     f: DivergenceFunction,
     eps_schedule: Sequence[float] = (1e-5, 1e-6, 1e-7),
-    rank_tol: float = RANK_TOL,
 ) -> tuple[list[float], float]:
     """Divergence against ``B + eps * tr(B) * I`` along a decreasing epsilon schedule.
 
@@ -226,7 +212,7 @@ def quantum_f_divergence_eps_sweep(
     full-rank ``B`` (``p = 1``) and a rank-deficient ``B`` with finite ``ell``,
     where the power-family tail decays like ``eps**(1 - alpha)``.  The limit
     is ``inf`` when ``ell = inf`` and the mass of ``A`` on the kernel of
-    ``B`` exceeds ``rank_tol * tr A`` (the same test as
+    ``B`` exceeds ``RANK_TOL * tr A`` (the same test as
     :func:`quantum_f_divergence`; the regularized values then grow only like
     ``log(1/eps)`` or a power of it), or when the last value exceeds
     ``1e12 tr A`` or ten times its predecessor (a predecessor below
@@ -239,10 +225,10 @@ def quantum_f_divergence_eps_sweep(
         raise DomainError("eps_schedule must be strictly decreasing and positive")
     m_a, m_b = as_matrix(A), as_matrix(B)
     shift = float(np.trace(m_b).real) * np.eye(m_b.shape[0])
-    values = [quantum_f_divergence(m_a, m_b + e * shift, f, rank_tol=rank_tol) for e in eps]
+    values = [quantum_f_divergence(m_a, m_b + e * shift, f) for e in eps]
     if f.ell == INF:
-        a, _, table, ka, kb = _spectra(m_a, m_b, rank_tol)
-        if _kernel_mass(a, table, ka, kb) > rank_tol * a.sum():
+        a, _, table, ka, kb = _spectra(m_a, m_b)
+        if _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum():
             return values, INF
     if len(values) == 1:
         return values, values[0]
@@ -259,37 +245,32 @@ def quantum_f_divergence_eps_sweep(
     return values, v1 + (v1 - v0) * e1 / (e0 - e1)
 
 
-def tsallis_divergence_closed(
-    A,
-    B,
-    alpha: float,
-    rank_tol: float = RANK_TOL,
-) -> float:
+def tsallis_divergence_closed(A, B, alpha: float) -> float:
     """Power-family divergence via the closed trace form, powers on supports.
 
     Computes ``(tr(A^alpha B^(1-alpha)) - tr A) / (alpha - 1)``; for
     ``alpha > 1`` the value is ``inf`` when the mass of ``A`` on the kernel of
-    ``B`` exceeds ``rank_tol * tr A``.  Within ``1e-6`` of ``alpha = 1`` this
+    ``B`` exceeds ``RANK_TOL * tr A``.  Within ``1e-6`` of ``alpha = 1`` this
     delegates to the logarithmic form.
     """
     alpha = _positive_alpha(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return vn_relative_entropy_closed(A, B, rank_tol=rank_tol)
-    a, b, table, ka, kb = _spectra(A, B, rank_tol)
-    if alpha > 1.0 and _kernel_mass(a, table, ka, kb) > rank_tol * a.sum():
+        return vn_relative_entropy_closed(A, B)
+    a, b, table, ka, kb = _spectra(A, B)
+    if alpha > 1.0 and _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum():
         return INF
     cross = float(a[ka:] ** alpha @ table[ka:, kb:] @ b[kb:] ** (1.0 - alpha))
     return (cross - float(a.sum())) / (alpha - 1.0)
 
 
-def vn_relative_entropy_closed(A, B, rank_tol: float = RANK_TOL) -> float:
+def vn_relative_entropy_closed(A, B) -> float:
     """Relative entropy ``tr(A log A - A log B)`` on supports, ``inf`` off-support.
 
     Off-support means the mass of ``A`` on the kernel of ``B`` exceeds
-    ``rank_tol * tr A``.
+    ``RANK_TOL * tr A``.
     """
-    a, b, table, ka, kb = _spectra(A, B, rank_tol)
-    if _kernel_mass(a, table, ka, kb) > rank_tol * a.sum():
+    a, b, table, ka, kb = _spectra(A, B)
+    if _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum():
         return INF
     a_pos = a[ka:]
     first = float(np.sum(a_pos * np.log(a_pos)))

@@ -8,10 +8,10 @@ eigensolve, a positive semi-definiteness check, and eigenvalues at or below
 near-equal eigenvalues stay separate, which leaves spectral sums unchanged
 because they do not depend on the basis chosen inside an eigenspace.
 
-Tensor index convention: ``kron(A, B)`` puts the A index outer and the B
-index inner, i.e. the composite row index is ``i_A * dim_B + i_B`` (the
-``numpy.kron`` layout).  All partial traces and subsystem permutations use
-the same convention.
+Tensor index convention: the A index is outer and the B index inner, i.e.
+the composite row index is ``i_A * dim_B + i_B`` (the ``numpy.kron``
+layout).  All partial traces and subsystem permutations use this
+convention.
 """
 
 from __future__ import annotations
@@ -104,21 +104,18 @@ class BipartiteState:
         return f"BipartiteState(dims={self.dims})"
 
 
-def as_matrix(x, check: bool = True) -> np.ndarray:
+def as_matrix(x) -> np.ndarray:
     """Coerce an operator wrapper or array-like to a complex square ndarray.
 
     A wrapper's entries are returned as they are, since its constructor
-    validated them.  Unless ``check`` is false, a raw array must be finite
-    and Hermitian within ``1e-12 * (1 + max|M|)``, and is symmetrized into a
-    new array.
+    validated them.  A raw array must be finite and Hermitian within
+    ``1e-12 * (1 + max|M|)``, and is symmetrized into a new array.
     """
     if isinstance(x, HermitianOperator):
         return x.entries
     m = np.asarray(x, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if not check:
-        return m
     scale = 1.0 + np.abs(m).max(initial=0.0)
     if not math.isfinite(scale):  # max propagates NaN
         raise DomainError("matrix entries must be finite")
@@ -132,40 +129,40 @@ def as_matrix(x, check: bool = True) -> np.ndarray:
     return (m + mh) / 2.0
 
 
-def clamp_psd_spectrum(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def clamp_psd_spectrum(w: np.ndarray) -> np.ndarray:
     """The kernel rule, applied in place to the ascending spectrum of a PSD matrix.
 
-    An eigenvalue below ``-rank_tol * ||M||`` is a domain error; eigenvalues
-    at or below ``rank_tol * ||M||`` become exact zeros, so the kernel is a
+    An eigenvalue below ``-RANK_TOL * ||M||`` is a domain error; eigenvalues
+    at or below ``RANK_TOL * ||M||`` become exact zeros, so the kernel is a
     leading block of zeros.  Both thresholds are relative, so the rule does
     not depend on the overall scale of ``M``.
     """
     if not w.size:
         return w
-    floor = rank_tol * max(w[-1], -w[0])
+    floor = RANK_TOL * max(w[-1], -w[0])
     if w[0] < -floor:
         raise DomainError(f"positive semi-definiteness violated: eigenvalue {w[0]:.3e}")
     w[w <= floor] = 0.0
     return w
 
 
-def psd_eigh(m: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigensystem of a PSD matrix with the kernel clamped to exact zeros.
 
     One ``eigh`` followed by :func:`clamp_psd_spectrum`, so the eigenvalues
     read ``[0, ..., 0, positive part]``.
     """
     w, v = np.linalg.eigh(m)
-    return clamp_psd_spectrum(w, rank_tol), v
+    return clamp_psd_spectrum(w), v
 
 
-def support_projector(A, rank_tol: float = RANK_TOL) -> HermitianOperator:
+def support_projector(A) -> HermitianOperator:
     """Orthogonal projector onto the range of a positive operator.
 
     The eigenvectors that :func:`psd_eigh` leaves outside the kernel span the
     support; the zero operator maps to the zero projector.
     """
-    w, v = psd_eigh(as_matrix(A), rank_tol)
+    w, v = psd_eigh(as_matrix(A))
     cols = v[:, w > 0.0]
     return HermitianOperator(cols @ cols.conj().T)
 
@@ -241,13 +238,3 @@ def permute_subsystems(entries: np.ndarray, dims: Sequence[int], perm: Sequence[
     d = math.prod(dims)
     return np.ascontiguousarray(t.transpose(axes).reshape(d, d))
 
-
-def kron(A, B):
-    """Tensor product with the A index outer and the B index inner.
-
-    Returns a wrapped operator when both inputs are wrapped, otherwise an ndarray.
-    """
-    out = np.kron(as_matrix(A, check=False), as_matrix(B, check=False))
-    if isinstance(A, HermitianOperator) and isinstance(B, HermitianOperator):
-        return HermitianOperator(out)
-    return out

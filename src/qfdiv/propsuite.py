@@ -1,8 +1,9 @@
 """Executable verification of the package's inequalities and identities.
 
 A property is one row of :data:`REGISTRY`: a per-trial ``check`` together
-with its ensemble defaults (trials, dims, alphas, tolerance) and the
-statement it verifies.  :func:`run_property` is the one trial driver: trial
+with its ensemble (default trials, dims, alphas, tolerance) and the
+statement it verifies; a :class:`PropertyConfig` sets only the master seed
+and the number of trials.  :func:`run_property` is the one trial driver: trial
 ``t`` sees the ``t``-th dims and alpha of the cycled lists and sub-seeds
 derived from the master seed, the trial label and ``t``.  A check returns
 signed margins: for an inequality ``LHS <= RHS`` the margin is ``RHS - LHS``
@@ -64,13 +65,10 @@ def derive_seed(master: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class PropertyConfig:
-    """Overrides for a property run; ``None`` fields fall back to registry defaults."""
+    """Master seed and trial count of a property run; ``trials=None`` takes the registry's."""
 
     trials: int | None = None
-    dims: tuple | None = None
-    alphas: tuple[float, ...] | None = None
     seed: int = 0
-    tolerance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -114,23 +112,24 @@ _WIDE_ALPHAS = (0.3, 0.5, 1.0, 1.5, 2.0)
 class _Trial:
     """Trial ``t`` of a property: the cycled dims and alpha, sub-seeds and a random state."""
 
-    cfg: PropertyConfig  # every field resolved against the registry row
+    spec: _PropertySpec
+    master: int  # the property's seed
     t: int
 
     @property
     def dims(self):
-        return self.cfg.dims[self.t % len(self.cfg.dims)]
+        return self.spec.dims[self.t % len(self.spec.dims)]
 
     @property
     def next_dims(self):
-        return self.cfg.dims[(self.t + 1) % len(self.cfg.dims)]
+        return self.spec.dims[(self.t + 1) % len(self.spec.dims)]
 
     @property
     def alpha(self) -> float:
-        return self.cfg.alphas[self.t % len(self.cfg.alphas)]
+        return self.spec.alphas[self.t % len(self.spec.alphas)]
 
     def seed(self, label: str) -> int:
-        return derive_seed(self.cfg.seed, f"{label}/{self.t}")
+        return derive_seed(self.master, f"{label}/{self.t}")
 
     def state(self, label: str = "state") -> BipartiteState:
         """Random state on ``dims`` whose rank ``1 + t % prod(dims)`` grows with ``t``."""
@@ -150,7 +149,7 @@ def _optimized(state: BipartiteState, alpha: float, opts: OptimizerOptions) -> f
 def _check_dpi(trial: _Trial) -> list[float]:
     d, t = trial.dims, trial.t
     margins = []
-    for ai, alpha in enumerate(trial.cfg.alphas):
+    for ai, alpha in enumerate(trial.spec.alphas):
         f = make_tsallis_f(alpha)
         rho = random_density(d, 1 + t % d, trial.seed(f"rho{ai}"))
         sig = random_density(d, d, trial.seed(f"sig{ai}"))
@@ -208,7 +207,7 @@ def _check_thm2_bounds(trial: _Trial) -> list[float]:
 
 def _check_chain_rule(trial: _Trial) -> list[float]:
     margins = []
-    for alpha in trial.cfg.alphas:
+    for alpha in trial.spec.alphas:
         state = trial.state(f"state{alpha:g}")
         h_b = _entropy(state, alpha, cond="B")
         h_bc = _entropy(state, alpha, cond="BC")
@@ -309,7 +308,7 @@ def _check_closed_vs_optimizer(trial: _Trial) -> list[float]:
 
 @dataclass(frozen=True)
 class _PropertySpec:
-    """One property: its per-trial ``check``, ensemble defaults and statement."""
+    """One property: its per-trial ``check``, ensemble and statement."""
 
     check: Callable[[_Trial], list[float]]
     trials: int
@@ -401,15 +400,9 @@ def run_property(property_id: str, config: PropertyConfig | None = None) -> Prop
     """Run one property's ensemble and summarize its margins."""
     spec = _spec(property_id)
     config = config or PropertyConfig()
-    cfg = replace(
-        config,
-        trials=config.trials if config.trials is not None else spec.trials,
-        dims=config.dims if config.dims is not None else spec.dims,
-        alphas=config.alphas if config.alphas is not None else spec.alphas,
-        tolerance=config.tolerance if config.tolerance is not None else spec.tolerance,
-    )
+    trials = spec.trials if config.trials is None else config.trials
     start = time.perf_counter()
-    margins = [m for t in range(cfg.trials) for m in spec.check(_Trial(cfg, t))]
+    margins = [m for t in range(trials) for m in spec.check(_Trial(spec, config.seed, t))]
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     margins_arr = np.asarray(margins, dtype=float)
     if margins_arr.size == 0:
@@ -417,15 +410,15 @@ def run_property(property_id: str, config: PropertyConfig | None = None) -> Prop
         violations, worst = 1, -math.inf
     else:
         # a NaN margin (inf - inf, an unconverged solve) is a violation
-        violations = int(np.sum(~(margins_arr >= -cfg.tolerance)))
+        violations = int(np.sum(~(margins_arr >= -spec.tolerance)))
         worst = float(margins_arr.min())
     return PropertyReport(
         property_id=property_id,
         trials=len(margins),
         violations=violations,
         worst_margin=worst,
-        tolerance=cfg.tolerance,
-        seed=cfg.seed,
+        tolerance=spec.tolerance,
+        seed=config.seed,
         elapsed_ms=elapsed_ms,
     )
 
@@ -457,7 +450,7 @@ def run_suite(
                     trials=0,
                     violations=1,
                     worst_margin=-math.inf,
-                    tolerance=spec.tolerance if config.tolerance is None else config.tolerance,
+                    tolerance=spec.tolerance,
                     seed=sub_config.seed,
                     elapsed_ms=0,
                 )

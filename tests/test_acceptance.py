@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Tolerances and ensemble sizes are pinned here; the randomized machinery lives
-in qfdiv.propsuite and is reused with explicit configurations.
+in qfdiv.propsuite and is reused with explicit trial counts and seeds.  Each
+property's alphas and tolerance come from its registry row, so the tests
+assert the row's values: a looser row fails its criterion.
 """
 
 import json
@@ -29,7 +31,7 @@ from qfdiv.fdiv import (
     tsallis_divergence_closed,
 )
 from qfdiv.linalg import partial_trace, support_projector
-from qfdiv.propsuite import PropertyConfig, run_property
+from qfdiv.propsuite import REGISTRY, PropertyConfig, run_property
 
 from conftest import bell_matrix
 
@@ -88,11 +90,10 @@ def test_criterion_1_golden_values():
 
 def test_criterion_2_data_processing():
     start = time.perf_counter()
-    rep = run_property(
-        "dpi",
-        PropertyConfig(trials=200, alphas=(0.3, 0.5, 1.0, 1.5, 2.0), seed=42, tolerance=1e-8),
-    )
+    rep = run_property("dpi", PropertyConfig(trials=200, seed=42))
     elapsed = time.perf_counter() - start
+    assert REGISTRY["dpi"].alphas == (0.3, 0.5, 1.0, 1.5, 2.0)
+    assert rep.tolerance == 1e-8
     report(2, "divergence monotonicity", rep.violations == 0, elapsed, budget=60.0)
 
 
@@ -124,7 +125,8 @@ def test_criterion_3_support_and_extension():
 
 def test_criterion_4_entropy_bounds():
     start = time.perf_counter()
-    rep = run_property("thm2-bounds", PropertyConfig(trials=200, seed=42, tolerance=1e-7))
+    rep = run_property("thm2-bounds", PropertyConfig(trials=200, seed=42))
+    assert rep.tolerance == 1e-7
     bell = BipartiteState(bell_matrix(), (2, 2))
     lower, _ = thm2_bounds(bell, make_tsallis_f(1.0))
     saturated = abs(conditional_entropy_vn_closed(bell) - lower) <= 1e-8
@@ -134,32 +136,31 @@ def test_criterion_4_entropy_bounds():
 
 def test_criterion_5_conditioning_data_processing():
     start = time.perf_counter()
-    channel_rep = run_property(
-        "thm3-data-processing", PropertyConfig(trials=100, seed=42, tolerance=1e-7)
-    )
-    tracing_rep = run_property(
-        "conditioning-reduces", PropertyConfig(trials=100, seed=42, tolerance=1e-7)
-    )
+    channel_rep = run_property("thm3-data-processing", PropertyConfig(trials=100, seed=42))
+    tracing_rep = run_property("conditioning-reduces", PropertyConfig(trials=100, seed=42))
     elapsed = time.perf_counter() - start
+    assert channel_rep.tolerance == 1e-7
+    assert tracing_rep.tolerance == 1e-7
     ok = channel_rep.violations == 0 and tracing_rep.violations == 0
     report(5, "channels and tracing on the conditioning side", ok, elapsed)
 
 
 def test_criterion_6_chain_rule():
     start = time.perf_counter()
-    rep = run_property(
-        "chain-rule",
-        PropertyConfig(trials=100, alphas=(0.5, 1.0, 2.0), seed=42, tolerance=1e-7),
-    )
+    rep = run_property("chain-rule", PropertyConfig(trials=100, seed=42))
     elapsed = time.perf_counter() - start
+    assert REGISTRY["chain-rule"].alphas == (0.5, 1.0, 2.0)
+    assert rep.tolerance == 1e-7
     report(6, "chain rule on three-qubit states", rep.violations == 0, elapsed)
 
 
 def test_criterion_7_register_states():
     start = time.perf_counter()
-    exact = run_property("mixture-exact", PropertyConfig(seed=42, tolerance=1e-6))
-    lower = run_property("mixture-lower", PropertyConfig(seed=42, tolerance=1e-7))
+    exact = run_property("mixture-exact", PropertyConfig(seed=42))
+    lower = run_property("mixture-lower", PropertyConfig(seed=42))
     elapsed = time.perf_counter() - start
+    assert exact.tolerance == 1e-6
+    assert lower.tolerance == 1e-7
     report(7, "register-state mixture formulas", exact.violations == 0 and lower.violations == 0, elapsed)
 
 

@@ -47,7 +47,6 @@ def mix_function():
         slope=lambda x: 0.5 * (f_half.slope(x) + f_two.slope(x)),
         f_at_zero=0.0,
         ell=math.inf,
-        f_at_one=0.0,
         operator_convex=True,
     )
 
@@ -206,7 +205,6 @@ class TestOptimizer:
         report = conditional_entropy_optimize(state, make_tsallis_f(2.0), opts)
         assert report.starts == 5
         assert len(report.iterations_per_start) == 5
-        assert report.best_start_index == 4
         assert report.gap <= opts.value_tol
         assert report.sigma_star.trace_value == pytest.approx(1.0, abs=1e-9)
 
@@ -222,7 +220,6 @@ class TestOptimizer:
         assert report.iterations_per_start[0] == 0
         assert report.starts == 2
         assert len(report.iterations_per_start) == 2
-        assert report.best_start_index == 1
         assert report.gap <= OptimizerOptions().value_tol
 
     def test_sigma_star_supported_on_reduced_state(self):
@@ -265,7 +262,6 @@ class TestOptimizer:
             slope=lambda x: 1.0 - x * x,
             f_at_zero=1.0,
             ell=math.inf,
-            f_at_one=0.0,
             operator_convex=True,
         )
         state = random_bipartite((2, 2), 2, seed=12)
@@ -503,7 +499,7 @@ class TestSaturatedStarts:
         )
         report = conditional_entropy_optimize(state, f)
         assert report.converged
-        assert report.best_start_index == 1
+        assert report.starts == 2
         assert report.value == pytest.approx(
             conditional_entropy_tsallis_closed(state, 0.5)[0], abs=1e-6
         )
@@ -546,6 +542,24 @@ class TestAcceptanceRule:
         assert report.value == pytest.approx(
             conditional_entropy_tsallis_closed(state, 0.5)[0], abs=1e-6
         )
+
+
+class TestPolish:
+    """The polish never hands back a larger gap than the point it was given."""
+
+    @pytest.mark.parametrize("seed,max_iters", [(47, 5), (45, 6)])
+    def test_gap_does_not_grow(self, seed, max_iters):
+        # the Frank-Wolfe gap after the last polish step is above the gap before
+        # the polish here: 4.1e-3 -> 4.8e-3 (seed 47) and 1.1e-4 -> 1.3e-4 (seed 45)
+        state = random_bipartite((2, 3), 6, seed=seed)
+        objective = objective_for(state, make_tsallis_f(0.5))
+        x, nit, reason = condent._descend(objective, np.zeros(objective.n_params), 1e-6, max_iters)
+        assert (nit, reason) == (max_iters, "max_iters reached")
+        before = gap_at(objective, x)
+        value, _, gap = objective.certify(x, 1e-6)
+        assert 1e-6 < gap <= before
+        minimum = -conditional_entropy_tsallis_closed(state, 0.5)[0]
+        assert gap >= value - minimum - 1e-12
 
 
 class TestDescent:

@@ -42,7 +42,6 @@ class TestCatalog:
     def test_normalization_point(self, alpha):
         f = make_tsallis_f(alpha)
         assert float(f(1.0)) == pytest.approx(0.0, abs=1e-15)
-        assert f.f_at_one == 0.0
 
     def test_ell_above_one_is_infinite(self):
         assert make_tsallis_f(1.5).ell == INF
@@ -67,11 +66,7 @@ class TestCatalog:
 
     def test_rejects_negative_infinite_ell(self):
         with pytest.raises(DomainError, match="ell"):
-            DivergenceFunction("bad", lambda x: -x * np.log(x), lambda x: x, 0.0, -INF, 0.0, False)
-
-    def test_rejects_inconsistent_f_at_one(self):
-        with pytest.raises(DomainError, match="f_at_one"):
-            DivergenceFunction("bad", lambda x: x - 1.0, lambda x: -1.0, 0.0, 1.0, 0.5, False)
+            DivergenceFunction("bad", lambda x: -x * np.log(x), lambda x: x, 0.0, -INF, False)
 
 
 class TestCsiszar:
@@ -204,7 +199,6 @@ class TestQuantumDivergence:
             slope=lambda x: 0.5 * (1.0 - x * x),
             f_at_zero=0.5,
             ell=INF,
-            f_at_one=0.0,
             operator_convex=False,
         )
         p = np.array([0.0, 0.4, 0.6])
@@ -373,7 +367,7 @@ class TestKernelRule:
             assert got == pytest.approx(lam * base, rel=1e-9)
 
     def test_kernel_mass_inside_tolerance_is_dropped(self):
-        # A's mass on B's kernel is 1e-12 of tr A: inside rank_tol, so 0 * inf = 0
+        # A's mass on B's kernel is 1e-12 of tr A: inside RANK_TOL, so 0 * inf = 0
         a = np.diag([1.0 - 1e-12, 1e-12]) * 1e-6
         b = np.diag([1.0, 0.0]) * 1e-6
         for alpha in (1.0, 1.5):

@@ -8,7 +8,6 @@ from qfdiv.linalg import (
     DensityOperator,
     HermitianOperator,
     as_matrix,
-    kron,
     partial_trace,
     permute_subsystems,
     psd_eigh,
@@ -177,24 +176,6 @@ class TestPartialTrace:
             pb = support_projector(partial_trace(rho, "B", dims=(d_a, d_b))).entries
             lifted = np.kron(pa, pb)
             assert np.abs(lifted @ rho.entries - rho.entries).max() <= 1e-8
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diag_ordering(self):
-        # A-outer / B-inner: diag(1,0) x diag(1,0) puts the unit first
-        np.testing.assert_allclose(kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), np.diag([1.0, 0, 0, 0]))
-
-    def test_trace_multiplicative(self):
-        a = random_hermitian(3, seed=11)
-        b = random_hermitian(2, seed=12)
-        assert np.trace(kron(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-    def test_wrapped_inputs_stay_wrapped(self):
-        out = kron(HermitianOperator(np.eye(2)), HermitianOperator(PAULI_X))
-        assert isinstance(out, HermitianOperator)
 
 
 class TestPermuteSubsystems:

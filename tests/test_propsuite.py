@@ -40,10 +40,6 @@ class TestRunProperty:
         assert report.trials == 48
         assert report.passed
 
-    def test_config_overrides_tolerance(self):
-        report = run_property("alpha-continuity", PropertyConfig(trials=5, tolerance=0.5))
-        assert report.tolerance == 0.5
-
     def test_deterministic_given_seed(self):
         cfg = PropertyConfig(trials=8, seed=77)
         a = run_property("thm2-bounds", cfg)
