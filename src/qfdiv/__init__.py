@@ -33,7 +33,6 @@ from .condent import (
     classical_register_closed_form,
     conditional_entropy_optimize,
     conditional_entropy_tsallis_closed,
-    conditional_entropy_vn_closed,
     pure_state_bounds_tsallis,
     thm2_bounds,
     tsallis_entropy,
@@ -79,7 +78,6 @@ __all__ = [
     "classical_register_closed_form",
     "conditional_entropy_optimize",
     "conditional_entropy_tsallis_closed",
-    "conditional_entropy_vn_closed",
     "csiszar_divergence",
     "embed_ancilla",
     "make_tsallis_f",

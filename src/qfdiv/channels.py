@@ -60,18 +60,19 @@ def _completeness_defect(phi: KrausChannel) -> float:
     return float(np.abs(acc - np.eye(phi.d_in)).max())
 
 
-def apply_channel(phi: KrausChannel, rho):
-    """Apply the channel; returns a wrapped state when given one, else an ndarray."""
+def apply_channel(phi: KrausChannel, rho) -> np.ndarray:
+    """The Hermitian ndarray ``sum_n K_n rho K_n^dag``, for a wrapped or a raw input.
+
+    The output is not validated; wrap it in a :class:`DensityOperator` or a
+    :class:`BipartiteState` where a checked state is needed.
+    """
     m = as_matrix(rho)
     if m.shape[0] != phi.d_in:
         raise DomainError(f"dimension mismatch: channel input {phi.d_in}, state {m.shape[0]}")
     out = np.zeros((phi.d_out, phi.d_out), dtype=np.complex128)
     for k in phi.kraus_ops:
         out += k @ m @ k.conj().T
-    out = (out + out.conj().T) / 2.0
-    if isinstance(rho, DensityOperator):
-        return DensityOperator(out)
-    return out
+    return (out + out.conj().T) / 2.0
 
 
 def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChannel:

@@ -166,13 +166,13 @@ def _build_parser() -> _Parser:
     p_s.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
     p_r = sub.add_parser("random", help="generate a seeded random object")
-    p_r.add_argument("kind", choices=("state", "channel", "pure"))
+    p_r.add_argument("kind", choices=("state", "channel"))
     p_r.add_argument(
         "--dims",
         type=int,
         nargs="+",
         required=True,
-        help="state: d or factors; channel: d_in d_out env; pure: d_A d_B",
+        help="state: d or factors; channel: d_in d_out env",
     )
     p_r.add_argument("--rank", type=int, help="state rank (default: full)")
     p_r.add_argument("--seed", type=int, default=0)
@@ -250,16 +250,11 @@ def _cmd_random(args) -> int:
         rank = args.rank if args.rank is not None else d
         rho = random_density(d, rank, args.seed)
         write_matrix_file(args.out, rho.entries, dims=dims if len(dims) > 1 else None)
-    elif args.kind == "channel":
+    else:  # channel
         if len(dims) != 3:
             raise DomainError("random channel needs --dims d_in d_out env")
         phi = random_channel(dims[0], dims[1], dims[2], args.seed)
         write_channel_file(args.out, phi)
-    else:  # pure
-        if len(dims) != 2:
-            raise DomainError("random pure needs --dims d_A d_B")
-        rho = random_density(dims[0] * dims[1], 1, args.seed)
-        write_matrix_file(args.out, rho.entries, dims=dims)
     return 0
 
 

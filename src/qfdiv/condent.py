@@ -12,8 +12,8 @@ Frank-Wolfe gap of its sigma-gradient certifies an iterate: a descent stops at
 the first iterate whose gap is within the value tolerance, and starts run one
 at a time until one is certified.
 For the power family there is an independent closed form (the reduced
-``alpha``-power trace), and for ``alpha = 1`` the entropy-difference formula;
-both are cross-validated against the optimizer in the test suite.
+``alpha``-power trace, and at ``alpha = 1`` the entropy difference), which
+the test suite cross-validates against the optimizer.
 
 States carry their factor dimensions; ``cond`` selects the conditioning
 factors by label, e.g. ``cond="B"`` on an (A, B, C) state conditions on the
@@ -58,7 +58,6 @@ class OptimizerOptions:
 class OptimizationReport:
     value: float
     sigma_star: DensityOperator
-    starts: int
     iterations_per_start: tuple[int, ...]
     converged: bool
     # the accepted start's value minus the best lower bound on the optimum that its
@@ -146,7 +145,9 @@ _POLISH_STEPS = 4
 _ARMIJO = 1e-4
 _CURVATURE = 0.9
 _LINE_SEARCH_STEPS = 50
-# most slope evaluations of one polish step's root search
+# a polish step's bisection stops once its bracket [lo, hi] is at most this
+# fraction of hi wide, or after the most halvings
+_ROOT_RTOL = 1e-3
 _ROOT_STEPS = 100
 
 
@@ -155,39 +156,6 @@ def _fw_gap(gt: np.ndarray, g_mean: float) -> float:
     if not (math.isfinite(g_mean) and np.isfinite(gt).all()):
         return math.inf
     return max(g_mean - float(np.linalg.eigvalsh(gt)[0]), 0.0)
-
-
-def _illinois(fn, f_lo: float, hi: float, f_hi: float) -> float:
-    """Root of ``fn`` in ``[0, hi]`` from ``fn(0) = f_lo < 0 < f_hi = fn(hi)``.
-
-    Regula falsi with the Illinois rule: when the same end of the bracket is
-    kept twice in a row, the value at the other end is halved.  A step that
-    did not halve the bracket is followed by a bisection, since the slope can
-    be huge next to ``hi``.  Stops when the bracket is a few ulps wide.
-    """
-    lo, kept, halved = 0.0, 0, True
-    for _ in range(_ROOT_STEPS):
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) if halved else 0.5 * (lo + hi)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = fn(x)
-        if fx == 0.0:
-            return x
-        width = hi - lo
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            if kept == -1:
-                f_hi *= 0.5
-            kept = -1
-        else:
-            hi, f_hi = x, fx
-            if kept == 1:
-                f_lo *= 0.5
-            kept = 1
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-        halved = hi - lo <= 0.5 * width
-    return 0.5 * (lo + hi)
 
 
 class _Objective:
@@ -280,11 +248,15 @@ class _Objective:
         a descent can stop with a small theta-gradient and a large gap.  Such a
         start takes up to ``_POLISH_STEPS`` Frank-Wolfe steps
         ``sigma -> sigma + gamma (vv^dag - sigma)`` toward the eigenvector ``v``
-        of G's least eigenvalue, with ``gamma`` in ``[0, 1]`` where the slope
-        of F along the step changes sign.  Each point's ``F - gap`` bounds
-        ``min F`` from below, and the Frank-Wolfe gap is not monotone along
-        the steps, so the gap returned is the last value minus the greatest of
-        these bounds: never above any gap seen.
+        of G's least eigenvalue.  F is convex along the step, so ``gamma`` is
+        the lower end of a bisection of ``[0, 1]`` on the sign of F's slope (a
+        slope that is not finite lies past an eigenvalue the value needs and
+        counts as positive), stopped at ``_ROOT_RTOL`` relative width.  The gap
+        is computed where the step lands, so that width costs progress, never
+        a wrong gap.  Each point's ``F - gap`` bounds ``min F`` from below, and
+        the Frank-Wolfe gap is not monotone along the steps, so the gap
+        returned is the last value minus the greatest of these bounds: never
+        above any gap seen.
         """
         _, u, p = self._frame(theta)
         value, gt, g_mean = self._at(p, u)
@@ -307,12 +279,16 @@ class _Objective:
                 with np.errstate(all="ignore"):
                     return float(np.sum(gt_gamma * (w.conj().T @ direction @ w).T).real)
 
-            # the value is inf past the point where an eigenvalue it needs vanishes
-            hi = 1.0
-            while not math.isfinite(slope_hi := slope(hi)):
-                hi *= 0.5
-            gamma = hi if slope_hi <= 0.0 else _illinois(slope, -fw, hi, slope_hi)
-            p, u, _ = moved(gamma)
+            lo, hi = 0.0, 1.0
+            for _ in range(_ROOT_STEPS):
+                if hi - lo <= _ROOT_RTOL * hi:
+                    break
+                mid = 0.5 * (lo + hi)
+                if -math.inf < slope(mid) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            p, u, _ = moved(lo)
             value, gt, g_mean = self._at(p, u)
             fw = _fw_gap(gt, g_mean)
             gap = min(fw, value - bound)
@@ -321,10 +297,6 @@ class _Objective:
     def _embed(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``u diag(p) u^dag`` written on the full conditioning space."""
         return self.support @ ((u * p) @ u.conj().T) @ self.support.conj().T
-
-    def sigma(self, theta: np.ndarray) -> np.ndarray:
-        _, u, p = self._frame(theta)
-        return self._embed(p, u)
 
 
 def _start_points(objective: _Objective, opts: OptimizerOptions):
@@ -449,7 +421,6 @@ def conditional_entropy_optimize(
             return OptimizationReport(
                 value=-value,
                 sigma_star=DensityOperator(sigma),
-                starts=len(runs),
                 iterations_per_start=tuple(nit for nit, _, _ in runs),
                 converged=True,
                 gap=gap,
@@ -471,13 +442,16 @@ def conditional_entropy_tsallis_closed(
     The minimizer is the normalized ``1/alpha`` power of the reduced
     ``alpha``-power ``tr_rest(rho**alpha)``, giving the value
     ``(1 - (tr [tr_rest(rho**alpha)]**(1/alpha))**alpha) / (alpha - 1)``.
-    Valid for ``alpha`` in ``(0, 2]`` where the divergence is monotone.
+    At ``alpha = 1`` this is the entropy difference ``H(rho) - H(rho_cond)``
+    with the conditioning marginal ``rho_cond`` as the minimizer.  Valid for
+    ``alpha`` in ``(0, 2]`` where the divergence is monotone.
     """
     alpha = _monotone_alpha(alpha)
     entries, d_rest, d_cond = _conditioning_view(state, cond)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
-        return conditional_entropy_vn_closed(state, cond), DensityOperator(rho_cond)
+        value = tsallis_entropy(entries, 1.0) - tsallis_entropy(rho_cond, 1.0)
+        return value, DensityOperator(rho_cond)
     w, v = psd_eigh(entries)
     rho_pow = (v * w**alpha) @ v.conj().T
     reduced = ptrace_entries(rho_pow, (d_rest, d_cond), [1])
@@ -486,13 +460,6 @@ def conditional_entropy_tsallis_closed(
     norm = float(np.trace(root).real)
     value = (1.0 - norm**alpha) / (alpha - 1.0)
     return value, DensityOperator(root / norm)
-
-
-def conditional_entropy_vn_closed(state: BipartiteState, cond: str = "B") -> float:
-    """Entropy-difference form ``H(rho) - H(rho_cond)`` of the conditional entropy."""
-    entries, d_rest, d_cond = _conditioning_view(state, cond)
-    rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
-    return tsallis_entropy(entries, 1.0) - tsallis_entropy(rho_cond, 1.0)
 
 
 def thm2_bounds(
@@ -567,6 +534,4 @@ def chain_rule_rhs(h_abc_given_bc: float, d_c: int, alpha: float) -> float:
     if d_c < 1:
         raise DomainError(f"d_C must be at least 1, got {d_c}")
     alpha = _monotone_alpha(alpha)
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return float(h_abc_given_bc) + math.log(d_c)
     return d_c ** (1.0 - alpha) * float(h_abc_given_bc) + alpha_log(float(d_c), alpha)

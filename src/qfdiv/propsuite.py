@@ -155,9 +155,7 @@ def _check_dpi(trial: _Trial) -> list[float]:
         sig = random_density(d, d, trial.seed(f"sig{ai}"))
         phi = random_channel(d, trial.next_dims, 2, trial.seed(f"phi{ai}"))
         pre = quantum_f_divergence(rho.entries, sig.entries, f)
-        post = quantum_f_divergence(
-            apply_channel(phi, rho).entries, apply_channel(phi, sig).entries, f
-        )
+        post = quantum_f_divergence(apply_channel(phi, rho), apply_channel(phi, sig), f)
         margins.append(pre - post)
     return margins
 

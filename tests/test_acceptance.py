@@ -20,7 +20,6 @@ from qfdiv.condent import (
     OptimizerOptions,
     conditional_entropy_optimize,
     conditional_entropy_tsallis_closed,
-    conditional_entropy_vn_closed,
     thm2_bounds,
 )
 from qfdiv.fdiv import (
@@ -62,7 +61,7 @@ def test_criterion_1_golden_values():
     checks.append(elapsed_h2 < 1.0)
 
     start = time.perf_counter()
-    h1_closed = conditional_entropy_vn_closed(bell)
+    h1_closed = conditional_entropy_tsallis_closed(bell, 1.0)[0]
     h1_opt = conditional_entropy_optimize(bell, make_tsallis_f(1.0)).value
     checks.append(abs(h1_closed - -LN2) <= 1e-8)
     checks.append(abs(h1_opt - -LN2) <= 1e-8)
@@ -129,7 +128,7 @@ def test_criterion_4_entropy_bounds():
     assert rep.tolerance == 1e-7
     bell = BipartiteState(bell_matrix(), (2, 2))
     lower, _ = thm2_bounds(bell, make_tsallis_f(1.0))
-    saturated = abs(conditional_entropy_vn_closed(bell) - lower) <= 1e-8
+    saturated = abs(conditional_entropy_tsallis_closed(bell, 1.0)[0] - lower) <= 1e-8
     elapsed = time.perf_counter() - start
     report(4, "two-sided trace bounds", rep.violations == 0 and saturated, elapsed)
 

@@ -40,7 +40,11 @@ class TestApplyChannel:
     def test_identity_channel(self):
         rho = random_density(3, 2, seed=1)
         out = apply_channel(KrausChannel((np.eye(3),), 3, 3), rho)
-        np.testing.assert_allclose(out.entries, rho.entries, atol=1e-14)
+        np.testing.assert_allclose(out, rho.entries, atol=1e-14)
+
+    def test_returns_array_for_wrapped_input(self):
+        out = apply_channel(KrausChannel((np.eye(2),), 2, 2), random_density(2, 1, seed=3))
+        assert type(out) is np.ndarray
 
     def test_full_dephasing_of_plus(self):
         k0 = np.diag([1.0, 0.0])
@@ -54,7 +58,7 @@ class TestApplyChannel:
         tracer = trace_out_last_factor_channel(4, 2)
         via_channel = apply_channel(tracer, rho)
         via_ptrace = ptrace_entries(rho.entries, (2, 2, 2), [0, 1])
-        np.testing.assert_allclose(via_channel.entries, via_ptrace, atol=1e-13)
+        np.testing.assert_allclose(via_channel, via_ptrace, atol=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError, match="dimension mismatch"):
@@ -67,8 +71,9 @@ class TestApplyChannel:
             phi = random_channel(d_in, d_out, 2, seed=5000 + t)
             rho = random_density(d_in, 1 + t % d_in, seed=6000 + t)
             out = apply_channel(phi, rho)
-            assert abs(out.trace_value - rho.trace_value) <= 1e-10
-            assert np.linalg.eigvalsh(out.entries).min() >= -1e-9
+            assert abs(np.trace(out).real - rho.trace_value) <= 1e-10
+            assert np.abs(out - out.conj().T).max() == 0.0
+            assert np.linalg.eigvalsh(out).min() >= -1e-9
 
 
 class TestRandomChannel:

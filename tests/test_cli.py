@@ -63,12 +63,13 @@ class TestParseMatrixFile:
         assert state.dims == (2, 2)
 
     def test_non_hermitian_names_invariant(self, tmp_path):
-        path = write_state(tmp_path / "bad.json", np.eye(2))
-        doc = json.loads(open(path).read())
+        bad = tmp_path / "bad.json"
+        write_state(bad, np.eye(2))
+        doc = json.loads(bad.read_text())
         doc["re"][1] = 0.5
-        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc))
         with pytest.raises(Exception, match="Hermiticity"):
-            parse_matrix_file(str(tmp_path / "bad.json"))
+            parse_matrix_file(str(bad))
 
     def test_trace_bound_named(self, tmp_path):
         path = write_state(tmp_path / "heavy.json", np.diag([1.0, 0.5]))
@@ -210,10 +211,17 @@ class TestRandomCommand:
 
     def test_pure_state(self, tmp_path):
         out = tmp_path / "pure.json"
-        main(["random", "pure", "--dims", "2", "3", "--seed", "2", "--out", str(out)])
+        main(["random", "state", "--dims", "2", "3", "--rank", "1", "--seed", "2",
+              "--out", str(out)])
         state = parse_matrix_file(str(out))
         purity = np.trace(state.entries @ state.entries).real
         assert purity == pytest.approx(1.0, abs=1e-10)
+
+    def test_pure_kind_is_gone(self, tmp_path, capsys):
+        # a pure state is `random state --rank 1`
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "pure", "--dims", "2", "3", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 1
 
     def test_rank_out_of_range(self, tmp_path, capsys):
         code = main(["random", "state", "--dims", "2", "--rank", "5", "--seed", "0",

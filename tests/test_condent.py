@@ -18,7 +18,6 @@ from qfdiv.condent import (
     classical_register_closed_form,
     conditional_entropy_optimize,
     conditional_entropy_tsallis_closed,
-    conditional_entropy_vn_closed,
     pure_state_bounds_tsallis,
     thm2_bounds,
     tsallis_entropy,
@@ -143,7 +142,8 @@ class TestGoldenValues:
         assert report.value == pytest.approx(-1.0, abs=1e-9)
 
     def test_bell_log_family(self, bell_state):
-        assert conditional_entropy_vn_closed(bell_state) == pytest.approx(-LN2, abs=1e-12)
+        value, _ = conditional_entropy_tsallis_closed(bell_state, 1.0)
+        assert value == pytest.approx(-LN2, abs=1e-12)
         report = conditional_entropy_optimize(bell_state, make_tsallis_f(1.0))
         assert report.value == pytest.approx(-LN2, abs=1e-8)
 
@@ -165,7 +165,7 @@ class TestGoldenValues:
         coeffs = np.sqrt([0.6, 0.3, 0.1])
         state = pure_bipartite_from_schmidt(coeffs, 3, 3, seed=4)
         rho_b = partial_trace(state, "B")
-        assert conditional_entropy_vn_closed(state) == pytest.approx(
+        assert conditional_entropy_tsallis_closed(state, 1.0)[0] == pytest.approx(
             -tsallis_entropy(rho_b, 1.0), abs=1e-10
         )
 
@@ -203,7 +203,6 @@ class TestOptimizer:
         state = random_bipartite((2, 2), 3, seed=8)
         opts = OptimizerOptions(starts=5, seed=99)
         report = conditional_entropy_optimize(state, make_tsallis_f(2.0), opts)
-        assert report.starts == 5
         assert len(report.iterations_per_start) == 5
         assert report.gap <= opts.value_tol
         assert report.sigma_star.trace_value == pytest.approx(1.0, abs=1e-9)
@@ -218,7 +217,6 @@ class TestOptimizer:
         )
         report = conditional_entropy_optimize(state, make_tsallis_f(2.0))
         assert report.iterations_per_start[0] == 0
-        assert report.starts == 2
         assert len(report.iterations_per_start) == 2
         assert report.gap <= OptimizerOptions().value_tol
 
@@ -311,7 +309,8 @@ class TestOptimizer:
             dims = (2, 2) if t % 2 else (2, 3)
             state = random_bipartite(dims, 1 + t % (dims[0] * dims[1]), seed=650 + t)
             direct = conditional_entropy_optimize(state, f1).value
-            assert direct == pytest.approx(conditional_entropy_vn_closed(state), abs=1e-6)
+            closed, _ = conditional_entropy_tsallis_closed(state, 1.0)
+            assert direct == pytest.approx(closed, abs=1e-6)
 
     def test_scaled_optimum_is_monotone_in_mu(self):
         # the divergence against 1 (x) mu * sigma_star decreases toward mu = 1
@@ -405,7 +404,7 @@ class TestObjectiveGradient:
         objective = objective_for(state, f)
         gen = np.random.Generator(np.random.Philox(key=7))
         theta = gen.standard_normal(objective.n_params)
-        sigma = objective.sigma(theta)
+        sigma = objective.certify(theta, math.inf)[1]
         expected = quantum_f_divergence(state.entries, np.kron(np.eye(2), sigma), f)
         assert objective.evaluate(theta)[0] == pytest.approx(expected, rel=1e-10)
 
@@ -455,7 +454,7 @@ class TestSaturatedStarts:
         report = conditional_entropy_optimize(state, make_tsallis_f(0.3), opts)
         closed, _ = conditional_entropy_tsallis_closed(state, 0.3)
         assert report.converged
-        assert report.starts == 1
+        assert len(report.iterations_per_start) == 1
         assert report.iterations_per_start[0] < 100
         assert report.value == pytest.approx(closed, abs=1e-6)
 
@@ -499,13 +498,19 @@ class TestSaturatedStarts:
         )
         report = conditional_entropy_optimize(state, f)
         assert report.converged
-        assert report.starts == 2
+        assert len(report.iterations_per_start) == 2
         assert report.value == pytest.approx(
             conditional_entropy_tsallis_closed(state, 0.5)[0], abs=1e-6
         )
 
     def test_options_have_no_fd_step(self):
         assert "fd_step" not in OptimizerOptions.__dataclass_fields__
+
+    def test_report_has_no_derived_fields(self):
+        # the number of starts run is len(iterations_per_start)
+        assert list(condent.OptimizationReport.__dataclass_fields__) == [
+            "value", "sigma_star", "iterations_per_start", "converged", "gap"
+        ]
 
 
 class TestAcceptanceRule:
@@ -561,6 +566,21 @@ class TestPolish:
         minimum = -conditional_entropy_tsallis_closed(state, 0.5)[0]
         assert gap >= value - minimum - 1e-12
 
+    def test_step_past_vanishing_eigenvalue(self):
+        # at alpha = 2 the value is inf at the step's vertex, where an eigenvalue of
+        # sigma vanishes, so the bisection must keep the step short of it: the
+        # polish takes the gap from 2.1e-2 to about 7.1e-4
+        state = random_bipartite((2, 3), 6, seed=47)
+        objective = objective_for(state, make_tsallis_f(2.0))
+        x, nit, reason = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 3)
+        assert (nit, reason) == (3, "max_iters reached")
+        before = gap_at(objective, x)
+        value, _, gap = objective.certify(x, 1e-6)
+        assert math.isfinite(value)
+        assert gap <= before
+        minimum = -conditional_entropy_tsallis_closed(state, 2.0)[0]
+        assert gap >= value - minimum - 1e-12
+
 
 class TestDescent:
     def test_returns_at_first_certified_iterate(self):
@@ -584,11 +604,19 @@ class TestClosedForm:
             with pytest.raises(PreconditionError):
                 conditional_entropy_tsallis_closed(state, alpha)
 
+    def test_alpha_one_has_one_closed_form(self):
+        import qfdiv
+
+        assert not hasattr(condent, "conditional_entropy_vn_closed")
+        assert "conditional_entropy_vn_closed" not in qfdiv.__all__
+
     def test_alpha_one_matches_entropy_difference(self):
         state = random_bipartite((2, 3), 4, seed=17)
         value, sigma = conditional_entropy_tsallis_closed(state, 1.0)
-        assert value == pytest.approx(conditional_entropy_vn_closed(state), abs=1e-12)
-        np.testing.assert_allclose(sigma.entries, partial_trace(state, "B").entries, atol=1e-12)
+        rho_b = partial_trace(state, "B")
+        reference = tsallis_entropy(state.rho, 1.0) - tsallis_entropy(rho_b, 1.0)
+        assert value == pytest.approx(reference, abs=1e-12)
+        np.testing.assert_allclose(sigma.entries, rho_b.entries, atol=1e-12)
 
     def test_extension_independence(self):
         state = random_bipartite((2, 2), 3, seed=18)
@@ -601,7 +629,7 @@ class TestClosedForm:
     def test_alpha_continuity(self):
         for t in range(10):
             state = random_bipartite((2, 2), 1 + t % 4, seed=800 + t)
-            h1 = conditional_entropy_vn_closed(state)
+            h1 = conditional_entropy_tsallis_closed(state, 1.0)[0]
             for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
                 h, _ = conditional_entropy_tsallis_closed(state, alpha)
                 assert abs(h - h1) <= 1e-3
@@ -612,7 +640,8 @@ class TestBounds:
         lower, upper = thm2_bounds(bell_state, make_tsallis_f(1.0))
         assert lower == pytest.approx(-LN2, abs=1e-12)
         assert upper == pytest.approx(0.0, abs=1e-12)
-        assert conditional_entropy_vn_closed(bell_state) == pytest.approx(lower, abs=1e-8)
+        value, _ = conditional_entropy_tsallis_closed(bell_state, 1.0)
+        assert value == pytest.approx(lower, abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_maximally_mixed_upper_bound(self, alpha):
