@@ -4,9 +4,10 @@ Finite-dimensional density matrices only.  The package is organized in
 layers, each importing only from the layers listed before it (the shared
 :mod:`qfdiv.errors` and :mod:`qfdiv.rng` sit at the bottom):
 
-- :mod:`qfdiv.linalg`: operator types and factored states, the one kernel
-  rule for the spectrum of a positive operator (eigensolve, PSD check,
-  kernel clamped to exact zeros), supports, partial traces.
+- :mod:`qfdiv.linalg`: the density-operator type, of which a factored state
+  is one, the one kernel rule for the spectrum of a positive operator
+  (eigensolve, PSD check, kernel clamped to exact zeros), supports, partial
+  traces.
 - :mod:`qfdiv.fdiv`: the divergence-function catalog and the classical and
   quantum f-divergence engines (spectral form plus epsilon-sweep validation).
 - :mod:`qfdiv.condent`: conditional entropies -- generic minimization over the
@@ -50,7 +51,6 @@ from .fdiv import (
 from .linalg import (
     BipartiteState,
     DensityOperator,
-    HermitianOperator,
     partial_trace,
     support_projector,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "DensityOperator",
     "DivergenceFunction",
     "DomainError",
-    "HermitianOperator",
     "KrausChannel",
     "OptimizationReport",
     "OptimizerOptions",

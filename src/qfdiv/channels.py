@@ -135,17 +135,6 @@ def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:
     return KrausChannel(ops, d_in=d_left * phi.d_in, d_out=d_left * phi.d_out)
 
 
-def trace_out_last_factor_channel(d_keep: int, d_traced: int) -> KrausChannel:
-    """The TPCP map realizing the partial trace over a trailing tensor factor."""
-    eye = np.eye(d_keep)
-    ops = []
-    for c in range(d_traced):
-        bra = np.zeros((1, d_traced))
-        bra[0, c] = 1.0
-        ops.append(np.kron(eye, bra))
-    return KrausChannel(tuple(ops), d_in=d_keep * d_traced, d_out=d_keep)
-
-
 def build_classical_register_state(
     blocks: Sequence[BipartiteState],
     p: Sequence[float],

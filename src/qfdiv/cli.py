@@ -105,16 +105,13 @@ def write_channel_file(path: str, phi: KrausChannel) -> None:
         json.dump(doc, fh)
 
 
-def _as_operator(x) -> np.ndarray:
-    return x.entries if isinstance(x, (BipartiteState, DensityOperator)) else x
-
-
-def _family_function(family: str, alpha: float | None):
+def _family_alpha(family: str, alpha: float | None) -> float:
+    """The power-family order a ``--family`` names: 1 for ``kl``, else ``--alpha``."""
     if family == "kl":
-        return make_tsallis_f(1.0)
+        return 1.0
     if alpha is None:
         raise DomainError(f"--alpha is required for family {family!r}")
-    return make_tsallis_f(alpha)
+    return alpha
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,10 +148,13 @@ def _build_parser() -> _Parser:
         default="closed",
         help="closed form (default) or direct optimization",
     )
-    p_ce.add_argument("--starts", type=int, default=4, help="most optimizer starts to run")
-    p_ce.add_argument("--seed", type=int, default=0)
-    p_ce.add_argument("--value-tol", type=float, default=1e-6)
-    p_ce.add_argument("--max-iters", type=int, default=500)
+    defaults = OptimizerOptions()
+    p_ce.add_argument(
+        "--starts", type=int, default=defaults.starts, help="most optimizer starts to run"
+    )
+    p_ce.add_argument("--seed", type=int, default=defaults.seed)
+    p_ce.add_argument("--value-tol", type=float, default=defaults.value_tol)
+    p_ce.add_argument("--max-iters", type=int, default=defaults.max_iters)
 
     p_b = sub.add_parser("bounds", help="two-sided conditional entropy bounds")
     p_b.add_argument("--state", required=True, metavar="FILE")
@@ -181,9 +181,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_divergence(args) -> int:
-    a = _as_operator(parse_matrix_file(args.a))
-    b = _as_operator(parse_matrix_file(args.b))
-    f = _family_function(args.family, args.alpha)
+    a = parse_matrix_file(args.a)
+    b = parse_matrix_file(args.b)
+    f = make_tsallis_f(_family_alpha(args.family, args.alpha))
     if args.eps_sweep:
         _, value = quantum_f_divergence_eps_sweep(a, b, f)
     else:
@@ -196,9 +196,9 @@ def _cmd_condent(args) -> int:
     state = parse_matrix_file(args.state)
     if not isinstance(state, BipartiteState):
         raise DomainError("condent needs a state file with a dims field")
-    f = _family_function(args.family, args.alpha)
+    alpha = _family_alpha(args.family, args.alpha)
+    f = make_tsallis_f(alpha)
     if args.method == "closed":
-        alpha = 1.0 if args.family == "kl" else args.alpha
         value, _ = conditional_entropy_tsallis_closed(state, alpha)
     else:
         opts = OptimizerOptions(

@@ -33,7 +33,6 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 from .fdiv import ALPHA_ONE_TOL, DivergenceFunction, _positive_alpha
 from .linalg import (
     BipartiteState,
-    DensityOperator,
     _factor_indices,
     _probability_vector,
     _schmidt_coefficients,
@@ -56,8 +55,13 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class OptimizationReport:
+    """A certified solve: its conditional entropy, minimizer and how it was found.
+
+    ``sigma_star`` is a Hermitian ndarray on the conditioning space.
+    """
+
     value: float
-    sigma_star: DensityOperator
+    sigma_star: np.ndarray
     iterations_per_start: tuple[int, ...]
     converged: bool
     # the accepted start's value minus the best lower bound on the optimum that its
@@ -180,7 +184,8 @@ class _Objective:
         rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
         wb, vb = psd_eigh(rho_cond)
         self.support = vb[:, wb > 0.0]
-        self.rho_cond = rho_cond
+        # the conditioning marginal in the support basis is diag(marginal)
+        self.marginal = wb[wb > 0.0]
         r = self.support.shape[1]
         self.rank = r
         pos = w > 0.0
@@ -295,8 +300,9 @@ class _Objective:
         return value, self._embed(p, u), gap
 
     def _embed(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``u diag(p) u^dag`` written on the full conditioning space."""
-        return self.support @ ((u * p) @ u.conj().T) @ self.support.conj().T
+        """``u diag(p) u^dag`` written on the full conditioning space, exactly Hermitian."""
+        sigma = self.support @ ((u * p) @ u.conj().T) @ self.support.conj().T
+        return (sigma + sigma.conj().T) / 2.0
 
 
 def _start_points(objective: _Objective, opts: OptimizerOptions):
@@ -305,16 +311,10 @@ def _start_points(objective: _Objective, opts: OptimizerOptions):
     Yields at most ``opts.starts`` points, lazily: a solve draws the next one
     only while no start has certified.
     """
-    r = objective.rank
     yield np.zeros(objective.n_params)
     if opts.starts >= 2:
-        v = objective.support
-        sig0 = v.conj().T @ objective.rho_cond @ v
-        w0, u0 = np.linalg.eigh(sig0)
-        w0 = np.clip(w0.real, 1e-12, None)
-        h = (u0 * np.log(w0)) @ u0.conj().T
-        h = h - (np.trace(h).real / r) * np.eye(r)
-        yield _pack_hermitian(h)
+        log_w = np.log(objective.marginal)
+        yield _pack_hermitian(np.diag(log_w - log_w.mean()))
     gen = rng.generator(opts.seed)
     for _ in range(opts.starts - 2):
         yield 0.5 * rng.standard_normals(gen, objective.n_params)
@@ -420,7 +420,7 @@ def conditional_entropy_optimize(
         if gap <= opts.value_tol:
             return OptimizationReport(
                 value=-value,
-                sigma_star=DensityOperator(sigma),
+                sigma_star=sigma,
                 iterations_per_start=tuple(nit for nit, _, _ in runs),
                 converged=True,
                 gap=gap,
@@ -436,11 +436,12 @@ def conditional_entropy_tsallis_closed(
     state: BipartiteState,
     alpha: float,
     cond: str = "B",
-) -> tuple[float, DensityOperator]:
+) -> tuple[float, np.ndarray]:
     """Closed-form power-family conditional entropy and its optimizing state.
 
-    The minimizer is the normalized ``1/alpha`` power of the reduced
-    ``alpha``-power ``tr_rest(rho**alpha)``, giving the value
+    The minimizer, a Hermitian ndarray on the conditioning space, is the
+    normalized ``1/alpha`` power of the reduced ``alpha``-power
+    ``tr_rest(rho**alpha)``, giving the value
     ``(1 - (tr [tr_rest(rho**alpha)]**(1/alpha))**alpha) / (alpha - 1)``.
     At ``alpha = 1`` this is the entropy difference ``H(rho) - H(rho_cond)``
     with the conditioning marginal ``rho_cond`` as the minimizer.  Valid for
@@ -451,7 +452,7 @@ def conditional_entropy_tsallis_closed(
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
         value = tsallis_entropy(entries, 1.0) - tsallis_entropy(rho_cond, 1.0)
-        return value, DensityOperator(rho_cond)
+        return value, rho_cond
     w, v = psd_eigh(entries)
     rho_pow = (v * w**alpha) @ v.conj().T
     reduced = ptrace_entries(rho_pow, (d_rest, d_cond), [1])
@@ -459,7 +460,8 @@ def conditional_entropy_tsallis_closed(
     root = (vt * wt ** (1.0 / alpha)) @ vt.conj().T
     norm = float(np.trace(root).real)
     value = (1.0 - norm**alpha) / (alpha - 1.0)
-    return value, DensityOperator(root / norm)
+    sigma = root / norm
+    return value, (sigma + sigma.conj().T) / 2.0
 
 
 def thm2_bounds(

@@ -32,11 +32,12 @@ _NORMALIZED_TOL = 1e-10
 _FACTOR_LABELS = "ABC"
 
 
-class HermitianOperator:
-    """A square complex matrix that is Hermitian within ``1e-12`` relative tolerance.
+class DensityOperator:
+    """Positive semi-definite Hermitian operator with trace in ``(0, 1]``.
 
     The stored matrix is symmetrized, copied and marked read-only, so instances
-    can be shared freely between threads.
+    can be shared freely between threads.  Sub-normalized states (trace
+    strictly below one) are allowed.
     """
 
     __slots__ = ("entries",)
@@ -44,74 +45,64 @@ class HermitianOperator:
     def __init__(self, entries) -> None:
         m = as_matrix(entries)
         m.setflags(write=False)
+        clamp_psd_spectrum(np.linalg.eigvalsh(m))
         self.entries = m
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(dim={self.dim})"
-
-
-class DensityOperator(HermitianOperator):
-    """Positive semi-definite Hermitian operator with trace in ``(0, 1]``.
-
-    Sub-normalized states (trace strictly below one) are allowed.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, entries) -> None:
-        super().__init__(entries)
-        clamp_psd_spectrum(np.linalg.eigvalsh(self.entries))
         t = self.trace_value
         if not 0.0 < t <= 1.0 + _TRACE_TOL:
             raise DomainError(f"trace bound violated: trace = {t!r}, expected in (0, 1]")
 
     @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    @property
     def trace_value(self) -> float:
         return float(np.trace(self.entries).real)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim})"
 
-class BipartiteState:
-    """A normalized density operator together with its tensor factor dimensions."""
 
-    __slots__ = ("rho", "dims")
+class BipartiteState(DensityOperator):
+    """A normalized density operator together with its tensor factor dimensions.
+
+    A :class:`DensityOperator` argument lends its validated entries; anything
+    else is validated as a density operator first.
+    """
+
+    __slots__ = ("dims",)
 
     def __init__(self, rho, dims: Sequence[int]) -> None:
-        if not isinstance(rho, DensityOperator):
-            rho = DensityOperator(rho)
+        if isinstance(rho, DensityOperator):
+            self.entries = rho.entries
+        else:
+            super().__init__(rho)
         dims = tuple(int(d) for d in dims)
         if len(dims) not in (2, 3) or any(d < 1 for d in dims):
             raise DomainError(f"dims must be two or three positive factors, got {dims}")
-        if math.prod(dims) != rho.dim:
+        if math.prod(dims) != self.dim:
             raise DomainError(
-                f"dimension mismatch: factors {dims} give {math.prod(dims)}, state has {rho.dim}"
+                f"dimension mismatch: factors {dims} give {math.prod(dims)}, state has {self.dim}"
             )
-        if abs(rho.trace_value - 1.0) > _NORMALIZED_TOL:
+        if abs(self.trace_value - 1.0) > _NORMALIZED_TOL:
             raise DomainError(
-                f"conditional entropies need a normalized state, trace = {rho.trace_value!r}"
+                f"conditional entropies need a normalized state, trace = {self.trace_value!r}"
             )
-        self.rho = rho
         self.dims = dims
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.rho.entries
 
     def __repr__(self) -> str:
         return f"BipartiteState(dims={self.dims})"
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce an operator wrapper or array-like to a complex square ndarray.
+    """Coerce a :class:`DensityOperator` or an array-like to a complex square ndarray.
 
-    A wrapper's entries are returned as they are, since its constructor
-    validated them.  A raw array must be finite and Hermitian within
-    ``1e-12 * (1 + max|M|)``, and is symmetrized into a new array.
+    A density operator's entries, a factored state's included, are returned as
+    they are, since its constructor validated them.  A raw array must be
+    finite and Hermitian within ``1e-12 * (1 + max|M|)``, and is symmetrized
+    into a new array.
     """
-    if isinstance(x, HermitianOperator):
+    if isinstance(x, DensityOperator):
         return x.entries
     m = np.asarray(x, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -156,15 +147,16 @@ def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return clamp_psd_spectrum(w), v
 
 
-def support_projector(A) -> HermitianOperator:
-    """Orthogonal projector onto the range of a positive operator.
+def support_projector(A) -> np.ndarray:
+    """The Hermitian ndarray projecting orthogonally onto the range of a positive operator.
 
     The eigenvectors that :func:`psd_eigh` leaves outside the kernel span the
     support; the zero operator maps to the zero projector.
     """
     w, v = psd_eigh(as_matrix(A))
     cols = v[:, w > 0.0]
-    return HermitianOperator(cols @ cols.conj().T)
+    p = cols @ cols.conj().T
+    return (p + p.conj().T) / 2.0
 
 
 def _factor_indices(keep: str, n_factors: int) -> list[int]:
@@ -219,10 +211,10 @@ def partial_trace(rho, keep: str, dims: Sequence[int] | None = None) -> DensityO
     or any operator together with an explicit ``dims`` tuple.
     """
     if dims is None:
-        dims = getattr(rho, "dims", None)
-        if dims is None:
+        if not isinstance(rho, BipartiteState):
             raise DomainError("dims are required unless the state carries them")
-    entries = as_matrix(getattr(rho, "rho", rho))
+        dims = rho.dims
+    entries = as_matrix(rho)
     keep_idx = _factor_indices(keep, len(dims))
     return DensityOperator(ptrace_entries(entries, dims, keep_idx))
 

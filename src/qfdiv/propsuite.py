@@ -35,7 +35,6 @@ from .channels import (
     random_bipartite,
     random_channel,
     random_density,
-    trace_out_last_factor_channel,
 )
 from .condent import (
     OptimizerOptions,
@@ -49,7 +48,7 @@ from .condent import (
 )
 from .errors import DomainError
 from .fdiv import make_tsallis_f, quantum_f_divergence
-from .linalg import BipartiteState
+from .linalg import BipartiteState, partial_trace
 from .rng import generator
 
 log = logging.getLogger(__name__)
@@ -279,15 +278,13 @@ def _check_thm3_data_processing(trial: _Trial) -> list[float]:
     d_a, d_b = state.dims
     d_out = (2, 3)[trial.t % 2]
     psi = random_channel(d_b, d_out, 2, trial.seed("chan"))
-    moved = BipartiteState(apply_channel(extend_with_identity(psi, d_a), state.rho), (d_a, d_out))
+    moved = BipartiteState(apply_channel(extend_with_identity(psi, d_a), state), (d_a, d_out))
     return [_entropy(moved, trial.alpha) - _entropy(state, trial.alpha)]
 
 
 def _check_conditioning_reduces(trial: _Trial) -> list[float]:
     state = trial.state()
-    d_a, d_b, d_c = state.dims
-    tracer = trace_out_last_factor_channel(d_a * d_b, d_c)
-    reduced = BipartiteState(apply_channel(tracer, state.rho), (d_a, d_b))
+    reduced = BipartiteState(partial_trace(state, "AB"), state.dims[:2])
     return [_entropy(reduced, trial.alpha, cond="B") - _entropy(state, trial.alpha, cond="BC")]
 
 

@@ -29,7 +29,7 @@ from qfdiv.fdiv import (
     quantum_f_divergence_eps_sweep,
     tsallis_divergence_closed,
 )
-from qfdiv.linalg import partial_trace, support_projector
+from qfdiv.linalg import DensityOperator, partial_trace, support_projector
 from qfdiv.propsuite import REGISTRY, PropertyConfig, run_property
 
 from conftest import bell_matrix
@@ -113,8 +113,8 @@ def test_criterion_3_support_and_extension():
             worst_delta = max(worst_delta, abs(padded.value - base.value))
             runs.append((padded_state, padded))
         for st, rep in runs:
-            p = support_projector(partial_trace(st, "B")).entries
-            sigma = rep.sigma_star.entries
+            p = support_projector(partial_trace(st, "B"))
+            sigma = DensityOperator(rep.sigma_star).entries
             worst_residual = max(worst_residual, float(np.abs(p @ sigma @ p - sigma).max()))
     elapsed = time.perf_counter() - start
     ok = worst_residual <= 1e-8 and worst_delta <= 1e-7

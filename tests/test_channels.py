@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qfdiv import channels
 from qfdiv.channels import (
     KrausChannel,
     _completeness_defect,
@@ -11,11 +12,10 @@ from qfdiv.channels import (
     pure_bipartite_from_schmidt,
     random_channel,
     random_density,
-    trace_out_last_factor_channel,
 )
 from qfdiv.condent import BipartiteState
 from qfdiv.errors import DomainError
-from qfdiv.linalg import partial_trace, ptrace_entries, support_projector
+from qfdiv.linalg import partial_trace, support_projector
 
 
 class TestKrausChannel:
@@ -53,12 +53,14 @@ class TestApplyChannel:
         out = apply_channel(phi, np.full((2, 2), 0.5))
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-14)
 
-    def test_trace_out_channel_equals_partial_trace(self):
-        rho = random_density(8, 5, seed=2)
-        tracer = trace_out_last_factor_channel(4, 2)
-        via_channel = apply_channel(tracer, rho)
-        via_ptrace = ptrace_entries(rho.entries, (2, 2, 2), [0, 1])
-        np.testing.assert_allclose(via_channel, via_ptrace, atol=1e-13)
+    def test_trace_out_channel_is_gone(self):
+        # partial_trace is the one way to trace out a factor
+        assert not hasattr(channels, "trace_out_last_factor_channel")
+
+    def test_accepts_a_factored_state(self):
+        state = BipartiteState(random_density(4, 2, seed=4), (2, 2))
+        out = apply_channel(KrausChannel((np.eye(4),), 4, 4), state)
+        np.testing.assert_array_equal(out, state.entries)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError, match="dimension mismatch"):
@@ -106,7 +108,7 @@ class TestRandomDensity:
 
     def test_full_rank_support(self):
         rho = random_density(3, 3, seed=12)
-        np.testing.assert_allclose(support_projector(rho).entries, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(support_projector(rho), np.eye(3), atol=1e-10)
 
     def test_unit_trace(self):
         for t in range(20):
@@ -141,7 +143,7 @@ class TestSchmidtStates:
         state = pure_bipartite_from_schmidt(coeffs, 3, 4, seed=23)
         rho_b = partial_trace(state, "B")
         p = support_projector(rho_b)
-        assert np.trace(p.entries).real == pytest.approx(3.0, abs=1e-9)
+        assert np.trace(p).real == pytest.approx(3.0, abs=1e-9)
 
     def test_reduced_spectrum_matches_coefficients(self):
         coeffs = np.sqrt([0.7, 0.2, 0.1])
@@ -203,7 +205,7 @@ class TestEmbedAncilla:
         state = BipartiteState(random_density(6, 3, seed=52), (2, 3))
         padded = embed_ancilla(state, 2)
         assert padded.dims == (2, 5)
-        assert padded.rho.trace_value == pytest.approx(1.0)
+        assert padded.trace_value == pytest.approx(1.0)
         t = padded.entries.reshape(2, 5, 2, 5)
         np.testing.assert_allclose(
             t[:, :3, :, :3].reshape(6, 6), state.entries, atol=1e-14

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qfdiv.channels import KrausChannel
-from qfdiv.cli import format_number, main, parse_matrix_file
+from qfdiv.cli import _build_parser, format_number, main, parse_matrix_file
 from qfdiv.condent import BipartiteState
 from qfdiv.linalg import DensityOperator
 
@@ -140,10 +140,21 @@ class TestCondentCommand:
         assert main(["condent", "--state", mixed_file, "--family", "kl"]) == 1
         assert "dims" in capsys.readouterr().err
 
+    def test_optimizer_flag_defaults(self):
+        args = _build_parser().parse_args(["condent", "--state", "s.json", "--family", "kl"])
+        assert (args.starts, args.seed, args.value_tol, args.max_iters) == (4, 0, 1e-6, 500)
+
 
 class TestDivergenceCommand:
     def test_self_divergence_zero(self, mixed_file, capsys):
         code = main(["divergence", "--a", mixed_file, "--b", mixed_file, "--family", "kl"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "0.00000000000"
+
+    @pytest.mark.parametrize("family", ["kl", "tsallis"])
+    def test_factored_state_self_divergence_zero(self, bell_file, capsys, family):
+        code = main(["divergence", "--a", bell_file, "--b", bell_file, "--family", family,
+                     "--alpha", "2"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0.00000000000"
 
@@ -189,7 +200,7 @@ class TestRandomCommand:
                      "--out", str(out)]) == 0
         state = parse_matrix_file(str(out))
         assert isinstance(state, BipartiteState)
-        assert state.rho.trace_value == pytest.approx(1.0, abs=1e-12)
+        assert state.trace_value == pytest.approx(1.0, abs=1e-12)
 
     def test_state_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -24,7 +24,7 @@ from qfdiv.condent import (
 )
 from qfdiv.errors import ConvergenceError, DomainError, PreconditionError
 from qfdiv.fdiv import DivergenceFunction, make_tsallis_f, quantum_f_divergence
-from qfdiv.linalg import partial_trace, support_projector
+from qfdiv.linalg import DensityOperator, partial_trace, support_projector
 from qfdiv.propsuite import derive_seed
 
 from conftest import bell_matrix
@@ -115,6 +115,11 @@ class TestTsallisEntropy:
             rho = random_density(4, 1 + t % 4, seed=100 + t)
             assert tsallis_entropy(rho, 0.5 + 0.5 * (t % 4)) >= -1e-12
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_accepts_a_factored_state(self, alpha):
+        state = random_bipartite((2, 2), 3, seed=130)
+        assert tsallis_entropy(state, alpha) == tsallis_entropy(state.entries, alpha)
+
 
 class TestBipartiteState:
     def test_dims_must_factor_dimension(self):
@@ -125,6 +130,13 @@ class TestBipartiteState:
         with pytest.raises(DomainError, match="normalized"):
             BipartiteState(np.eye(4) / 8, (2, 2))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_divergence_engine_accepts_a_state(self, bell_state, alpha):
+        f = make_tsallis_f(alpha)
+        value = quantum_f_divergence(bell_state, bell_state, f)
+        assert value == quantum_f_divergence(bell_state.entries, bell_state.entries, f)
+        assert value == pytest.approx(0.0, abs=1e-15)
+
     def test_three_factors(self):
         state = random_bipartite((2, 2, 2), 3, seed=2)
         assert state.dims == (2, 2, 2)
@@ -134,7 +146,7 @@ class TestGoldenValues:
     def test_bell_closed_form(self, bell_state):
         value, sigma = conditional_entropy_tsallis_closed(bell_state, 2.0)
         assert value == pytest.approx(-1.0, abs=1e-9)
-        np.testing.assert_allclose(sigma.entries, np.eye(2) / 2, atol=1e-9)
+        np.testing.assert_allclose(DensityOperator(sigma).entries, np.eye(2) / 2, atol=1e-9)
 
     def test_bell_optimizer(self, bell_state):
         report = conditional_entropy_optimize(bell_state, make_tsallis_f(2.0))
@@ -180,7 +192,7 @@ class TestProductIdentity:
         assert value == pytest.approx(tsallis_entropy(rho_a, alpha), abs=1e-10)
         if alpha != 1.0:
             # the optimizing state of a product is the conditioning marginal
-            np.testing.assert_allclose(sigma.entries, rho_b.entries, atol=1e-8)
+            np.testing.assert_allclose(DensityOperator(sigma).entries, rho_b.entries, atol=1e-8)
 
 
 class TestOptimizer:
@@ -205,7 +217,7 @@ class TestOptimizer:
         report = conditional_entropy_optimize(state, make_tsallis_f(2.0), opts)
         assert len(report.iterations_per_start) == 5
         assert report.gap <= opts.value_tol
-        assert report.sigma_star.trace_value == pytest.approx(1.0, abs=1e-9)
+        assert DensityOperator(report.sigma_star).trace_value == pytest.approx(1.0, abs=1e-9)
 
     def test_later_start_runs_only_when_earlier_cannot_certify(self, monkeypatch):
         # at alpha = 2 the face start's value and gap are inf, which no polish lowers
@@ -224,8 +236,8 @@ class TestOptimizer:
         # padding makes the conditioning marginal rank deficient
         state = embed_ancilla(random_bipartite((2, 2), 2, seed=9), 2)
         report = conditional_entropy_optimize(state, make_tsallis_f(2.0))
-        p = support_projector(partial_trace(state, "B")).entries
-        sigma = report.sigma_star.entries
+        p = support_projector(partial_trace(state, "B"))
+        sigma = DensityOperator(report.sigma_star).entries
         assert np.abs(p @ sigma @ p - sigma).max() <= 1e-8
 
     def test_rank_one_marginal(self):
@@ -236,8 +248,22 @@ class TestOptimizer:
         assert report.value == pytest.approx(0.0, abs=1e-10)
         assert report.iterations_per_start == (0,)
         assert report.gap == 0.0
-        p = support_projector(partial_trace(state, "B")).entries
-        np.testing.assert_allclose(report.sigma_star.entries, p, atol=1e-12)
+        p = support_projector(partial_trace(state, "B"))
+        np.testing.assert_allclose(DensityOperator(report.sigma_star).entries, p, atol=1e-12)
+
+    def test_sigma_star_is_an_array(self):
+        state = random_bipartite((2, 2), 3, seed=8)
+        sigma = conditional_entropy_optimize(state, make_tsallis_f(2.0)).sigma_star
+        assert type(sigma) is np.ndarray
+        np.testing.assert_array_equal(sigma, sigma.conj().T)
+
+    def test_second_start_is_the_conditioning_marginal(self):
+        # padding makes the marginal rank deficient: the start lives on its support
+        state = embed_ancilla(random_bipartite((2, 3), 4, seed=20), 1)
+        objective = objective_for(state, make_tsallis_f(2.0))
+        theta = list(condent._start_points(objective, OptimizerOptions(starts=2)))[1]
+        sigma = objective.certify(theta, math.inf)[1]
+        np.testing.assert_allclose(sigma, partial_trace(state, "B").entries, atol=1e-12)
 
     def test_generic_function_between_bounds(self):
         # a non-catalog operator-convex mix exercises the fully generic path
@@ -319,7 +345,7 @@ class TestOptimizer:
         report = conditional_entropy_optimize(state, f)
         values = [
             quantum_f_divergence(
-                state.entries, np.kron(np.eye(2), mu * report.sigma_star.entries), f
+                state.entries, np.kron(np.eye(2), mu * report.sigma_star), f
             )
             for mu in (0.25, 0.5, 0.75, 1.0)
         ]
@@ -464,7 +490,7 @@ class TestSaturatedStarts:
         objective = objective_for(state, f)
         # the closed form's minimizer, written in the parameterization
         _, sigma_opt = conditional_entropy_tsallis_closed(state, 0.5)
-        w, v = np.linalg.eigh(objective.support.conj().T @ sigma_opt.entries @ objective.support)
+        w, v = np.linalg.eigh(objective.support.conj().T @ sigma_opt @ objective.support)
         h = (v * np.log(w)) @ v.conj().T
         assert gap_at(objective, condent._pack_hermitian(h)) <= 1e-9
         assert gap_at(objective, face_start(objective)) >= 1e5
@@ -614,9 +640,15 @@ class TestClosedForm:
         state = random_bipartite((2, 3), 4, seed=17)
         value, sigma = conditional_entropy_tsallis_closed(state, 1.0)
         rho_b = partial_trace(state, "B")
-        reference = tsallis_entropy(state.rho, 1.0) - tsallis_entropy(rho_b, 1.0)
+        reference = tsallis_entropy(state, 1.0) - tsallis_entropy(rho_b, 1.0)
         assert value == pytest.approx(reference, abs=1e-12)
-        np.testing.assert_allclose(sigma.entries, rho_b.entries, atol=1e-12)
+        np.testing.assert_allclose(DensityOperator(sigma).entries, rho_b.entries, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_minimizer_is_an_array(self, alpha):
+        _, sigma = conditional_entropy_tsallis_closed(random_bipartite((2, 3), 4, seed=19), alpha)
+        assert type(sigma) is np.ndarray
+        np.testing.assert_array_equal(sigma, sigma.conj().T)
 
     def test_extension_independence(self):
         state = random_bipartite((2, 2), 3, seed=18)

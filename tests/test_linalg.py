@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import qfdiv
 from qfdiv import channels
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import make_tsallis_f, quantum_f_divergence
 from qfdiv.linalg import (
+    BipartiteState,
     DensityOperator,
-    HermitianOperator,
     as_matrix,
     partial_trace,
     permute_subsystems,
@@ -23,11 +24,11 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 class TestOperatorTypes:
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError, match="Hermiticity"):
-            HermitianOperator([[1.0, 0.5], [0.0, 1.0]])
+            DensityOperator([[1.0, 0.5], [0.0, 1.0]])
 
     def test_rejects_non_square(self):
         with pytest.raises(DomainError, match="square"):
-            HermitianOperator(np.zeros((2, 3)))
+            DensityOperator(np.zeros((2, 3)))
 
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(DomainError, match="semi-definiteness"):
@@ -46,6 +47,21 @@ class TestOperatorTypes:
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
 
+    def test_density_operator_is_the_only_wrapper(self):
+        assert not hasattr(qfdiv, "HermitianOperator")
+        assert "HermitianOperator" not in qfdiv.__all__
+
+    def test_factored_state_is_a_density_operator(self):
+        assert issubclass(BipartiteState, DensityOperator)
+        state = BipartiteState(bell_matrix(), (2, 2))
+        assert state.trace_value == pytest.approx(1.0)
+        assert as_matrix(state) is state.entries
+        assert not hasattr(state, "rho")
+
+    def test_factored_state_lends_validated_entries(self):
+        rho = DensityOperator(bell_matrix())
+        assert BipartiteState(rho, (2, 2)).entries is rho.entries
+
 
 class TestAsMatrix:
     def test_rejects_non_hermitian_array(self):
@@ -57,7 +73,7 @@ class TestAsMatrix:
         with pytest.raises(DomainError, match="finite"):
             as_matrix(np.diag([1.0, bad]))
         with pytest.raises(DomainError, match="finite"):
-            HermitianOperator(np.diag([1.0, bad]))
+            DensityOperator(np.diag([1.0, bad]))
 
     def test_symmetrizes_a_new_array(self):
         m = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
@@ -117,23 +133,30 @@ class TestPsdEigh:
 class TestSupportProjector:
     def test_diagonal(self):
         p = support_projector(np.diag([0.5, 0.5, 0.0]))
-        np.testing.assert_allclose(p.entries, np.diag([1, 1, 0]), atol=1e-12)
+        np.testing.assert_allclose(p, np.diag([1, 1, 0]), atol=1e-12)
+
+    def test_returns_a_hermitian_array(self):
+        p = support_projector(channels.random_density(4, 2, seed=2))
+        assert type(p) is np.ndarray
+        np.testing.assert_array_equal(p, p.conj().T)
+        # a rank-one projector is a pure state
+        DensityOperator(support_projector(channels.random_density(3, 1, seed=3)))
 
     def test_full_rank_gives_identity(self):
         rho = channels.random_density(4, 4, seed=1)
-        np.testing.assert_allclose(support_projector(rho).entries, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(support_projector(rho), np.eye(4), atol=1e-10)
 
     def test_rank_one_is_its_own_support(self):
         plus = np.full((2, 2), 0.5)
-        np.testing.assert_allclose(support_projector(plus).entries, plus, atol=1e-12)
+        np.testing.assert_allclose(support_projector(plus), plus, atol=1e-12)
 
     def test_zero_operator(self):
-        np.testing.assert_allclose(support_projector(np.zeros((3, 3))).entries, 0.0)
+        np.testing.assert_allclose(support_projector(np.zeros((3, 3))), 0.0)
 
     @pytest.mark.parametrize("lam", [1.0, 1e-12])
     def test_same_kernel_as_psd_eigh(self, lam):
         p = support_projector(lam * np.diag([1.0, 1e-9, 1e-11]))
-        np.testing.assert_allclose(p.entries, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 class TestPartialTrace:
@@ -172,8 +195,8 @@ class TestPartialTrace:
         for t in range(200):
             d_a, d_b = (2, 2) if t % 2 else (2, 3)
             rho = channels.random_density(d_a * d_b, 1 + t % (d_a * d_b), seed=3000 + t)
-            pa = support_projector(partial_trace(rho, "A", dims=(d_a, d_b))).entries
-            pb = support_projector(partial_trace(rho, "B", dims=(d_a, d_b))).entries
+            pa = support_projector(partial_trace(rho, "A", dims=(d_a, d_b)))
+            pb = support_projector(partial_trace(rho, "B", dims=(d_a, d_b)))
             lifted = np.kron(pa, pb)
             assert np.abs(lifted @ rho.entries - rho.entries).max() <= 1e-8
 
