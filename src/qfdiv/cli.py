@@ -2,7 +2,7 @@
 
 Matrices travel as JSON documents with separate row-major real and imaginary
 arrays (``{"dim": d, "re": [...], "im": [...]}``, plus ``"dims": [dA, dB]``
-for factored states); channels as a list of Kraus blocks in the same style.
+for factored states).
 Numbers are printed with 12 significant digits and ``inf`` is printed as the
 literal string ``inf``.  Exit codes: 0 success, 1 domain error, bad usage or an
 optimizer with no start certified within ``--value-tol`` (its Frank-Wolfe gap,
@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .channels import KrausChannel, random_channel, random_density
+from .channels import random_density
 from .condent import (
     OptimizerOptions,
     conditional_entropy_optimize,
@@ -92,19 +92,6 @@ def write_matrix_file(path: str, matrix: np.ndarray, dims=None) -> None:
         json.dump(doc, fh)
 
 
-def write_channel_file(path: str, phi: KrausChannel) -> None:
-    doc = {
-        "d_in": phi.d_in,
-        "d_out": phi.d_out,
-        "kraus": [
-            {"re": k.real.ravel().tolist(), "im": k.imag.ravel().tolist()}
-            for k in phi.kraus_ops
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
 def _family_alpha(family: str, alpha: float | None) -> float:
     """The power-family order a ``--family`` names: 1 for ``kl``, else ``--alpha``."""
     if family == "kl":
@@ -152,7 +139,6 @@ def _build_parser() -> _Parser:
     p_ce.add_argument(
         "--starts", type=int, default=defaults.starts, help="most optimizer starts to run"
     )
-    p_ce.add_argument("--seed", type=int, default=defaults.seed)
     p_ce.add_argument("--value-tol", type=float, default=defaults.value_tol)
     p_ce.add_argument("--max-iters", type=int, default=defaults.max_iters)
 
@@ -165,15 +151,9 @@ def _build_parser() -> _Parser:
     p_s.add_argument("--seed", type=int, default=0)
     p_s.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
-    p_r = sub.add_parser("random", help="generate a seeded random object")
-    p_r.add_argument("kind", choices=("state", "channel"))
-    p_r.add_argument(
-        "--dims",
-        type=int,
-        nargs="+",
-        required=True,
-        help="state: d or factors; channel: d_in d_out env",
-    )
+    p_r = sub.add_parser("random", help="generate a seeded random state")
+    p_r.add_argument("kind", choices=("state",))
+    p_r.add_argument("--dims", type=int, nargs="+", required=True, help="d or factors")
     p_r.add_argument("--rank", type=int, help="state rank (default: full)")
     p_r.add_argument("--seed", type=int, default=0)
     p_r.add_argument("--out", required=True, metavar="FILE")
@@ -205,7 +185,6 @@ def _cmd_condent(args) -> int:
             starts=args.starts,
             value_tol=args.value_tol,
             max_iters=args.max_iters,
-            seed=args.seed,
         )
         value = conditional_entropy_optimize(state, f, opts).value
     print(format_number(value))
@@ -243,18 +222,12 @@ def _cmd_suite(args) -> int:
 
 def _cmd_random(args) -> int:
     dims = args.dims
-    if args.kind == "state":
-        if not 1 <= len(dims) <= 3:
-            raise DomainError("random state needs 1 to 3 dims")
-        d = int(np.prod(dims))
-        rank = args.rank if args.rank is not None else d
-        rho = random_density(d, rank, args.seed)
-        write_matrix_file(args.out, rho.entries, dims=dims if len(dims) > 1 else None)
-    else:  # channel
-        if len(dims) != 3:
-            raise DomainError("random channel needs --dims d_in d_out env")
-        phi = random_channel(dims[0], dims[1], dims[2], args.seed)
-        write_channel_file(args.out, phi)
+    if not 1 <= len(dims) <= 3:
+        raise DomainError("random state needs 1 to 3 dims")
+    d = int(np.prod(dims))
+    rank = args.rank if args.rank is not None else d
+    rho = random_density(d, rank, args.seed)
+    write_matrix_file(args.out, rho.entries, dims=dims if len(dims) > 1 else None)
     return 0
 
 

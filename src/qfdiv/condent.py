@@ -45,12 +45,15 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs of the conditional-entropy minimizer; all surfaced by the CLI."""
+    """Knobs of the conditional-entropy minimizer; all surfaced by the CLI.
+
+    A solve depends only on its state, f and these values: the random starts,
+    from the third on, come from one fixed stream (``rng.generator(0)``).
+    """
 
     starts: int = 4  # the most starts a solve may run; it stops at the first certified one
     value_tol: float = 1e-6
     max_iters: int = 500
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -306,7 +309,7 @@ class _Objective:
 
 
 def _start_points(objective: _Objective, opts: OptimizerOptions):
-    """Mixed state on the support, the reduced state itself, then seeded random.
+    """Mixed state on the support, the reduced state itself, then random from a fixed stream.
 
     Yields at most ``opts.starts`` points, lazily: a solve draws the next one
     only while no start has certified.
@@ -315,7 +318,7 @@ def _start_points(objective: _Objective, opts: OptimizerOptions):
     if opts.starts >= 2:
         log_w = np.log(objective.marginal)
         yield _pack_hermitian(np.diag(log_w - log_w.mean()))
-    gen = rng.generator(opts.seed)
+    gen = rng.generator(0)
     for _ in range(opts.starts - 2):
         yield 0.5 * rng.standard_normals(gen, objective.n_params)
 

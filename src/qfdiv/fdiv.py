@@ -216,7 +216,10 @@ def quantum_f_divergence_eps_sweep(
     :func:`quantum_f_divergence`; the regularized values then grow only like
     ``log(1/eps)`` or a power of it), or when the last value exceeds
     ``1e12 tr A`` or ten times its predecessor (a predecessor below
-    ``1e-12 tr A`` counts as ``1e-12 tr A``).
+    ``1e-12 tr A`` counts as ``1e-12 tr A``).  Both arguments are checked
+    as :func:`quantum_f_divergence` checks them, so a ``B`` with an
+    eigenvalue below ``-RANK_TOL * ||B||`` is a domain error even where the
+    shift would make it PSD.
     """
     eps = [float(e) for e in eps_schedule]
     if not eps:
@@ -224,12 +227,12 @@ def quantum_f_divergence_eps_sweep(
     if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise DomainError("eps_schedule must be strictly decreasing and positive")
     m_a, m_b = as_matrix(A), as_matrix(B)
+    # B is checked before the shift can lift a negative eigenvalue above zero
+    a, _, table, ka, kb = _spectra(m_a, m_b)
     shift = float(np.trace(m_b).real) * np.eye(m_b.shape[0])
     values = [quantum_f_divergence(m_a, m_b + e * shift, f) for e in eps]
-    if f.ell == INF:
-        a, _, table, ka, kb = _spectra(m_a, m_b)
-        if _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum():
-            return values, INF
+    if f.ell == INF and _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum():
+        return values, INF
     if len(values) == 1:
         return values, values[0]
     v0, v1 = values[-2], values[-1]

@@ -8,11 +8,13 @@ and the number of trials.  :func:`run_property` is the one trial driver: trial
 derived from the master seed, the trial label and ``t``.  A check returns
 signed margins: for an inequality ``LHS <= RHS`` the margin is ``RHS - LHS``
 (slack), for an exact identity it is ``-|residual|``.  A margin violates the
-property when it falls below ``-tolerance`` or is NaN (an undefined residual,
-or an optimizer report that is not converged), and the property passes when it
-recorded at least one margin and none violates it.  Seeds derive
-deterministically from the master seed and the property id, so reports are
-reproducible up to timing.
+property when it falls below ``-tolerance`` or is NaN (an undefined
+residual), and the property passes when it recorded at least one margin and
+none violates it.  A trial whose check raises (an optimizer with no certified
+start, a domain error or a bug) records one NaN margin, and its property id,
+trial index and property seed are logged, so the other trials still count and
+the failure can be replayed.  Seeds derive deterministically from the master
+seed and the property id, so reports are reproducible up to timing.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .channels import (
     random_density,
 )
 from .condent import (
-    OptimizerOptions,
     chain_rule_rhs,
     classical_register_closed_form,
     conditional_entropy_optimize,
@@ -139,10 +140,8 @@ def _entropy(state: BipartiteState, alpha: float, cond: str = "B") -> float:
     return conditional_entropy_tsallis_closed(state, alpha, cond=cond)[0]
 
 
-def _optimized(state: BipartiteState, alpha: float, opts: OptimizerOptions) -> float:
-    """Optimizer value, or NaN (a violation) when the report is not converged."""
-    report = conditional_entropy_optimize(state, make_tsallis_f(alpha), opts)
-    return report.value if report.converged else math.nan
+def _optimized(state: BipartiteState, alpha: float) -> float:
+    return conditional_entropy_optimize(state, make_tsallis_f(alpha)).value
 
 
 def _check_dpi(trial: _Trial) -> list[float]:
@@ -229,7 +228,7 @@ def _check_mixture_exact(trial: _Trial) -> list[float]:
     blocks, p = _register_blocks(trial)
     assembled = build_classical_register_state(blocks, p)
     formula = classical_register_closed_form([_entropy(b, alpha) for b in blocks], p, alpha)
-    direct = _optimized(assembled, alpha, OptimizerOptions(seed=trial.seed("opt")))
+    direct = _optimized(assembled, alpha)
     return [-abs(formula - direct)]
 
 
@@ -265,12 +264,8 @@ def _check_product_identity(trial: _Trial) -> list[float]:
 
 def _check_extension_independence(trial: _Trial) -> list[float]:
     state = trial.state()
-    opts = OptimizerOptions(seed=trial.seed("opt"))
-    base = _optimized(state, trial.alpha, opts)
-    return [
-        -abs(_optimized(embed_ancilla(state, k), trial.alpha, opts) - base)
-        for k in (1, 2, 4)
-    ]
+    base = _optimized(state, trial.alpha)
+    return [-abs(_optimized(embed_ancilla(state, k), trial.alpha) - base) for k in (1, 2, 4)]
 
 
 def _check_thm3_data_processing(trial: _Trial) -> list[float]:
@@ -297,7 +292,7 @@ def _check_alpha_continuity(trial: _Trial) -> list[float]:
 def _check_closed_vs_optimizer(trial: _Trial) -> list[float]:
     state = trial.state()
     closed = _entropy(state, trial.alpha)
-    direct = _optimized(state, trial.alpha, OptimizerOptions(seed=trial.seed("opt")))
+    direct = _optimized(state, trial.alpha)
     return [-abs(closed - direct)]
 
 
@@ -392,19 +387,31 @@ def describe(property_id: str) -> str:
 
 
 def run_property(property_id: str, config: PropertyConfig | None = None) -> PropertyReport:
-    """Run one property's ensemble and summarize its margins."""
+    """Run one property's ensemble and summarize its margins.
+
+    A trial whose check raises records one NaN margin, a violation.
+    """
     spec = _spec(property_id)
     config = config or PropertyConfig()
     trials = spec.trials if config.trials is None else config.trials
     start = time.perf_counter()
-    margins = [m for t in range(trials) for m in spec.check(_Trial(spec, config.seed, t))]
+    margins = []
+    for t in range(trials):
+        try:
+            margins.extend(spec.check(_Trial(spec, config.seed, t)))
+        except Exception:
+            log.exception(
+                "property %s trial %d (property seed %d) raised; recorded as a NaN margin",
+                property_id, t, config.seed,
+            )
+            margins.append(math.nan)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     margins_arr = np.asarray(margins, dtype=float)
     if margins_arr.size == 0:
         # an ensemble that checked nothing must not pass
         violations, worst = 1, -math.inf
     else:
-        # a NaN margin (inf - inf, an unconverged solve) is a violation
+        # a NaN margin (inf - inf, a trial that raised) is a violation
         violations = int(np.sum(~(margins_arr >= -spec.tolerance)))
         worst = float(margins_arr.min())
     return PropertyReport(
@@ -425,29 +432,13 @@ def run_suite(
     """Run registered properties with per-property seeds derived from the master seed.
 
     ``properties=None`` runs everything; an explicit empty list runs nothing.
-    A property that raises is recorded as a failed report (one violation, no
-    trials) and the rest continue.
+    An unknown id raises :class:`DomainError`; a trial that raises is one NaN
+    margin of its property (see :func:`run_property`).
     """
     config = config or PropertyConfig()
     if properties is None:
         properties = list(REGISTRY)
-    reports = []
-    for pid in properties:
-        spec = _spec(pid)  # an unknown id is a usage error, not a failed property
-        sub_config = replace(config, seed=derive_seed(config.seed, pid))
-        try:
-            reports.append(run_property(pid, sub_config))
-        except Exception:
-            log.exception("property %s failed to run", pid)
-            reports.append(
-                PropertyReport(
-                    property_id=pid,
-                    trials=0,
-                    violations=1,
-                    worst_margin=-math.inf,
-                    tolerance=spec.tolerance,
-                    seed=sub_config.seed,
-                    elapsed_ms=0,
-                )
-            )
-    return reports
+    return [
+        run_property(pid, replace(config, seed=derive_seed(config.seed, pid)))
+        for pid in properties
+    ]

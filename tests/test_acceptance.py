@@ -17,7 +17,6 @@ import numpy as np
 from qfdiv.channels import embed_ancilla, random_density
 from qfdiv.condent import (
     BipartiteState,
-    OptimizerOptions,
     conditional_entropy_optimize,
     conditional_entropy_tsallis_closed,
     thm2_bounds,
@@ -104,12 +103,11 @@ def test_criterion_3_support_and_extension():
     for t in range(50):
         state = BipartiteState(random_density(4, 1 + t % 4, seed=7100 + t), (2, 2))
         f = make_tsallis_f(alphas[t % 3])
-        opts = OptimizerOptions(seed=t)
-        base = conditional_entropy_optimize(state, f, opts)
+        base = conditional_entropy_optimize(state, f)
         runs = [(state, base)]
         for k in (1, 2, 4):
             padded_state = embed_ancilla(state, k)
-            padded = conditional_entropy_optimize(padded_state, f, opts)
+            padded = conditional_entropy_optimize(padded_state, f)
             worst_delta = max(worst_delta, abs(padded.value - base.value))
             runs.append((padded_state, padded))
         for st, rep in runs:

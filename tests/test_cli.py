@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from qfdiv.channels import KrausChannel
 from qfdiv.cli import _build_parser, format_number, main, parse_matrix_file
 from qfdiv.condent import BipartiteState
 from qfdiv.linalg import DensityOperator
@@ -94,7 +93,7 @@ class TestCondentCommand:
               "--method", "closed"])
         closed = float(capsys.readouterr().out)
         main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "0.5",
-              "--method", "optimize", "--seed", "7"])
+              "--method", "optimize"])
         optimized = float(capsys.readouterr().out)
         assert abs(closed - optimized) <= 1e-6
 
@@ -142,7 +141,15 @@ class TestCondentCommand:
 
     def test_optimizer_flag_defaults(self):
         args = _build_parser().parse_args(["condent", "--state", "s.json", "--family", "kl"])
-        assert (args.starts, args.seed, args.value_tol, args.max_iters) == (4, 0, 1e-6, 500)
+        assert (args.starts, args.value_tol, args.max_iters) == (4, 1e-6, 500)
+
+    def test_seed_option_is_gone(self, bell_file, capsys):
+        # random starts come from one fixed stream, so a seed would pick nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "2",
+                  "--method", "optimize", "--seed", "1"])
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestDivergenceCommand:
@@ -208,17 +215,13 @@ class TestRandomCommand:
         main(["random", "state", "--dims", "3", "--seed", "9", "--out", str(b)])
         assert a.read_text() == b.read_text()
 
-    def test_channel_file_is_tpcp(self, tmp_path):
-        out = tmp_path / "chan.json"
-        assert main(["random", "channel", "--dims", "2", "3", "2", "--seed", "1",
-                     "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        ops = [
-            (np.asarray(k["re"]) + 1j * np.asarray(k["im"])).reshape(doc["d_out"], doc["d_in"])
-            for k in doc["kraus"]
-        ]
-        # the constructor rejects a completeness defect above 1e-9
-        KrausChannel(tuple(ops), d_in=doc["d_in"], d_out=doc["d_out"])
+    def test_channel_kind_is_gone(self, tmp_path, capsys):
+        # no command reads a channel file; random_channel stays in the Python API
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "channel", "--dims", "2", "3", "2", "--seed", "1",
+                  "--out", str(tmp_path / "chan.json")])
+        assert exc.value.code == 1
+        assert not (tmp_path / "chan.json").exists()
 
     def test_pure_state(self, tmp_path):
         out = tmp_path / "pure.json"

@@ -10,6 +10,7 @@ from qfdiv.channels import (
     random_density,
 )
 import qfdiv.condent as condent
+from qfdiv import rng
 from qfdiv.condent import (
     BipartiteState,
     OptimizerOptions,
@@ -213,7 +214,7 @@ class TestOptimizer:
             lambda obj, opts: [face_start(obj)] * 4 + list(real(obj, opts))[4:],
         )
         state = random_bipartite((2, 2), 3, seed=8)
-        opts = OptimizerOptions(starts=5, seed=99)
+        opts = OptimizerOptions(starts=5)
         report = conditional_entropy_optimize(state, make_tsallis_f(2.0), opts)
         assert len(report.iterations_per_start) == 5
         assert report.gap <= opts.value_tol
@@ -306,7 +307,7 @@ class TestOptimizer:
         from qfdiv.errors import ConvergenceError
 
         state = random_bipartite((3, 3), 6, seed=303)
-        opts = OptimizerOptions(max_iters=1, starts=2, seed=1)
+        opts = OptimizerOptions(max_iters=1, starts=2)
         with pytest.raises(ConvergenceError, match="start 0: gap .* after 1 iterations, max_iters"):
             conditional_entropy_optimize(state, make_tsallis_f(2.0), opts)
 
@@ -476,8 +477,7 @@ class TestSaturatedStarts:
                            derive_seed(seed, f"state/{t}")),
             dims,
         )
-        opts = OptimizerOptions(seed=derive_seed(seed, f"opt/{t}"))
-        report = conditional_entropy_optimize(state, make_tsallis_f(0.3), opts)
+        report = conditional_entropy_optimize(state, make_tsallis_f(0.3))
         closed, _ = conditional_entropy_tsallis_closed(state, 0.3)
         assert report.converged
         assert len(report.iterations_per_start) == 1
@@ -531,6 +531,19 @@ class TestSaturatedStarts:
 
     def test_options_have_no_fd_step(self):
         assert "fd_step" not in OptimizerOptions.__dataclass_fields__
+
+    def test_options_fields(self):
+        # a solve depends on its state, f and these alone: there is no seed
+        assert list(OptimizerOptions.__dataclass_fields__) == ["starts", "value_tol", "max_iters"]
+
+    def test_random_starts_come_from_one_fixed_stream(self):
+        state = random_bipartite((2, 3), 6, seed=46)
+        objective = objective_for(state, make_tsallis_f(0.5))
+        points = list(condent._start_points(objective, OptimizerOptions(starts=4)))
+        gen = rng.generator(0)
+        for got in points[2:]:
+            want = 0.5 * rng.standard_normals(gen, objective.n_params)
+            np.testing.assert_array_equal(got, want)
 
     def test_report_has_no_derived_fields(self):
         # the number of starts run is len(iterations_per_start)

@@ -315,6 +315,15 @@ class TestEpsSweep:
                 KET0, KET1, make_tsallis_f(1.0), eps_schedule=(1e-3, 1e-3)
             )
 
+    def test_checks_second_argument_as_spectral_route(self):
+        # -5e-8 lies 500 times past -RANK_TOL * ||B||; the shift alone would hide it
+        a, b = np.eye(2) / 2, np.diag([1.0, -5e-8])
+        f = make_tsallis_f(0.5)
+        with pytest.raises(DomainError, match="semi-definiteness"):
+            quantum_f_divergence(a, b, f)
+        with pytest.raises(DomainError, match="semi-definiteness"):
+            quantum_f_divergence_eps_sweep(a, b, f)
+
 
 def all_routes(a, b, alpha):
     """The spectral sum, the closed form and the epsilon-sweep limit for one pair."""

@@ -1,11 +1,11 @@
-import dataclasses
 import json
+import logging
 import math
 
 import pytest
 
 import qfdiv.propsuite as propsuite
-from qfdiv.errors import DomainError
+from qfdiv.errors import ConvergenceError, DomainError
 from qfdiv.propsuite import (
     REGISTRY,
     PropertyConfig,
@@ -98,19 +98,21 @@ class TestRunSuite:
 
     def test_errors_become_failed_reports(self, monkeypatch):
         broken = _PropertySpec(
-            check=lambda trial: [][1],  # raises IndexError
-            trials=1,
+            check=lambda trial: [][1] if trial.t % 2 else [0.0, 1.0],  # odd trials raise
+            trials=4,
             dims=(2,),
             alphas=(1.0,),
             tolerance=1e-9,
-            statement="always broken",
+            statement="broken on odd trials",
         )
         monkeypatch.setitem(REGISTRY, "broken", broken)
         reports = run_suite(PropertyConfig(seed=3), properties=["broken"])
         assert len(reports) == 1
         assert not reports[0].passed
-        assert reports[0].trials == 0
-        assert reports[0].worst_margin == -math.inf
+        # two margins from each of trials 0 and 2, one NaN from each of trials 1 and 3
+        assert reports[0].trials == 6
+        assert reports[0].violations == 2
+        assert math.isnan(reports[0].worst_margin)
 
     def test_failed_report_keeps_registry_tolerance(self, monkeypatch):
         broken = _PropertySpec(
@@ -161,15 +163,36 @@ class TestRunSuite:
         "pid", ["mixture-exact", "extension-independence", "closed-form-vs-optimizer"]
     )
     def test_unconverged_optimizer_is_a_violation(self, pid, monkeypatch):
-        original = propsuite.conditional_entropy_optimize
+        def uncertified(*args, **kwargs):
+            raise ConvergenceError("no start certified")
 
-        def disagreeing(*args, **kwargs):
-            return dataclasses.replace(original(*args, **kwargs), converged=False)
-
-        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", disagreeing)
+        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", uncertified)
         report = run_property(pid, PropertyConfig(trials=1, seed=4))
         assert not report.passed
-        assert report.violations >= 1
+        assert report.violations == 1
+
+    def test_raised_solve_costs_one_trial(self, monkeypatch, caplog):
+        pid, k = "closed-form-vs-optimizer", 2
+        original = propsuite.conditional_entropy_optimize
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == k + 1:  # one solve per trial: this is trial k
+                raise ConvergenceError("no start certified")
+            return original(*args, **kwargs)
+
+        clean = run_suite(PropertyConfig(seed=42), [pid])[0]
+        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", fails_once)
+        with caplog.at_level(logging.ERROR, logger="qfdiv.propsuite"):
+            report = run_suite(PropertyConfig(seed=42), [pid])[0]
+        assert clean.passed and clean.trials == REGISTRY[pid].trials
+        assert report.trials == clean.trials
+        assert report.violations == 1
+        assert math.isnan(report.worst_margin)
+        (record,) = caplog.records
+        assert record.args == (pid, k, derive_seed(42, pid))
+        assert record.exc_info[0] is ConvergenceError
 
     def test_reports_deterministic_across_runs(self):
         props = ["homogeneity", "pure-bounds", "alpha-continuity"]
