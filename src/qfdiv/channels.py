@@ -4,6 +4,9 @@ Randomness follows the conventions of :mod:`qfdiv.rng`: Philox keyed by the
 caller's seed, Gaussians via Box-Muller, Haar isometries via phase-fixed QR.
 Every generator is a pure function of its arguments, so equal seeds reproduce
 bit-identical objects.
+
+The state builders check their inputs and wrap their results, which are states
+by construction, without the constructor's eigensolve.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def random_density(d: int, rank: int, seed: int) -> DensityOperator:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
     g = rng.complex_gaussian(rng.generator(seed), (d, rank))
     m = g @ g.conj().T
-    return DensityOperator(m / np.trace(m).real)
+    return DensityOperator._from_valid(m / np.trace(m).real)
 
 
 def random_bipartite(dims: Sequence[int], rank: int, seed: int) -> BipartiteState:
@@ -125,7 +128,7 @@ def pure_bipartite_from_schmidt(
     psi = np.zeros(d_a * d_b, dtype=np.complex128)
     for i, ci in enumerate(c):
         psi += ci * np.kron(u_a[:, i], u_b[:, i])
-    return BipartiteState(np.outer(psi, psi.conj()), (d_a, d_b))
+    return BipartiteState(DensityOperator._from_valid(np.outer(psi, psi.conj())), (d_a, d_b))
 
 
 def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:
@@ -164,7 +167,7 @@ def build_classical_register_state(
         out[:, offset : offset + d, :, offset : offset + d] += weight * t
         offset += d
     dim = d_a * d_b
-    return BipartiteState(out.reshape(dim, dim), (d_a, d_b))
+    return BipartiteState(DensityOperator._from_valid(out.reshape(dim, dim)), (d_a, d_b))
 
 
 def embed_ancilla(state: BipartiteState, extra_b_dim: int) -> BipartiteState:
@@ -181,4 +184,4 @@ def embed_ancilla(state: BipartiteState, extra_b_dim: int) -> BipartiteState:
     out = np.zeros((d_a, padded, d_a, padded), dtype=np.complex128)
     out[:, :d_b, :, :d_b] = state.entries.reshape(d_a, d_b, d_a, d_b)
     dim = d_a * padded
-    return BipartiteState(out.reshape(dim, dim), (d_a, padded))
+    return BipartiteState(DensityOperator._from_valid(out.reshape(dim, dim)), (d_a, padded))

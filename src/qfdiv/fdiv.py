@@ -66,10 +66,10 @@ def _xlogx(xi: np.ndarray) -> np.ndarray:
 
 
 def _positive_alpha(alpha: float) -> float:
-    """``alpha`` as a float; a power-family order must be positive."""
+    """``alpha`` as a float; a power-family order must be positive and finite."""
     alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    if not 0.0 < alpha < math.inf:  # NaN fails both comparisons
+        raise DomainError(f"alpha must be positive and finite, got {alpha!r}")
     return alpha
 
 

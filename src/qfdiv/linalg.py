@@ -38,6 +38,15 @@ class DensityOperator:
     The stored matrix is symmetrized, copied and marked read-only, so instances
     can be shared freely between threads.  Sub-normalized states (trace
     strictly below one) are allowed.
+
+    Validation runs at the boundary: the constructor checks finiteness,
+    Hermiticity, the spectrum and the trace of whatever it is given, raw
+    arrays and matrix files included.  Builders whose result is a density
+    operator by construction from validated parts (``random_density``, the
+    Schmidt, register and ancilla builders in :mod:`qfdiv.channels`, and
+    :func:`partial_trace` of a wrapped state) wrap it with
+    :meth:`_from_valid`, which skips those checks.  Every engine still reads
+    a spectrum through :func:`psd_eigh`, which rejects a negative eigenvalue.
     """
 
     __slots__ = ("entries",)
@@ -50,6 +59,19 @@ class DensityOperator:
         t = self.trace_value
         if not 0.0 < t <= 1.0 + _TRACE_TOL:
             raise DomainError(f"trace bound violated: trace = {t!r}, expected in (0, 1]")
+
+    @staticmethod
+    def _from_valid(m: np.ndarray) -> DensityOperator:
+        """Wrap a matrix that is a density operator by construction, without checking it.
+
+        The entries are symmetrized and made read-only exactly as the
+        constructor does, so they are bitwise equal to ``DensityOperator(m)``'s.
+        """
+        m = np.asarray(m, dtype=np.complex128)
+        op = object.__new__(DensityOperator)
+        op.entries = (m + m.conj().T) / 2.0
+        op.entries.setflags(write=False)
+        return op
 
     @property
     def dim(self) -> int:
@@ -168,8 +190,10 @@ def _factor_indices(keep: str, n_factors: int) -> list[int]:
 
 
 def _probability_vector(p, name: str = "probability vector") -> np.ndarray:
-    """``p`` as a flat float array; a negative entry or a sum off 1 is a domain error."""
+    """``p`` as a flat float array; a non-finite or negative entry or a sum off 1 is an error."""
     w = np.asarray(p, dtype=float).ravel()
+    if not np.isfinite(w).all():
+        raise DomainError(f"{name} entries must be finite")
     if (w < 0).any():
         raise DomainError(f"{name} must be entrywise nonnegative")
     if abs(float(w.sum()) - 1.0) > 1e-10:
@@ -178,8 +202,10 @@ def _probability_vector(p, name: str = "probability vector") -> np.ndarray:
 
 
 def _schmidt_coefficients(coeffs) -> np.ndarray:
-    """Schmidt coefficients as a flat float array: nonnegative with unit square sum."""
+    """Schmidt coefficients as a flat float array: finite, nonnegative, with unit square sum."""
     c = np.asarray(coeffs, dtype=float).ravel()
+    if not np.isfinite(c).all():
+        raise DomainError("Schmidt coefficients must be finite")
     if (c < 0).any():
         raise DomainError("Schmidt coefficients must be nonnegative")
     if abs(float(np.sum(c**2)) - 1.0) > 1e-10:
@@ -208,7 +234,9 @@ def partial_trace(rho, keep: str, dims: Sequence[int] | None = None) -> DensityO
     """Reduced state over the kept subsystems, e.g. ``keep="B"`` traces out A.
 
     ``rho`` may be a :class:`BipartiteState` (dims taken from it),
-    or any operator together with an explicit ``dims`` tuple.
+    or any operator together with an explicit ``dims`` tuple.  The partial
+    trace of a :class:`DensityOperator` is one by construction and is not
+    re-checked; a raw array's is validated as a density operator.
     """
     if dims is None:
         if not isinstance(rho, BipartiteState):
@@ -216,7 +244,10 @@ def partial_trace(rho, keep: str, dims: Sequence[int] | None = None) -> DensityO
         dims = rho.dims
     entries = as_matrix(rho)
     keep_idx = _factor_indices(keep, len(dims))
-    return DensityOperator(ptrace_entries(entries, dims, keep_idx))
+    reduced = ptrace_entries(entries, dims, keep_idx)
+    if isinstance(rho, DensityOperator):
+        return DensityOperator._from_valid(reduced)
+    return DensityOperator(reduced)
 
 
 def permute_subsystems(entries: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

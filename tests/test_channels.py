@@ -155,6 +155,11 @@ class TestSchmidtStates:
         with pytest.raises(DomainError, match="unit square sum"):
             pure_bipartite_from_schmidt([1.0, 0.5], 2, 2, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            pure_bipartite_from_schmidt([bad, 1.0], 2, 2, seed=0)
+
     def test_rejects_too_many_coefficients(self):
         with pytest.raises(DomainError, match="at most"):
             pure_bipartite_from_schmidt(np.sqrt([0.4, 0.3, 0.3]), 2, 4, seed=0)
@@ -194,6 +199,12 @@ class TestRegisterStates:
             build_classical_register_state([], [])
         with pytest.raises(DomainError, match="probability"):
             build_classical_register_state([blk, blk], [0.7, 0.7])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        blk = BipartiteState(random_density(4, 1, seed=47), (2, 2))
+        with pytest.raises(DomainError, match="finite"):
+            build_classical_register_state([blk, blk], [bad, 1.0])
 
 
 class TestEmbedAncilla:

@@ -6,6 +6,7 @@ import pytest
 
 from qfdiv.cli import _build_parser, format_number, main, parse_matrix_file
 from qfdiv.condent import BipartiteState
+from qfdiv.errors import DomainError
 from qfdiv.linalg import DensityOperator
 
 from conftest import bell_matrix
@@ -73,6 +74,13 @@ class TestParseMatrixFile:
     def test_trace_bound_named(self, tmp_path):
         path = write_state(tmp_path / "heavy.json", np.diag([1.0, 0.5]))
         with pytest.raises(Exception, match="trace bound"):
+            parse_matrix_file(path)
+
+    @pytest.mark.parametrize("dims", [None, (2, 2)])
+    def test_negative_eigenvalue_named(self, tmp_path, dims):
+        # Hermitian with unit trace: only the eigensolve can reject it
+        path = write_state(tmp_path / "indefinite.json", np.diag([1.0, 0.5, -0.5, 0.0]), dims)
+        with pytest.raises(DomainError, match="positive semi-definiteness"):
             parse_matrix_file(path)
 
     def test_wrong_length_rejected(self, tmp_path):
@@ -190,6 +198,22 @@ class TestDivergenceCommand:
         code = main(["divergence", "--a", mixed_file, "--b", mixed_file, "--family", "tsallis"])
         assert code == 1
         assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    def test_bad_alpha_is_domain_error(self, mixed_file, capsys, alpha):
+        code = main(
+            ["divergence", "--a", mixed_file, "--b", mixed_file, "--family", "tsallis",
+             "--alpha", alpha]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qfdiv: error: alpha must be positive and finite")
+
+    def test_non_psd_state_is_domain_error(self, tmp_path, capsys):
+        path = write_state(tmp_path / "indefinite.json", np.diag([1.0, 0.5, -0.5, 0.0]), (2, 2))
+        assert main(["bounds", "--state", path, "--alpha", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qfdiv: error:") and "semi-definiteness" in err
 
 
 class TestBoundsCommand:

@@ -131,6 +131,10 @@ class TestBipartiteState:
         with pytest.raises(DomainError, match="normalized"):
             BipartiteState(np.eye(4) / 8, (2, 2))
 
+    def test_raw_input_is_checked_for_positivity(self):
+        with pytest.raises(DomainError, match="semi-definiteness"):
+            BipartiteState(np.diag([1.0, 0.5, 0.0, -0.5]), (2, 2))
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_divergence_engine_accepts_a_state(self, bell_state, alpha):
         f = make_tsallis_f(alpha)
@@ -740,6 +744,11 @@ class TestPureStateBounds:
         with pytest.raises(DomainError, match="unit square sum"):
             pure_state_bounds_tsallis([0.5, 0.5], 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            pure_state_bounds_tsallis([bad, 1.0], 0.5)
+
 
 class TestClassicalRegister:
     def test_single_block_collapses(self):
@@ -768,6 +777,11 @@ class TestClassicalRegister:
     def test_rejects_bad_distribution(self):
         with pytest.raises(DomainError, match="probability"):
             classical_register_closed_form([0.0, 0.0], [0.7, 0.7], 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            classical_register_closed_form([0.0, 0.0], [bad, 1.0], 0.5)
 
     def test_matches_assembled_state(self, bell_state):
         pure = BipartiteState(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))

@@ -64,6 +64,13 @@ class TestCatalog:
         with pytest.raises(DomainError):
             make_tsallis_f(-1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(DomainError, match="positive and finite"):
+            make_tsallis_f(alpha)
+        with pytest.raises(DomainError, match="positive and finite"):
+            tsallis_divergence_closed(KET0, KET1, alpha)
+
     def test_rejects_negative_infinite_ell(self):
         with pytest.raises(DomainError, match="ell"):
             DivergenceFunction("bad", lambda x: -x * np.log(x), lambda x: x, 0.0, -INF, False)
@@ -101,6 +108,15 @@ class TestCsiszar:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError, match="sum to 1"):
             csiszar_divergence([0.5, 0.4], [0.5, 0.5], make_tsallis_f(1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN fails both the sign and the sum test, so finiteness is its own check
+        f = make_tsallis_f(0.5)
+        with pytest.raises(DomainError, match="p entries must be finite"):
+            csiszar_divergence([bad, 1.0], [0.5, 0.5], f)
+        with pytest.raises(DomainError, match="q entries must be finite"):
+            csiszar_divergence([0.5, 0.5], [bad, 1.0], f)
 
     def test_jensen_lower_bound(self):
         gen = np.random.Generator(np.random.Philox(key=9))

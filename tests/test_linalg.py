@@ -186,6 +186,12 @@ class TestPartialTrace:
         with pytest.raises(DomainError, match="dimension mismatch"):
             partial_trace(np.eye(6) / 6, "B", dims=(2, 2))
 
+    def test_raw_non_psd_input_is_rejected(self):
+        # Hermitian with unit trace, but -0.5 is an eigenvalue of its A marginal
+        raw = np.diag([1.0, 0.5, -0.5, 0.0])
+        with pytest.raises(DomainError, match="semi-definiteness"):
+            partial_trace(raw, "A", dims=(2, 2))
+
     def test_bad_label(self):
         with pytest.raises(DomainError, match="label"):
             partial_trace(np.eye(4) / 4, "C", dims=(2, 2))
