@@ -6,7 +6,8 @@ Every generator is a pure function of its arguments, so equal seeds reproduce
 bit-identical objects.
 
 The state builders check their inputs and wrap their results, which are states
-by construction, without the constructor's eigensolve.
+by construction, without the constructor's eigensolve; likewise the channel
+builders skip the constructor's copy and completeness check.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ _TPCP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A trace-preserving completely positive map ``X -> sum_n K_n X K_n^dag``."""
+    """A trace-preserving completely positive map ``X -> sum_n K_n X K_n^dag``.
+
+    The constructor copies each Kraus operator, makes it read-only and checks
+    completeness; the random channel builders wrap operators that are
+    complete by construction with :meth:`_from_valid`, which does neither.
+    """
 
     kraus_ops: tuple[np.ndarray, ...]
     d_in: int
@@ -56,6 +62,20 @@ class KrausChannel:
             raise DomainError(
                 f"trace preservation violated: max |sum K^dag K - 1| = {defect:.3e}"
             )
+
+    @staticmethod
+    def _from_valid(ops: tuple[np.ndarray, ...], d_in: int, d_out: int) -> KrausChannel:
+        """Wrap complex ``(d_out, d_in)`` Kraus operators that are complete by construction.
+
+        The operators are made read-only in place, neither copied nor checked.
+        """
+        for k in ops:
+            k.setflags(write=False)
+        phi = object.__new__(KrausChannel)
+        object.__setattr__(phi, "kraus_ops", ops)
+        object.__setattr__(phi, "d_in", d_in)
+        object.__setattr__(phi, "d_out", d_out)
+        return phi
 
 
 def _completeness_defect(phi: KrausChannel) -> float:
@@ -94,11 +114,13 @@ def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChann
     v = rng.haar_isometry(gen, d_out * env_dim, d_in)
     blocks = v.reshape(d_out, env_dim, d_in)
     ops = tuple(np.ascontiguousarray(blocks[:, e, :]) for e in range(env_dim))
-    return KrausChannel(ops, d_in=d_in, d_out=d_out)
+    return KrausChannel._from_valid(ops, d_in, d_out)
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityOperator:
     """Normalized ``G G^dag`` for a ``d x rank`` complex Gaussian ``G``."""
+    if d < 1:
+        raise DomainError(f"dimension must be at least 1, got {d}")
     if not 1 <= rank <= d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
     g = rng.complex_gaussian(rng.generator(seed), (d, rank))
@@ -135,7 +157,7 @@ def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:
     """Tensor the identity on a left factor: ``id (x) phi`` acting on B of an AB state."""
     eye = np.eye(d_left)
     ops = tuple(np.kron(eye, k) for k in phi.kraus_ops)
-    return KrausChannel(ops, d_in=d_left * phi.d_in, d_out=d_left * phi.d_out)
+    return KrausChannel._from_valid(ops, d_left * phi.d_in, d_left * phi.d_out)
 
 
 def build_classical_register_state(

@@ -173,6 +173,7 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_condent(args) -> int:
+    opts = OptimizerOptions(starts=args.starts, value_tol=args.value_tol, max_iters=args.max_iters)
     state = parse_matrix_file(args.state)
     if not isinstance(state, BipartiteState):
         raise DomainError("condent needs a state file with a dims field")
@@ -181,11 +182,6 @@ def _cmd_condent(args) -> int:
     if args.method == "closed":
         value, _ = conditional_entropy_tsallis_closed(state, alpha)
     else:
-        opts = OptimizerOptions(
-            starts=args.starts,
-            value_tol=args.value_tol,
-            max_iters=args.max_iters,
-        )
         value = conditional_entropy_optimize(state, f, opts).value
     print(format_number(value))
     return 0

@@ -49,11 +49,20 @@ class OptimizerOptions:
 
     A solve depends only on its state, f and these values: the random starts,
     from the third on, come from one fixed stream (``rng.generator(0)``).
+    The values are checked here, once, so a bad one fails before any solve.
     """
 
     starts: int = 4  # the most starts a solve may run; it stops at the first certified one
     value_tol: float = 1e-6
     max_iters: int = 500
+
+    def __post_init__(self) -> None:
+        if self.starts < 1:
+            raise DomainError(f"optimizer needs at least one start, got {self.starts}")
+        if not 0.0 < self.value_tol < math.inf:
+            raise DomainError(f"value_tol must be finite and positive, got {self.value_tol!r}")
+        if self.max_iters < 0:
+            raise DomainError(f"max_iters must be nonnegative, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -410,8 +419,6 @@ def conditional_entropy_optimize(
     """
     _require_wellbehaved(f)
     opts = opts or OptimizerOptions()
-    if opts.starts < 1:
-        raise DomainError("optimizer needs at least one start")
     entries, d_rest, d_cond = _conditioning_view(state, cond)
     objective = _Objective(entries, d_rest, d_cond, f)
 

@@ -10,33 +10,76 @@ two building blocks.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
 
 
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed sequence that hands Philox its key and draws no OS entropy.
+
+    ``Philox(key=k)`` first seeds itself from OS entropy and then overwrites
+    the key; this class gives it the key words directly.  It is built on first
+    use, so importing the package does not load ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """The two key words ``[seed, 0]`` that ``Philox(key=seed)`` sets, and nothing else."""
+
+        def __init__(self, seed: int) -> None:
+            self.seed = seed
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # any other request means Philox seeds itself differently, and the
+            # stream would silently change
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise RuntimeError(
+                    f"Philox asked for {n_words} words of {np.dtype(dtype)}, not a 2 x uint64 key"
+                )
+            return np.array([self.seed, 0], dtype=np.uint64)
+
+    return PhiloxKey
+
+
 def generator(seed: int) -> np.random.Generator:
     """Philox generator keyed with the low 64 bits of ``seed``."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _U64_MASK))
+    key = _philox_key_type()(int(seed) & _U64_MASK)
+    return np.random.Generator(np.random.Philox(key))
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from uniform pairs ``u[..., 0, :]`` and ``u[..., 1, :]``.
+
+    Along the last axis the result holds the cosine deviates, then the sine
+    deviates.  ``log``, ``cos`` and ``sin`` see only fresh contiguous arrays,
+    so each deviate is the same bits whatever the batch shape.
+    """
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :]))  # 1 - u in (0, 1]: the log is finite
+    angle = 2.0 * np.pi * u[..., 1, :]
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
 
 
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     """``n`` N(0, 1) deviates via Box-Muller pairs on uniforms from ``gen``."""
     m = (n + 1) // 2
-    u1 = 1.0 - gen.random(m)  # (0, 1]: keeps the log finite
-    u2 = gen.random(m)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
-    return z[:n]
+    return _box_muller(gen.random(2 * m).reshape(2, m))[:n]
 
 
 def complex_gaussian(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Matrix with independent N(0, 1) real and imaginary parts."""
+    """Matrix with independent N(0, 1) real and imaginary parts.
+
+    One draw of uniforms and one Box-Muller pass: the real parts are the
+    ``standard_normals`` of the first half of the draw, the imaginary parts of
+    the second half.
+    """
     n = int(np.prod(shape))
-    re = standard_normals(gen, n)
-    im = standard_normals(gen, n)
-    return (re + 1j * im).reshape(shape)
+    m = (n + 1) // 2
+    z = _box_muller(gen.random(4 * m).reshape(2, 2, m))
+    return (z[0, :n] + 1j * z[1, :n]).reshape(shape)
 
 
 def haar_isometry(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -124,6 +124,11 @@ class TestRandomDensity:
         with pytest.raises(DomainError):
             random_density(3, 4, seed=0)
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_dimension_bound_names_the_dimension(self, d):
+        with pytest.raises(DomainError, match=f"dimension must be at least 1, got {d}"):
+            random_density(d, 1, seed=0)
+
 
 class TestSchmidtStates:
     def test_single_coefficient_is_product(self):

@@ -151,6 +151,31 @@ class TestCondentCommand:
         args = _build_parser().parse_args(["condent", "--state", "s.json", "--family", "kl"])
         assert (args.starts, args.value_tol, args.max_iters) == (4, 1e-6, 500)
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--value-tol", "nan", "value_tol"),
+            ("--value-tol", "inf", "value_tol"),
+            ("--value-tol", "0", "value_tol"),
+            ("--max-iters", "-1", "max_iters"),
+            ("--starts", "0", "start"),
+        ],
+    )
+    def test_bad_optimizer_option_fails_before_any_solve(
+        self, bell_file, capsys, monkeypatch, flag, value, named
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr("qfdiv.cli.conditional_entropy_optimize", no_solve)
+        code = main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "0.5",
+                     "--method", "optimize", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("qfdiv: error: ")
+        assert named in captured.err
+
     def test_seed_option_is_gone(self, bell_file, capsys):
         # random starts come from one fixed stream, so a seed would pick nothing
         with pytest.raises(SystemExit) as exc:
@@ -260,6 +285,14 @@ class TestRandomCommand:
         with pytest.raises(SystemExit) as exc:
             main(["random", "pure", "--dims", "2", "3", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 1
+
+    def test_zero_dimension_names_the_dimension(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["random", "state", "--dims", "0", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dimension must be at least 1" in err
+        assert "rank" not in err
+        assert not out.exists()
 
     def test_rank_out_of_range(self, tmp_path, capsys):
         code = main(["random", "state", "--dims", "2", "--rank", "5", "--seed", "0",

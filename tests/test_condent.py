@@ -360,6 +360,31 @@ class TestOptimizer:
 GRADIENT_FUNCTIONS = [make_tsallis_f(a) for a in (0.3, 0.5, 1.0, 1.5, 2.0)] + [mix_function()]
 
 
+class TestOptimizerOptions:
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"starts": -3}, "at least one start"),
+            ({"value_tol": math.nan}, "value_tol"),
+            ({"value_tol": math.inf}, "value_tol"),
+            ({"value_tol": 0.0}, "value_tol"),
+            ({"value_tol": -1e-6}, "value_tol"),
+            ({"max_iters": -1}, "max_iters"),
+        ],
+    )
+    def test_rejects_invalid_values(self, kwargs, named):
+        with pytest.raises(DomainError, match=named):
+            OptimizerOptions(**kwargs)
+
+    def test_a_zero_iteration_solve_certifies_a_product_state(self):
+        # I/4 = (I/2) (x) (I/2): start 0 is the minimizer, certified with no descent step
+        state = BipartiteState(np.eye(4) / 4, (2, 2))
+        opts = OptimizerOptions(starts=1, max_iters=0)
+        report = conditional_entropy_optimize(state, make_tsallis_f(0.5), opts)
+        assert report.iterations_per_start == (0,)
+        assert report.gap <= 1e-6
+
+
 class TestSlope:
     @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
     def test_matches_finite_difference_of_perspective(self, f):

@@ -5,6 +5,9 @@ trace of a wrapped state skip the constructor's checks.  Each test here records
 the matrix such a builder wraps and checks that the public constructor accepts
 it, that the wrapped entries are read-only and exactly Hermitian, and that they
 are bitwise equal to what the public constructor makes of the same matrix.
+``random_channel`` and ``extend_with_identity`` likewise skip the channel
+constructor's copy and completeness check; their Kraus operators must be what
+the public constructor makes of them.
 """
 
 import math
@@ -15,12 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfdiv.channels import (
+    KrausChannel,
+    _completeness_defect,
     build_classical_register_state,
     embed_ancilla,
+    extend_with_identity,
     pure_bipartite_from_schmidt,
     random_bipartite,
+    random_channel,
     random_density,
 )
+from qfdiv.errors import DomainError
 from qfdiv.linalg import DensityOperator, partial_trace
 
 # Hypothesis reports a failure through code that touches the deprecated
@@ -147,3 +155,49 @@ def test_partial_trace_of_a_wrapped_state(n_factors, data, seed):
     # the raw-array route validates the same reduced matrix
     checked = partial_trace(np.array(state.entries), keep, dims)
     assert checked.entries.tobytes() == out.entries.tobytes()
+
+
+def assert_channel_as_validated(phi):
+    """``phi`` holds exactly what the validating constructor makes of its operators."""
+    validated = KrausChannel(phi.kraus_ops, d_in=phi.d_in, d_out=phi.d_out)
+    assert type(phi.kraus_ops) is tuple
+    assert len(phi.kraus_ops) == len(validated.kraus_ops)
+    for k, v in zip(phi.kraus_ops, validated.kraus_ops):
+        assert not k.flags.writeable
+        assert k.dtype == v.dtype
+        assert k.shape == v.shape == (phi.d_out, phi.d_in)
+        assert k.tobytes() == v.tobytes()
+    assert _completeness_defect(phi) <= 1e-12
+
+
+@st.composite
+def channel_dims(draw):
+    """``(d_in, d_out, env_dim)`` of a channel whose isometry has at most ``MAX_DIM`` rows."""
+    d_out = draw(st.integers(min_value=1, max_value=16))
+    env_dim = draw(st.integers(min_value=1, max_value=MAX_DIM // d_out))
+    d_in = draw(st.integers(min_value=1, max_value=min(16, d_out * env_dim)))
+    return d_in, d_out, env_dim
+
+
+@EXAMPLES
+@given(dims=channel_dims(), seed=SEEDS)
+def test_random_channel(dims, seed):
+    phi = random_channel(*dims, seed=seed)
+    assert (phi.d_in, phi.d_out, len(phi.kraus_ops)) == dims
+    assert_channel_as_validated(phi)
+
+
+@EXAMPLES
+@given(dims=channel_dims(), d_left=st.integers(min_value=1, max_value=4), seed=SEEDS)
+def test_extend_with_identity(dims, d_left, seed):
+    phi = extend_with_identity(random_channel(*dims, seed=seed), d_left)
+    assert (phi.d_in, phi.d_out) == (d_left * dims[0], d_left * dims[1])
+    assert_channel_as_validated(phi)
+
+
+def test_raw_non_trace_preserving_channel_still_raises():
+    phi = random_channel(3, 2, 2, seed=1)
+    with pytest.raises(DomainError, match="trace preservation"):
+        KrausChannel(tuple(0.9 * k for k in phi.kraus_ops), d_in=3, d_out=2)
+    with pytest.raises(DomainError, match="trace preservation"):
+        KrausChannel(phi.kraus_ops[:1], d_in=3, d_out=2)

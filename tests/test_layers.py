@@ -49,19 +49,28 @@ def test_imports_point_down(name):
     assert not upward, f"qfdiv.{name} imports from its own or a higher layer: {upward}"
 
 
-def test_import_loads_no_scipy():
+def loaded_by_import(prefix: str) -> str:
+    """The modules under ``prefix`` that ``import qfdiv`` loads in a fresh interpreter."""
     # a fresh interpreter, so modules loaded by other tests cannot hide an import;
     # a None entry in sys.modules blocks an import and is not a loaded module
     probe = (
         "import sys, qfdiv; print(sorted(m for m, mod in sys.modules.items()"
-        " if m.startswith('scipy') and mod is not None))"
+        f" if m.startswith({prefix!r}) and mod is not None))"
     )
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": path},
-    ).stdout
-    assert out.strip() == "[]"
+    ).stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # rng loads numpy.random on the first generator it makes
+    assert loaded_by_import("numpy.random") == "[]"
