@@ -7,13 +7,12 @@ bit-identical objects.
 
 The state builders check their inputs and wrap their results, which are states
 by construction, without the constructor's eigensolve; likewise the channel
-builders skip the constructor's copy and completeness check.
+builders skip the constructor's copy and checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,56 +30,61 @@ from .linalg import (
 _TPCP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class KrausChannel:
     """A trace-preserving completely positive map ``X -> sum_n K_n X K_n^dag``.
 
-    The constructor copies each Kraus operator, makes it read-only and checks
-    completeness; the random channel builders wrap operators that are
-    complete by construction with :meth:`_from_valid`, which does neither.
+    The Kraus operators are one read-only complex array ``kraus_ops`` of shape
+    ``(n, d_out, d_in)``; the dimensions are read from that shape.  Channels
+    compare and hash by identity.  The constructor copies the operators and
+    rejects an empty set, operators of different shapes, non-finite entries
+    and a completeness defect above ``1e-9``; the random channel builders wrap
+    operators that are complete by construction with :meth:`_from_valid`,
+    which neither copies nor checks.
     """
 
-    kraus_ops: tuple[np.ndarray, ...]
-    d_in: int
-    d_out: int
+    __slots__ = ("kraus_ops",)
 
-    def __post_init__(self) -> None:
-        if not self.kraus_ops:
+    def __init__(self, kraus_ops) -> None:
+        try:
+            ops = np.array(kraus_ops, dtype=np.complex128)
+        except ValueError:
+            raise DomainError("Kraus operators must share one 2-D shape") from None
+        if ops.shape[:1] == (0,):
             raise DomainError("a channel needs at least one Kraus operator")
-        ops = []
-        for k in self.kraus_ops:
-            m = np.array(k, dtype=np.complex128)
-            if m.shape != (self.d_out, self.d_in):
-                raise DomainError(
-                    f"Kraus operator shape {m.shape} != ({self.d_out}, {self.d_in})"
-                )
-            m.setflags(write=False)
-            ops.append(m)
-        object.__setattr__(self, "kraus_ops", tuple(ops))
-        defect = _completeness_defect(self)
-        if defect > _TPCP_TOL:
+        if ops.ndim != 3 or 0 in ops.shape:
+            raise DomainError(f"Kraus operators must share one nonempty 2-D shape, got {ops.shape}")
+        if not np.isfinite(ops).all():
+            raise DomainError("Kraus operator entries must be finite")
+        acc = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+        defect = float(np.abs(acc - np.eye(ops.shape[2])).max())
+        if not defect <= _TPCP_TOL:  # written this way round so that NaN fails
             raise DomainError(
                 f"trace preservation violated: max |sum K^dag K - 1| = {defect:.3e}"
             )
+        ops.setflags(write=False)
+        self.kraus_ops = ops
 
     @staticmethod
-    def _from_valid(ops: tuple[np.ndarray, ...], d_in: int, d_out: int) -> KrausChannel:
-        """Wrap complex ``(d_out, d_in)`` Kraus operators that are complete by construction.
+    def _from_valid(ops: np.ndarray) -> KrausChannel:
+        """Wrap a complex ``(n, d_out, d_in)`` array of operators complete by construction.
 
-        The operators are made read-only in place, neither copied nor checked.
+        The array is made read-only in place, neither copied nor checked.
         """
-        for k in ops:
-            k.setflags(write=False)
+        ops.setflags(write=False)
         phi = object.__new__(KrausChannel)
-        object.__setattr__(phi, "kraus_ops", ops)
-        object.__setattr__(phi, "d_in", d_in)
-        object.__setattr__(phi, "d_out", d_out)
+        phi.kraus_ops = ops
         return phi
 
+    @property
+    def d_in(self) -> int:
+        return self.kraus_ops.shape[2]
 
-def _completeness_defect(phi: KrausChannel) -> float:
-    acc = sum(k.conj().T @ k for k in phi.kraus_ops)
-    return float(np.abs(acc - np.eye(phi.d_in)).max())
+    @property
+    def d_out(self) -> int:
+        return self.kraus_ops.shape[1]
+
+    def __repr__(self) -> str:
+        return f"KrausChannel(n={len(self.kraus_ops)}, d_in={self.d_in}, d_out={self.d_out})"
 
 
 def apply_channel(phi: KrausChannel, rho) -> np.ndarray:
@@ -92,9 +96,8 @@ def apply_channel(phi: KrausChannel, rho) -> np.ndarray:
     m = as_matrix(rho)
     if m.shape[0] != phi.d_in:
         raise DomainError(f"dimension mismatch: channel input {phi.d_in}, state {m.shape[0]}")
-    out = np.zeros((phi.d_out, phi.d_out), dtype=np.complex128)
-    for k in phi.kraus_ops:
-        out += k @ m @ k.conj().T
+    k = phi.kraus_ops
+    out = (k @ m @ k.conj().transpose(0, 2, 1)).sum(axis=0)
     return (out + out.conj().T) / 2.0
 
 
@@ -112,9 +115,8 @@ def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChann
         )
     gen = rng.generator(seed)
     v = rng.haar_isometry(gen, d_out * env_dim, d_in)
-    blocks = v.reshape(d_out, env_dim, d_in)
-    ops = tuple(np.ascontiguousarray(blocks[:, e, :]) for e in range(env_dim))
-    return KrausChannel._from_valid(ops, d_in, d_out)
+    ops = np.ascontiguousarray(v.reshape(d_out, env_dim, d_in).transpose(1, 0, 2))
+    return KrausChannel._from_valid(ops)
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityOperator:
@@ -155,9 +157,7 @@ def pure_bipartite_from_schmidt(
 
 def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:
     """Tensor the identity on a left factor: ``id (x) phi`` acting on B of an AB state."""
-    eye = np.eye(d_left)
-    ops = tuple(np.kron(eye, k) for k in phi.kraus_ops)
-    return KrausChannel._from_valid(ops, d_left * phi.d_in, d_left * phi.d_out)
+    return KrausChannel._from_valid(np.kron(np.eye(d_left), phi.kraus_ops))
 
 
 def build_classical_register_state(

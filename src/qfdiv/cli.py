@@ -220,6 +220,8 @@ def _cmd_random(args) -> int:
     dims = args.dims
     if not 1 <= len(dims) <= 3:
         raise DomainError("random state needs 1 to 3 dims")
+    if min(dims) < 1:
+        raise DomainError(f"every dimension must be at least 1, got dims {dims}")
     d = int(np.prod(dims))
     rank = args.rank if args.rank is not None else d
     rho = random_density(d, rank, args.seed)

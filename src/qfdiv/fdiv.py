@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .linalg import RANK_TOL, _probability_vector, as_matrix, psd_eigh
 INF = math.inf
 
 ALPHA_ONE_TOL = 1e-6  # below this distance from 1, Tsallis paths switch to x*log(x)
+
+EPS_SCHEDULE = (1e-5, 1e-6, 1e-7)  # the epsilon sweep's regularization, geometric
 
 
 @dataclass(frozen=True)
@@ -199,9 +201,8 @@ def quantum_f_divergence_eps_sweep(
     A,
     B,
     f: DivergenceFunction,
-    eps_schedule: Sequence[float] = (1e-5, 1e-6, 1e-7),
 ) -> tuple[list[float], float]:
-    """Divergence against ``B + eps * tr(B) * I`` along a decreasing epsilon schedule.
+    """Divergence against ``B + eps * tr(B) * I`` for each ``eps`` in :data:`EPS_SCHEDULE`.
 
     The regularized second argument is full rank, so no kernel term arises;
     the shift scales with ``B``, so scaling both arguments scales every value.
@@ -221,30 +222,22 @@ def quantum_f_divergence_eps_sweep(
     eigenvalue below ``-RANK_TOL * ||B||`` is a domain error even where the
     shift would make it PSD.
     """
-    eps = [float(e) for e in eps_schedule]
-    if not eps:
-        raise DomainError("eps_schedule must be non-empty")
-    if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise DomainError("eps_schedule must be strictly decreasing and positive")
     m_a, m_b = as_matrix(A), as_matrix(B)
     # B is checked before the shift can lift a negative eigenvalue above zero
     a, _, table, ka, kb = _spectra(m_a, m_b)
     shift = float(np.trace(m_b).real) * np.eye(m_b.shape[0])
-    values = [quantum_f_divergence(m_a, m_b + e * shift, f) for e in eps]
+    values = [quantum_f_divergence(m_a, m_b + e * shift, f) for e in EPS_SCHEDULE]
     if f.ell == INF and _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum():
         return values, INF
-    if len(values) == 1:
-        return values, values[0]
-    v0, v1 = values[-2], values[-1]
-    e0, e1 = eps[-2], eps[-1]
+    _, v0, v1 = values
+    _, e0, e1 = EPS_SCHEDULE
     # the growth floor and cap scale with A, as every value does
     scale = float(np.trace(m_a).real)
     if abs(v1) > 10.0 * max(abs(v0), 1e-12 * scale) or abs(v1) > 1e12 * scale:
         return values, INF
-    if len(values) >= 3:
-        d1, d2 = v0 - values[-3], v1 - v0
-        if abs(d2) < abs(d1):
-            return values, v1 - d2 * d2 / (d2 - d1)
+    d1, d2 = v0 - values[0], v1 - v0
+    if abs(d2) < abs(d1):
+        return values, v1 - d2 * d2 / (d2 - d1)
     return values, v1 + (v1 - v0) * e1 / (e0 - e1)
 
 

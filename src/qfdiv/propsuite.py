@@ -152,7 +152,7 @@ def _check_dpi(trial: _Trial) -> list[float]:
         rho = random_density(d, 1 + t % d, trial.seed(f"rho{ai}"))
         sig = random_density(d, d, trial.seed(f"sig{ai}"))
         phi = random_channel(d, trial.next_dims, 2, trial.seed(f"phi{ai}"))
-        pre = quantum_f_divergence(rho.entries, sig.entries, f)
+        pre = quantum_f_divergence(rho, sig, f)
         post = quantum_f_divergence(apply_channel(phi, rho), apply_channel(phi, sig), f)
         margins.append(pre - post)
     return margins
@@ -162,17 +162,17 @@ def _check_nonnegativity(trial: _Trial) -> list[float]:
     d = trial.dims
     rho = random_density(d, 1 + trial.t % d, trial.seed("rho"))
     sig = random_density(d, d, trial.seed("sig"))
-    return [quantum_f_divergence(rho.entries, sig.entries, make_tsallis_f(trial.alpha))]
+    return [quantum_f_divergence(rho, sig, make_tsallis_f(trial.alpha))]
 
 
 def _check_homogeneity(trial: _Trial) -> list[float]:
     d = trial.dims
     f = make_tsallis_f(trial.alpha)
-    a = random_density(d, 1 + trial.t % d, trial.seed("a")).entries
-    b = random_density(d, d, trial.seed("b")).entries
+    a = random_density(d, 1 + trial.t % d, trial.seed("a"))
+    b = random_density(d, d, trial.seed("b"))
     base = quantum_f_divergence(a, b, f)
     return [
-        -abs(quantum_f_divergence(lam * a, lam * b, f) - lam * base)
+        -abs(quantum_f_divergence(lam * a.entries, lam * b.entries, f) - lam * base)
         for lam in (1e-9, 0.1, 0.5, 2.0)
     ]
 

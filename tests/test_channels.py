@@ -4,7 +4,6 @@ import pytest
 from qfdiv import channels
 from qfdiv.channels import (
     KrausChannel,
-    _completeness_defect,
     apply_channel,
     build_classical_register_state,
     embed_ancilla,
@@ -18,38 +17,93 @@ from qfdiv.errors import DomainError
 from qfdiv.linalg import partial_trace, support_projector
 
 
+def completeness_defect(phi):
+    """``max |sum_n K_n^dag K_n - 1|`` over the entries."""
+    acc = sum(k.conj().T @ k for k in phi.kraus_ops)
+    return float(np.abs(acc - np.eye(phi.d_in)).max())
+
+
 class TestKrausChannel:
     def test_identity_is_tpcp(self):
-        KrausChannel((np.eye(2),), d_in=2, d_out=2)
+        KrausChannel((np.eye(2),))
 
     def test_scaled_identity_rejected(self):
         with pytest.raises(DomainError, match="trace preservation"):
-            KrausChannel((np.eye(2) / 2,), d_in=2, d_out=2)
+            KrausChannel((np.eye(2) / 2,))
 
     def test_projective_pinching_is_tpcp(self):
         p = np.diag([1.0, 0.0])
-        phi = KrausChannel((p, np.eye(2) - p), d_in=2, d_out=2)
-        assert _completeness_defect(phi) <= 1e-12
+        phi = KrausChannel((p, np.eye(2) - p))
+        assert completeness_defect(phi) <= 1e-12
+
+    def test_dims_come_from_the_operator_shape(self):
+        phi = KrausChannel((np.eye(3, 2),))
+        assert (phi.d_in, phi.d_out) == (2, 3)
+        assert phi.kraus_ops.shape == (1, 3, 2)
+        assert not phi.kraus_ops.flags.writeable
+        with pytest.raises(AttributeError):
+            phi.d_in = 4
+
+    def test_constructor_copies(self):
+        k = np.eye(2)
+        phi = KrausChannel((k,))
+        k[0, 0] = 0.0
+        assert phi.kraus_ops[0, 0, 0] == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError, match="shape"):
-            KrausChannel((np.eye(3),), d_in=2, d_out=2)
+            KrausChannel((np.eye(2), np.eye(3)))
+        with pytest.raises(DomainError, match="shape"):
+            KrausChannel((np.eye(2), np.eye(2, 3)))
+
+    def test_non_matrix_operators_rejected(self):
+        with pytest.raises(DomainError, match="shape"):
+            KrausChannel((np.ones(2),))
+        with pytest.raises(DomainError, match="shape"):
+            KrausChannel((np.zeros((0, 0)),))
+
+    def test_no_operators_rejected(self):
+        with pytest.raises(DomainError, match="at least one"):
+            KrausChannel(())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operators_rejected(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            KrausChannel((k,))
+        with pytest.raises(DomainError, match="finite"):
+            KrausChannel((np.full((2, 2), bad),))
+
+    def test_dims_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            KrausChannel((np.eye(2),), 2, 2)
+
+    def test_compares_and_hashes_by_identity(self):
+        phi = random_channel(2, 2, 2, seed=1)
+        assert phi == phi
+        assert phi != random_channel(2, 2, 2, seed=1)
+        assert len({phi, phi, random_channel(2, 2, 2, seed=1)}) == 2
+        assert hash(phi) == hash(phi)
+
+    def test_short_repr(self):
+        assert repr(random_channel(2, 3, 2, seed=1)) == "KrausChannel(n=2, d_in=2, d_out=3)"
 
 
 class TestApplyChannel:
     def test_identity_channel(self):
         rho = random_density(3, 2, seed=1)
-        out = apply_channel(KrausChannel((np.eye(3),), 3, 3), rho)
+        out = apply_channel(KrausChannel((np.eye(3),)), rho)
         np.testing.assert_allclose(out, rho.entries, atol=1e-14)
 
     def test_returns_array_for_wrapped_input(self):
-        out = apply_channel(KrausChannel((np.eye(2),), 2, 2), random_density(2, 1, seed=3))
+        out = apply_channel(KrausChannel((np.eye(2),)), random_density(2, 1, seed=3))
         assert type(out) is np.ndarray
 
     def test_full_dephasing_of_plus(self):
         k0 = np.diag([1.0, 0.0])
         k1 = np.diag([0.0, 1.0])
-        phi = KrausChannel((k0, k1), 2, 2)
+        phi = KrausChannel((k0, k1))
         out = apply_channel(phi, np.full((2, 2), 0.5))
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-14)
 
@@ -59,12 +113,12 @@ class TestApplyChannel:
 
     def test_accepts_a_factored_state(self):
         state = BipartiteState(random_density(4, 2, seed=4), (2, 2))
-        out = apply_channel(KrausChannel((np.eye(4),), 4, 4), state)
+        out = apply_channel(KrausChannel((np.eye(4),)), state)
         np.testing.assert_array_equal(out, state.entries)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError, match="dimension mismatch"):
-            apply_channel(KrausChannel((np.eye(2),), 2, 2), np.eye(3) / 3)
+            apply_channel(KrausChannel((np.eye(2),)), np.eye(3) / 3)
 
     def test_preserves_trace_hermiticity_psd(self):
         for t in range(500):
@@ -81,8 +135,8 @@ class TestApplyChannel:
 class TestRandomChannel:
     def test_draws_are_tpcp(self):
         for t in range(50):
-            # the constructor rejects a completeness defect above 1e-9
-            random_channel(2 + t % 3, 2 + (t + 1) % 3, 1 + t % 3, seed=t)
+            phi = random_channel(2 + t % 3, 2 + (t + 1) % 3, 1 + t % 3, seed=t)
+            assert completeness_defect(phi) <= 1e-12
 
     def test_unit_environment_gives_unitary(self):
         phi = random_channel(3, 3, 1, seed=9)

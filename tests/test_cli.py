@@ -294,6 +294,15 @@ class TestRandomCommand:
         assert "rank" not in err
         assert not out.exists()
 
+    def test_negative_dimensions_refused_before_writing(self, tmp_path, capsys):
+        # the product of -1 and -2 is a valid dimension; each factor is not
+        out = tmp_path / "r.json"
+        assert main(["random", "state", "--dims", "-1", "-2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("qfdiv: error:")
+        assert "dimension must be at least 1" in err[0]
+        assert not out.exists()
+
     def test_rank_out_of_range(self, tmp_path, capsys):
         code = main(["random", "state", "--dims", "2", "--rank", "5", "--seed", "0",
                      "--out", str(tmp_path / "x.json")])

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from qfdiv.channels import (
     KrausChannel,
-    _completeness_defect,
     build_classical_register_state,
     embed_ancilla,
     extend_with_identity,
@@ -159,15 +158,15 @@ def test_partial_trace_of_a_wrapped_state(n_factors, data, seed):
 
 def assert_channel_as_validated(phi):
     """``phi`` holds exactly what the validating constructor makes of its operators."""
-    validated = KrausChannel(phi.kraus_ops, d_in=phi.d_in, d_out=phi.d_out)
-    assert type(phi.kraus_ops) is tuple
-    assert len(phi.kraus_ops) == len(validated.kraus_ops)
-    for k, v in zip(phi.kraus_ops, validated.kraus_ops):
-        assert not k.flags.writeable
-        assert k.dtype == v.dtype
-        assert k.shape == v.shape == (phi.d_out, phi.d_in)
-        assert k.tobytes() == v.tobytes()
-    assert _completeness_defect(phi) <= 1e-12
+    validated = KrausChannel(phi.kraus_ops)
+    k = phi.kraus_ops
+    assert type(k) is np.ndarray
+    assert not k.flags.writeable
+    assert k.dtype == validated.kraus_ops.dtype
+    assert k.shape == validated.kraus_ops.shape
+    assert k.tobytes() == validated.kraus_ops.tobytes()
+    acc = (k.conj().transpose(0, 2, 1) @ k).sum(axis=0)
+    assert np.abs(acc - np.eye(phi.d_in)).max() <= 1e-12
 
 
 @st.composite
@@ -198,6 +197,6 @@ def test_extend_with_identity(dims, d_left, seed):
 def test_raw_non_trace_preserving_channel_still_raises():
     phi = random_channel(3, 2, 2, seed=1)
     with pytest.raises(DomainError, match="trace preservation"):
-        KrausChannel(tuple(0.9 * k for k in phi.kraus_ops), d_in=3, d_out=2)
+        KrausChannel(0.9 * phi.kraus_ops)
     with pytest.raises(DomainError, match="trace preservation"):
-        KrausChannel(phi.kraus_ops[:1], d_in=3, d_out=2)
+        KrausChannel(phi.kraus_ops[:1])
