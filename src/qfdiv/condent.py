@@ -22,9 +22,11 @@ middle factor alone.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +59,13 @@ class OptimizerOptions:
     max_iters: int = 500
 
     def __post_init__(self) -> None:
+        for name in ("starts", "max_iters"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise DomainError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.starts < 1:
             raise DomainError(f"optimizer needs at least one start, got {self.starts}")
         if not 0.0 < self.value_tol < math.inf:
@@ -111,23 +120,32 @@ def tsallis_entropy(rho, alpha: float) -> float:
     return (1.0 - float(np.sum(w**alpha))) / (alpha - 1.0)
 
 
-def _conditioning_view(state: BipartiteState, cond: str):
-    """Permute the state so the conditioning factors form one trailing block.
-
-    Returns ``(entries, d_rest, d_cond)`` for the equivalent two-factor split.
-    """
-    dims = state.dims
+@functools.lru_cache(maxsize=64)
+def _conditioning_split(dims: tuple[int, ...], cond: str):
+    """``(perm, d_rest, d_cond)``: the factor order that makes the ``cond`` factors
+    one trailing block (``None`` when they already are) and the two block sizes."""
     n = len(dims)
     cond_idx = _factor_indices(cond, n)
     rest = [i for i in range(n) if i not in cond_idx]
     if not rest:
         raise DomainError("cannot condition on every factor")
     perm = rest + cond_idx
+    return (
+        None if perm == list(range(n)) else tuple(perm),
+        math.prod(dims[i] for i in rest),
+        math.prod(dims[i] for i in cond_idx),
+    )
+
+
+def _conditioning_view(state: BipartiteState, cond: str):
+    """Permute the state so the conditioning factors form one trailing block.
+
+    Returns ``(entries, d_rest, d_cond)`` for the equivalent two-factor split.
+    """
+    perm, d_rest, d_cond = _conditioning_split(state.dims, cond)
     entries = state.entries
-    if perm != list(range(n)):
-        entries = permute_subsystems(entries, dims, perm)
-    d_rest = math.prod(dims[i] for i in rest)
-    d_cond = math.prod(dims[i] for i in cond_idx)
+    if perm is not None:
+        entries = permute_subsystems(entries, state.dims, perm)
     return entries, d_rest, d_cond
 
 
@@ -174,6 +192,26 @@ def _fw_gap(gt: np.ndarray, g_mean: float) -> float:
     return max(g_mean - float(np.linalg.eigvalsh(gt)[0]), 0.0)
 
 
+def _diagonal_gap(gt: np.ndarray, g_mean: float) -> float:
+    """``tr(G sigma) - min_i Re G_ii``, a lower bound on the Frank-Wolfe gap that
+    needs no eigensolve: ``lambda_min(G) <= min_i G_ii``."""
+    return g_mean - float(gt.diagonal().real.min())
+
+
+class _Point(NamedTuple):
+    """One evaluated ``sigma = u diag(p) u^dag``: what a descent steps with and
+    what :meth:`_Objective.certify` starts from."""
+
+    value: float
+    grad: np.ndarray  # in theta
+    gap: float  # the Frank-Wolfe gap if ``exact``, else a lower bound on it
+    exact: bool
+    p: np.ndarray
+    u: np.ndarray
+    gt: np.ndarray  # the sigma-gradient G in the basis u
+    g_mean: float  # tr(G sigma)
+
+
 class _Objective:
     """Divergence against ``1 (x) sigma(theta)``, its exact gradient in theta and its gap.
 
@@ -216,54 +254,65 @@ class _Objective:
         ex = np.exp(lam)
         return lam, u, ex / ex.sum()
 
-    def _at(self, p: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray, float]:
+    def _at(self, p: np.ndarray, u: np.ndarray, uh: np.ndarray) -> tuple[float, np.ndarray, float]:
         """Value, sigma-gradient ``gt`` in the basis ``u`` and ``tr(G sigma)`` at
-        ``sigma = u diag(p) u^dag``; ``0 * inf = 0`` in the value."""
-        a = u.conj().T @ self.reduced @ u
+        ``sigma = u diag(p) uh`` with ``uh = u^dag``; ``0 * inf = 0`` in the value.
+
+        Its callers, :meth:`evaluate` and :meth:`certify`, ignore floating-point errors.
+        """
+        a = uh @ self.reduced @ u
         a_diag = np.diagonal(a, axis1=1, axis2=2).real
         s = np.maximum(p, _S_FLOOR)
-        with np.errstate(all="ignore"):
-            x = self.weights / s
-            g = s * self.f(x)
-            dg = self.f.slope(x)
-            terms = g * a_diag
-            if not np.isfinite(terms).all():
-                terms = np.where(np.isinf(g) & (a_diag <= 0.0), 0.0, terms)
-            diff = s[:, None] - s[None, :]
-            near = np.abs(diff) <= _NEAR_DEGENERATE * np.maximum(s[:, None], s[None, :])
-            gamma = np.where(
-                near,
-                0.5 * (dg[:, :, None] + dg[:, None, :]),
-                (g[:, :, None] - g[:, None, :]) / np.where(near, 1.0, diff),
-            )
-            gt = (gamma * a).sum(axis=0)
-            g_mean = float(gt.diagonal().real @ p)
+        x = self.weights / s
+        g = s * self.f(x)
+        dg = self.f.slope(x)
+        terms = g * a_diag
+        if not np.isfinite(terms).all():
+            terms = np.where(np.isinf(g) & (a_diag <= 0.0), 0.0, terms)
+        diff = s[:, None] - s[None, :]
+        near = np.abs(diff) <= _NEAR_DEGENERATE * np.maximum(s[:, None], s[None, :])
+        # the divided differences of g, with the mean of g' where sigma's eigenvalues nearly meet
+        gamma = 0.5 * (dg[:, :, None] + dg[:, None, :])
+        np.divide(g[:, :, None] - g[:, None, :], diff, out=gamma, where=~near)
+        gt = (gamma * a).sum(axis=0)
+        g_mean = float(gt.diagonal().real @ p)
         return float(terms.sum()), gt, g_mean
 
-    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """Value, theta-gradient and Frank-Wolfe gap at ``sigma(theta)``."""
+    def evaluate(self, theta: np.ndarray, tol: float = math.inf) -> _Point:
+        """Value, theta-gradient and Frank-Wolfe gap at ``sigma(theta)``.
+
+        The gap is exact unless its diagonal lower bound exceeds ``tol``: then
+        that bound is the gap, settling without an eigensolve that this point
+        does not certify at ``tol``.
+        """
         lam, u, p = self._frame(theta)
-        value, gt, g_mean = self._at(p, u)
+        uh = u.conj().T
         # K = (E / tr exp H) o G - tr(G sigma) diag(sigma), with E the divided
         # differences of exp at lam, written e^max(lam_j, lam_k) expm1(-d) / -d
         # for d = |lam_j - lam_k| so that equal eigenvalues (theta = 0) stay exact
         d = -np.abs(lam[:, None] - lam[None, :])
-        e_div = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
         with np.errstate(all="ignore"):
+            value, gt, g_mean = self._at(p, u, uh)
+            e_div = np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
             k = e_div * np.maximum(p[:, None], p[None, :]) * gt
-            k[np.diag_indices(self.rank)] -= g_mean * p
-            grad = _pack_hermitian(u @ k @ u.conj().T)
+            k.ravel()[:: self.rank + 1] -= g_mean * p
+            grad = _pack_hermitian(u @ k @ uh)
+            bound = _diagonal_gap(gt, g_mean)
         if not np.isfinite(grad).all():
             grad = np.nan_to_num(grad, nan=0.0, posinf=1e12, neginf=-1e12)
-        return value, grad, _fw_gap(gt, g_mean)
+        if bound > tol:
+            return _Point(value, grad, bound, False, p, u, gt, g_mean)
+        return _Point(value, grad, _fw_gap(gt, g_mean), True, p, u, gt, g_mean)
 
-    def certify(self, theta: np.ndarray, tol: float) -> tuple[float, np.ndarray, float]:
+    @np.errstate(all="ignore")
+    def certify(self, point: _Point, tol: float) -> tuple[float, np.ndarray, float]:
         """Value, sigma and gap of a finished start, polished while the gap exceeds ``tol``.
 
-        Near a face of the state space the theta-gradient vanishes along the
-        eigenvectors whose eigenvalues are tiny, however steep F is there, so
-        a descent can stop with a small theta-gradient and a large gap.  Such a
-        start takes up to ``_POLISH_STEPS`` Frank-Wolfe steps
+        ``point`` is the start's last evaluation; its gap is recomputed only
+        when it is a bound.  Near a face of the state space the theta-gradient
+        vanishes along the eigenvectors whose eigenvalues are tiny, however
+        steep F is there, so a descent can stop with a small theta-gradient and
+        a large gap.  Such a start takes up to ``_POLISH_STEPS`` Frank-Wolfe steps
         ``sigma -> sigma + gamma (vv^dag - sigma)`` toward the eigenvector ``v``
         of G's least eigenvalue.  F is convex along the step, so ``gamma`` is
         the lower end of a bisection of ``[0, 1]`` on the sign of F's slope (a
@@ -275,9 +324,8 @@ class _Objective:
         returned is the last value minus the greatest of these bounds: never
         above any gap seen.
         """
-        _, u, p = self._frame(theta)
-        value, gt, g_mean = self._at(p, u)
-        fw = gap = _fw_gap(gt, g_mean)
+        value, _, gap, exact, p, u, gt, g_mean = point
+        fw = gap = gap if exact else _fw_gap(gt, g_mean)
         bound = -math.inf
         for _ in range(_POLISH_STEPS):
             if gap <= tol or fw == math.inf:
@@ -292,9 +340,8 @@ class _Objective:
 
             def slope(gamma: float) -> float:
                 q, uw, w = moved(gamma)
-                gt_gamma = self._at(q, uw)[1]
-                with np.errstate(all="ignore"):
-                    return float(np.sum(gt_gamma * (w.conj().T @ direction @ w).T).real)
+                gt_gamma = self._at(q, uw, uw.conj().T)[1]
+                return float(np.sum(gt_gamma * (w.conj().T @ direction @ w).T).real)
 
             lo, hi = 0.0, 1.0
             for _ in range(_ROOT_STEPS):
@@ -306,7 +353,7 @@ class _Objective:
                 else:
                     hi = mid
             p, u, _ = moved(lo)
-            value, gt, g_mean = self._at(p, u)
+            value, gt, g_mean = self._at(p, u, u.conj().T)
             fw = _fw_gap(gt, g_mean)
             gap = min(fw, value - bound)
         return value, self._embed(p, u), gap
@@ -333,7 +380,7 @@ def _start_points(objective: _Objective, opts: OptimizerOptions):
 
 
 def _wolfe_step(
-    objective: _Objective, x: np.ndarray, value: float, grad: np.ndarray, direction: np.ndarray
+    objective: _Objective, x: np.ndarray, point: _Point, direction: np.ndarray, tol: float
 ):
     """A step ``x + t d`` that meets the weak Wolfe conditions, or ``None``.
 
@@ -341,21 +388,21 @@ def _wolfe_step(
     ``grad F(x + t d).d >= c2 g.d``: t doubles while only the curvature test
     fails and no step has yet been too long, and is bisected once one has
     (Lewis and Overton, *Math. Programming* 2013).  A non-finite value counts
-    as too long.  Returns the new point with its value, gradient and gap.
+    as too long.  Returns the new point and its evaluation at ``tol``.
     """
-    slope = float(grad @ direction)
+    slope = float(point.grad @ direction)
     if not slope < 0.0:
         return None
     lo, hi, t = 0.0, math.inf, 1.0
     for _ in range(_LINE_SEARCH_STEPS):
         x_t = x + t * direction
-        value_t, grad_t, gap_t = objective.evaluate(x_t)
-        if not value_t <= value + _ARMIJO * t * slope:
+        point_t = objective.evaluate(x_t, tol)
+        if not point_t.value <= point.value + _ARMIJO * t * slope:
             hi = t
-        elif grad_t @ direction < _CURVATURE * slope:
+        elif point_t.grad @ direction < _CURVATURE * slope:
             lo = t
         else:
-            return x_t, value_t, grad_t, gap_t
+            return x_t, point_t
         t = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
     return None
 
@@ -365,21 +412,22 @@ def _descend(objective: _Objective, x: np.ndarray, tol: float, max_iters: int):
 
     The inverse Hessian starts as the identity, is rescaled to
     ``(s.y / y.y) I`` after the first step, and skips its update when
-    ``s.y <= 0``.  Returns the last iterate, the iterations taken and why the
-    descent stopped.
+    ``s.y <= 0``.  Returns the last iterate, the iterations taken, why the
+    descent stopped and the last iterate's evaluation.
     """
-    value, grad, gap = objective.evaluate(x)
-    if gap <= tol:
-        return x, 0, "certified"
-    if not math.isfinite(value):
-        return x, 0, "value not finite"
+    point = objective.evaluate(x, tol)
+    if point.gap <= tol:
+        return x, 0, "certified", point
+    if not math.isfinite(point.value):
+        return x, 0, "value not finite", point
     h = None
     for it in range(1, max_iters + 1):
-        step = _wolfe_step(objective, x, value, grad, -(grad if h is None else h @ grad))
+        grad = point.grad
+        step = _wolfe_step(objective, x, point, -(grad if h is None else h @ grad), tol)
         if step is None:
-            return x, it - 1, "line search failed"
-        x_new, value, grad_new, gap = step
-        s, y = x_new - x, grad_new - grad
+            return x, it - 1, "line search failed", point
+        x_new, point = step
+        s, y = x_new - x, point.grad - grad
         sy = float(s @ y)
         if sy > 0.0:
             if h is None:
@@ -388,10 +436,10 @@ def _descend(objective: _Objective, x: np.ndarray, tol: float, max_iters: int):
             h += (sy + float(y @ hy)) / sy**2 * np.outer(s, s) - (
                 np.outer(hy, s) + np.outer(s, hy)
             ) / sy
-        x, grad = x_new, grad_new
-        if gap <= tol:
-            return x, it, "certified"
-    return x, max_iters, "max_iters reached"
+        x = x_new
+        if point.gap <= tol:
+            return x, it, "certified", point
+    return x, max_iters, "max_iters reached", point
 
 
 def conditional_entropy_optimize(
@@ -424,8 +472,8 @@ def conditional_entropy_optimize(
 
     runs = []
     for x0 in _start_points(objective, opts):
-        x, nit, reason = _descend(objective, x0, opts.value_tol, opts.max_iters)
-        value, sigma, gap = objective.certify(x, opts.value_tol)
+        _, nit, reason, point = _descend(objective, x0, opts.value_tol, opts.max_iters)
+        value, sigma, gap = objective.certify(point, opts.value_tol)
         runs.append((nit, gap, reason))
         if gap <= opts.value_tol:
             return OptimizationReport(

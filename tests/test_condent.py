@@ -28,7 +28,7 @@ from qfdiv.fdiv import DivergenceFunction, make_tsallis_f, quantum_f_divergence
 from qfdiv.linalg import DensityOperator, partial_trace, support_projector
 from qfdiv.propsuite import derive_seed
 
-from conftest import bell_matrix
+from conftest import bell_matrix, random_hermitian
 
 LN2 = math.log(2.0)
 
@@ -62,8 +62,8 @@ def face_start(objective):
 
 
 def gap_at(objective, theta):
-    """The Frank-Wolfe gap at sigma(theta) itself, without polishing."""
-    return objective.certify(theta, math.inf)[2]
+    """The exact Frank-Wolfe gap at sigma(theta) itself, without polishing."""
+    return objective.evaluate(theta).gap
 
 
 def fd_gradient(objective, theta, step=1e-6):
@@ -267,7 +267,7 @@ class TestOptimizer:
         state = embed_ancilla(random_bipartite((2, 3), 4, seed=20), 1)
         objective = objective_for(state, make_tsallis_f(2.0))
         theta = list(condent._start_points(objective, OptimizerOptions(starts=2)))[1]
-        sigma = objective.certify(theta, math.inf)[1]
+        sigma = objective.certify(objective.evaluate(theta), math.inf)[1]
         np.testing.assert_allclose(sigma, partial_trace(state, "B").entries, atol=1e-12)
 
     def test_generic_function_between_bounds(self):
@@ -370,11 +370,22 @@ class TestOptimizerOptions:
             ({"value_tol": 0.0}, "value_tol"),
             ({"value_tol": -1e-6}, "value_tol"),
             ({"max_iters": -1}, "max_iters"),
+            # counts must be integers: a float used to fail only inside the descent
+            ({"max_iters": 10.0}, "max_iters"),
+            ({"max_iters": math.inf}, "max_iters"),
+            ({"starts": 2.5}, "starts"),
         ],
     )
     def test_rejects_invalid_values(self, kwargs, named):
         with pytest.raises(DomainError, match=named):
             OptimizerOptions(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        opts = OptimizerOptions(starts=np.int64(2), max_iters=np.int32(3))
+        report = conditional_entropy_optimize(
+            random_bipartite((2, 2), 4, seed=5), make_tsallis_f(0.5), opts
+        )
+        assert report.gap <= opts.value_tol
 
     def test_a_zero_iteration_solve_certifies_a_product_state(self):
         # I/4 = (I/2) (x) (I/2): start 0 is the minimizer, certified with no descent step
@@ -448,7 +459,7 @@ class TestObjectiveGradient:
         # ell = inf: the value and the gap are inf at the floor, and the gradient stays finite
         objective = objective_for(random_bipartite((2, 3), 6, seed=42), f)
         theta = self.floored_theta(objective)
-        value, grad, gap = objective.evaluate(theta)
+        value, grad, gap = objective.evaluate(theta)[:3]
         assert value == math.inf
         assert np.isfinite(grad).all()
         assert gap == math.inf
@@ -460,7 +471,7 @@ class TestObjectiveGradient:
         objective = objective_for(state, f)
         gen = np.random.Generator(np.random.Philox(key=7))
         theta = gen.standard_normal(objective.n_params)
-        sigma = objective.certify(theta, math.inf)[1]
+        sigma = objective.certify(objective.evaluate(theta), math.inf)[1]
         expected = quantum_f_divergence(state.entries, np.kron(np.eye(2), sigma), f)
         assert objective.evaluate(theta)[0] == pytest.approx(expected, rel=1e-10)
 
@@ -483,9 +494,9 @@ class TestGapCertificate:
                 (np.zeros(objective.n_params), 500),
                 (0.5 * gen.standard_normal(objective.n_params), 2),
             ):
-                x = condent._descend(objective, theta, 0.0, max_iters)[0]
+                point = condent._descend(objective, theta, 0.0, max_iters)[3]
                 for tol in (math.inf, 1e-6):  # the finished start, then polished
-                    value, _, gap = objective.certify(x, tol)
+                    value, _, gap = objective.certify(point, tol)
                     assert gap >= value - minimum - 1e-12
 
 
@@ -589,7 +600,7 @@ class TestAcceptanceRule:
         state = random_bipartite((2, 3), 6, seed=45)
         f = make_tsallis_f(0.5)
         objective = objective_for(state, f)
-        x, nit, reason = condent._descend(objective, face_start(objective), 1e-6, 500)
+        x, nit, reason, _ = condent._descend(objective, face_start(objective), 1e-6, 500)
         assert reason == "line search failed"
         assert nit < 500
         assert gap_at(objective, x) > 1e100
@@ -606,7 +617,7 @@ class TestAcceptanceRule:
         state = random_bipartite((2, 3), 6, seed=47)
         f = make_tsallis_f(0.5)
         objective = objective_for(state, f)
-        x, nit, reason = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 8)
+        x, nit, reason, _ = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 8)
         assert (nit, reason) == (8, "max_iters reached")
         assert gap_at(objective, x) > 1e-6
         report = conditional_entropy_optimize(state, f, OptimizerOptions(starts=1, max_iters=8))
@@ -626,10 +637,11 @@ class TestPolish:
         # the polish here: 4.1e-3 -> 4.8e-3 (seed 47) and 1.1e-4 -> 1.3e-4 (seed 45)
         state = random_bipartite((2, 3), 6, seed=seed)
         objective = objective_for(state, make_tsallis_f(0.5))
-        x, nit, reason = condent._descend(objective, np.zeros(objective.n_params), 1e-6, max_iters)
+        theta = np.zeros(objective.n_params)
+        x, nit, reason, point = condent._descend(objective, theta, 1e-6, max_iters)
         assert (nit, reason) == (max_iters, "max_iters reached")
         before = gap_at(objective, x)
-        value, _, gap = objective.certify(x, 1e-6)
+        value, _, gap = objective.certify(point, 1e-6)
         assert 1e-6 < gap <= before
         minimum = -conditional_entropy_tsallis_closed(state, 0.5)[0]
         assert gap >= value - minimum - 1e-12
@@ -640,10 +652,10 @@ class TestPolish:
         # polish takes the gap from 2.1e-2 to about 7.1e-4
         state = random_bipartite((2, 3), 6, seed=47)
         objective = objective_for(state, make_tsallis_f(2.0))
-        x, nit, reason = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 3)
+        x, nit, reason, point = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 3)
         assert (nit, reason) == (3, "max_iters reached")
         before = gap_at(objective, x)
-        value, _, gap = objective.certify(x, 1e-6)
+        value, _, gap = objective.certify(point, 1e-6)
         assert math.isfinite(value)
         assert gap <= before
         minimum = -conditional_entropy_tsallis_closed(state, 2.0)[0]
@@ -654,15 +666,80 @@ class TestDescent:
     def test_returns_at_first_certified_iterate(self):
         objective = objective_for(random_bipartite((2, 3), 6, seed=46), make_tsallis_f(0.5))
         theta = np.zeros(objective.n_params)
-        x, nit, reason = condent._descend(objective, theta, 1e-6, 500)
+        x, nit, reason, _ = condent._descend(objective, theta, 1e-6, 500)
         assert reason == "certified"
         assert objective.evaluate(x)[2] <= 1e-6
         # capped one iteration earlier, no iterate so far has certified
-        x_early, nit_early, reason_early = condent._descend(objective, theta, 1e-6, nit - 1)
+        x_early, nit_early, reason_early, _ = condent._descend(objective, theta, 1e-6, nit - 1)
         assert (nit_early, reason_early) == (nit - 1, "max_iters reached")
         assert objective.evaluate(x_early)[2] > 1e-6
         # a tighter tolerance runs on past the same iterate
         assert condent._descend(objective, theta, 1e-12, 500)[1] > nit
+
+
+class TestDiagonalGap:
+    """``tr(G sigma) - min_i Re G_ii`` settles an uncertified gap and changes no decision."""
+
+    def test_never_exceeds_the_exact_gap(self):
+        gen = rng.generator(12)
+        for r in range(1, 9):
+            for k, scale in enumerate((1e-8, 1.0, 1e8)):
+                for gt in (
+                    scale * random_hermitian(r, 100 * r + k),
+                    np.diag(scale * rng.standard_normals(gen, r)).astype(complex),
+                ):
+                    p = np.exp(3.0 * rng.standard_normals(gen, r))
+                    p /= p.sum()
+                    g_mean = float(gt.diagonal().real @ p)
+                    assert condent._diagonal_gap(gt, g_mean) <= condent._fw_gap(gt, g_mean)
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
+    def test_descent_matches_exact_gaps(self, dims, alpha, monkeypatch):
+        d = dims[0] * dims[1]
+        objective = objective_for(random_bipartite(dims, d - 1, seed=50 + d), make_tsallis_f(alpha))
+        starts = list(condent._start_points(objective, OptimizerOptions()))
+        evaluate = objective.evaluate
+        points = []
+
+        def recorded(theta, tol=math.inf):
+            points.append(evaluate(theta, tol))
+            return points[-1]
+
+        def descents():
+            return [
+                condent._descend(objective, x0, 1e-6, max_iters)[:3]
+                for x0 in starts
+                for max_iters in (500, 3)
+            ]
+
+        monkeypatch.setattr(objective, "evaluate", recorded)
+        with_shortcut = descents()
+        # the shortcut ran: some iterates' gaps came back as the diagonal bound
+        assert any(not point.exact for point in points)
+        monkeypatch.setattr(objective, "evaluate", lambda theta, tol=math.inf: evaluate(theta))
+        exact = descents()
+        for (x, nit, reason), (x_exact, nit_exact, reason_exact) in zip(with_shortcut, exact):
+            np.testing.assert_array_equal(x, x_exact)
+            assert (nit, reason) == (nit_exact, reason_exact)
+
+    def test_certify_from_descent_matches_certify_from_theta(self):
+        state = random_bipartite((2, 3), 6, seed=45)
+        objective = objective_for(state, make_tsallis_f(0.5))
+        reasons = set()
+        for theta, max_iters in (
+            (face_start(objective), 500),
+            (np.zeros(objective.n_params), 500),
+            (np.zeros(objective.n_params), 6),
+            (np.zeros(objective.n_params), 0),
+        ):
+            x, _, reason, point = condent._descend(objective, theta, 1e-6, max_iters)
+            reasons.add(reason)
+            value, sigma, gap = objective.certify(point, 1e-6)
+            value_theta, sigma_theta, gap_theta = objective.certify(objective.evaluate(x), 1e-6)
+            assert (value, gap) == (value_theta, gap_theta)
+            np.testing.assert_array_equal(sigma, sigma_theta)
+        assert reasons == {"line search failed", "certified", "max_iters reached"}
 
 
 class TestClosedForm:
