@@ -264,11 +264,12 @@ class _Objective:
         a_diag = np.diagonal(a, axis1=1, axis2=2).real
         s = np.maximum(p, _S_FLOOR)
         x = self.weights / s
-        g = s * self.f(x)
+        g = s * self.f.fn(x)
         dg = self.f.slope(x)
         terms = g * a_diag
-        if not np.isfinite(terms).all():
-            terms = np.where(np.isinf(g) & (a_diag <= 0.0), 0.0, terms)
+        value = float(terms.sum())
+        if not math.isfinite(value):  # a sum is finite only if every term is
+            value = float(np.where(np.isinf(g) & (a_diag <= 0.0), 0.0, terms).sum())
         diff = s[:, None] - s[None, :]
         near = np.abs(diff) <= _NEAR_DEGENERATE * np.maximum(s[:, None], s[None, :])
         # the divided differences of g, with the mean of g' where sigma's eigenvalues nearly meet
@@ -276,7 +277,7 @@ class _Objective:
         np.divide(g[:, :, None] - g[:, None, :], diff, out=gamma, where=~near)
         gt = (gamma * a).sum(axis=0)
         g_mean = float(gt.diagonal().real @ p)
-        return float(terms.sum()), gt, g_mean
+        return value, gt, g_mean
 
     def evaluate(self, theta: np.ndarray, tol: float = math.inf) -> _Point:
         """Value, theta-gradient and Frank-Wolfe gap at ``sigma(theta)``.
@@ -433,9 +434,8 @@ def _descend(objective: _Objective, x: np.ndarray, tol: float, max_iters: int):
             if h is None:
                 h = (sy / float(y @ y)) * np.eye(x.size)
             hy = h @ y
-            h += (sy + float(y @ hy)) / sy**2 * np.outer(s, s) - (
-                np.outer(hy, s) + np.outer(s, hy)
-            ) / sy
+            hys = hy[:, None] * s  # np.outer(hy, s), without its wrapper
+            h += (sy + float(y @ hy)) / sy**2 * (s[:, None] * s) - (hys + hys.T) / sy
         x = x_new
         if point.gap <= tol:
             return x, it, "certified", point
