@@ -60,12 +60,11 @@ class OptimizerOptions:
 
     def __post_init__(self) -> None:
         for name in ("starts", "max_iters"):
+            count = getattr(self, name)
             try:
-                operator.index(getattr(self, name))
+                operator.index(count)
             except TypeError:
-                raise DomainError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                ) from None
+                raise DomainError(f"{name} must be an integer, got {count!r}") from None
         if self.starts < 1:
             raise DomainError(f"optimizer needs at least one start, got {self.starts}")
         if not 0.0 < self.value_tol < math.inf:

@@ -735,10 +735,11 @@ class TestDiagonalGap:
         ):
             x, _, reason, point = condent._descend(objective, theta, 1e-6, max_iters)
             reasons.add(reason)
-            value, sigma, gap = objective.certify(point, 1e-6)
-            value_theta, sigma_theta, gap_theta = objective.certify(objective.evaluate(x), 1e-6)
-            assert (value, gap) == (value_theta, gap_theta)
-            np.testing.assert_array_equal(sigma, sigma_theta)
+            for tol in (math.inf, 1e-6):  # the finished start, then polished
+                value, sigma, gap = objective.certify(point, tol)
+                value_theta, sigma_theta, gap_theta = objective.certify(objective.evaluate(x), tol)
+                assert (value, gap) == (value_theta, gap_theta)
+                np.testing.assert_array_equal(sigma, sigma_theta)
         assert reasons == {"line search failed", "certified", "max_iters reached"}
 
 
