@@ -6,8 +6,7 @@ layers, each importing only from the layers listed before it (the shared
 
 - :mod:`qfdiv.linalg`: the density-operator type, of which a factored state
   is one, the one kernel rule for the spectrum of a positive operator
-  (eigensolve, PSD check, kernel clamped to exact zeros), supports, partial
-  traces.
+  (eigensolve, PSD check, kernel clamped to exact zeros), partial traces.
 - :mod:`qfdiv.fdiv`: the divergence-function catalog and the classical and
   quantum f-divergence engines (spectral form plus epsilon-sweep validation).
 - :mod:`qfdiv.condent`: conditional entropies -- generic minimization over the
@@ -48,12 +47,7 @@ from .fdiv import (
     tsallis_divergence_closed,
     vn_relative_entropy_closed,
 )
-from .linalg import (
-    BipartiteState,
-    DensityOperator,
-    partial_trace,
-    support_projector,
-)
+from .linalg import BipartiteState, DensityOperator, partial_trace
 from .propsuite import PropertyConfig, PropertyReport, run_property, run_suite
 
 __version__ = "0.1.0"
@@ -89,7 +83,6 @@ __all__ = [
     "random_density",
     "run_property",
     "run_suite",
-    "support_projector",
     "thm2_bounds",
     "tsallis_divergence_closed",
     "tsallis_entropy",

@@ -39,15 +39,9 @@ def format_number(x: float) -> str:
         return "inf" if x > 0 else "-inf"
     if x == 0.0:
         return "0.00000000000"
-    exponent = math.floor(math.log10(abs(x)))
-    for _ in range(2):  # second pass when rounding crosses a power of ten
-        decimals = max(0, 11 - exponent)
-        text = f"{x:.{decimals}f}"
-        rounded = float(text)
-        if rounded == 0.0 or math.floor(math.log10(abs(rounded))) == exponent:
-            break
-        exponent += 1
-    return text
+    # the decimal exponent of x once rounded to 12 significant digits
+    exponent = int(f"{x:.11e}".partition("e")[2])
+    return f"{x:.{max(0, 11 - exponent)}f}"
 
 
 def _load_json(path: str) -> dict:

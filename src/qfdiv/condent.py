@@ -16,8 +16,10 @@ For the power family there is an independent closed form (the reduced
 the test suite cross-validates against the optimizer.
 
 States carry their factor dimensions; ``cond`` selects the conditioning
-factors by label, e.g. ``cond="B"`` on an (A, B, C) state conditions on the
-middle factor alone.
+factors by label, any proper subset of them, e.g. ``cond="B"`` on an
+(A, B, C) state conditions on the middle factor alone and ``cond="AC"`` on
+the outer two.  The state is never reordered: marginals are partial traces
+by factor index, and only the optimizer's kets are regrouped as (rest, cond).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .linalg import (
     _schmidt_coefficients,
     as_matrix,
     clamp_psd_spectrum,
-    permute_subsystems,
     psd_eigh,
     ptrace_entries,
 )
@@ -121,31 +122,13 @@ def tsallis_entropy(rho, alpha: float) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _conditioning_split(dims: tuple[int, ...], cond: str):
-    """``(perm, d_rest, d_cond)``: the factor order that makes the ``cond`` factors
-    one trailing block (``None`` when they already are) and the two block sizes."""
-    n = len(dims)
-    cond_idx = _factor_indices(cond, n)
-    rest = [i for i in range(n) if i not in cond_idx]
+    """``(cond_idx, order, d_cond)``: the indices of the ``cond`` factors, the
+    factor order that puts them after the others, and their joint dimension."""
+    cond_idx = tuple(_factor_indices(cond, len(dims)))
+    rest = tuple(i for i in range(len(dims)) if i not in cond_idx)
     if not rest:
         raise DomainError("cannot condition on every factor")
-    perm = rest + cond_idx
-    return (
-        None if perm == list(range(n)) else tuple(perm),
-        math.prod(dims[i] for i in rest),
-        math.prod(dims[i] for i in cond_idx),
-    )
-
-
-def _conditioning_view(state: BipartiteState, cond: str):
-    """Permute the state so the conditioning factors form one trailing block.
-
-    Returns ``(entries, d_rest, d_cond)`` for the equivalent two-factor split.
-    """
-    perm, d_rest, d_cond = _conditioning_split(state.dims, cond)
-    entries = state.entries
-    if perm is not None:
-        entries = permute_subsystems(entries, state.dims, perm)
-    return entries, d_rest, d_cond
+    return cond_idx, rest + cond_idx, math.prod(dims[i] for i in cond_idx)
 
 
 def _require_wellbehaved(f: DivergenceFunction) -> None:
@@ -227,11 +210,11 @@ class _Objective:
     in sigma, so the Frank-Wolfe gap of G bounds ``F(sigma) - min F``.
     """
 
-    def __init__(self, entries: np.ndarray, d_rest: int, d_cond: int, f: DivergenceFunction):
+    def __init__(self, state: BipartiteState, cond: str, f: DivergenceFunction):
         self.f = f
-        w, psi = psd_eigh(entries)
-        rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
-        wb, vb = psd_eigh(rho_cond)
+        cond_idx, order, d_cond = _conditioning_split(state.dims, cond)
+        w, psi = psd_eigh(state.entries)
+        wb, vb = psd_eigh(ptrace_entries(state.entries, state.dims, cond_idx))
         self.support = vb[:, wb > 0.0]
         # the conditioning marginal in the support basis is diag(marginal)
         self.marginal = wb[wb > 0.0]
@@ -239,7 +222,9 @@ class _Objective:
         self.rank = r
         pos = w > 0.0
         self.weights = w[pos, None]
-        kets = np.ascontiguousarray(psi[:, pos].T).reshape(-1, d_rest, d_cond)
+        # each ket as a tensor (*dims), its factors reordered to (rest, cond)
+        kets = np.ascontiguousarray(psi[:, pos].T).reshape(-1, *state.dims)
+        kets = kets.transpose(0, *(1 + i for i in order)).reshape(len(kets), -1, d_cond)
         reduced = np.einsum("nkb,nkc->nbc", kets, kets.conj())
         self.reduced = self.support.conj().T @ reduced @ self.support
         self.n_params = r * r
@@ -466,8 +451,7 @@ def conditional_entropy_optimize(
     """
     _require_wellbehaved(f)
     opts = opts or OptimizerOptions()
-    entries, d_rest, d_cond = _conditioning_view(state, cond)
-    objective = _Objective(entries, d_rest, d_cond, f)
+    objective = _Objective(state, cond, f)
 
     runs = []
     for x0 in _start_points(objective, opts):
@@ -505,14 +489,14 @@ def conditional_entropy_tsallis_closed(
     ``alpha`` in ``(0, 2]`` where the divergence is monotone.
     """
     alpha = _monotone_alpha(alpha)
-    entries, d_rest, d_cond = _conditioning_view(state, cond)
+    cond_idx = _conditioning_split(state.dims, cond)[0]
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        rho_cond = ptrace_entries(entries, (d_rest, d_cond), [1])
-        value = tsallis_entropy(entries, 1.0) - tsallis_entropy(rho_cond, 1.0)
+        rho_cond = ptrace_entries(state.entries, state.dims, cond_idx)
+        value = tsallis_entropy(state, 1.0) - tsallis_entropy(rho_cond, 1.0)
         return value, rho_cond
-    w, v = psd_eigh(entries)
+    w, v = psd_eigh(state.entries)
     rho_pow = (v * w**alpha) @ v.conj().T
-    reduced = ptrace_entries(rho_pow, (d_rest, d_cond), [1])
+    reduced = ptrace_entries(rho_pow, state.dims, cond_idx)
     wt, vt = psd_eigh(reduced)
     root = (vt * wt ** (1.0 / alpha)) @ vt.conj().T
     norm = float(np.trace(root).real)
@@ -533,8 +517,8 @@ def thm2_bounds(
     in the joint power-family entropy.
     """
     _require_wellbehaved(f)
-    entries, _, d_cond = _conditioning_view(state, cond)
-    w, _ = psd_eigh(entries)
+    d_cond = _conditioning_split(state.dims, cond)[2]
+    w, _ = psd_eigh(state.entries)
     w = w[w > 0.0]
     lower = -float(np.sum(f(d_cond * w))) / d_cond
     upper = -float(np.sum(f(w)))

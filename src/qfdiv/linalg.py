@@ -10,8 +10,7 @@ because they do not depend on the basis chosen inside an eigenspace.
 
 Tensor index convention: the A index is outer and the B index inner, i.e.
 the composite row index is ``i_A * dim_B + i_B`` (the ``numpy.kron``
-layout).  All partial traces and subsystem permutations use this
-convention.
+layout).  All partial traces use this convention.
 """
 
 from __future__ import annotations
@@ -169,18 +168,6 @@ def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return clamp_psd_spectrum(w), v
 
 
-def support_projector(A) -> np.ndarray:
-    """The Hermitian ndarray projecting orthogonally onto the range of a positive operator.
-
-    The eigenvectors that :func:`psd_eigh` leaves outside the kernel span the
-    support; the zero operator maps to the zero projector.
-    """
-    w, v = psd_eigh(as_matrix(A))
-    cols = v[:, w > 0.0]
-    p = cols @ cols.conj().T
-    return (p + p.conj().T) / 2.0
-
-
 def _factor_indices(keep: str, n_factors: int) -> list[int]:
     labels = _FACTOR_LABELS[:n_factors]
     if not keep or any(c not in labels for c in keep) or len(set(keep)) != len(keep):
@@ -248,16 +235,3 @@ def partial_trace(rho, keep: str, dims: Sequence[int] | None = None) -> DensityO
     if isinstance(rho, DensityOperator):
         return DensityOperator._from_valid(reduced)
     return DensityOperator(reduced)
-
-
-def permute_subsystems(entries: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors of an operator; ``perm[k]`` is the old index of new factor ``k``."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if sorted(perm) != list(range(n)):
-        raise DomainError(f"invalid permutation {perm!r} for {n} factors")
-    t = entries.reshape(*dims, *dims)
-    axes = [*perm, *(p + n for p in perm)]
-    d = math.prod(dims)
-    return np.ascontiguousarray(t.transpose(axes).reshape(d, d))
-

@@ -28,10 +28,10 @@ from qfdiv.fdiv import (
     quantum_f_divergence_eps_sweep,
     tsallis_divergence_closed,
 )
-from qfdiv.linalg import DensityOperator, partial_trace, support_projector
+from qfdiv.linalg import DensityOperator, partial_trace
 from qfdiv.propsuite import REGISTRY, PropertyConfig, run_property
 
-from conftest import bell_matrix
+from conftest import bell_matrix, support_projector
 
 LN2 = math.log(2.0)
 

@@ -14,7 +14,9 @@ from qfdiv.channels import (
 )
 from qfdiv.condent import BipartiteState
 from qfdiv.errors import DomainError
-from qfdiv.linalg import partial_trace, support_projector
+from qfdiv.linalg import partial_trace
+
+from conftest import support_projector
 
 
 def completeness_defect(phi):

@@ -43,6 +43,16 @@ class TestFormatNumber:
 
     def test_rounding_across_power_of_ten(self):
         assert format_number(0.99999999999999) == "1.00000000000"
+        assert format_number(9.9999999999995) == "10.0000000000"
+        assert format_number(9.99999999999949) == "10.0000000000"
+        assert format_number(0.99999999999995e-5) == "0.0000100000000000"
+
+    def test_extreme_magnitudes(self):
+        assert format_number(1e-20) == "0.0000000000000000000100000000000"
+        assert format_number(1e20) == "100000000000000000000"
+        # the smallest subnormal, and a subnormal that rounds to a power of ten
+        assert format_number(5e-324) == "0." + "0" * 323 + "494065645841"
+        assert format_number(1.000000000003e-312) == "0." + "0" * 311 + "100000000000"
 
     def test_infinity_literal(self):
         assert format_number(math.inf) == "inf"

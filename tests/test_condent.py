@@ -25,10 +25,10 @@ from qfdiv.condent import (
 )
 from qfdiv.errors import ConvergenceError, DomainError, PreconditionError
 from qfdiv.fdiv import DivergenceFunction, make_tsallis_f, quantum_f_divergence
-from qfdiv.linalg import DensityOperator, partial_trace, support_projector
+from qfdiv.linalg import DensityOperator, partial_trace
 from qfdiv.propsuite import derive_seed
 
-from conftest import bell_matrix, random_hermitian
+from conftest import bell_matrix, random_hermitian, support_projector
 
 LN2 = math.log(2.0)
 
@@ -52,7 +52,7 @@ def mix_function():
 
 
 def objective_for(state, f):
-    return condent._Objective(*condent._conditioning_view(state, "B"), f)
+    return condent._Objective(state, "B", f)
 
 
 def face_start(objective):
@@ -785,6 +785,57 @@ class TestClosedForm:
             for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
                 h, _ = conditional_entropy_tsallis_closed(state, alpha)
                 assert abs(h - h1) <= 1e-3
+
+
+def regrouped(state, cond):
+    """The same state as two factors (rest, cond), its tensor factors reordered by hand."""
+    dims = state.dims
+    idx = ["ABC".index(c) for c in cond]
+    order = [i for i in range(len(dims)) if i not in idx] + idx
+    d_cond = math.prod(dims[i] for i in idx)
+    d = math.prod(dims)
+    t = state.entries.reshape(dims + dims).transpose(order + [i + len(dims) for i in order])
+    return BipartiteState(t.reshape(d, d), (d // d_cond, d_cond))
+
+
+THREE_FACTOR_DIMS = [(2, 3, 2), (3, 2, 2), (2, 2, 3)]
+PROPER_LABELS = ["A", "B", "C", "AB", "AC", "BC"]
+
+
+class TestThreeFactorConditioning:
+    """Conditioning on any proper subset of three factors, in place or regrouped."""
+
+    @pytest.mark.parametrize("dims", THREE_FACTOR_DIMS)
+    @pytest.mark.parametrize("cond", PROPER_LABELS)
+    @pytest.mark.parametrize("rank", [2, 5])
+    def test_optimizer_matches_closed_form(self, dims, cond, rank):
+        state = random_bipartite(dims, rank, seed=sum(dims) * 10 + len(cond) + rank)
+        d_cond = math.prod(dims["ABC".index(c)] for c in cond)
+        for alpha in (0.5, 1.0, 2.0):
+            closed, sigma = conditional_entropy_tsallis_closed(state, alpha, cond=cond)
+            report = conditional_entropy_optimize(state, make_tsallis_f(alpha), cond=cond)
+            assert report.sigma_star.shape == sigma.shape == (d_cond, d_cond)
+            assert abs(report.value - closed) <= OptimizerOptions().value_tol
+
+    @pytest.mark.parametrize("dims", THREE_FACTOR_DIMS)
+    @pytest.mark.parametrize("cond", PROPER_LABELS)
+    def test_same_as_regrouped_state(self, dims, cond):
+        state = random_bipartite(dims, 5, seed=sum(dims) + len(cond))
+        two = regrouped(state, cond)
+        for alpha in (0.5, 1.0, 2.0):
+            f = make_tsallis_f(alpha)
+            np.testing.assert_allclose(
+                thm2_bounds(state, f, cond=cond), thm2_bounds(two, f), rtol=0, atol=1e-14
+            )
+            value, sigma = conditional_entropy_tsallis_closed(state, alpha, cond=cond)
+            value_two, sigma_two = conditional_entropy_tsallis_closed(two, alpha)
+            assert value == pytest.approx(value_two, abs=1e-13)
+            np.testing.assert_allclose(sigma, sigma_two, atol=1e-13)
+
+    def test_every_factor_is_refused(self):
+        state = random_bipartite((2, 3, 2), 5, seed=5)
+        with pytest.raises(DomainError, match="every factor"):
+            conditional_entropy_optimize(state, make_tsallis_f(2.0), cond="ABC")
 
 
 class TestBounds:

