@@ -22,6 +22,8 @@ from .errors import DomainError
 from .linalg import (
     BipartiteState,
     DensityOperator,
+    _factor_dims,
+    _integer,
     _probability_vector,
     _schmidt_coefficients,
     as_matrix,
@@ -132,7 +134,7 @@ def random_density(d: int, rank: int, seed: int) -> DensityOperator:
 
 def random_bipartite(dims: Sequence[int], rank: int, seed: int) -> BipartiteState:
     """Random multi-factor state: ``random_density`` on the product space plus dims."""
-    dims = tuple(int(d) for d in dims)
+    dims = _factor_dims(dims)
     return BipartiteState(random_density(math.prod(dims), rank, seed), dims)
 
 
@@ -194,7 +196,7 @@ def build_classical_register_state(
 
 def embed_ancilla(state: BipartiteState, extra_b_dim: int) -> BipartiteState:
     """Zero-pad the conditioning factor of a two-factor state by ``extra_b_dim``."""
-    extra_b_dim = int(extra_b_dim)
+    extra_b_dim = _integer(extra_b_dim, "extra_b_dim")
     if extra_b_dim < 0:
         raise DomainError(f"extra_b_dim must be nonnegative, got {extra_b_dim}")
     if len(state.dims) != 2:

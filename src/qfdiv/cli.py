@@ -4,9 +4,10 @@ Matrices travel as JSON documents with separate row-major real and imaginary
 arrays (``{"dim": d, "re": [...], "im": [...]}``, plus ``"dims": [dA, dB]``
 for factored states).
 Numbers are printed with 12 significant digits and ``inf`` is printed as the
-literal string ``inf``.  Exit codes: 0 success, 1 domain error, bad usage or an
-optimizer with no start certified within ``--value-tol`` (its Frank-Wolfe gap,
-an upper bound on its distance to the minimum), 2 suite failure.
+literal string ``inf``.  Exit codes: 0 success, 1 domain error, bad usage, an
+unreadable input or unwritable output file, or an optimizer with no start
+certified within ``--value-tol`` (its Frank-Wolfe gap, an upper bound on its
+distance to the minimum), 2 suite failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .condent import (
 )
 from .errors import ConvergenceError, DomainError
 from .fdiv import make_tsallis_f, quantum_f_divergence, quantum_f_divergence_eps_sweep
-from .linalg import BipartiteState, DensityOperator
+from .linalg import BipartiteState, DensityOperator, _integer
 
 
 def format_number(x: float) -> str:
@@ -54,11 +55,19 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"cannot parse {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+
+
 def parse_matrix_file(path: str):
     """Load a matrix document as a DensityOperator, or a BipartiteState if it has dims."""
     doc = _load_json(path)
     try:
-        dim = int(doc["dim"])
+        dim = _integer(doc["dim"], "dim")
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -68,7 +77,7 @@ def parse_matrix_file(path: str):
     matrix = (re + 1j * im).reshape(dim, dim)
     try:
         if "dims" in doc:
-            return BipartiteState(matrix, [int(d) for d in doc["dims"]])
+            return BipartiteState(matrix, doc["dims"])
         return DensityOperator(matrix)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
@@ -82,8 +91,7 @@ def write_matrix_file(path: str, matrix: np.ndarray, dims=None) -> None:
     }
     if dims is not None:
         doc["dims"] = [int(d) for d in dims]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    _write_text(path, json.dumps(doc))
 
 
 def _family_alpha(family: str, alpha: float | None) -> float:
@@ -196,8 +204,7 @@ def _cmd_suite(args) -> int:
     reports = run_suite(PropertyConfig(seed=args.seed), properties=args.filter)
     payload = json.dumps([r.to_dict() for r in reports], indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_text(args.out, payload + "\n")
     else:
         print(payload)
     for r in reports:

@@ -24,9 +24,7 @@ by factor index, and only the optimizer's kets are regrouped as (rest, cond).
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -38,6 +36,7 @@ from .fdiv import ALPHA_ONE_TOL, DivergenceFunction, _positive_alpha
 from .linalg import (
     BipartiteState,
     _factor_indices,
+    _integer,
     _probability_vector,
     _schmidt_coefficients,
     as_matrix,
@@ -61,11 +60,7 @@ class OptimizerOptions:
 
     def __post_init__(self) -> None:
         for name in ("starts", "max_iters"):
-            count = getattr(self, name)
-            try:
-                operator.index(count)
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {count!r}") from None
+            _integer(getattr(self, name), name)
         if self.starts < 1:
             raise DomainError(f"optimizer needs at least one start, got {self.starts}")
         if not 0.0 < self.value_tol < math.inf:
@@ -120,7 +115,6 @@ def tsallis_entropy(rho, alpha: float) -> float:
     return (1.0 - float(np.sum(w**alpha))) / (alpha - 1.0)
 
 
-@functools.lru_cache(maxsize=64)
 def _conditioning_split(dims: tuple[int, ...], cond: str):
     """``(cond_idx, order, d_cond)``: the indices of the ``cond`` factors, the
     factor order that puts them after the others, and their joint dimension."""
@@ -573,7 +567,7 @@ def classical_register_closed_form(
 
 def chain_rule_rhs(h_abc_given_bc: float, d_c: int, alpha: float) -> float:
     """Upper bound on conditioning by less: ``d_C**(1-alpha) h + ln_alpha(d_C)``."""
-    d_c = int(d_c)
+    d_c = _integer(d_c, "d_C")
     if d_c < 1:
         raise DomainError(f"d_C must be at least 1, got {d_c}")
     alpha = _monotone_alpha(alpha)

@@ -155,21 +155,8 @@ def _kernel_mass(a, table, ka: int, kb: int) -> float:
     return float(a[ka:] @ table[ka:, :kb].sum(axis=1))
 
 
-def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
-    """Quantum f-divergence of PSD operator ``A`` with respect to ``B``.
-
-    Evaluates the spectral double sum ``sum_{a, b>0} b f(a/b) tr(P_a Q_b)``
-    over the eigenpairs of ``A`` and ``B``, plus the kernel term
-    ``ell * tr(A (1 - B^0))`` and, when ``f(0+)`` is nonzero, the term
-    ``f(0+) * tr(B (1 - A^0))``.  Both spectra come from
-    :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below ``RANK_TOL`` times
-    the operator's largest eigenvalue are the kernel and count as exact
-    zeros.  The result is ``inf`` exactly when ``ell = inf`` and the kernel
-    mass exceeds ``RANK_TOL * tr A``, or ``f(0+) = inf`` and the mass of
-    ``B`` on the kernel of ``A`` exceeds ``RANK_TOL * tr B``; below those
-    thresholds the infinite coefficient multiplies a mass taken as zero.
-    """
-    a, b, table, ka, kb = _spectra(A, B)
+def _spectral_sum(a, b, table, ka: int, kb: int, f: DivergenceFunction) -> float:
+    """The double sum and kernel terms of :func:`quantum_f_divergence` on given spectra."""
     total = 0.0
     if kb:
         kernel_mass = _kernel_mass(a, table, ka, kb)
@@ -197,6 +184,23 @@ def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
     return total + pair_sum
 
 
+def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
+    """Quantum f-divergence of PSD operator ``A`` with respect to ``B``.
+
+    Evaluates the spectral double sum ``sum_{a, b>0} b f(a/b) tr(P_a Q_b)``
+    over the eigenpairs of ``A`` and ``B``, plus the kernel term
+    ``ell * tr(A (1 - B^0))`` and, when ``f(0+)`` is nonzero, the term
+    ``f(0+) * tr(B (1 - A^0))``.  Both spectra come from
+    :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below ``RANK_TOL`` times
+    the operator's largest eigenvalue are the kernel and count as exact
+    zeros.  The result is ``inf`` exactly when ``ell = inf`` and the kernel
+    mass exceeds ``RANK_TOL * tr A``, or ``f(0+) = inf`` and the mass of
+    ``B`` on the kernel of ``A`` exceeds ``RANK_TOL * tr B``; below those
+    thresholds the infinite coefficient multiplies a mass taken as zero.
+    """
+    return _spectral_sum(*_spectra(A, B), f)
+
+
 def quantum_f_divergence_eps_sweep(
     A,
     B,
@@ -206,33 +210,32 @@ def quantum_f_divergence_eps_sweep(
 
     The regularized second argument is full rank, so no kernel term arises;
     the shift scales with ``B``, so scaling both arguments scales every value.
-    Returns the per-epsilon values and their extrapolation to zero: an Aitken
-    delta-squared step on the last three points when their differences
-    contract, else the linear step through the last two.  Aitken's step is
-    exact for a tail ``c * eps**p`` on a geometric schedule, which covers a
-    full-rank ``B`` (``p = 1``) and a rank-deficient ``B`` with finite ``ell``,
-    where the power-family tail decays like ``eps**(1 - alpha)``.  The limit
-    is ``inf`` when ``ell = inf`` and the mass of ``A`` on the kernel of
-    ``B`` exceeds ``RANK_TOL * tr A`` (the same test as
-    :func:`quantum_f_divergence`; the regularized values then grow only like
-    ``log(1/eps)`` or a power of it), or when the last value exceeds
-    ``1e12 tr A`` or ten times its predecessor (a predecessor below
-    ``1e-12 tr A`` counts as ``1e-12 tr A``).  Both arguments are checked
-    as :func:`quantum_f_divergence` checks them, so a ``B`` with an
-    eigenvalue below ``-RANK_TOL * ||B||`` is a domain error even where the
-    shift would make it PSD.
+    It adds ``eps * tr B`` to each eigenvalue of ``B`` and keeps its
+    eigenvectors, so one eigensolve of each argument serves every ``eps``, and
+    both are checked as :func:`quantum_f_divergence` checks them (a ``B`` with
+    an eigenvalue below ``-RANK_TOL * ||B||`` is an error even where the shift
+    would make it PSD).  Returns the per-epsilon values and their
+    extrapolation to zero: an Aitken delta-squared step on the last three
+    points when their differences contract, else the linear step through the
+    last two.  Aitken's step is exact for a tail ``c * eps**p`` on a
+    geometric schedule, which covers a full-rank ``B`` (``p = 1``) and a
+    rank-deficient ``B`` with finite ``ell``, where the power-family tail
+    decays like ``eps**(1 - alpha)``.  The limit is ``inf`` when
+    ``ell = inf`` and the mass of ``A`` on the kernel of ``B`` exceeds
+    ``RANK_TOL * tr A`` (the test of :func:`quantum_f_divergence`; the
+    regularized values then grow only like ``log(1/eps)`` or a power of it),
+    or when the last value exceeds ``1e12 tr A`` or ten times its predecessor
+    (a predecessor below ``1e-12 tr A`` counts as ``1e-12 tr A``).
     """
-    m_a, m_b = as_matrix(A), as_matrix(B)
-    # B is checked before the shift can lift a negative eigenvalue above zero
-    a, _, table, ka, kb = _spectra(m_a, m_b)
-    shift = float(np.trace(m_b).real) * np.eye(m_b.shape[0])
-    values = [quantum_f_divergence(m_a, m_b + e * shift, f) for e in EPS_SCHEDULE]
+    a, b, table, ka, kb = _spectra(A, B)
+    shifted = [b + eps * b.sum() for eps in EPS_SCHEDULE]  # B = 0 stays all kernel
+    values = [_spectral_sum(a, s, table, ka, int(s.searchsorted(0.0, "right")), f) for s in shifted]
     if f.ell == INF and _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum():
         return values, INF
     _, v0, v1 = values
     _, e0, e1 = EPS_SCHEDULE
     # the growth floor and cap scale with A, as every value does
-    scale = float(np.trace(m_a).real)
+    scale = float(a.sum())
     if abs(v1) > 10.0 * max(abs(v0), 1e-12 * scale) or abs(v1) > 1e12 * scale:
         return values, INF
     d1, d2 = v0 - values[0], v1 - v0

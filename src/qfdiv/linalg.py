@@ -16,6 +16,7 @@ layout).  All partial traces use this convention.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -98,7 +99,7 @@ class BipartiteState(DensityOperator):
             self.entries = rho.entries
         else:
             super().__init__(rho)
-        dims = tuple(int(d) for d in dims)
+        dims = _factor_dims(dims)
         if len(dims) not in (2, 3) or any(d < 1 for d in dims):
             raise DomainError(f"dims must be two or three positive factors, got {dims}")
         if math.prod(dims) != self.dim:
@@ -176,6 +177,21 @@ def _factor_indices(keep: str, n_factors: int) -> list[int]:
     return idx
 
 
+def _integer(x, name: str) -> int:
+    """``x`` as an ``int``; only an integer, numpy's included, passes: nothing is truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {x!r}") from None
+
+
+def _factor_dims(dims) -> tuple[int, ...]:
+    """Factor dimensions as a tuple of ``int``; a non-sequence or non-integer is an error."""
+    if not np.iterable(dims):
+        raise DomainError(f"dims must be a sequence of integers, got {dims!r}")
+    return tuple(_integer(d, "each of dims") for d in dims)
+
+
 def _probability_vector(p, name: str = "probability vector") -> np.ndarray:
     """``p`` as a flat float array; a non-finite or negative entry or a sum off 1 is an error."""
     w = np.asarray(p, dtype=float).ravel()
@@ -202,7 +218,6 @@ def _schmidt_coefficients(coeffs) -> np.ndarray:
 
 def ptrace_entries(entries: np.ndarray, dims: Sequence[int], keep_idx: Sequence[int]) -> np.ndarray:
     """Partial trace at the array level, keeping the listed factor indices in order."""
-    dims = tuple(int(d) for d in dims)
     n = len(dims)
     if entries.shape != (math.prod(dims),) * 2:
         raise DomainError(
@@ -225,10 +240,9 @@ def partial_trace(rho, keep: str, dims: Sequence[int] | None = None) -> DensityO
     trace of a :class:`DensityOperator` is one by construction and is not
     re-checked; a raw array's is validated as a density operator.
     """
-    if dims is None:
-        if not isinstance(rho, BipartiteState):
-            raise DomainError("dims are required unless the state carries them")
-        dims = rho.dims
+    if dims is None and not isinstance(rho, BipartiteState):
+        raise DomainError("dims are required unless the state carries them")
+    dims = rho.dims if dims is None else _factor_dims(dims)
     entries = as_matrix(rho)
     keep_idx = _factor_indices(keep, len(dims))
     reduced = ptrace_entries(entries, dims, keep_idx)

@@ -23,7 +23,7 @@ import hashlib
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,22 +86,10 @@ class PropertyReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        def _num(x: float):
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            if math.isnan(x):
-                return "nan"
-            return x
-
-        return {
-            "property_id": self.property_id,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": _num(self.worst_margin),
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        d = asdict(self)
+        if not math.isfinite(self.worst_margin):
+            d["worst_margin"] = str(self.worst_margin)  # "inf", "-inf" or "nan"
+        return d
 
 
 _BIPARTITE_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2))
@@ -375,23 +363,14 @@ REGISTRY: dict[str, _PropertySpec] = {
 }
 
 
-def _spec(property_id: str) -> _PropertySpec:
-    if property_id not in REGISTRY:
-        raise DomainError(f"unknown property id {property_id!r}")
-    return REGISTRY[property_id]
-
-
-def describe(property_id: str) -> str:
-    """Human-readable statement a property verifies."""
-    return _spec(property_id).statement
-
-
 def run_property(property_id: str, config: PropertyConfig | None = None) -> PropertyReport:
     """Run one property's ensemble and summarize its margins.
 
     A trial whose check raises records one NaN margin, a violation.
     """
-    spec = _spec(property_id)
+    if property_id not in REGISTRY:
+        raise DomainError(f"unknown property id {property_id!r}")
+    spec = REGISTRY[property_id]
     config = config or PropertyConfig()
     trials = spec.trials if config.trials is None else config.trials
     start = time.perf_counter()

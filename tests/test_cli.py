@@ -99,6 +99,36 @@ class TestParseMatrixFile:
             parse_matrix_file(str(tmp_path / "short.json"))
 
 
+class TestMatrixFileIntegers:
+    """``dim`` and ``dims`` are JSON integers; anything else is one error line, exit 1."""
+
+    def state_doc(self, tmp_path, **fields):
+        path = tmp_path / "state.json"
+        write_state(path, bell_matrix(), dims=(2, 2))
+        doc = json.loads(path.read_text())
+        doc.update(fields)
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("dims", [["x", 2], [2.5, 2], [2.0, 2], 4, None, "22"])
+    def test_bad_dims_exit_one(self, tmp_path, capsys, dims):
+        path = self.state_doc(tmp_path, dims=dims)
+        with pytest.raises(DomainError, match="dims"):
+            parse_matrix_file(path)
+        assert main(["condent", "--state", path, "--family", "kl"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("qfdiv: error:")
+
+    @pytest.mark.parametrize("dim", [2.9, 4.0, "4", None])
+    def test_bad_dim_exits_one(self, tmp_path, capsys, dim):
+        path = self.state_doc(tmp_path, dim=dim)
+        with pytest.raises(DomainError, match="dim must be an integer"):
+            parse_matrix_file(path)
+        assert main(["divergence", "--a", path, "--b", path, "--family", "kl"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("qfdiv: error:")
+
+
 class TestCondentCommand:
     def test_bell_closed_prints_minus_one(self, bell_file, capsys):
         code = main(["condent", "--state", bell_file, "--family", "tsallis",
@@ -313,6 +343,12 @@ class TestRandomCommand:
         assert "dimension must be at least 1" in err[0]
         assert not out.exists()
 
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "r.json"
+        assert main(["random", "state", "--dims", "2", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"qfdiv: error: cannot write {out}:")
+
     def test_rank_out_of_range(self, tmp_path, capsys):
         code = main(["random", "state", "--dims", "2", "--rank", "5", "--seed", "0",
                      "--out", str(tmp_path / "x.json")])
@@ -328,6 +364,14 @@ class TestSuiteCommand:
         reports = json.loads(out.read_text())
         assert [r["property_id"] for r in reports] == ["homogeneity", "alpha-continuity"]
         assert all(r["violations"] == 0 for r in reports)
+
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "r.json"
+        assert main(["suite", "--filter", "mixture-lower", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"qfdiv: error: cannot write {out}:")
 
     def test_unknown_filter_is_domain_error(self, capsys):
         assert main(["suite", "--filter", "nope"]) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfdiv import channels
+from qfdiv import channels, fdiv
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import (
     INF,
@@ -326,6 +326,36 @@ class TestEpsSweep:
             quantum_f_divergence_eps_sweep(
                 KET0, KET1, make_tsallis_f(1.0), eps_schedule=(1e-5, 1e-6, 1e-7)
             )
+
+    @pytest.mark.parametrize("rank_b", [1, 3, 4])
+    def test_one_eigensolve_per_argument(self, monkeypatch, rank_b):
+        # B + c * I shares B's eigenvectors: every eps reuses one pair of spectra
+        a = channels.random_density(4, 4, seed=140).entries
+        b = channels.random_density(4, rank_b, seed=141).entries
+        eigh, spectra = np.linalg.eigh, fdiv._spectra
+        calls = {"eigh": 0, "spectra": 0}
+
+        def counted_eigh(m):
+            calls["eigh"] += 1
+            return eigh(m)
+
+        def counted_spectra(*args):
+            calls["spectra"] += 1
+            return spectra(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(fdiv, "_spectra", counted_spectra)
+        quantum_f_divergence_eps_sweep(a, b, make_tsallis_f(0.5))
+        assert calls == {"eigh": 2, "spectra": 1}
+
+    @pytest.mark.parametrize(
+        "alpha, expected",
+        [(0.5, ([2.0, 2.0, 2.0], 2.0)), (1.0, ([INF] * 3, INF)), (2.0, ([INF] * 3, INF))],
+    )
+    def test_zero_second_argument(self, alpha, expected):
+        # tr B = 0 leaves B's kernel unshifted: all of A's mass is kernel mass
+        a = channels.random_density(3, 3, seed=142).entries
+        assert quantum_f_divergence_eps_sweep(a, np.zeros((3, 3)), make_tsallis_f(alpha)) == expected
 
     def test_checks_second_argument_as_spectral_route(self):
         # -5e-8 lies 500 times past -RANK_TOL * ||B||; the shift alone would hide it

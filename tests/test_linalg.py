@@ -3,6 +3,7 @@ import pytest
 
 import qfdiv
 from qfdiv import channels
+from qfdiv.condent import chain_rule_rhs
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import make_tsallis_f, quantum_f_divergence
 from qfdiv.linalg import (
@@ -207,3 +208,60 @@ class TestPartialTrace:
             lifted = np.kron(pa, pb)
             assert np.abs(lifted @ rho.entries - rho.entries).max() <= 1e-8
 
+
+
+class TestIntegerDimensions:
+    """A dimension is an integer, numpy's included, and is never truncated."""
+
+    STATE = np.eye(4) / 4
+
+    @pytest.mark.parametrize(
+        "dims", [(2.5, 2), (2.0, 2), ("x", 2), ("2", 2), ([2], 2), 4, None, 4.0]
+    )
+    def test_state_rejects_non_integer_dims(self, dims):
+        with pytest.raises(DomainError, match="dims"):
+            BipartiteState(self.STATE, dims)
+
+    def test_state_accepts_numpy_integers(self):
+        state = BipartiteState(self.STATE, np.array([2, 2]))
+        assert state.dims == (2, 2)
+        assert all(type(d) is int for d in state.dims)
+        assert BipartiteState(self.STATE, (np.int32(2), np.int64(2))).dims == (2, 2)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), ("x", 2), 4])
+    def test_partial_trace_rejects_non_integer_dims(self, dims):
+        with pytest.raises(DomainError, match="dims"):
+            partial_trace(self.STATE, "A", dims=dims)
+
+    def test_partial_trace_accepts_numpy_integers(self):
+        reduced = partial_trace(self.STATE, "A", dims=np.array([2, 2]))
+        np.testing.assert_allclose(reduced.entries, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), 4])
+    def test_random_state_rejects_non_integer_dims(self, dims):
+        with pytest.raises(DomainError, match="dims"):
+            channels.random_bipartite(dims, 2, seed=1)
+
+    def test_random_state_accepts_numpy_integers(self):
+        state = channels.random_bipartite(np.array([2, 3]), 2, seed=1)
+        assert state.dims == (2, 3)
+        np.testing.assert_array_equal(
+            state.entries, channels.random_bipartite((2, 3), 2, seed=1).entries
+        )
+
+    @pytest.mark.parametrize("extra", [1.7, 1.0, "1"])
+    def test_ancilla_rejects_non_integer_padding(self, extra):
+        with pytest.raises(DomainError, match="extra_b_dim"):
+            channels.embed_ancilla(BipartiteState(self.STATE, (2, 2)), extra)
+
+    def test_ancilla_accepts_numpy_integers(self):
+        padded = channels.embed_ancilla(BipartiteState(self.STATE, (2, 2)), np.int64(1))
+        assert padded.dims == (2, 3)
+
+    @pytest.mark.parametrize("d_c", [2.9, 2.0, None])
+    def test_chain_rule_rejects_non_integer_dimension(self, d_c):
+        with pytest.raises(DomainError, match="d_C"):
+            chain_rule_rhs(0.1, d_c, 0.5)
+
+    def test_chain_rule_accepts_numpy_integers(self):
+        assert chain_rule_rhs(0.1, np.int64(2), 0.5) == chain_rule_rhs(0.1, 2, 0.5)

@@ -11,7 +11,6 @@ from qfdiv.propsuite import (
     PropertyConfig,
     _PropertySpec,
     derive_seed,
-    describe,
     run_property,
     run_suite,
 )
@@ -222,6 +221,24 @@ class TestReportSerialization:
         report = PropertyReport("x", 0, 1, -math.inf, 1e-9, 0, 0)
         assert report.to_dict()["worst_margin"] == "-inf"
 
+    @pytest.mark.parametrize(
+        "margin, shown", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (-0.25, -0.25)]
+    )
+    def test_fields_in_order_with_non_finite_margins_as_strings(self, margin, shown):
+        from qfdiv.propsuite import PropertyReport
+
+        d = PropertyReport("x", 3, 1, margin, 1e-9, 7, 12).to_dict()
+        assert list(d.items()) == [
+            ("property_id", "x"),
+            ("trials", 3),
+            ("violations", 1),
+            ("worst_margin", shown),
+            ("tolerance", 1e-9),
+            ("seed", 7),
+            ("elapsed_ms", 12),
+        ]
+        json.dumps(d, allow_nan=False)
+
 
 class TestSeedDerivation:
     def test_stable_values(self):
@@ -230,7 +247,3 @@ class TestSeedDerivation:
         assert derive_seed(42, "dpi") != derive_seed(42, "thm2-bounds")
         assert derive_seed(42, "dpi") != derive_seed(43, "dpi")
 
-    def test_describe(self):
-        assert "maps" in describe("dpi")
-        with pytest.raises(DomainError):
-            describe("missing")
