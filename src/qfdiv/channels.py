@@ -109,6 +109,8 @@ def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChann
     The isometry ``V : d_in -> d_out * env_dim`` is drawn Haar (QR with phase
     fixing); Kraus operators are its environment slices.  Deterministic per seed.
     """
+    d_in, d_out = _integer(d_in, "d_in"), _integer(d_out, "d_out")
+    env_dim = _integer(env_dim, "env_dim")
     if d_in < 1 or d_out < 1 or env_dim < 1:
         raise DomainError("dimensions must be positive")
     if d_out * env_dim < d_in:
@@ -123,6 +125,7 @@ def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChann
 
 def random_density(d: int, rank: int, seed: int) -> DensityOperator:
     """Normalized ``G G^dag`` for a ``d x rank`` complex Gaussian ``G``."""
+    d, rank = _integer(d, "dimension"), _integer(rank, "rank")
     if d < 1:
         raise DomainError(f"dimension must be at least 1, got {d}")
     if not 1 <= rank <= d:
@@ -146,6 +149,7 @@ def pure_bipartite_from_schmidt(
 ) -> BipartiteState:
     """Pure bipartite state with the given Schmidt coefficients in Haar-random bases."""
     c = _schmidt_coefficients(coeffs)
+    d_a, d_b = _integer(d_a, "d_a"), _integer(d_b, "d_b")
     if c.size > min(d_a, d_b):
         raise DomainError(f"at most min({d_a}, {d_b}) Schmidt coefficients allowed")
     gen = rng.generator(seed)

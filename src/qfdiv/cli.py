@@ -201,6 +201,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_suite(args) -> int:
     from .propsuite import PropertyConfig, run_suite
 
+    if args.out:
+        _write_text(args.out, "")  # an unwritable path fails before any property runs
     reports = run_suite(PropertyConfig(seed=args.seed), properties=args.filter)
     payload = json.dumps([r.to_dict() for r in reports], indent=2)
     if args.out:

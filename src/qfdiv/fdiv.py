@@ -224,8 +224,10 @@ def quantum_f_divergence_eps_sweep(
     ``ell = inf`` and the mass of ``A`` on the kernel of ``B`` exceeds
     ``RANK_TOL * tr A`` (the test of :func:`quantum_f_divergence`; the
     regularized values then grow only like ``log(1/eps)`` or a power of it),
-    or when the last value exceeds ``1e12 tr A`` or ten times its predecessor
-    (a predecessor below ``1e-12 tr A`` counts as ``1e-12 tr A``).
+    or when the last regularized value is not finite (``f(0+) = inf`` and the
+    mass of ``B`` on the kernel of ``A`` exceeds ``RANK_TOL * tr B``, the
+    other test of :func:`quantum_f_divergence`).  Below both thresholds the
+    limit is the extrapolation, whatever its size.
     """
     a, b, table, ka, kb = _spectra(A, B)
     shifted = [b + eps * b.sum() for eps in EPS_SCHEDULE]  # B = 0 stays all kernel
@@ -234,9 +236,7 @@ def quantum_f_divergence_eps_sweep(
         return values, INF
     _, v0, v1 = values
     _, e0, e1 = EPS_SCHEDULE
-    # the growth floor and cap scale with A, as every value does
-    scale = float(a.sum())
-    if abs(v1) > 10.0 * max(abs(v0), 1e-12 * scale) or abs(v1) > 1e12 * scale:
+    if not math.isfinite(v1):
         return values, INF
     d1, d2 = v0 - values[0], v1 - v0
     if abs(d2) < abs(d1):

@@ -179,10 +179,12 @@ def _factor_indices(keep: str, n_factors: int) -> list[int]:
 
 def _integer(x, name: str) -> int:
     """``x`` as an ``int``; only an integer, numpy's included, passes: nothing is truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {x!r}") from None
+    if not isinstance(x, bool):  # Python's bool is an int, but never a size or a count
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {x!r}")
 
 
 def _factor_dims(dims) -> tuple[int, ...]:

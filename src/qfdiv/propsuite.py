@@ -3,9 +3,11 @@
 A property is one row of :data:`REGISTRY`: a per-trial ``check`` together
 with its ensemble (default trials, dims, alphas, tolerance) and the
 statement it verifies; a :class:`PropertyConfig` sets only the master seed
-and the number of trials.  :func:`run_property` is the one trial driver: trial
-``t`` sees the ``t``-th dims and alpha of the cycled lists and sub-seeds
-derived from the master seed, the trial label and ``t``.  A check returns
+and the number of trials.  :func:`run_property` is the one trial driver, and
+its :class:`_Trial` the only source of a trial's coordinates: trial ``t`` is
+one problem at the ``t``-th dims and alpha of the cycled lists, with ranks
+``1 + (t + shift) % d`` from :meth:`_Trial.rank` and sub-seeds derived from
+the master seed, the draw's label and ``t``.  A check returns
 signed margins: for an inequality ``LHS <= RHS`` the margin is ``RHS - LHS``
 (slack), for an exact identity it is ``-|residual|``.  A margin violates the
 property when it falls below ``-tolerance`` or is NaN (an undefined
@@ -98,7 +100,7 @@ _WIDE_ALPHAS = (0.3, 0.5, 1.0, 1.5, 2.0)
 
 @dataclass(frozen=True)
 class _Trial:
-    """Trial ``t`` of a property: the cycled dims and alpha, sub-seeds and a random state."""
+    """Trial ``t`` of a property: the cycled dims and alpha, ranks, sub-seeds and a random state."""
 
     spec: _PropertySpec
     master: int  # the property's seed
@@ -116,12 +118,16 @@ class _Trial:
     def alpha(self) -> float:
         return self.spec.alphas[self.t % len(self.spec.alphas)]
 
+    def rank(self, d: int, shift: int = 0) -> int:
+        """The rank ``1 + (t + shift) % d`` of a draw on dimension ``d``; it grows with ``t``."""
+        return 1 + (self.t + shift) % d
+
     def seed(self, label: str) -> int:
         return derive_seed(self.master, f"{label}/{self.t}")
 
     def state(self, label: str = "state") -> BipartiteState:
-        """Random state on ``dims`` whose rank ``1 + t % prod(dims)`` grows with ``t``."""
-        return random_bipartite(self.dims, 1 + self.t % math.prod(self.dims), self.seed(label))
+        """Random state on ``dims`` of rank ``rank(prod(dims))``."""
+        return random_bipartite(self.dims, self.rank(math.prod(self.dims)), self.seed(label))
 
 
 def _entropy(state: BipartiteState, alpha: float, cond: str = "B") -> float:
@@ -133,22 +139,19 @@ def _optimized(state: BipartiteState, alpha: float) -> float:
 
 
 def _check_dpi(trial: _Trial) -> list[float]:
-    d, t = trial.dims, trial.t
-    margins = []
-    for ai, alpha in enumerate(trial.spec.alphas):
-        f = make_tsallis_f(alpha)
-        rho = random_density(d, 1 + t % d, trial.seed(f"rho{ai}"))
-        sig = random_density(d, d, trial.seed(f"sig{ai}"))
-        phi = random_channel(d, trial.next_dims, 2, trial.seed(f"phi{ai}"))
-        pre = quantum_f_divergence(rho, sig, f)
-        post = quantum_f_divergence(apply_channel(phi, rho), apply_channel(phi, sig), f)
-        margins.append(pre - post)
-    return margins
+    d = trial.dims
+    f = make_tsallis_f(trial.alpha)
+    rho = random_density(d, trial.rank(d), trial.seed("rho"))
+    sig = random_density(d, d, trial.seed("sig"))
+    phi = random_channel(d, trial.next_dims, 2, trial.seed("phi"))
+    pre = quantum_f_divergence(rho, sig, f)
+    post = quantum_f_divergence(apply_channel(phi, rho), apply_channel(phi, sig), f)
+    return [pre - post]
 
 
 def _check_nonnegativity(trial: _Trial) -> list[float]:
     d = trial.dims
-    rho = random_density(d, 1 + trial.t % d, trial.seed("rho"))
+    rho = random_density(d, trial.rank(d), trial.seed("rho"))
     sig = random_density(d, d, trial.seed("sig"))
     return [quantum_f_divergence(rho, sig, make_tsallis_f(trial.alpha))]
 
@@ -156,7 +159,7 @@ def _check_nonnegativity(trial: _Trial) -> list[float]:
 def _check_homogeneity(trial: _Trial) -> list[float]:
     d = trial.dims
     f = make_tsallis_f(trial.alpha)
-    a = random_density(d, 1 + trial.t % d, trial.seed("a"))
+    a = random_density(d, trial.rank(d), trial.seed("a"))
     b = random_density(d, d, trial.seed("b"))
     base = quantum_f_divergence(a, b, f)
     return [
@@ -171,11 +174,11 @@ def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
-    d1, d2, t = trial.dims, trial.next_dims, trial.t
+    d1, d2 = trial.dims, trial.next_dims
     f = make_tsallis_f(trial.alpha)
-    a1 = random_density(d1, 1 + t % d1, trial.seed("a1")).entries
+    a1 = random_density(d1, trial.rank(d1), trial.seed("a1")).entries
     b1 = random_density(d1, d1, trial.seed("b1")).entries
-    a2 = random_density(d2, 1 + (t + 1) % d2, trial.seed("a2")).entries
+    a2 = random_density(d2, trial.rank(d2, shift=1), trial.seed("a2")).entries
     b2 = random_density(d2, d2, trial.seed("b2")).entries
     whole = quantum_f_divergence(_direct_sum(a1, a2), _direct_sum(b1, b2), f)
     parts = quantum_f_divergence(a1, b1, f) + quantum_f_divergence(a2, b2, f)
@@ -190,13 +193,10 @@ def _check_thm2_bounds(trial: _Trial) -> list[float]:
 
 
 def _check_chain_rule(trial: _Trial) -> list[float]:
-    margins = []
-    for alpha in trial.spec.alphas:
-        state = trial.state(f"state{alpha:g}")
-        h_b = _entropy(state, alpha, cond="B")
-        h_bc = _entropy(state, alpha, cond="BC")
-        margins.append(chain_rule_rhs(h_bc, state.dims[2], alpha) - h_b)
-    return margins
+    state = trial.state()
+    h_b = _entropy(state, trial.alpha, cond="B")
+    h_bc = _entropy(state, trial.alpha, cond="BC")
+    return [chain_rule_rhs(h_bc, state.dims[2], trial.alpha) - h_b]
 
 
 def _register_blocks(trial: _Trial):
@@ -205,7 +205,7 @@ def _register_blocks(trial: _Trial):
     blocks = []
     for y in range(2 + t % 2):
         d_b = 1 + (t + y) % 2
-        rank = 1 + (t + y) % (2 * d_b)
+        rank = trial.rank(2 * d_b, shift=y)
         blocks.append(random_bipartite((2, d_b), rank, trial.seed(f"block{y}")))
     w = generator(trial.seed("p")).random(len(blocks)) + 0.1
     return blocks, w / w.sum()
@@ -229,9 +229,9 @@ def _check_mixture_lower(trial: _Trial) -> list[float]:
 
 
 def _check_pure_bounds(trial: _Trial) -> list[float]:
-    dims, t = trial.dims, trial.t
-    k = 1 + t % min(dims)
-    if t % 10 == 0:
+    dims = trial.dims
+    k = trial.rank(min(dims))
+    if trial.t % 10 == 0:
         coeffs = np.full(k, 1.0 / math.sqrt(k))  # equal coefficients saturate
     else:
         u = generator(trial.seed("coeffs")).random(k) + 1e-3
@@ -243,9 +243,9 @@ def _check_pure_bounds(trial: _Trial) -> list[float]:
 
 
 def _check_product_identity(trial: _Trial) -> list[float]:
-    dims, t = trial.dims, trial.t
-    rho_a = random_density(dims[0], 1 + t % dims[0], trial.seed("a"))
-    rho_b = random_density(dims[1], 1 + (t + 1) % dims[1], trial.seed("b"))
+    dims = trial.dims
+    rho_a = random_density(dims[0], trial.rank(dims[0]), trial.seed("a"))
+    rho_b = random_density(dims[1], trial.rank(dims[1], shift=1), trial.seed("b"))
     state = BipartiteState(np.kron(rho_a.entries, rho_b.entries), dims)
     return [-abs(_entropy(state, trial.alpha) - tsallis_entropy(rho_a, trial.alpha))]
 
@@ -259,9 +259,8 @@ def _check_extension_independence(trial: _Trial) -> list[float]:
 def _check_thm3_data_processing(trial: _Trial) -> list[float]:
     state = trial.state()
     d_a, d_b = state.dims
-    d_out = (2, 3)[trial.t % 2]
-    psi = random_channel(d_b, d_out, 2, trial.seed("chan"))
-    moved = BipartiteState(apply_channel(extend_with_identity(psi, d_a), state), (d_a, d_out))
+    psi = random_channel(d_b, d_b, 2, trial.seed("chan"))
+    moved = BipartiteState(apply_channel(extend_with_identity(psi, d_a), state), state.dims)
     return [_entropy(moved, trial.alpha) - _entropy(state, trial.alpha)]
 
 
@@ -298,7 +297,7 @@ class _PropertySpec:
 
 REGISTRY: dict[str, _PropertySpec] = {
     "dpi": _PropertySpec(
-        _check_dpi, 200, (2, 3, 4), _WIDE_ALPHAS, 1e-8,
+        _check_dpi, 1000, (2, 3, 4), _WIDE_ALPHAS, 1e-8,
         "divergences do not increase under trace-preserving completely positive maps",
     ),
     "nonnegativity": _PropertySpec(
@@ -318,7 +317,7 @@ REGISTRY: dict[str, _PropertySpec] = {
         "conditional entropy sits between the scaled-state trace bounds",
     ),
     "chain-rule": _PropertySpec(
-        _check_chain_rule, 100, ((2, 2, 2),), (0.5, 1.0, 2.0), 1e-7,
+        _check_chain_rule, 300, ((2, 2, 2),), (0.5, 1.0, 2.0), 1e-7,
         "conditioning on less is bounded by the dimension-corrected entropy",
     ),
     "mixture-exact": _PropertySpec(

@@ -88,7 +88,7 @@ def test_criterion_1_golden_values():
 
 def test_criterion_2_data_processing():
     start = time.perf_counter()
-    rep = run_property("dpi", PropertyConfig(trials=200, seed=42))
+    rep = run_property("dpi", PropertyConfig(trials=1000, seed=42))
     elapsed = time.perf_counter() - start
     assert REGISTRY["dpi"].alphas == (0.3, 0.5, 1.0, 1.5, 2.0)
     assert rep.tolerance == 1e-8
@@ -144,7 +144,7 @@ def test_criterion_5_conditioning_data_processing():
 
 def test_criterion_6_chain_rule():
     start = time.perf_counter()
-    rep = run_property("chain-rule", PropertyConfig(trials=100, seed=42))
+    rep = run_property("chain-rule", PropertyConfig(trials=300, seed=42))
     elapsed = time.perf_counter() - start
     assert REGISTRY["chain-rule"].alphas == (0.5, 1.0, 2.0)
     assert rep.tolerance == 1e-7

@@ -156,6 +156,13 @@ class TestRandomChannel:
         with pytest.raises(DomainError, match="isometry"):
             random_channel(4, 3, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "sizes, named", [((2.0, 3, 2), "d_in"), ((2, 3.5, 2), "d_out"), ((2, 3, True), "env_dim")]
+    )
+    def test_sizes_must_be_integers(self, sizes, named):
+        with pytest.raises(DomainError, match=f"{named} must be an integer"):
+            random_channel(*sizes, seed=0)
+
 
 class TestRandomDensity:
     def test_rank_one_is_pure(self):
@@ -179,6 +186,15 @@ class TestRandomDensity:
             random_density(3, 0, seed=0)
         with pytest.raises(DomainError):
             random_density(3, 4, seed=0)
+
+    @pytest.mark.parametrize(
+        "d, rank, named",
+        [(2.5, 2, "dimension"), (3.0, 2, "dimension"), (True, 1, "dimension"), (3, 2.0, "rank")],
+    )
+    def test_sizes_must_be_integers(self, d, rank, named):
+        # a size is refused unless it is an integer, never truncated or left to numpy
+        with pytest.raises(DomainError, match=f"{named} must be an integer"):
+            random_density(d, rank, seed=0)
 
     @pytest.mark.parametrize("d", [0, -2])
     def test_dimension_bound_names_the_dimension(self, d):
@@ -224,6 +240,13 @@ class TestSchmidtStates:
     def test_rejects_too_many_coefficients(self):
         with pytest.raises(DomainError, match="at most"):
             pure_bipartite_from_schmidt(np.sqrt([0.4, 0.3, 0.3]), 2, 4, seed=0)
+
+    @pytest.mark.parametrize(
+        "d_a, d_b, named", [(2.0, 2, "d_a"), (2, 2.5, "d_b"), (2, True, "d_b")]
+    )
+    def test_sizes_must_be_integers(self, d_a, d_b, named):
+        with pytest.raises(DomainError, match=f"{named} must be an integer"):
+            pure_bipartite_from_schmidt([1.0], d_a, d_b, seed=0)
 
 
 class TestRegisterStates:

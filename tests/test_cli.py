@@ -119,7 +119,7 @@ class TestMatrixFileIntegers:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("qfdiv: error:")
 
-    @pytest.mark.parametrize("dim", [2.9, 4.0, "4", None])
+    @pytest.mark.parametrize("dim", [2.9, 4.0, "4", None, True])
     def test_bad_dim_exits_one(self, tmp_path, capsys, dim):
         path = self.state_doc(tmp_path, dim=dim)
         with pytest.raises(DomainError, match="dim must be an integer"):
@@ -371,6 +371,20 @@ class TestSuiteCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"qfdiv: error: cannot write {out}:")
+
+    def test_unwritable_output_fails_before_any_property_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from qfdiv import propsuite
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the suite ran although its report cannot be written")
+
+        monkeypatch.setattr(propsuite, "run_suite", must_not_run)
+        out = tmp_path / "no-such-dir" / "r.json"
+        assert main(["suite", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"qfdiv: error: cannot write {out}:")
 
     def test_unknown_filter_is_domain_error(self, capsys):

@@ -374,6 +374,9 @@ class TestOptimizerOptions:
             ({"max_iters": 10.0}, "max_iters"),
             ({"max_iters": math.inf}, "max_iters"),
             ({"starts": 2.5}, "starts"),
+            # a bool is an int to Python, but not a count
+            ({"starts": True}, "starts"),
+            ({"max_iters": False}, "max_iters"),
         ],
     )
     def test_rejects_invalid_values(self, kwargs, named):

@@ -313,8 +313,7 @@ class TestEpsSweep:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("lam", [1e-14, 1.0, 1e13])
     def test_limit_scales_with_both_arguments(self, lam, alpha):
-        # the growth floor and cap are relative: at lam = 1e13 the values
-        # (2.11e12, 5.11e12 and 1.78e13) are finite, not divergent
+        # at lam = 1e13 the values (2.11e12, 5.11e12 and 1.78e13) are large but finite
         a, b = np.diag([0.5, 0.5]), np.diag([0.9, 0.1])
         f = make_tsallis_f(alpha)
         unit = quantum_f_divergence_eps_sweep(a, b, f)[1]
@@ -356,6 +355,35 @@ class TestEpsSweep:
         # tr B = 0 leaves B's kernel unshifted: all of A's mass is kernel mass
         a = channels.random_density(3, 3, seed=142).entries
         assert quantum_f_divergence_eps_sweep(a, np.zeros((3, 3)), make_tsallis_f(alpha)) == expected
+
+    def test_kernel_mass_within_tolerance_stays_finite(self):
+        # sin^2 t = 3e-11 of A's mass lies on ker B, below RANK_TOL * tr A: the spectral
+        # route counts it as zero, and the sweep's values grow like 3e-11 / eps: fast,
+        # but no divergence
+        s2 = 3e-11
+        psi = np.array([math.sqrt(1.0 - s2), math.sqrt(s2)])
+        a, b = np.outer(psi, psi), np.diag([1.0, 0.0])
+        f = make_tsallis_f(2.0)
+        assert quantum_f_divergence(a, b, f) == 0.0
+        values, limit = quantum_f_divergence_eps_sweep(a, b, f)
+        assert values[-1] > 9.0 * values[-2] > 0.0
+        assert limit == pytest.approx(3.3e-4, rel=1e-3)
+
+    def test_infinite_value_at_zero_gives_infinite_limit(self):
+        # f = -log x has f(0+) = inf: B's mass on the kernel of A makes the last
+        # regularized value, and so the limit, infinite
+        neg_log = DivergenceFunction(
+            name="neg-log",
+            fn=lambda x: -np.log(x),
+            slope=lambda x: 1.0 - np.log(x),
+            f_at_zero=INF,
+            ell=0.0,
+            operator_convex=True,
+        )
+        assert quantum_f_divergence(KET0, np.eye(2) / 2, neg_log) == INF
+        values, limit = quantum_f_divergence_eps_sweep(KET0, np.eye(2) / 2, neg_log)
+        assert values[-1] == INF
+        assert limit == INF
 
     def test_checks_second_argument_as_spectral_route(self):
         # -5e-8 lies 500 times past -RANK_TOL * ||B||; the shift alone would hide it
@@ -452,7 +480,7 @@ class TestEpsSweepDivergence:
     def test_slow_growth_is_still_divergent(self, alpha):
         a = np.eye(2) / 2
         values, limit = quantum_f_divergence_eps_sweep(a, KET0, make_tsallis_f(alpha))
-        assert values[-1] < 10.0 * values[-2]  # too slow for the growth test alone
+        assert values[-1] < 10.0 * values[-2]  # slow growth: only the kernel-mass test sees it
         assert limit == INF
 
     def test_finite_ell_keeps_the_extrapolation(self):

@@ -216,7 +216,7 @@ class TestIntegerDimensions:
     STATE = np.eye(4) / 4
 
     @pytest.mark.parametrize(
-        "dims", [(2.5, 2), (2.0, 2), ("x", 2), ("2", 2), ([2], 2), 4, None, 4.0]
+        "dims", [(2.5, 2), (2.0, 2), ("x", 2), ("2", 2), ([2], 2), 4, None, 4.0, (True, 4)]
     )
     def test_state_rejects_non_integer_dims(self, dims):
         with pytest.raises(DomainError, match="dims"):

@@ -46,15 +46,14 @@ class TestRunProperty:
         assert without_timing(a) == without_timing(b)
 
 
-# margins per run at trials=2: trials times the margins one trial yields (dpi
-# and chain-rule check every alpha in each trial)
+# margins per run at trials=2: trials times the margins one trial yields
 TRIALS_AT_TWO = {
-    "dpi": 10,
+    "dpi": 2,
     "nonnegativity": 2,
     "homogeneity": 8,
     "orthogonal-additivity": 2,
     "thm2-bounds": 4,
-    "chain-rule": 6,
+    "chain-rule": 2,
     "mixture-exact": 2,
     "mixture-lower": 2,
     "pure-bounds": 4,
@@ -76,6 +75,43 @@ class TestTrialDriver:
         report = run_property(pid, PropertyConfig(trials=2))
         assert report.trials == TRIALS_AT_TWO[pid]
         assert report.passed
+
+
+class TestTrialCoordinates:
+    @pytest.mark.parametrize("pid", ["dpi", "chain-rule"])
+    def test_each_trial_sees_its_own_alpha_only(self, pid, monkeypatch):
+        # every alpha these checks use passes through one of the three spied names
+        seen = []
+        real_f, real_entropy, real_rhs = (
+            propsuite.make_tsallis_f, propsuite._entropy, propsuite.chain_rule_rhs
+        )
+
+        def spy_f(alpha):
+            seen.append(alpha)
+            return real_f(alpha)
+
+        def spy_entropy(state, alpha, cond="B"):
+            seen.append(alpha)
+            return real_entropy(state, alpha, cond)
+
+        def spy_rhs(h, d_c, alpha):
+            seen.append(alpha)
+            return real_rhs(h, d_c, alpha)
+
+        monkeypatch.setattr(propsuite, "make_tsallis_f", spy_f)
+        monkeypatch.setattr(propsuite, "_entropy", spy_entropy)
+        monkeypatch.setattr(propsuite, "chain_rule_rhs", spy_rhs)
+        spec = REGISTRY[pid]
+        for t in range(2 * len(spec.alphas)):
+            seen.clear()
+            spec.check(propsuite._Trial(spec, 0, t))
+            assert set(seen) == {spec.alphas[t % len(spec.alphas)]}
+
+    def test_rank_cycles_with_the_trial_index(self):
+        spec = REGISTRY["dpi"]
+        ranks = [propsuite._Trial(spec, 0, t).rank(3) for t in range(6)]
+        assert ranks == [1, 2, 3, 1, 2, 3]
+        assert propsuite._Trial(spec, 0, 2).rank(3, shift=1) == 1
 
 
 class TestRunSuite:
