@@ -117,10 +117,8 @@ def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChann
         raise DomainError(
             f"need d_out * env_dim >= d_in for an isometry, got {d_out}*{env_dim} < {d_in}"
         )
-    gen = rng.generator(seed)
-    v = rng.haar_isometry(gen, d_out * env_dim, d_in)
-    ops = np.ascontiguousarray(v.reshape(d_out, env_dim, d_in).transpose(1, 0, 2))
-    return KrausChannel._from_valid(ops)
+    v = rng.haar_isometry(rng.generator(seed), d_out * env_dim, d_in)
+    return KrausChannel._from_valid(v.reshape(d_out, env_dim, d_in).transpose(1, 0, 2).copy())
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityOperator:
@@ -132,7 +130,7 @@ def random_density(d: int, rank: int, seed: int) -> DensityOperator:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
     g = rng.complex_gaussian(rng.generator(seed), (d, rank))
     m = g @ g.conj().T
-    return DensityOperator._from_valid(m / np.trace(m).real)
+    return DensityOperator._from_valid(m / m.trace().real)
 
 
 def random_bipartite(dims: Sequence[int], rank: int, seed: int) -> BipartiteState:
@@ -153,17 +151,19 @@ def pure_bipartite_from_schmidt(
     if c.size > min(d_a, d_b):
         raise DomainError(f"at most min({d_a}, {d_b}) Schmidt coefficients allowed")
     gen = rng.generator(seed)
-    u_a = rng.haar_isometry(gen, d_a, d_a)
-    u_b = rng.haar_isometry(gen, d_b, d_b)
-    psi = np.zeros(d_a * d_b, dtype=np.complex128)
-    for i, ci in enumerate(c):
-        psi += ci * np.kron(u_a[:, i], u_b[:, i])
-    return BipartiteState(DensityOperator._from_valid(np.outer(psi, psi.conj())), (d_a, d_b))
+    u_a = rng.haar_isometry(gen, d_a, d_a)[:, : c.size].T
+    u_b = rng.haar_isometry(gen, d_b, d_b)[:, : c.size].T
+    # term i is c_i (u_a[:, i] (x) u_b[:, i]); accumulate adds the terms in order
+    terms = c[:, None, None] * (u_a[:, :, None] * u_b[:, None, :])
+    psi = np.add.accumulate(terms)[-1].reshape(-1)
+    return BipartiteState(DensityOperator._from_valid(psi[:, None] * psi.conj()), (d_a, d_b))
 
 
 def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:
     """Tensor the identity on a left factor: ``id (x) phi`` acting on B of an AB state."""
-    return KrausChannel._from_valid(np.kron(np.eye(d_left), phi.kraus_ops))
+    # the products np.kron(np.eye(d_left), ops) forms, in its operand order
+    ops = np.eye(d_left)[:, None, :, None] * phi.kraus_ops[:, None, :, None, :]
+    return KrausChannel._from_valid(ops.reshape(len(ops), d_left * phi.d_out, d_left * phi.d_in))
 
 
 def build_classical_register_state(

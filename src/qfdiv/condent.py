@@ -118,11 +118,11 @@ def tsallis_entropy(rho, alpha: float) -> float:
 def _conditioning_split(dims: tuple[int, ...], cond: str):
     """``(cond_idx, order, d_cond)``: the indices of the ``cond`` factors, the
     factor order that puts them after the others, and their joint dimension."""
-    cond_idx = tuple(_factor_indices(cond, len(dims)))
-    rest = tuple(i for i in range(len(dims)) if i not in cond_idx)
+    cond_idx = _factor_indices(cond, len(dims))
+    rest = [i for i in range(len(dims)) if i not in cond_idx]
     if not rest:
         raise DomainError("cannot condition on every factor")
-    return cond_idx, rest + cond_idx, math.prod(dims[i] for i in cond_idx)
+    return cond_idx, rest + cond_idx, math.prod([dims[i] for i in cond_idx])
 
 
 def _require_wellbehaved(f: DivergenceFunction) -> None:
@@ -490,10 +490,9 @@ def conditional_entropy_tsallis_closed(
         return value, rho_cond
     w, v = psd_eigh(state.entries)
     rho_pow = (v * w**alpha) @ v.conj().T
-    reduced = ptrace_entries(rho_pow, state.dims, cond_idx)
-    wt, vt = psd_eigh(reduced)
+    wt, vt = psd_eigh(ptrace_entries(rho_pow, state.dims, cond_idx))
     root = (vt * wt ** (1.0 / alpha)) @ vt.conj().T
-    norm = float(np.trace(root).real)
+    norm = float(root.trace().real)
     value = (1.0 - norm**alpha) / (alpha - 1.0)
     sigma = root / norm
     return value, (sigma + sigma.conj().T) / 2.0
@@ -512,7 +511,7 @@ def thm2_bounds(
     """
     _require_wellbehaved(f)
     d_cond = _conditioning_split(state.dims, cond)[2]
-    w, _ = psd_eigh(state.entries)
+    w = clamp_psd_spectrum(np.linalg.eigvalsh(state.entries))
     w = w[w > 0.0]
     lower = -float(np.sum(f(d_cond * w))) / d_cond
     upper = -float(np.sum(f(w)))

@@ -226,13 +226,17 @@ def quantum_f_divergence_eps_sweep(
     regularized values then grow only like ``log(1/eps)`` or a power of it),
     or when the last regularized value is not finite (``f(0+) = inf`` and the
     mass of ``B`` on the kernel of ``A`` exceeds ``RANK_TOL * tr B``, the
-    other test of :func:`quantum_f_divergence`).  Below both thresholds the
-    limit is the extrapolation, whatever its size.
+    other test of :func:`quantum_f_divergence`).  With ``ell = inf`` below the
+    first threshold the sums leave out B's shifted kernel, the spectral
+    route's ``0 * inf = 0``.  Otherwise the limit is the extrapolation.
     """
     a, b, table, ka, kb = _spectra(A, B)
+    divergent = f.ell == INF and _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum()
+    if f.ell == INF and not divergent:
+        b, table = b[kb:], table[:, kb:]  # 0 * inf := 0: B's kernel columns drop out
     shifted = [b + eps * b.sum() for eps in EPS_SCHEDULE]  # B = 0 stays all kernel
     values = [_spectral_sum(a, s, table, ka, int(s.searchsorted(0.0, "right")), f) for s in shifted]
-    if f.ell == INF and _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum():
+    if divergent:
         return values, INF
     _, v0, v1 = values
     _, e0, e1 = EPS_SCHEDULE

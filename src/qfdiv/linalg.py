@@ -79,7 +79,7 @@ class DensityOperator:
 
     @property
     def trace_value(self) -> float:
-        return float(np.trace(self.entries).real)
+        return float(self.entries.trace().real)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -132,14 +132,16 @@ def as_matrix(x) -> np.ndarray:
     scale = 1.0 + np.abs(m).max(initial=0.0)
     if not math.isfinite(scale):  # max propagates NaN
         raise DomainError("matrix entries must be finite")
-    mh = m.conj().T
+    mh = np.conjugate(m.T, order="C")
     defect = np.abs(m - mh).max(initial=0.0)
     if defect > _HERM_TOL * scale:
         raise DomainError(
             f"Hermiticity violated: max |M - M^dag| = {defect:.3e} "
             f"exceeds {_HERM_TOL:.0e} * (1 + max|M|)"
         )
-    return (m + mh) / 2.0
+    mh += m
+    mh /= 2.0
+    return mh
 
 
 def clamp_psd_spectrum(w: np.ndarray) -> np.ndarray:
@@ -170,11 +172,11 @@ def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factor_indices(keep: str, n_factors: int) -> list[int]:
-    labels = _FACTOR_LABELS[:n_factors]
-    if not keep or any(c not in labels for c in keep) or len(set(keep)) != len(keep):
-        raise DomainError(f"subsystem label {keep!r} invalid for {n_factors} factors")
-    idx = sorted(labels.index(c) for c in keep)
-    return idx
+    if keep:
+        idx = sorted(map(_FACTOR_LABELS[:n_factors].find, keep))  # -1: not a label
+        if idx[0] >= 0 and len(set(idx)) == len(idx):
+            return idx
+    raise DomainError(f"subsystem label {keep!r} invalid for {n_factors} factors")
 
 
 def _integer(x, name: str) -> int:
@@ -226,10 +228,8 @@ def ptrace_entries(entries: np.ndarray, dims: Sequence[int], keep_idx: Sequence[
             f"dimension mismatch: matrix of shape {entries.shape} vs factors {dims}"
         )
     t = entries.reshape(*dims, *dims)
-    removed = 0
-    for ax in sorted(set(range(n)) - set(keep_idx), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + n - removed)
-        removed += 1
+    for removed, ax in enumerate(sorted(set(range(n)) - set(keep_idx), reverse=True)):
+        t = t.trace(axis1=ax, axis2=ax + n - removed)
     d_keep = math.prod(dims[i] for i in keep_idx)
     return np.ascontiguousarray(t.reshape(d_keep, d_keep))
 

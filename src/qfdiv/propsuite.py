@@ -21,6 +21,7 @@ seed and the property id, so reports are reproducible up to timing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -57,6 +58,7 @@ from .rng import generator
 log = logging.getLogger(__name__)
 
 _U64 = (1 << 64) - 1
+_tsallis_f = functools.cache(make_tsallis_f)  # one divergence function per order, not per trial
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -135,12 +137,12 @@ def _entropy(state: BipartiteState, alpha: float, cond: str = "B") -> float:
 
 
 def _optimized(state: BipartiteState, alpha: float) -> float:
-    return conditional_entropy_optimize(state, make_tsallis_f(alpha)).value
+    return conditional_entropy_optimize(state, _tsallis_f(alpha)).value
 
 
 def _check_dpi(trial: _Trial) -> list[float]:
     d = trial.dims
-    f = make_tsallis_f(trial.alpha)
+    f = _tsallis_f(trial.alpha)
     rho = random_density(d, trial.rank(d), trial.seed("rho"))
     sig = random_density(d, d, trial.seed("sig"))
     phi = random_channel(d, trial.next_dims, 2, trial.seed("phi"))
@@ -153,12 +155,12 @@ def _check_nonnegativity(trial: _Trial) -> list[float]:
     d = trial.dims
     rho = random_density(d, trial.rank(d), trial.seed("rho"))
     sig = random_density(d, d, trial.seed("sig"))
-    return [quantum_f_divergence(rho, sig, make_tsallis_f(trial.alpha))]
+    return [quantum_f_divergence(rho, sig, _tsallis_f(trial.alpha))]
 
 
 def _check_homogeneity(trial: _Trial) -> list[float]:
     d = trial.dims
-    f = make_tsallis_f(trial.alpha)
+    f = _tsallis_f(trial.alpha)
     a = random_density(d, trial.rank(d), trial.seed("a"))
     b = random_density(d, d, trial.seed("b"))
     base = quantum_f_divergence(a, b, f)
@@ -175,7 +177,7 @@ def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
     d1, d2 = trial.dims, trial.next_dims
-    f = make_tsallis_f(trial.alpha)
+    f = _tsallis_f(trial.alpha)
     a1 = random_density(d1, trial.rank(d1), trial.seed("a1")).entries
     b1 = random_density(d1, d1, trial.seed("b1")).entries
     a2 = random_density(d2, trial.rank(d2, shift=1), trial.seed("a2")).entries
@@ -188,7 +190,7 @@ def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
 def _check_thm2_bounds(trial: _Trial) -> list[float]:
     state = trial.state()
     h = _entropy(state, trial.alpha)
-    lower, upper = thm2_bounds(state, make_tsallis_f(trial.alpha))
+    lower, upper = thm2_bounds(state, _tsallis_f(trial.alpha))
     return [h - lower, upper - h]
 
 

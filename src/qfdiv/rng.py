@@ -11,6 +11,7 @@ two building blocks.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -51,49 +52,53 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from uniform pairs ``u[..., 0, :]`` and ``u[..., 1, :]``.
+def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Normals from uniform pairs ``u[..., 0, :]`` and ``u[..., 1, :]``, written to ``out``.
 
-    Along the last axis the result holds the cosine deviates, then the sine
+    Along the last axis ``out`` receives the cosine deviates, then the sine
     deviates.  ``log``, ``cos`` and ``sin`` see only fresh contiguous arrays,
     so each deviate is the same bits whatever the batch shape.
     """
+    m = u.shape[-1]
     radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :]))  # 1 - u in (0, 1]: the log is finite
     angle = 2.0 * np.pi * u[..., 1, :]
-    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+    np.multiply(radius, np.cos(angle), out=out[..., :m])
+    np.multiply(radius, np.sin(angle), out=out[..., m:])
+    return out
 
 
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     """``n`` N(0, 1) deviates via Box-Muller pairs on uniforms from ``gen``."""
     m = (n + 1) // 2
-    return _box_muller(gen.random(2 * m).reshape(2, m))[:n]
+    return _box_muller(gen.random(2 * m).reshape(2, m), np.empty(2 * m))[:n]
 
 
 def complex_gaussian(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Matrix with independent N(0, 1) real and imaginary parts.
+    """C-ordered matrix with independent N(0, 1) real and imaginary parts.
 
     One draw of uniforms and one Box-Muller pass: the real parts are the
     ``standard_normals`` of the first half of the draw, the imaginary parts of
-    the second half.
+    the second half.  The pass writes them into the result's real and
+    imaginary parts through a float view.
     """
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     m = (n + 1) // 2
-    z = _box_muller(gen.random(4 * m).reshape(2, 2, m))
-    return (z[0, :n] + 1j * z[1, :n]).reshape(shape)
+    z = np.empty(2 * m, dtype=np.complex128)
+    _box_muller(gen.random(4 * m).reshape(2, 2, m), z.view(np.float64).reshape(2 * m, 2).T)
+    return z[:n].reshape(shape)
 
 
 def haar_isometry(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Haar-distributed isometry via QR of a complex Gaussian matrix.
+    """Haar-distributed isometry via QR of a complex Gaussian matrix, C-ordered.
 
     The unit phases of the R diagonal are absorbed into Q, which makes the
     distribution exactly Haar (and a Haar unitary when ``rows == cols``).
     """
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} x {cols}")
-    g = complex_gaussian(gen, (rows, cols))
-    q, r = np.linalg.qr(g, mode="reduced")
-    d = np.diagonal(r)
+    q, r = np.linalg.qr(complex_gaussian(gen, (rows, cols)), mode="reduced")
+    d = r.diagonal()
     absd = np.abs(d)
-    safe = np.where(absd == 0, 1.0, absd)  # zero diagonal has probability zero
-    phases = np.where(absd == 0, 1.0, d / safe)
-    return q * phases
+    # a zero diagonal entry has probability zero; its phase is 1
+    q *= np.divide(d, absd, out=np.ones(cols, dtype=np.complex128), where=absd != 0)
+    return q

@@ -855,6 +855,17 @@ class TestBounds:
         _, upper = thm2_bounds(state, make_tsallis_f(alpha))
         assert upper == pytest.approx(alpha_log(6.0, alpha), abs=1e-12)
 
+    def test_reads_the_spectrum_with_one_eigvalsh(self, monkeypatch):
+        # the bounds need eigenvalues only: no eigenvectors are computed
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh") or eigh(m))
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: calls.append("eigvalsh") or eigvalsh(m)
+        )
+        thm2_bounds(random_bipartite((2, 3), 4, seed=77), make_tsallis_f(0.5))
+        assert calls == ["eigvalsh"]
+
     def test_bracket_holds_on_random_states(self):
         for t in range(40):
             state = random_bipartite((2, 2) if t % 2 else (2, 3), 1 + t % 4, seed=900 + t)

@@ -3,11 +3,13 @@
 ``random_density``, the Schmidt, register and ancilla builders and the partial
 trace of a wrapped state skip the constructor's checks.  Each test here records
 the matrix such a builder wraps and checks that the public constructor accepts
-it, that the wrapped entries are read-only and exactly Hermitian, and that they
-are bitwise equal to what the public constructor makes of the same matrix.
-``random_channel`` and ``extend_with_identity`` likewise skip the channel
-constructor's copy and completeness check; their Kraus operators must be what
-the public constructor makes of them.
+it, that the wrapped entries are read-only, C-ordered and exactly Hermitian,
+and that they are bitwise equal to what the public constructor makes of the
+same matrix.  ``random_channel`` and ``extend_with_identity`` likewise skip the
+channel constructor's copy and completeness check; their Kraus operators must
+be what the public constructor makes of them, read-only and C-ordered.  The
+layout matters beyond the values: a Fortran-ordered operand takes a different
+BLAS path through later products.
 """
 
 import math
@@ -17,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfdiv import rng
 from qfdiv.channels import (
     KrausChannel,
+    apply_channel,
     build_classical_register_state,
     embed_ancilla,
     extend_with_identity,
@@ -63,6 +67,7 @@ def assert_as_validated(out, raw):
     validated = DensityOperator(raw)
     assert DensityOperator(out.entries).entries.tobytes() == out.entries.tobytes()
     assert not out.entries.flags.writeable
+    assert out.entries.flags.c_contiguous
     assert np.array_equal(out.entries, out.entries.conj().T)
     assert out.entries.dtype == validated.entries.dtype
     assert out.entries.tobytes() == validated.entries.tobytes()
@@ -162,6 +167,7 @@ def assert_channel_as_validated(phi):
     k = phi.kraus_ops
     assert type(k) is np.ndarray
     assert not k.flags.writeable
+    assert k.flags.c_contiguous
     assert k.dtype == validated.kraus_ops.dtype
     assert k.shape == validated.kraus_ops.shape
     assert k.tobytes() == validated.kraus_ops.tobytes()
@@ -200,3 +206,28 @@ def test_raw_non_trace_preserving_channel_still_raises():
         KrausChannel(0.9 * phi.kraus_ops)
     with pytest.raises(DomainError, match="trace preservation"):
         KrausChannel(phi.kraus_ops[:1])
+
+
+@EXAMPLES
+@given(dims=channel_dims(), seed=SEEDS)
+def test_apply_channel_output_is_c_ordered(dims, seed):
+    phi = random_channel(*dims, seed=seed)
+    rho = random_density(dims[0], 1 + seed % dims[0], seed)
+    out = apply_channel(phi, rho)
+    assert out.flags.c_contiguous
+    # a Fortran-ordered raw input gives the same bits in the same layout
+    raw = apply_channel(phi, np.asfortranarray(rho.entries))
+    assert raw.flags.c_contiguous
+    assert raw.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (4, 2), (2, 4), (9, 9)])
+def test_draws_are_c_ordered(shape):
+    gen = rng.generator(sum(shape))
+    z = rng.complex_gaussian(gen, shape)
+    assert z.shape == shape
+    assert z.flags.c_contiguous
+    rows, cols = max(shape), min(shape)
+    v = rng.haar_isometry(gen, rows, cols)
+    assert v.flags.c_contiguous
+    assert np.abs(v.conj().T @ v - np.eye(cols)).max() <= 1e-12

@@ -358,16 +358,16 @@ class TestEpsSweep:
 
     def test_kernel_mass_within_tolerance_stays_finite(self):
         # sin^2 t = 3e-11 of A's mass lies on ker B, below RANK_TOL * tr A: the spectral
-        # route counts it as zero, and the sweep's values grow like 3e-11 / eps: fast,
-        # but no divergence
+        # route counts it as zero, and so does the sweep, whose sums leave B's kernel
+        # out instead of growing like 3e-11 / eps
         s2 = 3e-11
         psi = np.array([math.sqrt(1.0 - s2), math.sqrt(s2)])
         a, b = np.outer(psi, psi), np.diag([1.0, 0.0])
         f = make_tsallis_f(2.0)
         assert quantum_f_divergence(a, b, f) == 0.0
         values, limit = quantum_f_divergence_eps_sweep(a, b, f)
-        assert values[-1] > 9.0 * values[-2] > 0.0
-        assert limit == pytest.approx(3.3e-4, rel=1e-3)
+        assert all(math.isfinite(v) for v in values)
+        assert limit == pytest.approx(quantum_f_divergence(a, b, f), abs=1e-4)
 
     def test_infinite_value_at_zero_gives_infinite_limit(self):
         # f = -log x has f(0+) = inf: B's mass on the kernel of A makes the last

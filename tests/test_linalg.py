@@ -15,7 +15,7 @@ from qfdiv.linalg import (
     ptrace_entries,
 )
 
-from conftest import bell_matrix, support_projector
+from conftest import bell_matrix, random_hermitian, support_projector
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -79,6 +79,20 @@ class TestAsMatrix:
         out = as_matrix(m)
         assert out is not m
         np.testing.assert_array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_symmetrizes_bitwise_into_a_new_c_ordered_array(self, order):
+        # Hermitian up to a perturbation well inside the tolerance, so the
+        # symmetrization moves bits
+        m = random_hermitian(6, seed=31)
+        m[4, 1] += 3e-13 * (1 + 1j)
+        m = np.array(m, order=order)
+        out = as_matrix(m)
+        assert out.flags.c_contiguous
+        assert not np.shares_memory(out, m)
+        expected = np.ascontiguousarray((m + m.conj().T) / 2.0)
+        assert not np.array_equal(expected, m)
+        assert out.tobytes() == expected.tobytes()
 
     def test_wrapped_entries_pass_through(self):
         rho = DensityOperator(np.eye(2) / 2)

@@ -83,7 +83,7 @@ class TestTrialCoordinates:
         # every alpha these checks use passes through one of the three spied names
         seen = []
         real_f, real_entropy, real_rhs = (
-            propsuite.make_tsallis_f, propsuite._entropy, propsuite.chain_rule_rhs
+            propsuite._tsallis_f, propsuite._entropy, propsuite.chain_rule_rhs
         )
 
         def spy_f(alpha):
@@ -98,7 +98,7 @@ class TestTrialCoordinates:
             seen.append(alpha)
             return real_rhs(h, d_c, alpha)
 
-        monkeypatch.setattr(propsuite, "make_tsallis_f", spy_f)
+        monkeypatch.setattr(propsuite, "_tsallis_f", spy_f)
         monkeypatch.setattr(propsuite, "_entropy", spy_entropy)
         monkeypatch.setattr(propsuite, "chain_rule_rhs", spy_rhs)
         spec = REGISTRY[pid]
