@@ -72,8 +72,10 @@ def parse_matrix_file(path: str):
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path}: expected fields dim, re, im ({exc})") from exc
-    if re.size != dim * dim or im.size != dim * dim:
-        raise DomainError(f"{path}: re/im must hold dim^2 = {dim * dim} entries")
+    if dim < 1:
+        raise DomainError(f"{path}: dim must be at least 1, got {dim}")
+    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
+        raise DomainError(f"{path}: re and im must be flat lists of dim^2 = {dim * dim} entries")
     matrix = (re + 1j * im).reshape(dim, dim)
     try:
         if "dims" in doc:

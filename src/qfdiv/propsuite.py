@@ -51,8 +51,8 @@ from .condent import (
     tsallis_entropy,
 )
 from .errors import DomainError
-from .fdiv import make_tsallis_f, quantum_f_divergence
-from .linalg import BipartiteState, partial_trace
+from .fdiv import DivergenceFunction, make_tsallis_f, quantum_f_divergence
+from .linalg import BipartiteState, _integer, partial_trace
 from .rng import generator
 
 log = logging.getLogger(__name__)
@@ -73,6 +73,11 @@ class PropertyConfig:
 
     trials: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.trials is not None and _integer(self.trials, "trials") < 0:
+            raise DomainError(f"trials must be nonnegative, got {self.trials}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))  # a plain int in reports
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,15 @@ def _check_homogeneity(trial: _Trial) -> list[float]:
     ]
 
 
-def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix ``a (+) b``."""
-    return np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
+def _block_diagonal(blocks: Sequence[np.ndarray], copies: int = 1) -> np.ndarray:
+    """``1_copies (x) (b_1 (+) b_2 (+) ...)`` in the ``np.kron`` layout, written into zeros."""
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((copies, n, copies, n), dtype=np.complex128)
+    i, lo = np.arange(copies), 0
+    for b in blocks:
+        out[i, lo : lo + len(b), i, lo : lo + len(b)] = b
+        lo += len(b)
+    return out.reshape(copies * n, copies * n)
 
 
 def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
@@ -182,7 +193,7 @@ def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
     b1 = random_density(d1, d1, trial.seed("b1")).entries
     a2 = random_density(d2, trial.rank(d2, shift=1), trial.seed("a2")).entries
     b2 = random_density(d2, d2, trial.seed("b2")).entries
-    whole = quantum_f_divergence(_direct_sum(a1, a2), _direct_sum(b1, b2), f)
+    whole = quantum_f_divergence(_block_diagonal([a1, a2]), _block_diagonal([b1, b2]), f)
     parts = quantum_f_divergence(a1, b1, f) + quantum_f_divergence(a2, b2, f)
     return [-abs(whole - parts)]
 
@@ -252,10 +263,40 @@ def _check_product_identity(trial: _Trial) -> list[float]:
     return [-abs(_entropy(state, trial.alpha) - tsallis_entropy(rho_a, trial.alpha))]
 
 
+def _padding_margins(
+    trial: _Trial, state: BipartiteState, sigma: np.ndarray, f: DivergenceFunction
+) -> list[float]:
+    """``D_f(rho' || 1 (x) sigma') - D_f(rho || 1 (x) sigma)`` for each padding and epsilon.
+
+    ``rho'`` is ``state`` zero-padded on B by k = 1 and 2, and ``sigma'`` is
+    ``(1 - eps) sigma (+) eps tau`` with a random state ``tau`` on the padding.
+    An f-divergence is additive over orthogonal direct sums and f(0) = 0, so
+    the padded divergence is ``D_f(rho || 1 (x) (1 - eps) sigma)``; f is convex,
+    so ``f(x) - x f'(x) <= f(0) = 0`` and the perspective ``s f(w / s)`` does not
+    increase in ``s``: no margin may be negative.  For a concave f the inequality
+    reverses.
+    """
+    d_a = state.dims[0]
+    base = quantum_f_divergence(state, _block_diagonal([sigma], d_a), f)
+    margins = []
+    for k in (1, 2):
+        padded = embed_ancilla(state, k)
+        tau = random_density(k, k, trial.seed(f"tau{k}")).entries
+        margins.extend(
+            quantum_f_divergence(padded, _block_diagonal([(1 - eps) * sigma, eps * tau], d_a), f)
+            - base
+            for eps in (1e-3, 1e-2, 1e-1)
+        )
+    return margins
+
+
 def _check_extension_independence(trial: _Trial) -> list[float]:
     state = trial.state()
-    base = _optimized(state, trial.alpha)
-    return [-abs(_optimized(embed_ancilla(state, k), trial.alpha) - base) for k in (1, 2, 4)]
+    f = _tsallis_f(trial.alpha)
+    base = conditional_entropy_optimize(state, f)
+    # the k = 4 solve exercises the optimizer's detection of supp rho_B
+    padded = conditional_entropy_optimize(embed_ancilla(state, 4), f).value
+    return [-abs(padded - base.value), *_padding_margins(trial, state, base.sigma_star, f)]
 
 
 def _check_thm3_data_processing(trial: _Trial) -> list[float]:

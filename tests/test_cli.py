@@ -129,6 +129,28 @@ class TestMatrixFileIntegers:
         assert len(err) == 1 and err[0].startswith("qfdiv: error:")
 
 
+class TestMalformedMatrixFile:
+    """A dim below one or re/im that are not flat lists of dim^2 entries: one error line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"dim": -2, "re": [0.5, 0, 0, 0.5], "im": [0, 0, 0, 0]}, "dim must be at least 1"),
+            ({"dim": 0, "re": [], "im": []}, "dim must be at least 1"),
+            ({"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [0, 0, 0, 0]}, "flat lists"),
+            ({"dim": 2, "re": [0.5, 0, 0, 0.5], "im": [[0, 0], [0, 0]]}, "flat lists"),
+        ],
+    )
+    def test_exits_one_with_one_line(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=message):
+            parse_matrix_file(str(path))
+        assert main(["divergence", "--a", str(path), "--b", str(path), "--family", "kl"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("qfdiv: error:")
+
+
 class TestCondentCommand:
     def test_bell_closed_prints_minus_one(self, bell_file, capsys):
         code = main(["condent", "--state", bell_file, "--family", "tsallis",

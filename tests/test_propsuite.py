@@ -2,10 +2,13 @@ import json
 import logging
 import math
 
+import numpy as np
 import pytest
 
 import qfdiv.propsuite as propsuite
+from qfdiv.condent import conditional_entropy_optimize
 from qfdiv.errors import ConvergenceError, DomainError
+from qfdiv.fdiv import DivergenceFunction
 from qfdiv.propsuite import (
     REGISTRY,
     PropertyConfig,
@@ -58,7 +61,7 @@ TRIALS_AT_TWO = {
     "mixture-lower": 2,
     "pure-bounds": 4,
     "product-identity": 2,
-    "extension-independence": 6,
+    "extension-independence": 14,
     "thm3-data-processing": 2,
     "conditioning-reduces": 2,
     "alpha-continuity": 4,
@@ -112,6 +115,86 @@ class TestTrialCoordinates:
         ranks = [propsuite._Trial(spec, 0, t).rank(3) for t in range(6)]
         assert ranks == [1, 2, 3, 1, 2, 3]
         assert propsuite._Trial(spec, 0, 2).rank(3, shift=1) == 1
+
+
+class TestPropertyConfig:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"trials": -1},  # an empty ensemble under another name
+            {"trials": True},  # a bool is not a count
+            {"trials": 2.5},
+            {"seed": 1.5},  # never truncated to 1
+            {"seed": "7"},
+        ],
+    )
+    def test_bad_field_is_domain_error(self, fields):
+        with pytest.raises(DomainError, match="trials|seed"):
+            PropertyConfig(**fields)
+
+    def test_numpy_integers_become_plain_ints(self):
+        config = PropertyConfig(trials=np.int64(0), seed=np.uint64(7))
+        assert type(config.seed) is int and config.seed == 7
+        report = run_property("homogeneity", config)
+        assert report.seed == 7 and report.trials == 0 and not report.passed
+        json.dumps(report.to_dict())
+
+
+def _negated(f: DivergenceFunction) -> DivergenceFunction:
+    """The concave ``-f``.  Its ``ell`` would be ``-inf`` where f's is ``inf``, which
+    is unsupported; there it is taken as 0, which leaves every value below unchanged:
+    ``rho'`` puts no mass on the kernel of ``1 (x) sigma'`` beyond ``RANK_TOL``, or
+    f's finite margins would be ``inf``."""
+    return DivergenceFunction(
+        name=f"-{f.name}",
+        fn=lambda x: -f.fn(x),
+        slope=lambda x: -f.slope(x),
+        f_at_zero=-f.f_at_zero,
+        ell=-f.ell if math.isfinite(f.ell) else 0.0,
+        operator_convex=False,
+    )
+
+
+class TestExtensionIndependence:
+    """Each trial solves its state and its k = 4 zero-padding; the k = 1 and 2
+    paddings are spectral margins at the base minimizer, which a concave f fails."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        spec = REGISTRY["extension-independence"]
+        master = derive_seed(42, "extension-independence")
+        out = []
+        for t in range(spec.trials):
+            trial = propsuite._Trial(spec, master, t)
+            state = trial.state()
+            f = propsuite._tsallis_f(trial.alpha)
+            out.append((trial, state, f, conditional_entropy_optimize(state, f).sigma_star))
+        return out
+
+    def test_power_family_margins_have_slack(self, solved):
+        for trial, state, f, sigma in solved:
+            margins = propsuite._padding_margins(trial, state, sigma, f)
+            assert len(margins) == 6
+            assert min(margins) > 0.0, trial.t
+
+    def test_concave_f_violates_on_every_trial(self, solved):
+        tol = REGISTRY["extension-independence"].tolerance
+        for trial, state, f, sigma in solved:
+            margins = propsuite._padding_margins(trial, state, sigma, _negated(f))
+            assert max(margins) < -tol, trial.t
+
+    def test_two_solves_per_trial(self, monkeypatch):
+        calls = []
+        original = propsuite.conditional_entropy_optimize
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].dims)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", counted)
+        report = run_property("extension-independence", PropertyConfig(trials=1, seed=42))
+        assert report.passed and report.trials == 7
+        assert calls == [(2, 2), (2, 6)]  # the state, then its k = 4 padding
 
 
 class TestRunSuite:
