@@ -166,6 +166,20 @@ def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:
     return KrausChannel._from_valid(ops.reshape(len(ops), d_left * phi.d_out, d_left * phi.d_in))
 
 
+def _sectors(d_a: int, blocks: Sequence[np.ndarray], d_b: int) -> np.ndarray:
+    """Block ``y``, an operator on ``A (x) B_y``, on the ``y``-th slice of B; zeros elsewhere.
+
+    The slices run in order from the start of B; with ``d_a = 1`` this is a direct sum.
+    """
+    out = np.zeros((d_a, d_b, d_a, d_b), dtype=np.complex128)
+    lo = 0
+    for block in blocks:
+        d = len(block) // d_a
+        out[:, lo : lo + d, :, lo : lo + d] = block.reshape(d_a, d, d_a, d)
+        lo += d
+    return out.reshape(d_a * d_b, d_a * d_b)
+
+
 def build_classical_register_state(
     blocks: Sequence[BipartiteState],
     p: Sequence[float],
@@ -186,16 +200,9 @@ def build_classical_register_state(
     d_a = blocks[0].dims[0]
     if any(b.dims[0] != d_a for b in blocks):
         raise DomainError("blocks must share the first factor dimension")
-    d_bs = [b.dims[1] for b in blocks]
-    d_b = sum(d_bs)
-    out = np.zeros((d_a, d_b, d_a, d_b), dtype=np.complex128)
-    offset = 0
-    for weight, block, d in zip(w, blocks, d_bs):
-        t = block.entries.reshape(d_a, d, d_a, d)
-        out[:, offset : offset + d, :, offset : offset + d] += weight * t
-        offset += d
-    dim = d_a * d_b
-    return BipartiteState(DensityOperator._from_valid(out.reshape(dim, dim)), (d_a, d_b))
+    d_b = sum(b.dims[1] for b in blocks)
+    out = _sectors(d_a, [weight * b.entries for weight, b in zip(w, blocks)], d_b)
+    return BipartiteState(DensityOperator._from_valid(out), (d_a, d_b))
 
 
 def embed_ancilla(state: BipartiteState, extra_b_dim: int) -> BipartiteState:
@@ -208,8 +215,5 @@ def embed_ancilla(state: BipartiteState, extra_b_dim: int) -> BipartiteState:
     if extra_b_dim == 0:
         return state
     d_a, d_b = state.dims
-    padded = d_b + extra_b_dim
-    out = np.zeros((d_a, padded, d_a, padded), dtype=np.complex128)
-    out[:, :d_b, :, :d_b] = state.entries.reshape(d_a, d_b, d_a, d_b)
-    dim = d_a * padded
-    return BipartiteState(DensityOperator._from_valid(out.reshape(dim, dim)), (d_a, padded))
+    out = _sectors(d_a, [state.entries], d_b + extra_b_dim)
+    return BipartiteState(DensityOperator._from_valid(out), (d_a, d_b + extra_b_dim))

@@ -106,28 +106,34 @@ def make_tsallis_f(alpha: float) -> DivergenceFunction:
 def csiszar_divergence(p, q, f: DivergenceFunction) -> float:
     """Classical f-divergence ``sum_x q_x f(p_x / q_x)`` of two distributions.
 
-    Terms with ``q_x = 0 < p_x`` contribute ``p_x * ell``; terms with
+    The kernel rule of :func:`quantum_f_divergence`, applied to the entries
+    without an eigensolve: entries at or below ``RANK_TOL`` times their
+    vector's largest are zeros.  Terms with ``q_x = 0 < p_x`` contribute
+    ``p_x * ell`` and terms with ``p_x = 0 < q_x`` contribute
+    ``q_x * f(0+)``; an infinite ``ell`` or ``f(0+)`` gives ``inf`` only when
+    its mass exceeds ``RANK_TOL`` times the total of ``p`` or ``q``, and
+    multiplies a mass taken as zero below that.  Terms with
     ``p_x = q_x = 0`` contribute nothing.
     """
     p = _probability_vector(p, "p")
     q = _probability_vector(q, "q")
     if p.shape != q.shape:
         raise DomainError(f"length mismatch: {p.size} vs {q.size}")
+    p = np.where(p > RANK_TOL * p.max(), p, 0.0)
+    q = np.where(q > RANK_TOL * q.max(), q, 0.0)
 
     total = 0.0
     both = (p > 0) & (q > 0)
     if both.any():
         total += float(np.sum(q[both] * f(p[both] / q[both])))
-    p_only = (p > 0) & (q == 0)
-    if p_only.any():
-        if f.ell == INF:
+    for coeff, mass, scale in (
+        (f.ell, float(p[q == 0].sum()), float(p.sum())),
+        (f.f_at_zero, float(q[p == 0].sum()), float(q.sum())),
+    ):
+        if coeff != INF:
+            total += coeff * mass
+        elif mass > RANK_TOL * scale:
             return INF
-        total += f.ell * float(p[p_only].sum())
-    q_only = (p == 0) & (q > 0)
-    if q_only.any():
-        if f.f_at_zero == INF:
-            return INF
-        total += f.f_at_zero * float(q[q_only].sum())
     return total
 
 

@@ -26,14 +26,13 @@ from .errors import DomainError
 RANK_TOL = 1e-10
 
 _HERM_TOL = 1e-12
-_TRACE_TOL = 1e-12
-_NORMALIZED_TOL = 1e-10
+_NORMALIZED_TOL = 1e-10  # how far a unit trace may be off 1, either way
 
 _FACTOR_LABELS = "ABC"
 
 
 class DensityOperator:
-    """Positive semi-definite Hermitian operator with trace in ``(0, 1]``.
+    """Positive semi-definite Hermitian operator with trace in ``(0, 1 + 1e-10]``.
 
     The stored matrix is symmetrized, copied and marked read-only, so instances
     can be shared freely between threads.  Sub-normalized states (trace
@@ -57,7 +56,7 @@ class DensityOperator:
         clamp_psd_spectrum(np.linalg.eigvalsh(m))
         self.entries = m
         t = self.trace_value
-        if not 0.0 < t <= 1.0 + _TRACE_TOL:
+        if not 0.0 < t <= 1.0 + _NORMALIZED_TOL:
             raise DomainError(f"trace bound violated: trace = {t!r}, expected in (0, 1]")
 
     @staticmethod

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import (
+    _sectors,
     apply_channel,
     build_classical_register_state,
     embed_ancilla,
@@ -103,6 +104,7 @@ class PropertyReport:
 
 _BIPARTITE_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2))
 _WIDE_ALPHAS = (0.3, 0.5, 1.0, 1.5, 2.0)
+_REGISTER_DIMS = (((2, 1), (2, 2)), ((2, 2), (2, 1), (2, 2)))  # the blocks of one register state
 
 
 @dataclass(frozen=True)
@@ -175,17 +177,6 @@ def _check_homogeneity(trial: _Trial) -> list[float]:
     ]
 
 
-def _block_diagonal(blocks: Sequence[np.ndarray], copies: int = 1) -> np.ndarray:
-    """``1_copies (x) (b_1 (+) b_2 (+) ...)`` in the ``np.kron`` layout, written into zeros."""
-    n = sum(len(b) for b in blocks)
-    out = np.zeros((copies, n, copies, n), dtype=np.complex128)
-    i, lo = np.arange(copies), 0
-    for b in blocks:
-        out[i, lo : lo + len(b), i, lo : lo + len(b)] = b
-        lo += len(b)
-    return out.reshape(copies * n, copies * n)
-
-
 def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
     d1, d2 = trial.dims, trial.next_dims
     f = _tsallis_f(trial.alpha)
@@ -193,7 +184,7 @@ def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
     b1 = random_density(d1, d1, trial.seed("b1")).entries
     a2 = random_density(d2, trial.rank(d2, shift=1), trial.seed("a2")).entries
     b2 = random_density(d2, d2, trial.seed("b2")).entries
-    whole = quantum_f_divergence(_block_diagonal([a1, a2]), _block_diagonal([b1, b2]), f)
+    whole = quantum_f_divergence(_sectors(1, [a1, a2], d1 + d2), _sectors(1, [b1, b2], d1 + d2), f)
     parts = quantum_f_divergence(a1, b1, f) + quantum_f_divergence(a2, b2, f)
     return [-abs(whole - parts)]
 
@@ -213,13 +204,11 @@ def _check_chain_rule(trial: _Trial) -> list[float]:
 
 
 def _register_blocks(trial: _Trial):
-    """Two or three random blocks on (2, 1) or (2, 2), and their mixing weights."""
-    t = trial.t
-    blocks = []
-    for y in range(2 + t % 2):
-        d_b = 1 + (t + y) % 2
-        rank = trial.rank(2 * d_b, shift=y)
-        blocks.append(random_bipartite((2, d_b), rank, trial.seed(f"block{y}")))
+    """One random block on each of the trial's dims, and their mixing weights."""
+    blocks = [
+        random_bipartite(dims, trial.rank(math.prod(dims), shift=y), trial.seed(f"block{y}"))
+        for y, dims in enumerate(trial.dims)
+    ]
     w = generator(trial.seed("p")).random(len(blocks)) + 0.1
     return blocks, w / w.sum()
 
@@ -273,30 +262,28 @@ def _padding_margins(
     An f-divergence is additive over orthogonal direct sums and f(0) = 0, so
     the padded divergence is ``D_f(rho || 1 (x) (1 - eps) sigma)``; f is convex,
     so ``f(x) - x f'(x) <= f(0) = 0`` and the perspective ``s f(w / s)`` does not
-    increase in ``s``: no margin may be negative.  For a concave f the inequality
-    reverses.
+    increase in ``s``: no margin may be negative, at any ``sigma``.  For a
+    concave f the inequality reverses.
     """
-    d_a = state.dims[0]
-    base = quantum_f_divergence(state, _block_diagonal([sigma], d_a), f)
+    d_a, d_b = state.dims
+    base = quantum_f_divergence(state, np.kron(np.eye(d_a), sigma), f)
     margins = []
     for k in (1, 2):
         padded = embed_ancilla(state, k)
         tau = random_density(k, k, trial.seed(f"tau{k}")).entries
-        margins.extend(
-            quantum_f_divergence(padded, _block_diagonal([(1 - eps) * sigma, eps * tau], d_a), f)
-            - base
-            for eps in (1e-3, 1e-2, 1e-1)
-        )
+        for eps in (1e-3, 1e-2, 1e-1):
+            sigma_k = np.kron(np.eye(d_a), _sectors(1, [(1 - eps) * sigma, eps * tau], d_b + k))
+            margins.append(quantum_f_divergence(padded, sigma_k, f) - base)
     return margins
 
 
 def _check_extension_independence(trial: _Trial) -> list[float]:
     state = trial.state()
     f = _tsallis_f(trial.alpha)
-    base = conditional_entropy_optimize(state, f)
+    h, sigma = conditional_entropy_tsallis_closed(state, trial.alpha)
     # the k = 4 solve exercises the optimizer's detection of supp rho_B
     padded = conditional_entropy_optimize(embed_ancilla(state, 4), f).value
-    return [-abs(padded - base.value), *_padding_margins(trial, state, base.sigma_star, f)]
+    return [-abs(padded - h), *_padding_margins(trial, state, sigma, f)]
 
 
 def _check_thm3_data_processing(trial: _Trial) -> list[float]:
@@ -315,8 +302,8 @@ def _check_conditioning_reduces(trial: _Trial) -> list[float]:
 
 def _check_alpha_continuity(trial: _Trial) -> list[float]:
     state = trial.state()
-    h_one = _entropy(state, 1.0)
-    return [-abs(_entropy(state, alpha) - h_one) for alpha in (1.0 - 1e-4, 1.0 + 1e-4)]
+    h = _entropy(state, trial.alpha)
+    return [-abs(_entropy(state, trial.alpha + da) - h) for da in (-1e-4, 1e-4)]
 
 
 def _check_closed_vs_optimizer(trial: _Trial) -> list[float]:
@@ -364,11 +351,11 @@ REGISTRY: dict[str, _PropertySpec] = {
         "conditioning on less is bounded by the dimension-corrected entropy",
     ),
     "mixture-exact": _PropertySpec(
-        _check_mixture_exact, 12, ((2,),), (0.5, 0.8, 1.0, 1.3, 2.0), 1e-6,
+        _check_mixture_exact, 12, _REGISTER_DIMS, (0.5, 0.8, 1.0, 1.3, 2.0), 1e-6,
         "register-state conditional entropy equals the power-mean of block entropies",
     ),
     "mixture-lower": _PropertySpec(
-        _check_mixture_lower, 40, ((2,),), (0.5, 0.8, 1.0, 1.3, 2.0), 1e-7,
+        _check_mixture_lower, 40, _REGISTER_DIMS, (0.5, 0.8, 1.0, 1.3, 2.0), 1e-7,
         "the weighted block entropies lower-bound the register-state entropy",
     ),
     "pure-bounds": _PropertySpec(

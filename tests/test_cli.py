@@ -87,6 +87,24 @@ class TestParseMatrixFile:
             parse_matrix_file(path)
 
     @pytest.mark.parametrize("dims", [None, (2, 2)])
+    @pytest.mark.parametrize("offset", [5e-11, -5e-11])
+    def test_unit_trace_within_tolerance(self, tmp_path, dims, offset):
+        path = write_state(tmp_path / "near.json", np.eye(4) / 4 * (1 + offset), dims)
+        assert parse_matrix_file(path).trace_value == pytest.approx(1 + offset, abs=1e-15)
+
+    @pytest.mark.parametrize("dims", [None, (2, 2)])
+    def test_unit_trace_beyond_tolerance(self, tmp_path, dims):
+        path = write_state(tmp_path / "heavy.json", np.eye(4) / 4 * (1 + 2e-10), dims)
+        with pytest.raises(DomainError, match="trace bound"):
+            parse_matrix_file(path)
+        path = write_state(tmp_path / "light.json", np.eye(4) / 4 * (1 - 2e-10), dims)
+        if dims is None:
+            assert parse_matrix_file(path).trace_value < 1.0  # sub-normalized
+        else:
+            with pytest.raises(DomainError, match="normalized state"):
+                parse_matrix_file(path)
+
+    @pytest.mark.parametrize("dims", [None, (2, 2)])
     def test_negative_eigenvalue_named(self, tmp_path, dims):
         # Hermitian with unit trace: only the eigensolve can reject it
         path = write_state(tmp_path / "indefinite.json", np.diag([1.0, 0.5, -0.5, 0.0]), dims)

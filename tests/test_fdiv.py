@@ -118,6 +118,26 @@ class TestCsiszar:
         with pytest.raises(DomainError, match="q entries must be finite"):
             csiszar_divergence([0.5, 0.5], [bad, 1.0], f)
 
+    @pytest.mark.parametrize("delta", [1e-12, 5e-11, 2e-10, 1e-9])
+    def test_kernel_rule_of_the_quantum_route(self, delta):
+        # entries either side of RANK_TOL times the largest: the diagonal pair through
+        # the spectral route drops the same entries, and an infinite ell or f(0+)
+        # counts only a mass above RANK_TOL times the total
+        neg_log = DivergenceFunction(
+            name="neg-log",
+            fn=lambda x: -np.log(x),
+            slope=lambda x: 1.0 - np.log(x),
+            f_at_zero=INF,
+            ell=0.0,
+            operator_convex=True,
+        )
+        near, edge, flat = [1.0 - delta, delta], [1.0, 0.0], [0.5, 0.5]
+        for p, q in ((near, edge), (edge, near), (near, flat), (flat, near)):
+            for f in (make_tsallis_f(0.5), make_tsallis_f(1.0), make_tsallis_f(2.0), neg_log):
+                classical = csiszar_divergence(p, q, f)
+                quantum = quantum_f_divergence(np.diag(p), np.diag(q), f)
+                assert classical == pytest.approx(quantum, rel=1e-12, abs=1e-24), (p, q, f.name)
+
     def test_jensen_lower_bound(self):
         gen = np.random.Generator(np.random.Philox(key=9))
         f = make_tsallis_f(1.5)

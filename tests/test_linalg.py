@@ -37,6 +37,23 @@ class TestOperatorTypes:
         with pytest.raises(DomainError, match="trace bound"):
             DensityOperator(np.diag([1.0, 0.5]))
 
+    # one tolerance for a unit trace: 1 +- 5e-11 passes both types and 1 + 2e-10
+    # neither; 1 - 2e-10 is a sub-normalized density operator, not a normalized state
+    @pytest.mark.parametrize("offset", [5e-11, -5e-11])
+    def test_unit_trace_within_tolerance(self, offset):
+        m = np.eye(4) / 4 * (1 + offset)
+        assert DensityOperator(m).trace_value == pytest.approx(1 + offset, abs=1e-15)
+        assert BipartiteState(m, (2, 2)).trace_value == pytest.approx(1 + offset, abs=1e-15)
+
+    def test_unit_trace_beyond_tolerance(self):
+        heavy, light = np.eye(4) / 4 * (1 + 2e-10), np.eye(4) / 4 * (1 - 2e-10)
+        for build in (DensityOperator, lambda m: BipartiteState(m, (2, 2))):
+            with pytest.raises(DomainError, match="trace bound"):
+                build(heavy)
+        assert DensityOperator(light).trace_value < 1.0
+        with pytest.raises(DomainError, match="normalized state"):
+            BipartiteState(light, (2, 2))
+
     def test_subnormalized_allowed(self):
         rho = DensityOperator(np.diag([0.25, 0.25]))
         assert rho.trace_value == pytest.approx(0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import qfdiv.propsuite as propsuite
-from qfdiv.condent import conditional_entropy_optimize
+from qfdiv.condent import OptimizerOptions, conditional_entropy_optimize
 from qfdiv.errors import ConvergenceError, DomainError
 from qfdiv.fdiv import DivergenceFunction
 from qfdiv.propsuite import (
@@ -156,8 +157,9 @@ def _negated(f: DivergenceFunction) -> DivergenceFunction:
 
 
 class TestExtensionIndependence:
-    """Each trial solves its state and its k = 4 zero-padding; the k = 1 and 2
-    paddings are spectral margins at the base minimizer, which a concave f fails."""
+    """Each trial solves the k = 4 zero-padding of its state and compares it with
+    the closed form; the k = 1 and 2 paddings are spectral margins, valid at any
+    sigma, which a concave f fails."""
 
     @pytest.fixture(scope="class")
     def solved(self):
@@ -183,7 +185,7 @@ class TestExtensionIndependence:
             margins = propsuite._padding_margins(trial, state, sigma, _negated(f))
             assert max(margins) < -tol, trial.t
 
-    def test_two_solves_per_trial(self, monkeypatch):
+    def test_one_solve_per_trial(self, monkeypatch):
         calls = []
         original = propsuite.conditional_entropy_optimize
 
@@ -194,7 +196,30 @@ class TestExtensionIndependence:
         monkeypatch.setattr(propsuite, "conditional_entropy_optimize", counted)
         report = run_property("extension-independence", PropertyConfig(trials=1, seed=42))
         assert report.passed and report.trials == 7
-        assert calls == [(2, 2), (2, 6)]  # the state, then its k = 4 padding
+        assert calls == [(2, 6)]  # the k = 4 padding; the reference is the closed form
+
+    # a wrong infimum must show: the padded solve is compared with the closed form,
+    # not with a second solve that would share its error
+    def test_biased_solves_are_violations(self, monkeypatch):
+        original = propsuite.conditional_entropy_optimize
+
+        def biased(*args, **kwargs):
+            report = original(*args, **kwargs)
+            return dataclasses.replace(report, value=report.value + 1e-3)
+
+        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", biased)
+        report = run_property("extension-independence", PropertyConfig(seed=42))
+        assert report.violations >= 45
+
+    def test_loose_solves_are_violations(self, monkeypatch):
+        original = propsuite.conditional_entropy_optimize
+
+        def loose(state, f, opts=None, cond="B"):
+            return original(state, f, OptimizerOptions(value_tol=1e-2), cond)
+
+        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", loose)
+        report = run_property("extension-independence", PropertyConfig(seed=42))
+        assert report.violations >= 40
 
 
 class TestRunSuite:
