@@ -26,7 +26,7 @@ from .errors import DomainError
 RANK_TOL = 1e-10
 
 _HERM_TOL = 1e-12
-_NORMALIZED_TOL = 1e-10  # how far a unit trace may be off 1, either way
+_NORMALIZED_TOL = 1e-10  # how far a unit trace, probability sum or square sum may be off 1
 
 _FACTOR_LABELS = "ABC"
 
@@ -202,7 +202,7 @@ def _probability_vector(p, name: str = "probability vector") -> np.ndarray:
         raise DomainError(f"{name} entries must be finite")
     if (w < 0).any():
         raise DomainError(f"{name} must be entrywise nonnegative")
-    if abs(float(w.sum()) - 1.0) > 1e-10:
+    if abs(float(w.sum()) - 1.0) > _NORMALIZED_TOL:
         raise DomainError(f"{name} must sum to 1, got {w.sum()!r}")
     return w
 
@@ -214,7 +214,7 @@ def _schmidt_coefficients(coeffs) -> np.ndarray:
         raise DomainError("Schmidt coefficients must be finite")
     if (c < 0).any():
         raise DomainError("Schmidt coefficients must be nonnegative")
-    if abs(float(np.sum(c**2)) - 1.0) > 1e-10:
+    if abs(float(np.sum(c**2)) - 1.0) > _NORMALIZED_TOL:
         raise DomainError(f"Schmidt coefficients must have unit square sum, got {np.sum(c**2)!r}")
     return c
 

@@ -9,6 +9,8 @@ from qfdiv.fdiv import make_tsallis_f, quantum_f_divergence
 from qfdiv.linalg import (
     BipartiteState,
     DensityOperator,
+    _probability_vector,
+    _schmidt_coefficients,
     as_matrix,
     partial_trace,
     psd_eigh,
@@ -77,6 +79,30 @@ class TestOperatorTypes:
     def test_factored_state_lends_validated_entries(self):
         rho = DensityOperator(bell_matrix())
         assert BipartiteState(rho, (2, 2)).entries is rho.entries
+
+
+class TestUnitSums:
+    """A probability vector's sum and a Schmidt vector's square sum may be off 1
+    by the unit-trace tolerance, 1e-10, either way, and no further."""
+
+    @staticmethod
+    def vectors(offset):
+        p = np.array([0.25, 0.75]) * (1 + offset)
+        return p, np.sqrt(p)
+
+    @pytest.mark.parametrize("offset", [5e-11, -5e-11])
+    def test_within_tolerance(self, offset):
+        p, c = self.vectors(offset)
+        np.testing.assert_array_equal(_probability_vector(p), p)
+        np.testing.assert_array_equal(_schmidt_coefficients(c), c)
+
+    @pytest.mark.parametrize("offset", [2e-10, -2e-10])
+    def test_beyond_tolerance(self, offset):
+        p, c = self.vectors(offset)
+        with pytest.raises(DomainError, match="sum to 1"):
+            _probability_vector(p)
+        with pytest.raises(DomainError, match="unit square sum"):
+            _schmidt_coefficients(c)
 
 
 class TestAsMatrix:

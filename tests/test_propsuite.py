@@ -185,6 +185,14 @@ class TestExtensionIndependence:
             margins = propsuite._padding_margins(trial, state, sigma, _negated(f))
             assert max(margins) < -tol, trial.t
 
+    # at these master seeds a padded solve certified only to the optimizer's default
+    # value_tol, 1e-6, is off the closed form by 2.8e-7 to 5.5e-7, beyond the row's 1e-7
+    @pytest.mark.parametrize("b", [7, 31, 39])
+    def test_solves_certified_to_the_row_tolerance(self, b):
+        config = PropertyConfig(seed=derive_seed(b, "suite/0"), trials=5)
+        (report,) = run_suite(config, ["extension-independence"])
+        assert report.passed and report.trials == 35
+
     def test_one_solve_per_trial(self, monkeypatch):
         calls = []
         original = propsuite.conditional_entropy_optimize
@@ -235,6 +243,14 @@ class TestRunSuite:
     def test_unknown_property_rejected(self):
         with pytest.raises(DomainError):
             run_suite(properties=["bogus"])
+
+    def test_unknown_property_rejected_before_any_check_runs(self, monkeypatch):
+        ran = []
+        spec = dataclasses.replace(REGISTRY["homogeneity"], check=lambda trial: ran.append(trial))
+        monkeypatch.setitem(REGISTRY, "counted", spec)
+        with pytest.raises(DomainError, match="'bogus'"):
+            run_suite(PropertyConfig(seed=1), properties=["counted", "bogus"])
+        assert ran == []
 
     def test_registry_has_fifteen_properties(self):
         assert len(REGISTRY) == 15
@@ -313,6 +329,21 @@ class TestRunSuite:
         report = run_property(pid, PropertyConfig(trials=1, seed=4))
         assert not report.passed
         assert report.violations == 1
+
+    @pytest.mark.parametrize(
+        "pid", ["mixture-exact", "extension-independence", "closed-form-vs-optimizer"]
+    )
+    def test_solves_take_the_row_tolerance(self, pid, monkeypatch):
+        tols = []
+        original = propsuite.conditional_entropy_optimize
+
+        def spied(state, f, opts=None, cond="B"):
+            tols.append(None if opts is None else opts.value_tol)
+            return original(state, f, opts, cond)
+
+        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", spied)
+        assert run_property(pid, PropertyConfig(trials=3, seed=4)).passed
+        assert tols == [REGISTRY[pid].tolerance] * 3
 
     def test_raised_solve_costs_one_trial(self, monkeypatch, caplog):
         pid, k = "closed-form-vs-optimizer", 2

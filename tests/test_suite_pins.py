@@ -23,7 +23,7 @@ PINS = [
     ("mixture-lower", 10, 0, -1.1102230246251565e-16),
     ("pure-bounds", 20, 0, -3.1086244689504383e-15),
     ("product-identity", 10, 0, -3.3306690738754696e-15),
-    ("extension-independence", 70, 0, -3.5805275411249227e-11),
+    ("extension-independence", 70, 0, -1.8318679906315083e-15),
     ("thm3-data-processing", 10, 0, 0.13421120187854363),
     ("conditioning-reduces", 10, 0, 0.0949229235350581),
     ("alpha-continuity", 20, 0, -5.395297600407911e-05),
