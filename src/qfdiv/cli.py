@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -205,7 +206,12 @@ def _cmd_suite(args) -> int:
 
     if args.out:
         _write_text(args.out, "")  # an unwritable path fails before any property runs
-    reports = run_suite(PropertyConfig(seed=args.seed), properties=args.filter)
+    try:
+        reports = run_suite(PropertyConfig(seed=args.seed), properties=args.filter)
+    except BaseException:
+        if args.out:
+            os.remove(args.out)  # a failed command leaves no empty report behind
+        raise
     payload = json.dumps([r.to_dict() for r in reports], indent=2)
     if args.out:
         _write_text(args.out, payload + "\n")

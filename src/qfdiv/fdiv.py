@@ -11,7 +11,7 @@ The primary evaluation path is the exact spectral double sum over the
 eigenvalue pairs of the two operators plus a kernel term weighted by ``ell``;
 the epsilon sweep (second argument regularized to full rank) is a
 cross-validation mode.  Every route, closed forms included, reads both
-spectra through :func:`qfdiv.linalg.psd_eigh` and calls a kernel mass
+spectra through :func:`qfdiv.linalg.psd_eigh_pair` and calls a kernel mass
 significant when it exceeds ``RANK_TOL`` times the trace of the operator it
 is taken from.
 """
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .linalg import RANK_TOL, _probability_vector, as_matrix, psd_eigh
+from .linalg import RANK_TOL, _probability_vector, as_matrix, psd_eigh_pair
 
 INF = math.inf
 
@@ -141,7 +141,7 @@ def _spectra(A, B):
     """Clamped spectra of two PSD operators, their overlap table, and their kernel sizes.
 
     Returns ``(a, b, table, ka, kb)``: ascending eigenvalues from
-    :func:`qfdiv.linalg.psd_eigh`, ``table[i, j] = |<u_i|v_j>|^2`` for the
+    :func:`qfdiv.linalg.psd_eigh_pair`, ``table[i, j] = |<u_i|v_j>|^2`` for the
     eigenvectors, and the number of leading zeros of ``a`` and of ``b``.
     The double sums below do not depend on the basis chosen inside an
     eigenspace, so near-equal eigenvalues need no merging.
@@ -150,8 +150,7 @@ def _spectra(A, B):
     m_b = as_matrix(B)
     if m_a.shape != m_b.shape:
         raise DomainError(f"dimension mismatch: {m_a.shape} vs {m_b.shape}")
-    a, u = psd_eigh(m_a)
-    b, v = psd_eigh(m_b)
+    (a, u), (b, v) = psd_eigh_pair(m_a, m_b)
     table = np.abs(u.conj().T @ v) ** 2
     return a, b, table, int(a.searchsorted(0.0, "right")), int(b.searchsorted(0.0, "right"))
 

@@ -8,6 +8,17 @@ eigensolve, a positive semi-definiteness check, and eigenvalues at or below
 near-equal eigenvalues stay separate, which leaves spectral sums unchanged
 because they do not depend on the basis chosen inside an eigenspace.
 
+A divergence needs the spectra of both of its arguments, and
+:func:`psd_eigh_pair` takes them together.  From ``d = 32``
+(``_CONCURRENT_MIN_DIM``) on, and when the process may use two CPUs, it
+solves the second argument on a one-thread worker while the calling thread
+solves the first; numpy releases the interpreter lock inside LAPACK, so the
+two solves overlap.  Each is the same LAPACK call on the same bits, so the
+eigenpairs, the errors and their order are those of two :func:`psd_eigh`
+calls.  Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), as the benchmark
+does: on a 2-core machine a threaded BLAS made one d = 36 divergence take
+1.4 ms in one run and 5.6 ms in the next.
+
 Tensor index convention: the A index is outer and the B index inner, i.e.
 the composite row index is ``i_A * dim_B + i_B`` (the ``numpy.kron``
 layout).  All partial traces use this convention.
@@ -15,8 +26,10 @@ layout).  All partial traces use this convention.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import os
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +42,12 @@ _HERM_TOL = 1e-12
 _NORMALIZED_TOL = 1e-10  # how far a unit trace, probability sum or square sum may be off 1
 
 _FACTOR_LABELS = "ABC"
+
+# Below this dimension the two eigensolves of a pair run one after the other:
+# handing one to the worker costs 30-50 us, which an eigensolve below d = 32
+# does not repay (on a 2-vCPU machine, a divergence took 1.2-1.4x as long on
+# two threads at d = 16-20, about as long at 24-28, and 0.8-0.9x from 32 on).
+_CONCURRENT_MIN_DIM = 32
 
 
 class DensityOperator:
@@ -168,6 +187,45 @@ def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     w, v = np.linalg.eigh(m)
     return clamp_psd_spectrum(w), v
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _eigh_worker(pid: int):
+    """The one-thread executor of process ``pid``, made on first use.
+
+    Keyed on the process id: a child forked after its parent made the worker
+    inherits the executor but not its thread, and work submitted to it would
+    wait forever.  The import is here so that ``import qfdiv`` neither starts
+    a thread nor loads ``concurrent.futures``.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="qfdiv-eigh")
+
+
+def psd_eigh_pair(m_a: np.ndarray, m_b: np.ndarray) -> tuple[tuple, tuple]:
+    """``(psd_eigh(m_a), psd_eigh(m_b))``, with the two solves overlapped at large d.
+
+    From ``_CONCURRENT_MIN_DIM`` on, and when more than one CPU is usable,
+    ``m_b`` is solved on the process's worker thread while this thread solves
+    ``m_a``.  The worker's solve is waited for before anything returns or
+    raises, and ``m_a``'s errors come first, as in the sequential calls.
+    """
+    if m_a.shape[0] < _CONCURRENT_MIN_DIM or _usable_cpus() < 2:
+        return psd_eigh(m_a), psd_eigh(m_b)
+    future = _eigh_worker(os.getpid()).submit(np.linalg.eigh, m_b)
+    try:
+        eig_a = psd_eigh(m_a)
+    finally:
+        future.exception()  # waits; never leaves the worker running on m_b
+    w, v = future.result()
+    return eig_a, (clamp_psd_spectrum(w), v)
 
 
 def _factor_indices(keep: str, n_factors: int) -> list[int]:

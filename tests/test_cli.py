@@ -430,6 +430,11 @@ class TestSuiteCommand:
     def test_unknown_filter_is_domain_error(self, capsys):
         assert main(["suite", "--filter", "nope"]) == 1
 
+    def test_failed_run_leaves_no_report_file(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["suite", "--filter", "bogus", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_stdout_json_when_no_out(self, capsys):
         code = main(["suite", "--filter", "homogeneity", "--seed", "3"])
         assert code == 0

@@ -1,9 +1,14 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from qfdiv import channels, fdiv
+from qfdiv import channels, fdiv, linalg
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import (
     INF,
@@ -15,6 +20,9 @@ from qfdiv.fdiv import (
     tsallis_divergence_closed,
     vn_relative_entropy_closed,
 )
+from qfdiv.linalg import psd_eigh, psd_eigh_pair
+
+from conftest import in_fresh_interpreter
 
 KL_HALF_QUARTER = 0.5 * math.log(4.0 / 3.0)  # D_1((1/2,1/2) || (1/4,3/4))
 
@@ -507,3 +515,150 @@ class TestEpsSweepDivergence:
         values, limit = quantum_f_divergence_eps_sweep(np.eye(2) / 2, KET0, make_tsallis_f(0.5))
         assert all(math.isfinite(v) for v in values)
         assert limit == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-4)
+
+
+def spectral_pair(d, rank_b, seed):
+    """Raw entries of a full-rank A and a rank-``rank_b`` B of dimension ``d``."""
+    a = channels.random_density(d, d, seed).entries
+    return a, channels.random_density(d, rank_b, seed + 1).entries
+
+
+def every_route(a, b):
+    """Each divergence route at alpha 0.5 and 1: spectral sum, epsilon sweep, both closed forms."""
+    return [
+        quantum_f_divergence(a, b, make_tsallis_f(0.5)),
+        quantum_f_divergence(a, b, make_tsallis_f(1.0)),
+        quantum_f_divergence_eps_sweep(a, b, make_tsallis_f(0.5)),
+        tsallis_divergence_closed(a, b, 0.5),
+        vn_relative_entropy_closed(a, b),
+    ]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Take the two-thread path from ``_CONCURRENT_MIN_DIM`` on, whatever the machine has."""
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+
+
+def sequential(fn, *args):
+    """``fn(*args)`` with both eigensolves of every pair on the calling thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_usable_cpus", lambda: 1)
+        return fn(*args)
+
+
+def divergence_36(seed):
+    a, b = spectral_pair(36, 36, seed)
+    return quantum_f_divergence(a, b, make_tsallis_f(0.5))
+
+
+class TestConcurrentEigensolves:
+    """From ``_CONCURRENT_MIN_DIM`` on, B's eigensolve runs on a worker thread, with the same bits."""
+
+    @pytest.mark.parametrize("d", [16, 24, 36, 64])
+    def test_pair_is_two_psd_eigh_calls_bit_for_bit(self, two_cpus, monkeypatch, d):
+        a, b = spectral_pair(d, d // 3, 200 + d)
+        eigh, on_main = np.linalg.eigh, {}
+
+        def recorded_eigh(m):
+            on_main["A" if m is a else "B"] = threading.current_thread() is threading.main_thread()
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        got = psd_eigh_pair(a, b)
+        # A on the calling thread; B on the worker exactly when d reaches the threshold
+        assert on_main == {"A": True, "B": d < linalg._CONCURRENT_MIN_DIM}
+        for (w, v), (w_ref, v_ref) in zip(got, (psd_eigh(a), psd_eigh(b))):
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+
+    @pytest.mark.parametrize("d", [16, 24, 36, 64])
+    @pytest.mark.parametrize("rank_b", ["full", "deficient"])
+    def test_every_route_keeps_its_bits(self, two_cpus, d, rank_b):
+        a, b = spectral_pair(d, d if rank_b == "full" else d // 2, 300 + d)
+        assert repr(every_route(a, b)) == repr(sequential(every_route, a, b))
+
+    @pytest.mark.parametrize("d", [16, 36])
+    def test_errors_of_a_come_first(self, two_cpus, d):
+        a, b = np.diag([1.0] * (d - 1) + [-0.25]), np.diag([1.0] * (d - 1) + [-0.5])
+        with pytest.raises(DomainError, match="-2.500e-01"):
+            quantum_f_divergence(a, b, make_tsallis_f(0.5))
+        with pytest.raises(DomainError, match="-5.000e-01"):
+            quantum_f_divergence(np.eye(d) / d, b, make_tsallis_f(0.5))
+
+    def test_an_error_waits_for_the_worker(self, two_cpus, monkeypatch):
+        # A's solve raises at once; B's is still running and must finish first
+        eigh, finished = np.linalg.eigh, []
+
+        def slow_eigh(m):
+            if threading.current_thread() is threading.main_thread():
+                raise np.linalg.LinAlgError("A's solve failed")
+            time.sleep(0.2)
+            finished.append(True)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+        a, b = spectral_pair(36, 36, 400)
+        with pytest.raises(np.linalg.LinAlgError, match="A's solve"):
+            psd_eigh_pair(a, b)
+        assert finished == [True]
+
+    def test_more_callers_than_cores(self, two_cpus):
+        seeds = range(500, 506)
+        want = {s: sequential(divergence_36, s) for s in seeds}
+        got, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(3):
+                    got.extend((s, divergence_36(s)) for s in seeds)
+            except BaseException as exc:  # reported below, on the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(got) == 4 * 3 * len(seeds)
+        assert all(value == want[s] for s, value in got)
+
+    # forking a process that has threads is the case under test; Python 3.12 warns of it
+    @pytest.mark.filterwarnings("ignore:This process .* use of fork:DeprecationWarning")
+    def test_forked_child_gets_its_own_worker(self, two_cpus):
+        want = divergence_36(600)  # the parent's worker exists before the fork
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(divergence_36(600)))
+        child.start()
+        try:
+            assert results.get(timeout=10) == want
+            child.join(timeout=10)
+            assert not child.is_alive()
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert child.exitcode == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_usable_cpu_starts_no_thread(self):
+        probe = (
+            "import os, threading, qfdiv\n"
+            "from qfdiv.channels import random_density\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "a, b = random_density(36, 36, 700).entries, random_density(36, 36, 701).entries\n"
+            "print(repr(qfdiv.quantum_f_divergence(a, b, qfdiv.make_tsallis_f(0.5))))\n"
+            "print(threading.active_count())\n"
+        )
+        out = in_fresh_interpreter(probe).split()
+        a, b = spectral_pair(36, 36, 700)
+        want = sequential(quantum_f_divergence, a, b, make_tsallis_f(0.5))
+        assert out == [repr(want), "1"]

@@ -1,14 +1,13 @@
 """The modules of ``qfdiv`` form a strict layer order: imports only point down."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import qfdiv
+
+from conftest import in_fresh_interpreter
 
 # each module may import only from modules of a lower rank
 RANK = {
@@ -53,18 +52,10 @@ def loaded_by_import(prefix: str) -> str:
     """The modules under ``prefix`` that ``import qfdiv`` loads in a fresh interpreter."""
     # a fresh interpreter, so modules loaded by other tests cannot hide an import;
     # a None entry in sys.modules blocks an import and is not a loaded module
-    probe = (
+    return in_fresh_interpreter(
         "import sys, qfdiv; print(sorted(m for m, mod in sys.modules.items()"
         f" if m.startswith({prefix!r}) and mod is not None))"
     )
-    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    ).stdout.strip()
 
 
 def test_import_loads_no_scipy():
@@ -74,3 +65,9 @@ def test_import_loads_no_scipy():
 def test_import_loads_no_numpy_random():
     # rng loads numpy.random on the first generator it makes
     assert loaded_by_import("numpy.random") == "[]"
+
+
+def test_import_starts_no_thread():
+    # the eigensolve worker and its concurrent.futures import wait for the first large pair
+    assert loaded_by_import("concurrent") == "[]"
+    assert in_fresh_interpreter("import threading, qfdiv; print(threading.active_count())") == "1"
