@@ -161,27 +161,28 @@ _ROOT_RTOL = 1e-3
 _ROOT_STEPS = 100
 
 
-def _fw_gap(gt: np.ndarray, g_mean: float) -> float:
-    """Frank-Wolfe gap ``tr(G sigma) - lambda_min(G)``; ``inf`` when G is not finite."""
+def _fw_gap(gt: np.ndarray, g_mean: float, tol: float = math.inf) -> float:
+    """Frank-Wolfe gap ``tr(G sigma) - lambda_min(G)``: the one rule that certifies an iterate.
+
+    Its lower bound ``tr(G sigma) - min_i Re G_ii`` (as ``lambda_min(G) <= min_i G_ii``)
+    is returned when it exceeds ``tol``, without an eigensolve; otherwise the gap
+    is exact, and ``inf`` when G is not finite.
+    """
+    bound = g_mean - float(gt.diagonal().real.min())
+    if bound > tol:
+        return bound
     if not (math.isfinite(g_mean) and np.isfinite(gt).all()):
         return math.inf
     return max(g_mean - float(np.linalg.eigvalsh(gt)[0]), 0.0)
 
 
-def _diagonal_gap(gt: np.ndarray, g_mean: float) -> float:
-    """``tr(G sigma) - min_i Re G_ii``, a lower bound on the Frank-Wolfe gap that
-    needs no eigensolve: ``lambda_min(G) <= min_i G_ii``."""
-    return g_mean - float(gt.diagonal().real.min())
-
-
 class _Point(NamedTuple):
-    """One evaluated ``sigma = u diag(p) u^dag``: what a descent steps with and
-    what :meth:`_Objective.certify` starts from."""
+    """One evaluated ``sigma(theta) = u diag(p) u^dag``: what a descent steps with
+    and what :meth:`_Objective.certify` starts from; :func:`_fw_gap` gives its gap."""
 
+    theta: np.ndarray
     value: float
     grad: np.ndarray  # in theta
-    gap: float  # the Frank-Wolfe gap if ``exact``, else a lower bound on it
-    exact: bool
     p: np.ndarray
     u: np.ndarray
     gt: np.ndarray  # the sigma-gradient G in the basis u
@@ -223,15 +224,6 @@ class _Objective:
         self.reduced = self.support.conj().T @ reduced @ self.support
         self.n_params = r * r
 
-    def _frame(self, theta: np.ndarray):
-        """Eigenvalues of H (shifted to max 0), its eigenvectors and sigma's eigenvalues."""
-        t = theta.reshape(self.rank, self.rank)
-        # the inverse of _pack_hermitian
-        lam, u = np.linalg.eigh(0.5 * ((t + t.T) + 1j * (t - t.T)))
-        lam = lam - lam[-1]
-        ex = np.exp(lam)
-        return lam, u, ex / ex.sum()
-
     def _at(self, p: np.ndarray, u: np.ndarray, uh: np.ndarray) -> tuple[float, np.ndarray, float]:
         """Value, sigma-gradient ``gt`` in the basis ``u`` and ``tr(G sigma)`` at
         ``sigma = u diag(p) uh`` with ``uh = u^dag``; ``0 * inf = 0`` in the value.
@@ -257,14 +249,14 @@ class _Objective:
         g_mean = float(gt.diagonal().real @ p)
         return value, gt, g_mean
 
-    def evaluate(self, theta: np.ndarray, tol: float = math.inf) -> _Point:
-        """Value, theta-gradient and Frank-Wolfe gap at ``sigma(theta)``.
-
-        The gap is exact unless its diagonal lower bound exceeds ``tol``: then
-        that bound is the gap, settling without an eigensolve that this point
-        does not certify at ``tol``.
-        """
-        lam, u, p = self._frame(theta)
+    def evaluate(self, theta: np.ndarray) -> _Point:
+        """The point ``sigma(theta)``: its value, theta-gradient and sigma-gradient."""
+        t = theta.reshape(self.rank, self.rank)
+        # the inverse of _pack_hermitian; H's eigenvalues are shifted to max 0
+        lam, u = np.linalg.eigh(0.5 * ((t + t.T) + 1j * (t - t.T)))
+        lam = lam - lam[-1]
+        ex = np.exp(lam)
+        p = ex / ex.sum()
         uh = u.conj().T
         # K = (E / tr exp H) o G - tr(G sigma) diag(sigma), with E the divided
         # differences of exp at lam, written e^max(lam_j, lam_k) expm1(-d) / -d
@@ -276,19 +268,19 @@ class _Objective:
             k = e_div * np.maximum(p[:, None], p[None, :]) * gt
             k.ravel()[:: self.rank + 1] -= g_mean * p
             grad = _pack_hermitian(u @ k @ uh)
-            bound = _diagonal_gap(gt, g_mean)
         if not np.isfinite(grad).all():
             grad = np.nan_to_num(grad, nan=0.0, posinf=1e12, neginf=-1e12)
-        if bound > tol:
-            return _Point(value, grad, bound, False, p, u, gt, g_mean)
-        return _Point(value, grad, _fw_gap(gt, g_mean), True, p, u, gt, g_mean)
+        return _Point(theta, value, grad, p, u, gt, g_mean)
 
     @np.errstate(all="ignore")
-    def certify(self, point: _Point, tol: float) -> tuple[float, np.ndarray, float]:
+    def certify(self, point: _Point, gap: float, tol: float) -> tuple[float, np.ndarray, float]:
         """Value, sigma and gap of a finished start, polished while the gap exceeds ``tol``.
 
-        ``point`` is the start's last evaluation; its gap is recomputed only
-        when it is a bound.  Near a face of the state space the theta-gradient
+        ``point`` is the start's last iterate and ``gap`` its
+        ``_fw_gap(point.gt, point.g_mean, t)`` at some ``t >= tol``, such as
+        the descent's: a gap within ``tol`` is then exact and taken as it is,
+        so a start its descent certified costs no second eigensolve; any other
+        is recomputed.  Near a face of the state space the theta-gradient
         vanishes along the eigenvectors whose eigenvalues are tiny, however
         steep F is there, so a descent can stop with a small theta-gradient and
         a large gap.  Such a start takes up to ``_POLISH_STEPS`` Frank-Wolfe steps
@@ -303,8 +295,8 @@ class _Objective:
         returned is the last value minus the greatest of these bounds: never
         above any gap seen.
         """
-        value, _, gap, exact, p, u, gt, g_mean = point
-        fw = gap = gap if exact else _fw_gap(gt, g_mean)
+        _, value, _, p, u, gt, g_mean = point
+        fw = gap = gap if gap <= tol else _fw_gap(gt, g_mean)
         bound = -math.inf
         for _ in range(_POLISH_STEPS):
             if gap <= tol or fw == math.inf:
@@ -358,30 +350,27 @@ def _start_points(objective: _Objective, opts: OptimizerOptions):
         yield 0.5 * rng.standard_normals(gen, objective.n_params)
 
 
-def _wolfe_step(
-    objective: _Objective, x: np.ndarray, point: _Point, direction: np.ndarray, tol: float
-):
-    """A step ``x + t d`` that meets the weak Wolfe conditions, or ``None``.
+def _wolfe_step(objective: _Objective, point: _Point, direction: np.ndarray):
+    """The point at ``theta + t d`` that meets the weak Wolfe conditions, or ``None``.
 
-    Sufficient decrease ``F(x + t d) <= F(x) + c1 t g.d`` and curvature
-    ``grad F(x + t d).d >= c2 g.d``: t doubles while only the curvature test
+    Sufficient decrease ``F(theta + t d) <= F(theta) + c1 t g.d`` and curvature
+    ``grad F(theta + t d).d >= c2 g.d``: t doubles while only the curvature test
     fails and no step has yet been too long, and is bisected once one has
     (Lewis and Overton, *Math. Programming* 2013).  A non-finite value counts
-    as too long.  Returns the new point and its evaluation at ``tol``.
+    as too long.
     """
     slope = float(point.grad @ direction)
     if not slope < 0.0:
         return None
     lo, hi, t = 0.0, math.inf, 1.0
     for _ in range(_LINE_SEARCH_STEPS):
-        x_t = x + t * direction
-        point_t = objective.evaluate(x_t, tol)
-        if not point_t.value <= point.value + _ARMIJO * t * slope:
+        trial = objective.evaluate(point.theta + t * direction)
+        if not trial.value <= point.value + _ARMIJO * t * slope:
             hi = t
-        elif point_t.grad @ direction < _CURVATURE * slope:
+        elif trial.grad @ direction < _CURVATURE * slope:
             lo = t
         else:
-            return x_t, point_t
+            return trial
         t = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
     return None
 
@@ -391,33 +380,34 @@ def _descend(objective: _Objective, x: np.ndarray, tol: float, max_iters: int):
 
     The inverse Hessian starts as the identity, is rescaled to
     ``(s.y / y.y) I`` after the first step, and skips its update when
-    ``s.y <= 0``.  Returns the last iterate, the iterations taken, why the
-    descent stopped and the last iterate's evaluation.
+    ``s.y <= 0``.  Returns the last iterate, its ``_fw_gap`` at ``tol``, the
+    iterations taken and why the descent stopped.
     """
-    point = objective.evaluate(x, tol)
-    if point.gap <= tol:
-        return x, 0, "certified", point
+    point = objective.evaluate(x)
+    gap = _fw_gap(point.gt, point.g_mean, tol)
+    if gap <= tol:
+        return point, gap, 0, "certified"
     if not math.isfinite(point.value):
-        return x, 0, "value not finite", point
+        return point, gap, 0, "value not finite"
     h = None
     for it in range(1, max_iters + 1):
         grad = point.grad
-        step = _wolfe_step(objective, x, point, -(grad if h is None else h @ grad), tol)
-        if step is None:
-            return x, it - 1, "line search failed", point
-        x_new, point = step
-        s, y = x_new - x, point.grad - grad
+        new = _wolfe_step(objective, point, -(grad if h is None else h @ grad))
+        if new is None:
+            return point, gap, it - 1, "line search failed"
+        s, y = new.theta - point.theta, new.grad - grad
         sy = float(s @ y)
         if sy > 0.0:
             if h is None:
-                h = (sy / float(y @ y)) * np.eye(x.size)
+                h = (sy / float(y @ y)) * np.eye(s.size)
             hy = h @ y
             hys = hy[:, None] * s  # np.outer(hy, s), without its wrapper
             h += (sy + float(y @ hy)) / sy**2 * (s[:, None] * s) - (hys + hys.T) / sy
-        x = x_new
-        if point.gap <= tol:
-            return x, it, "certified", point
-    return x, max_iters, "max_iters reached", point
+        point = new
+        gap = _fw_gap(point.gt, point.g_mean, tol)
+        if gap <= tol:
+            return point, gap, it, "certified"
+    return point, gap, max_iters, "max_iters reached"
 
 
 def conditional_entropy_optimize(
@@ -449,8 +439,8 @@ def conditional_entropy_optimize(
 
     runs = []
     for x0 in _start_points(objective, opts):
-        _, nit, reason, point = _descend(objective, x0, opts.value_tol, opts.max_iters)
-        value, sigma, gap = objective.certify(point, opts.value_tol)
+        point, gap, nit, reason = _descend(objective, x0, opts.value_tol, opts.max_iters)
+        value, sigma, gap = objective.certify(point, gap, opts.value_tol)
         runs.append((nit, gap, reason))
         if gap <= opts.value_tol:
             return OptimizationReport(
@@ -530,10 +520,11 @@ def pure_state_bounds_tsallis(
     entangled states.
     """
     alpha = _monotone_alpha(alpha)
-    c = _schmidt_coefficients(schmidt_coeffs)
-    schmidt_number = int(np.sum(c > 1e-12))
-    lower = alpha_log(1.0 / schmidt_number, alpha)
-    upper = alpha_log(float(np.max(c) ** 2), alpha)
+    # the squared coefficients are the conditioning marginal's spectrum, and the
+    # Schmidt number counts those that the kernel rule keeps, as the closed form does
+    w = clamp_psd_spectrum(np.sort(_schmidt_coefficients(schmidt_coeffs) ** 2))
+    lower = alpha_log(1.0 / np.count_nonzero(w), alpha)
+    upper = alpha_log(float(w[-1]), alpha)
     return lower, upper
 
 
@@ -550,6 +541,8 @@ def classical_register_closed_form(
     """
     alpha = _monotone_alpha(alpha)
     h = np.asarray(block_entropies, dtype=float).ravel()
+    if not np.isfinite(h).all():
+        raise DomainError("block entropies must be finite")
     w = _probability_vector(p)
     if h.size != w.size or h.size == 0:
         raise DomainError("block entropies and probabilities must align and be non-empty")
@@ -570,4 +563,7 @@ def chain_rule_rhs(h_abc_given_bc: float, d_c: int, alpha: float) -> float:
     if d_c < 1:
         raise DomainError(f"d_C must be at least 1, got {d_c}")
     alpha = _monotone_alpha(alpha)
-    return d_c ** (1.0 - alpha) * float(h_abc_given_bc) + alpha_log(float(d_c), alpha)
+    h = float(h_abc_given_bc)
+    if not math.isfinite(h):
+        raise DomainError(f"the conditional entropy must be finite, got {h!r}")
+    return d_c ** (1.0 - alpha) * h + alpha_log(float(d_c), alpha)

@@ -63,7 +63,13 @@ def face_start(objective):
 
 def gap_at(objective, theta):
     """The exact Frank-Wolfe gap at sigma(theta) itself, without polishing."""
-    return objective.evaluate(theta).gap
+    point = objective.evaluate(theta)
+    return condent._fw_gap(point.gt, point.g_mean)
+
+
+def certify_exact(objective, point, tol):
+    """``certify`` given the point's exact gap, which holds at every ``tol``."""
+    return objective.certify(point, condent._fw_gap(point.gt, point.g_mean), tol)
 
 
 def fd_gradient(objective, theta, step=1e-6):
@@ -72,8 +78,8 @@ def fd_gradient(objective, theta, step=1e-6):
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = step
-        up = objective.evaluate(theta + e)[0]
-        down = objective.evaluate(theta - e)[0]
+        up = objective.evaluate(theta + e).value
+        down = objective.evaluate(theta - e).value
         grad[i] = (up - down) / (2.0 * step)
     return grad
 
@@ -267,7 +273,7 @@ class TestOptimizer:
         state = embed_ancilla(random_bipartite((2, 3), 4, seed=20), 1)
         objective = objective_for(state, make_tsallis_f(2.0))
         theta = list(condent._start_points(objective, OptimizerOptions(starts=2)))[1]
-        sigma = objective.certify(objective.evaluate(theta), math.inf)[1]
+        sigma = certify_exact(objective, objective.evaluate(theta), math.inf)[1]
         np.testing.assert_allclose(sigma, partial_trace(state, "B").entries, atol=1e-12)
 
     def test_generic_function_between_bounds(self):
@@ -415,7 +421,7 @@ class TestObjectiveGradient:
 
     @staticmethod
     def assert_matches_fd(objective, theta):
-        grad = objective.evaluate(theta)[1]
+        grad = objective.evaluate(theta).grad
         reference = fd_gradient(objective, theta)
         scale = max(np.abs(reference).max(), 1e-3)
         assert np.abs(grad - reference).max() <= 1e-6 * scale
@@ -447,7 +453,7 @@ class TestObjectiveGradient:
         gen = np.random.Generator(np.random.Philox(key=6))
         theta = 0.3 * gen.standard_normal(objective.n_params)
         theta[0] = -800.0
-        assert objective._frame(theta)[2].min() == 0.0
+        assert objective.evaluate(theta).p.min() == 0.0
         return theta
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
@@ -462,10 +468,11 @@ class TestObjectiveGradient:
         # ell = inf: the value and the gap are inf at the floor, and the gradient stays finite
         objective = objective_for(random_bipartite((2, 3), 6, seed=42), f)
         theta = self.floored_theta(objective)
-        value, grad, gap = objective.evaluate(theta)[:3]
-        assert value == math.inf
-        assert np.isfinite(grad).all()
-        assert gap == math.inf
+        point = objective.evaluate(theta)
+        assert point.value == math.inf
+        assert np.isfinite(point.grad).all()
+        # the gap a descent at 1e-6 sees, and the exact one
+        assert condent._fw_gap(point.gt, point.g_mean, 1e-6) == math.inf
         assert gap_at(objective, theta) == math.inf
 
     @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
@@ -474,9 +481,9 @@ class TestObjectiveGradient:
         objective = objective_for(state, f)
         gen = np.random.Generator(np.random.Philox(key=7))
         theta = gen.standard_normal(objective.n_params)
-        sigma = objective.certify(objective.evaluate(theta), math.inf)[1]
+        sigma = certify_exact(objective, objective.evaluate(theta), math.inf)[1]
         expected = quantum_f_divergence(state.entries, np.kron(np.eye(2), sigma), f)
-        assert objective.evaluate(theta)[0] == pytest.approx(expected, rel=1e-10)
+        assert objective.evaluate(theta).value == pytest.approx(expected, rel=1e-10)
 
 
 class TestGapCertificate:
@@ -497,9 +504,9 @@ class TestGapCertificate:
                 (np.zeros(objective.n_params), 500),
                 (0.5 * gen.standard_normal(objective.n_params), 2),
             ):
-                point = condent._descend(objective, theta, 0.0, max_iters)[3]
+                point = condent._descend(objective, theta, 0.0, max_iters)[0]
                 for tol in (math.inf, 1e-6):  # the finished start, then polished
-                    value, _, gap = objective.certify(point, tol)
+                    value, _, gap = certify_exact(objective, point, tol)
                     assert gap >= value - minimum - 1e-12
 
 
@@ -603,10 +610,11 @@ class TestAcceptanceRule:
         state = random_bipartite((2, 3), 6, seed=45)
         f = make_tsallis_f(0.5)
         objective = objective_for(state, f)
-        x, nit, reason, _ = condent._descend(objective, face_start(objective), 1e-6, 500)
+        point, gap, nit, reason = condent._descend(objective, face_start(objective), 1e-6, 500)
         assert reason == "line search failed"
         assert nit < 500
-        assert gap_at(objective, x) > 1e100
+        assert gap > 1e100
+        assert gap_at(objective, point.theta) > 1e100
         monkeypatch.setattr(condent, "_start_points", lambda obj, opts: [face_start(obj)])
         report = conditional_entropy_optimize(state, f)
         assert report.iterations_per_start == (nit,)
@@ -620,9 +628,10 @@ class TestAcceptanceRule:
         state = random_bipartite((2, 3), 6, seed=47)
         f = make_tsallis_f(0.5)
         objective = objective_for(state, f)
-        x, nit, reason, _ = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 8)
+        point, gap, nit, reason = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 8)
         assert (nit, reason) == (8, "max_iters reached")
-        assert gap_at(objective, x) > 1e-6
+        assert gap > 1e-6
+        assert gap_at(objective, point.theta) > 1e-6
         report = conditional_entropy_optimize(state, f, OptimizerOptions(starts=1, max_iters=8))
         assert report.iterations_per_start == (8,)
         assert report.gap <= 1e-6
@@ -641,10 +650,10 @@ class TestPolish:
         state = random_bipartite((2, 3), 6, seed=seed)
         objective = objective_for(state, make_tsallis_f(0.5))
         theta = np.zeros(objective.n_params)
-        x, nit, reason, point = condent._descend(objective, theta, 1e-6, max_iters)
+        point, gap, nit, reason = condent._descend(objective, theta, 1e-6, max_iters)
         assert (nit, reason) == (max_iters, "max_iters reached")
-        before = gap_at(objective, x)
-        value, _, gap = objective.certify(point, 1e-6)
+        before = gap_at(objective, point.theta)
+        value, _, gap = objective.certify(point, gap, 1e-6)
         assert 1e-6 < gap <= before
         minimum = -conditional_entropy_tsallis_closed(state, 0.5)[0]
         assert gap >= value - minimum - 1e-12
@@ -655,10 +664,10 @@ class TestPolish:
         # polish takes the gap from 2.1e-2 to about 7.1e-4
         state = random_bipartite((2, 3), 6, seed=47)
         objective = objective_for(state, make_tsallis_f(2.0))
-        x, nit, reason, point = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 3)
+        point, gap, nit, reason = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 3)
         assert (nit, reason) == (3, "max_iters reached")
-        before = gap_at(objective, x)
-        value, _, gap = objective.certify(point, 1e-6)
+        before = gap_at(objective, point.theta)
+        value, _, gap = objective.certify(point, gap, 1e-6)
         assert math.isfinite(value)
         assert gap <= before
         minimum = -conditional_entropy_tsallis_closed(state, 2.0)[0]
@@ -669,62 +678,130 @@ class TestDescent:
     def test_returns_at_first_certified_iterate(self):
         objective = objective_for(random_bipartite((2, 3), 6, seed=46), make_tsallis_f(0.5))
         theta = np.zeros(objective.n_params)
-        x, nit, reason, _ = condent._descend(objective, theta, 1e-6, 500)
+        point, gap, nit, reason = condent._descend(objective, theta, 1e-6, 500)
         assert reason == "certified"
-        assert objective.evaluate(x)[2] <= 1e-6
+        assert gap == gap_at(objective, point.theta) <= 1e-6
         # capped one iteration earlier, no iterate so far has certified
-        x_early, nit_early, reason_early, _ = condent._descend(objective, theta, 1e-6, nit - 1)
+        early, _, nit_early, reason_early = condent._descend(objective, theta, 1e-6, nit - 1)
         assert (nit_early, reason_early) == (nit - 1, "max_iters reached")
-        assert objective.evaluate(x_early)[2] > 1e-6
+        assert gap_at(objective, early.theta) > 1e-6
         # a tighter tolerance runs on past the same iterate
-        assert condent._descend(objective, theta, 1e-12, 500)[1] > nit
+        assert condent._descend(objective, theta, 1e-12, 500)[2] > nit
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The names of the ``np.linalg`` eigensolvers called, one entry per call."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def random_gradients():
+    """``(gt, g_mean)`` pairs: Hermitian and diagonal G over many scales, at random sigma."""
+    gen = rng.generator(12)
+    for r in range(1, 9):
+        for k, scale in enumerate((1e-8, 1.0, 1e8)):
+            for gt in (
+                scale * random_hermitian(r, 100 * r + k),
+                np.diag(scale * rng.standard_normals(gen, r)).astype(complex),
+            ):
+                p = np.exp(3.0 * rng.standard_normals(gen, r))
+                p /= p.sum()
+                yield gt, float(gt.diagonal().real @ p)
 
 
 class TestDiagonalGap:
-    """``tr(G sigma) - min_i Re G_ii`` settles an uncertified gap and changes no decision."""
+    """``_fw_gap`` alone decides a certificate: its diagonal bound
+    ``tr(G sigma) - min_i Re G_ii`` settles a gap above ``tol`` and changes no decision."""
 
     def test_never_exceeds_the_exact_gap(self):
-        gen = rng.generator(12)
-        for r in range(1, 9):
-            for k, scale in enumerate((1e-8, 1.0, 1e8)):
-                for gt in (
-                    scale * random_hermitian(r, 100 * r + k),
-                    np.diag(scale * rng.standard_normals(gen, r)).astype(complex),
-                ):
-                    p = np.exp(3.0 * rng.standard_normals(gen, r))
-                    p /= p.sum()
-                    g_mean = float(gt.diagonal().real @ p)
-                    assert condent._diagonal_gap(gt, g_mean) <= condent._fw_gap(gt, g_mean)
+        for gt, g_mean in random_gradients():
+            # at tol = -inf the bound is always above tol, so it is what comes back
+            bound = condent._fw_gap(gt, g_mean, -math.inf)
+            assert bound == g_mean - float(gt.diagonal().real.min())
+            assert bound <= condent._fw_gap(gt, g_mean)
+
+    def test_bound_above_tol_needs_no_eigensolve(self, eigensolves):
+        settled = 0
+        for gt, g_mean in random_gradients():
+            bound = g_mean - float(gt.diagonal().real.min())
+            if bound > 0.0:
+                assert condent._fw_gap(gt, g_mean, 0.5 * bound) == bound
+                settled += 1
+        assert settled > 0
+        assert eigensolves == []
+
+    def test_bound_within_tol_gives_the_exact_gap(self, eigensolves):
+        for gt, g_mean in random_gradients():
+            bound = g_mean - float(gt.diagonal().real.min())
+            want = max(g_mean - float(np.linalg.eigvalsh(gt)[0]), 0.0)
+            eigensolves.clear()
+            for tol in (bound, math.inf):
+                assert condent._fw_gap(gt, g_mean, tol) == want
+            assert eigensolves == ["eigvalsh"] * 2
+
+    @pytest.mark.parametrize(
+        "gt,g_mean",
+        [
+            # finite diagonals, so the bound is 0
+            (np.array([[1.0, math.nan], [math.nan, 1.0]], complex), 1.0),
+            (np.array([[1.0, math.inf], [math.inf, 1.0]], complex), 1.0),
+            (np.array([[math.inf, 0.0], [0.0, 2.0]], complex), math.inf),
+            (np.array([[math.nan, 0.0], [0.0, 2.0]], complex), math.nan),
+        ],
+    )
+    def test_non_finite_gradient_gives_inf(self, gt, g_mean, eigensolves):
+        for tol in (1e-6, math.inf):
+            assert condent._fw_gap(gt, g_mean, tol) == math.inf
+        assert eigensolves == []
 
     @pytest.mark.parametrize("alpha", [0.3, 2.0])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4)])
-    def test_descent_matches_exact_gaps(self, dims, alpha, monkeypatch):
+    def test_descent_matches_exact_gaps(self, dims, alpha, monkeypatch, eigensolves):
         d = dims[0] * dims[1]
         objective = objective_for(random_bipartite(dims, d - 1, seed=50 + d), make_tsallis_f(alpha))
         starts = list(condent._start_points(objective, OptimizerOptions()))
-        evaluate = objective.evaluate
-        points = []
-
-        def recorded(theta, tol=math.inf):
-            points.append(evaluate(theta, tol))
-            return points[-1]
 
         def descents():
-            return [
-                condent._descend(objective, x0, 1e-6, max_iters)[:3]
+            eigensolves.clear()
+            runs = [
+                condent._descend(objective, x0, 1e-6, max_iters)
                 for x0 in starts
                 for max_iters in (500, 3)
             ]
+            return runs, eigensolves.count("eigvalsh")
 
-        monkeypatch.setattr(objective, "evaluate", recorded)
-        with_shortcut = descents()
-        # the shortcut ran: some iterates' gaps came back as the diagonal bound
-        assert any(not point.exact for point in points)
-        monkeypatch.setattr(objective, "evaluate", lambda theta, tol=math.inf: evaluate(theta))
-        exact = descents()
-        for (x, nit, reason), (x_exact, nit_exact, reason_exact) in zip(with_shortcut, exact):
-            np.testing.assert_array_equal(x, x_exact)
+        with_shortcut, solves = descents()
+        fw_gap = condent._fw_gap
+        monkeypatch.setattr(condent, "_fw_gap", lambda gt, g_mean, tol=math.inf: fw_gap(gt, g_mean))
+        exact, exact_solves = descents()
+        # the shortcut ran: some iterates' gaps came back as the bound, without an eigensolve
+        assert solves < exact_solves
+        for (point, gap, nit, reason), (point_exact, gap_exact, nit_exact, reason_exact) in zip(
+            with_shortcut, exact
+        ):
+            np.testing.assert_array_equal(point.theta, point_exact.theta)
             assert (nit, reason) == (nit_exact, reason_exact)
+            # a certified gap is exact; one above tol may be the bound
+            assert gap == gap_exact or min(gap, gap_exact) > 1e-6
+
+    @pytest.mark.parametrize("dims,rank", [((2, 3), 6), ((2, 2), 1)])
+    def test_certified_descent_costs_certify_no_eigensolve(self, dims, rank, eigensolves):
+        objective = objective_for(random_bipartite(dims, rank, seed=46), make_tsallis_f(0.5))
+        point, gap, _, reason = condent._descend(objective, np.zeros(objective.n_params), 1e-6, 500)
+        assert reason == "certified"
+        eigensolves.clear()
+        value, _, certified = objective.certify(point, gap, 1e-6)
+        assert eigensolves == []
+        assert (value, certified) == (point.value, gap)
 
     def test_certify_from_descent_matches_certify_from_theta(self):
         state = random_bipartite((2, 3), 6, seed=45)
@@ -736,12 +813,17 @@ class TestDiagonalGap:
             (np.zeros(objective.n_params), 6),
             (np.zeros(objective.n_params), 0),
         ):
-            x, _, reason, point = condent._descend(objective, theta, 1e-6, max_iters)
+            point, gap, _, reason = condent._descend(objective, theta, 1e-6, max_iters)
             reasons.add(reason)
-            for tol in (math.inf, 1e-6):  # the finished start, then polished
-                value, sigma, gap = objective.certify(point, tol)
-                value_theta, sigma_theta, gap_theta = objective.certify(objective.evaluate(x), tol)
-                assert (value, gap) == (value_theta, gap_theta)
+            fresh = objective.evaluate(point.theta)
+            # the finished start, then polished: the descent's gap holds at its own
+            # tolerance, and the exact gap at any
+            for (value, sigma, got), tol in (
+                (certify_exact(objective, point, math.inf), math.inf),
+                (objective.certify(point, gap, 1e-6), 1e-6),
+            ):
+                value_theta, sigma_theta, gap_theta = certify_exact(objective, fresh, tol)
+                assert (value, got) == (value_theta, gap_theta)
                 np.testing.assert_array_equal(sigma, sigma_theta)
         assert reasons == {"line search failed", "certified", "max_iters reached"}
 
@@ -908,6 +990,18 @@ class TestPureStateBounds:
             lower, upper = pure_state_bounds_tsallis(coeffs, alpha)
             assert lower - 1e-9 <= h <= upper + 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("eps", [1e-7, 1e-11])
+    def test_kernel_coefficient_leaves_schmidt_number(self, eps, alpha):
+        # eps**2 is below the kernel rule's RANK_TOL * max c**2, so the closed form drops
+        # it and the Schmidt number is 2: both bounds are then the closed form's value
+        coeffs = np.array([1.0, 1.0, eps]) / math.sqrt(2.0 + eps**2)
+        state = pure_bipartite_from_schmidt(coeffs, 3, 3, seed=21)
+        h, _ = conditional_entropy_tsallis_closed(state, alpha)
+        lower, upper = pure_state_bounds_tsallis(coeffs, alpha)
+        assert lower == pytest.approx(h, abs=1e-12)
+        assert upper == pytest.approx(h, abs=1e-12)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError, match="unit square sum"):
             pure_state_bounds_tsallis([0.5, 0.5], 2.0)
@@ -951,6 +1045,11 @@ class TestClassicalRegister:
         with pytest.raises(DomainError, match="finite"):
             classical_register_closed_form([0.0, 0.0], [bad, 1.0], 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entropies(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            classical_register_closed_form([bad, 0.1], [0.5, 0.5], 0.5)
+
     def test_matches_assembled_state(self, bell_state):
         pure = BipartiteState(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
         assembled = build_classical_register_state([pure, bell_state], [0.5, 0.5])
@@ -978,6 +1077,11 @@ class TestChainRule:
     def test_rejects_bad_dimension(self):
         with pytest.raises(DomainError):
             chain_rule_rhs(0.0, 0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entropy(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            chain_rule_rhs(bad, 2, 0.5)
 
     def test_holds_on_random_three_qubit_states(self):
         for t in range(15):
