@@ -35,8 +35,10 @@ from .linalg import BipartiteState, DensityOperator, _integer
 def format_number(x: float) -> str:
     """12 significant digits in positional notation, trailing zeros kept.
 
-    Infinities print as the literal ``inf``.
+    Infinities print as the literal ``inf``; a NaN is a :class:`DomainError`.
     """
+    if math.isnan(x):
+        raise DomainError("result is not a number")
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if x == 0.0:
@@ -142,7 +144,10 @@ def _build_parser() -> _Parser:
     )
     defaults = OptimizerOptions()
     p_ce.add_argument(
-        "--starts", type=int, default=defaults.starts, help="most optimizer starts to run"
+        "--starts",
+        type=int,
+        default=defaults.starts,
+        help="1 or 2: start 0 is the maximally mixed state, start 1 the conditioning marginal",
     )
     p_ce.add_argument("--value-tol", type=float, default=defaults.value_tol)
     p_ce.add_argument("--max-iters", type=int, default=defaults.max_iters)

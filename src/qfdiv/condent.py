@@ -9,8 +9,12 @@ gradient is exact, from Daleckii-Krein divided differences, and its line
 search is a weak-Wolfe bracketing search.  Every rank of the conditioning
 marginal takes this one path.  The objective is convex in sigma, so the
 Frank-Wolfe gap of its sigma-gradient certifies an iterate: a descent stops at
-the first iterate whose gap is within the value tolerance, and starts run one
-at a time until one is certified.
+the first iterate whose gap is within the value tolerance.  A solve tries the
+maximally mixed state on the support, then the conditioning marginal, and
+stops at the first certified start.  A third could not help: F is convex in
+sigma (D_f is jointly convex for operator-convex f) and ``theta -> sigma`` is
+a submersion onto the interior of the states on the support, so every
+stationary theta is a global minimum, with no local one to escape.
 For the power family there is an independent closed form (the reduced
 ``alpha``-power trace, and at ``alpha = 1`` the entropy difference), which
 the test suite cross-validates against the optimizer.
@@ -30,7 +34,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import rng
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .fdiv import ALPHA_ONE_TOL, DivergenceFunction, _positive_alpha
 from .linalg import (
@@ -49,20 +52,20 @@ from .linalg import (
 class OptimizerOptions:
     """Knobs of the conditional-entropy minimizer; all surfaced by the CLI.
 
-    A solve depends only on its state, f and these values: the random starts,
-    from the third on, come from one fixed stream (``rng.generator(0)``).
-    The values are checked here, once, so a bad one fails before any solve.
+    A solve depends only on its state, f and these values: both starts are
+    deterministic.  The values are checked here, once, so a bad one fails
+    before any solve.
     """
 
-    starts: int = 4  # the most starts a solve may run; it stops at the first certified one
+    starts: int = 2  # 1 or 2: the most starts a solve may run; it stops at the first certified one
     value_tol: float = 1e-6
     max_iters: int = 500
 
     def __post_init__(self) -> None:
         for name in ("starts", "max_iters"):
             _integer(getattr(self, name), name)
-        if self.starts < 1:
-            raise DomainError(f"optimizer needs at least one start, got {self.starts}")
+        if self.starts not in (1, 2):
+            raise DomainError(f"starts must be 1 or 2, got {self.starts}")
         if not 0.0 < self.value_tol < math.inf:
             raise DomainError(f"value_tol must be finite and positive, got {self.value_tol!r}")
         if self.max_iters < 0:
@@ -335,19 +338,13 @@ class _Objective:
         return (sigma + sigma.conj().T) / 2.0
 
 
-def _start_points(objective: _Objective, opts: OptimizerOptions):
-    """Mixed state on the support, the reduced state itself, then random from a fixed stream.
-
-    Yields at most ``opts.starts`` points, lazily: a solve draws the next one
-    only while no start has certified.
-    """
-    yield np.zeros(objective.n_params)
-    if opts.starts >= 2:
+def _start_points(objective: _Objective, opts: OptimizerOptions) -> list[np.ndarray]:
+    """Start 0, theta = 0 (the maximally mixed state), then at ``opts.starts == 2`` the marginal."""
+    starts = [np.zeros(objective.n_params)]
+    if opts.starts == 2:
         log_w = np.log(objective.marginal)
-        yield _pack_hermitian(np.diag(log_w - log_w.mean()))
-    gen = rng.generator(0)
-    for _ in range(opts.starts - 2):
-        yield 0.5 * rng.standard_normals(gen, objective.n_params)
+        starts.append(_pack_hermitian(np.diag(log_w - log_w.mean())))
+    return starts
 
 
 def _wolfe_step(objective: _Objective, point: _Point, direction: np.ndarray):
@@ -420,13 +417,15 @@ def conditional_entropy_optimize(
 
     Runs BFGS descents (exact Daleckii-Krein gradients, weak-Wolfe line
     search) over ``sigma(H) = exp(H) / tr exp(H)`` restricted to the support of
-    the reduced conditioning state, one start at a time and at most
-    ``opts.starts`` of them.  The divergence is convex in sigma, so the
-    Frank-Wolfe gap ``tr(G sigma) - lambda_min(G)`` of the sigma-gradient G
-    bounds how far an iterate's value lies above the minimum (Jaggi, ICML
-    2013).  A descent stops at the first iterate whose gap is at most
-    ``opts.value_tol``, after ``opts.max_iters`` iterations, or when its line
-    search fails.  Whatever the reason, a finished start whose gap exceeds
+    the reduced conditioning state: from theta = 0, the maximally mixed state
+    on the support, then, at ``opts.starts == 2``, from the conditioning
+    marginal.  The divergence is convex in sigma, so every stationary theta is
+    a global minimum (a third start could not help; see the module docstring)
+    and the Frank-Wolfe gap ``tr(G sigma) - lambda_min(G)`` of the
+    sigma-gradient G bounds how far an iterate's value lies above the minimum
+    (Jaggi, ICML 2013).  A descent stops at the first iterate whose gap is at
+    most ``opts.value_tol``, after ``opts.max_iters`` iterations, or when its
+    line search fails.  Whatever the reason, a finished start whose gap exceeds
     ``opts.value_tol`` takes a few Frank-Wolfe polish steps, and a start is
     accepted iff its gap is then at most ``opts.value_tol``.  The first
     accepted start ends the solve, so ``converged`` is true on every report

@@ -67,19 +67,13 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` N(0, 1) deviates via Box-Muller pairs on uniforms from ``gen``."""
-    m = (n + 1) // 2
-    return _box_muller(gen.random(2 * m).reshape(2, m), np.empty(2 * m))[:n]
-
-
 def complex_gaussian(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """C-ordered matrix with independent N(0, 1) real and imaginary parts.
 
-    One draw of uniforms and one Box-Muller pass: the real parts are the
-    ``standard_normals`` of the first half of the draw, the imaginary parts of
-    the second half.  The pass writes them into the result's real and
-    imaginary parts through a float view.
+    One draw of ``4m`` uniforms, ``m = ceil(n / 2)``, and one Box-Muller pass:
+    the first ``2m`` give the real parts (``m`` cosine deviates, then ``m``
+    sine deviates) and the last ``2m`` the imaginary parts, alike.  The pass
+    writes them through a float view of the result.
     """
     n = math.prod(shape)
     m = (n + 1) // 2

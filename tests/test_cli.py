@@ -60,6 +60,11 @@ class TestFormatNumber:
     def test_negative_zero_normalized(self):
         assert format_number(-0.0) == "0.00000000000"
 
+    def test_nan_is_domain_error(self):
+        # a NaN has no exponent to read, and no digits worth printing
+        with pytest.raises(DomainError, match="result is not a number"):
+            format_number(math.nan)
+
 
 class TestParseMatrixFile:
     def test_mixed_state(self, mixed_file):
@@ -207,7 +212,8 @@ class TestCondentCommand:
         assert code == 1
         assert captured.out == ""
         assert "no start certified within value_tol 1e-06" in captured.err
-        assert "start 3: gap" in captured.err
+        # both starts ran, and no third
+        assert "start 1: gap" in captured.err and "start 2" not in captured.err
 
     def test_fd_step_option_is_gone(self, bell_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -229,7 +235,7 @@ class TestCondentCommand:
 
     def test_optimizer_flag_defaults(self):
         args = _build_parser().parse_args(["condent", "--state", "s.json", "--family", "kl"])
-        assert (args.starts, args.value_tol, args.max_iters) == (4, 1e-6, 500)
+        assert (args.starts, args.value_tol, args.max_iters) == (2, 1e-6, 500)
 
     @pytest.mark.parametrize(
         "flag, value, named",
@@ -239,6 +245,7 @@ class TestCondentCommand:
             ("--value-tol", "0", "value_tol"),
             ("--max-iters", "-1", "max_iters"),
             ("--starts", "0", "start"),
+            ("--starts", "3", "starts must be 1 or 2, got 3"),
         ],
     )
     def test_bad_optimizer_option_fails_before_any_solve(
@@ -256,8 +263,18 @@ class TestCondentCommand:
         assert captured.err.startswith("qfdiv: error: ")
         assert named in captured.err
 
+    def test_nan_result_is_one_error_line(self, bell_file, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "qfdiv.cli.conditional_entropy_tsallis_closed", lambda state, alpha: (math.nan, None)
+        )
+        code = main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "qfdiv: error: result is not a number\n"
+
     def test_seed_option_is_gone(self, bell_file, capsys):
-        # random starts come from one fixed stream, so a seed would pick nothing
+        # both starts are deterministic, so a seed would pick nothing
         with pytest.raises(SystemExit) as exc:
             main(["condent", "--state", bell_file, "--family", "tsallis", "--alpha", "2",
                   "--method", "optimize", "--seed", "1"])

@@ -216,17 +216,17 @@ class TestOptimizer:
             assert report.value == pytest.approx(closed, abs=1e-6)
 
     def test_report_shape(self, monkeypatch):
-        # four starts forced onto a face cannot certify, so the fifth runs too
+        # a start 0 forced onto a face cannot certify, so the real start 1 runs too
         real = condent._start_points
         monkeypatch.setattr(
             condent,
             "_start_points",
-            lambda obj, opts: [face_start(obj)] * 4 + list(real(obj, opts))[4:],
+            lambda obj, opts: [face_start(obj)] + real(obj, opts)[1:],
         )
         state = random_bipartite((2, 2), 3, seed=8)
-        opts = OptimizerOptions(starts=5)
+        opts = OptimizerOptions(starts=2)
         report = conditional_entropy_optimize(state, make_tsallis_f(2.0), opts)
-        assert len(report.iterations_per_start) == 5
+        assert len(report.iterations_per_start) == 2
         assert report.gap <= opts.value_tol
         assert DensityOperator(report.sigma_star).trace_value == pytest.approx(1.0, abs=1e-9)
 
@@ -370,7 +370,7 @@ class TestOptimizerOptions:
     @pytest.mark.parametrize(
         "kwargs, named",
         [
-            ({"starts": -3}, "at least one start"),
+            ({"starts": -3}, "starts must be 1 or 2"),
             ({"value_tol": math.nan}, "value_tol"),
             ({"value_tol": math.inf}, "value_tol"),
             ({"value_tol": 0.0}, "value_tol"),
@@ -383,6 +383,10 @@ class TestOptimizerOptions:
             # a bool is an int to Python, but not a count
             ({"starts": True}, "starts"),
             ({"max_iters": False}, "max_iters"),
+            # a solve has two deterministic starts, and no third
+            ({"starts": 0}, "starts must be 1 or 2, got 0"),
+            ({"starts": 3}, "starts must be 1 or 2, got 3"),
+            ({"starts": 4}, "starts must be 1 or 2, got 4"),
         ],
     )
     def test_rejects_invalid_values(self, kwargs, named):
@@ -586,14 +590,23 @@ class TestSaturatedStarts:
         # a solve depends on its state, f and these alone: there is no seed
         assert list(OptimizerOptions.__dataclass_fields__) == ["starts", "value_tol", "max_iters"]
 
-    def test_random_starts_come_from_one_fixed_stream(self):
+    def test_two_deterministic_starts(self):
+        # start 0 is theta = 0, the maximally mixed state; start 1 the conditioning marginal
         state = random_bipartite((2, 3), 6, seed=46)
         objective = objective_for(state, make_tsallis_f(0.5))
-        points = list(condent._start_points(objective, OptimizerOptions(starts=4)))
-        gen = rng.generator(0)
-        for got in points[2:]:
-            want = 0.5 * rng.standard_normals(gen, objective.n_params)
-            np.testing.assert_array_equal(got, want)
+        zeros = np.zeros(objective.n_params)
+        (only,) = condent._start_points(objective, OptimizerOptions(starts=1))
+        first, second = condent._start_points(objective, OptimizerOptions(starts=2))
+        np.testing.assert_array_equal(only, zeros)
+        np.testing.assert_array_equal(first, zeros)
+        point = objective.evaluate(second)
+        np.testing.assert_allclose(
+            objective._embed(point.p, point.u), partial_trace(state, "B").entries, atol=1e-12
+        )
+        # nothing is drawn: a second call gives the same bits
+        np.testing.assert_array_equal(
+            condent._start_points(objective, OptimizerOptions(starts=2))[1], second
+        )
 
     def test_report_has_no_derived_fields(self):
         # the number of starts run is len(iterations_per_start)
@@ -711,9 +724,9 @@ def random_gradients():
         for k, scale in enumerate((1e-8, 1.0, 1e8)):
             for gt in (
                 scale * random_hermitian(r, 100 * r + k),
-                np.diag(scale * rng.standard_normals(gen, r)).astype(complex),
+                np.diag(scale * gen.standard_normal(r)).astype(complex),
             ):
-                p = np.exp(3.0 * rng.standard_normals(gen, r))
+                p = np.exp(3.0 * gen.standard_normal(r))
                 p /= p.sum()
                 yield gt, float(gt.diagonal().real @ p)
 

@@ -48,6 +48,11 @@ def test_imports_point_down(name):
     assert not upward, f"qfdiv.{name} imports from its own or a higher layer: {upward}"
 
 
+def test_condent_imports_no_randomness():
+    # both optimizer starts are deterministic, so no random start can come back unseen
+    assert "rng" not in relative_imports("condent")
+
+
 def loaded_by_import(prefix: str) -> str:
     """The modules under ``prefix`` that ``import qfdiv`` loads in a fresh interpreter."""
     # a fresh interpreter, so modules loaded by other tests cannot hide an import;

@@ -39,17 +39,19 @@ SOLVED = [
     ((4, 3), 3, 915, 1.0, 500, (5,), -0.040941368978545466, 4.3675936900466894e-07),
     ((4, 4), 9, 916, 0.5, 500, (7,), 0.7548092025131088, 2.661714404439408e-08),
     ((2, 16), 14, 918, 0.8, 500, (27,), -0.0011974555749421772, 4.6865191383194116e-07),
+    # start 0's line search fails and its polish stops at gap 1.0e-5; start 1 certifies
+    ((4, 4), 1, 1001, 0.1, 500, (22, 53), -0.4885748317800767, 1.1044720471531377e-08),
 ]
 
 UNCERTIFIED = [
-    ((2, 3), 6, 902, 0.5, 3, _raised((0.00224, 3), (0.000555, 3), (0.00229, 3), (0.00509, 3))),
-    ((2, 3), 3, 903, 1.3, 1, _raised((0.0252, 1), (0.00269, 1), (0.0355, 1), (0.0639, 1))),
-    ((2, 4), 8, 909, 0.3, 3, _raised((0.0155, 3), (0.00382, 3), (0.0521, 3), (0.0336, 3))),
-    ((3, 4), 7, 912, 2.0, 1, _raised((0.145, 1), (0.0186, 1), (0.175, 1), (0.118, 1))),
-    ((3, 4), 10, 913, 0.8, 0, _raised((0.072, 0), (0.00769, 0), (0.0925, 0), (0.193, 0))),
-    ((4, 3), 12, 914, 0.3, 0, _raised((0.0277, 0), (0.008, 0), (0.0268, 0), (0.0397, 0))),
-    ((4, 4), 12, 917, 1.3, 3, _raised((0.00151, 3), (6.67e-05, 3), (0.0195, 3), (0.00948, 3))),
-    ((2, 16), 17, 919, 1.5, 3, _raised((0.112, 3), (0.0357, 3), (1.95, 3), (2.1, 3))),
+    ((2, 3), 6, 902, 0.5, 3, _raised((0.00224, 3), (0.000555, 3))),
+    ((2, 3), 3, 903, 1.3, 1, _raised((0.0252, 1), (0.00269, 1))),
+    ((2, 4), 8, 909, 0.3, 3, _raised((0.0155, 3), (0.00382, 3))),
+    ((3, 4), 7, 912, 2.0, 1, _raised((0.145, 1), (0.0186, 1))),
+    ((3, 4), 10, 913, 0.8, 0, _raised((0.072, 0), (0.00769, 0))),
+    ((4, 3), 12, 914, 0.3, 0, _raised((0.0277, 0), (0.008, 0))),
+    ((4, 4), 12, 917, 1.3, 3, _raised((0.00151, 3), (6.67e-05, 3))),
+    ((2, 16), 17, 919, 1.5, 3, _raised((0.112, 3), (0.0357, 3))),
 ]
 
 

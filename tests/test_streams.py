@@ -18,10 +18,6 @@ from qfdiv.channels import pure_bipartite_from_schmidt, random_channel, random_d
 SEEDS = (0, 5, 2**64 - 1, 2**64 + 3)
 
 
-def _normals(seed):
-    return [rng.standard_normals(rng.generator(seed), n) for n in (1, 7, 8, 64)]
-
-
 def _gaussian(shape):
     return lambda seed: [rng.complex_gaussian(rng.generator(seed), shape)]
 
@@ -44,7 +40,6 @@ def _schmidt(seed):
 
 STREAMS = {
     "uniforms": lambda seed: [rng.generator(seed).random(8)],
-    "standard_normals": _normals,
     "complex_gaussian_1x1": _gaussian((1, 1)),
     "complex_gaussian_3x1": _gaussian((3, 1)),
     "complex_gaussian_4x2": _gaussian((4, 2)),
@@ -64,7 +59,6 @@ DIGESTS = {
     "pure_bipartite_from_schmidt": "ba5f99b383032705211b8792c3fbae989758133745d256407d6b9a66fc97b3f2",
     "random_channel": "26767ed985d67cfecfa510892f162eeb19425331fae1d735de1b63a4676a84a4",
     "random_density": "9c581583d90b669bf54b45c3b0575f4e99aee195e2ceeb99e8cb054dde7b6ef3",
-    "standard_normals": "34e96ce5fd6828f56fb6cb3d8c743120831908fd2aed0a2113c3b4349b4d9966",
     "uniforms": "cb510a6d05ea906af558d6f478f3fe04a90746d52569275222f3574ff508f393",
 }
 
