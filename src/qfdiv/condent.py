@@ -16,8 +16,8 @@ sigma (D_f is jointly convex for operator-convex f) and ``theta -> sigma`` is
 a submersion onto the interior of the states on the support, so every
 stationary theta is a global minimum, with no local one to escape.
 For the power family there is an independent closed form (the reduced
-``alpha``-power trace, and at ``alpha = 1`` the entropy difference), which
-the test suite cross-validates against the optimizer.
+``alpha``-power trace, which is the entropy difference at ``alpha = 1``),
+which the test suite cross-validates against the optimizer.
 
 States carry their factor dimensions; ``cond`` selects the conditioning
 factors by label, any proper subset of them, e.g. ``cond="B"`` on an
@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .fdiv import ALPHA_ONE_TOL, DivergenceFunction, _positive_alpha
+from .fdiv import DivergenceFunction, _positive_alpha, _qlog
 from .linalg import (
     BipartiteState,
     _factor_indices,
@@ -101,21 +101,23 @@ def alpha_log(xi: float, alpha: float) -> float:
     xi = float(xi)
     if xi <= 0.0:
         raise DomainError(f"alpha_log needs a positive argument, got {xi!r}")
-    alpha = _positive_alpha(alpha)
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return math.log(xi)
-    return (xi ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+    return _qlog(xi, 1.0 - _positive_alpha(alpha))
 
 
 def tsallis_entropy(rho, alpha: float) -> float:
-    """Power-family entropy ``(1 - tr rho**alpha) / (alpha - 1)`` of a normalized state."""
+    """Power-family entropy ``(1 - tr rho**alpha) / (alpha - 1)`` of a normalized state,
+    as ``-sum w _qlog(w, alpha - 1)`` over its spectrum: von Neumann's at ``alpha = 1``."""
     alpha = _positive_alpha(alpha)
     # the kernel is dropped: fractional powers would amplify its eigenvalue noise
     w = clamp_psd_spectrum(np.linalg.eigvalsh(as_matrix(rho)))
     w = w[w > 0.0]
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return float(-np.sum(w * np.log(w)))
-    return (1.0 - float(np.sum(w**alpha))) / (alpha - 1.0)
+    return -float(w @ _qlog(w, alpha - 1.0))
+
+
+def _from_power_mean(k: float, c: float) -> float:
+    """``(1 - n**(1 + c)) / c`` for a power mean ``n = 1 + c k``, as ``-(k + n _qlog(n, c))``."""
+    n = 1.0 + c * k
+    return -(k + n * _qlog(n, c))
 
 
 def _conditioning_split(dims: tuple[int, ...], cond: str):
@@ -467,24 +469,24 @@ def conditional_entropy_tsallis_closed(
     normalized ``1/alpha`` power of the reduced ``alpha``-power
     ``tr_rest(rho**alpha)``, giving the value
     ``(1 - (tr [tr_rest(rho**alpha)]**(1/alpha))**alpha) / (alpha - 1)``.
-    At ``alpha = 1`` this is the entropy difference ``H(rho) - H(rho_cond)``
-    with the conditioning marginal ``rho_cond`` as the minimizer.  Valid for
-    ``alpha`` in ``(0, 2]`` where the divergence is monotone.
+    One formula, exact at ``alpha = 1``, where it is ``H(rho) - H(rho_cond)``
+    with the conditioning marginal as the minimizer: with ``w`` the spectrum
+    divided by its trace and ``t`` that of the reduced power, the trace's
+    excess over 1 is ``alpha - 1`` times ``sum w _qlog(w, alpha - 1) -
+    sum t _qlog(t, (1 - alpha) / alpha) / alpha``.  Valid for ``alpha`` in
+    ``(0, 2]`` where the divergence is monotone.
     """
     alpha = _monotone_alpha(alpha)
     cond_idx = _conditioning_split(state.dims, cond)[0]
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        rho_cond = ptrace_entries(state.entries, state.dims, cond_idx)
-        value = tsallis_entropy(state, 1.0) - tsallis_entropy(rho_cond, 1.0)
-        return value, rho_cond
     w, v = psd_eigh(state.entries)
+    w /= w.sum()
     rho_pow = (v * w**alpha) @ v.conj().T
     wt, vt = psd_eigh(ptrace_entries(rho_pow, state.dims, cond_idx))
     root = (vt * wt ** (1.0 / alpha)) @ vt.conj().T
-    norm = float(root.trace().real)
-    value = (1.0 - norm**alpha) / (alpha - 1.0)
-    sigma = root / norm
-    return value, (sigma + sigma.conj().T) / 2.0
+    w, wt = w[w > 0.0], wt[wt > 0.0]
+    k = float(w @ _qlog(w, alpha - 1.0) - wt @ _qlog(wt, (1.0 - alpha) / alpha) / alpha)
+    sigma = root / root.trace().real
+    return _from_power_mean(k, alpha - 1.0), (sigma + sigma.conj().T) / 2.0
 
 
 def thm2_bounds(
@@ -535,8 +537,8 @@ def classical_register_closed_form(
     """Exact conditional entropy of a classical-register mixture from its blocks.
 
     Combines per-block conditional entropies ``H_y`` through the weighted
-    ``1/alpha`` power mean of ``1 + (1 - alpha) H_y``; at ``alpha = 1`` this
-    degenerates to the plain average.
+    ``1/alpha`` power mean of ``t_y = 1 + (1 - alpha) H_y`` (positive for any
+    state's entropy): one formula, exact at ``alpha = 1``, the plain average.
     """
     alpha = _monotone_alpha(alpha)
     h = np.asarray(block_entropies, dtype=float).ravel()
@@ -545,15 +547,13 @@ def classical_register_closed_form(
     w = _probability_vector(p)
     if h.size != w.size or h.size == 0:
         raise DomainError("block entropies and probabilities must align and be non-empty")
-    if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        return float(np.dot(w, h))
     t = 1.0 + (1.0 - alpha) * h
-    if (t < 0).any():
+    if (t <= 0).any():
         raise DomainError(
-            f"inconsistent block entropies: 1 + (1 - alpha) H = {t.min()!r} is negative"
+            f"inconsistent block entropies: 1 + (1 - alpha) H = {t.min()!r} is not positive"
         )
-    mean = float(np.dot(w, t ** (1.0 / alpha)))
-    return (mean**alpha - 1.0) / (1.0 - alpha)
+    k = -float(w @ (h + t * _qlog(t, (1.0 - alpha) / alpha) / alpha))
+    return _from_power_mean(k, alpha - 1.0)
 
 
 def chain_rule_rhs(h_abc_given_bc: float, d_c: int, alpha: float) -> float:

@@ -366,6 +366,11 @@ class TestOptimizer:
 GRADIENT_FUNCTIONS = [make_tsallis_f(a) for a in (0.3, 0.5, 1.0, 1.5, 2.0)] + [mix_function()]
 
 
+def function_id(f):
+    """A test id: the name of ``f``, and ``kl`` for the power family at alpha = 1."""
+    return "kl" if f.name == "tsallis-1" else f.name
+
+
 class TestOptimizerOptions:
     @pytest.mark.parametrize(
         "kwargs, named",
@@ -410,7 +415,7 @@ class TestOptimizerOptions:
 
 
 class TestSlope:
-    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=function_id)
     def test_matches_finite_difference_of_perspective(self, f):
         # d/ds [s f(w/s)] = f(x) - x f'(x) at x = w/s
         for w in (0.1, 0.5, 1.0):
@@ -430,7 +435,7 @@ class TestObjectiveGradient:
         scale = max(np.abs(reference).max(), 1e-3)
         assert np.abs(grad - reference).max() <= 1e-6 * scale
 
-    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=function_id)
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 4), (2, 8)])
     def test_matches_finite_differences(self, dims, f):
         d = dims[0] * dims[1]
@@ -443,7 +448,7 @@ class TestObjectiveGradient:
             ):
                 self.assert_matches_fd(objective, theta)
 
-    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=function_id)
     def test_padded_marginal(self, f):
         state = embed_ancilla(random_bipartite((2, 3), 4, seed=41), 2)
         objective = objective_for(state, f)
@@ -479,7 +484,7 @@ class TestObjectiveGradient:
         assert condent._fw_gap(point.gt, point.g_mean, 1e-6) == math.inf
         assert gap_at(objective, theta) == math.inf
 
-    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("f", GRADIENT_FUNCTIONS, ids=function_id)
     def test_value_matches_divergence_engine(self, f):
         state = random_bipartite((2, 3), 5, seed=43)
         objective = objective_for(state, f)
@@ -1045,9 +1050,10 @@ class TestClassicalRegister:
         assert got == pytest.approx(0.25 * 0.2 + 0.75 * -0.6)
 
     def test_rejects_inconsistent_entropies(self):
-        # alpha = 2 requires 1 - H >= 0, so an entropy above 1 is impossible
-        with pytest.raises(DomainError, match="inconsistent"):
-            classical_register_closed_form([3.0], [1.0], 2.0)
+        # alpha = 2 requires 1 - H > 0: a state's entropy is below ln_2(d) = 1 - 1/d
+        for h in (3.0, 1.0):
+            with pytest.raises(DomainError, match="not positive"):
+                classical_register_closed_form([h], [1.0], 2.0)
 
     def test_rejects_bad_distribution(self):
         with pytest.raises(DomainError, match="probability"):

@@ -60,11 +60,14 @@ class TestCatalog:
         assert make_tsallis_f(0.3).operator_convex
         assert not make_tsallis_f(2.5).operator_convex
 
-    def test_alpha_one_switch(self):
-        f = make_tsallis_f(1.0 + 1e-8)
-        assert f.name == "kl"
-        x = 2.5
-        assert float(f(x)) == pytest.approx(x * math.log(x))
+    def test_one_formula_near_alpha_one(self):
+        # no switch to x log x near alpha = 1: f is x _qlog(x, alpha - 1) to a few ulps,
+        # and it differs from x log x by its first-order term c x log(x)**2 / 2
+        x, c = 2.5, 1e-8
+        got = float(make_tsallis_f(1.0 + c)(x))
+        assert got == pytest.approx(x * float(fdiv._qlog(x, c)), rel=4 * np.finfo(float).eps)
+        assert got - x * math.log(x) == pytest.approx(c * x * math.log(x) ** 2 / 2, rel=1e-6)
+        assert make_tsallis_f(1.0).name == "tsallis-1"
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
@@ -290,10 +293,14 @@ class TestClosedForms:
         assert vn_relative_entropy_closed(KET0, PLUS) == INF
 
     def test_alpha_one_delegates(self):
+        # the relative entropy is the alpha = 1 point of the one closed form, which is
+        # smooth through it: the mean of its values at 1 -+ 1e-9 is the relative entropy
         a, b = conditioned_pair(3, 3, seed=111)
-        assert tsallis_divergence_closed(a, b, 1.0 + 1e-9) == pytest.approx(
-            vn_relative_entropy_closed(a, b), abs=1e-9
-        )
+        vn = vn_relative_entropy_closed(a, b)
+        assert vn == tsallis_divergence_closed(a, b, 1.0)
+        below, above = (tsallis_divergence_closed(a, b, 1.0 + s * 1e-9) for s in (-1, 1))
+        assert (below + above) / 2 == pytest.approx(vn, abs=1e-14)
+        assert below < vn < above
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):

@@ -38,9 +38,11 @@ SOLVED = [
     ((4, 2), 5, 911, 0.5, 1, (1,), 0.941000856363413, 1.8957770908656357e-09),
     ((4, 3), 3, 915, 1.0, 500, (5,), -0.040941368978545466, 4.3675936900466894e-07),
     ((4, 4), 9, 916, 0.5, 500, (7,), 0.7548092025131088, 2.661714404439408e-08),
-    ((2, 16), 14, 918, 0.8, 500, (27,), -0.0011974555749421772, 4.6865191383194116e-07),
-    # start 0's line search fails and its polish stops at gap 1.0e-5; start 1 certifies
-    ((4, 4), 1, 1001, 0.1, 500, (22, 53), -0.4885748317800767, 1.1044720471531377e-08),
+    ((2, 16), 14, 918, 0.8, 500, (27,), -0.0011974555749505456, 4.777000166544809e-07),
+    ((4, 4), 1, 1001, 0.1, 500, (20,), -0.4885748317800379, 4.125523271891751e-07),
+    # start 0's line search fails after 2 iterations and its polish stops at gap 2.6e-5;
+    # start 1 certifies
+    ((4, 4), 1, 1022, 0.2, 500, (2, 47), -0.3208768264591105, 3.0689497054758874e-08),
 ]
 
 UNCERTIFIED = [

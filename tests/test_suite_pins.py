@@ -26,7 +26,7 @@ PINS = [
     ("extension-independence", 70, 0, -1.8318679906315083e-15),
     ("thm3-data-processing", 10, 0, 0.13421120187854363),
     ("conditioning-reduces", 10, 0, 0.0949229235350581),
-    ("alpha-continuity", 20, 0, -5.395297600407911e-05),
+    ("alpha-continuity", 20, 0, -5.3952968690818004e-05),
     ("closed-form-vs-optimizer", 10, 0, -7.79126707595168e-10),
 ]
 
