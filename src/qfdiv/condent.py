@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _lapack
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .fdiv import DivergenceFunction, _positive_alpha, _qlog
 from .linalg import (
@@ -109,7 +110,7 @@ def tsallis_entropy(rho, alpha: float) -> float:
     as ``-sum w _qlog(w, alpha - 1)`` over its spectrum: von Neumann's at ``alpha = 1``."""
     alpha = _positive_alpha(alpha)
     # the kernel is dropped: fractional powers would amplify its eigenvalue noise
-    w = clamp_psd_spectrum(np.linalg.eigvalsh(as_matrix(rho)))
+    w = clamp_psd_spectrum(_lapack.eigvalsh(as_matrix(rho)))
     w = w[w > 0.0]
     return -float(w @ _qlog(w, alpha - 1.0))
 
@@ -178,7 +179,7 @@ def _fw_gap(gt: np.ndarray, g_mean: float, tol: float = math.inf) -> float:
         return bound
     if not (math.isfinite(g_mean) and np.isfinite(gt).all()):
         return math.inf
-    return max(g_mean - float(np.linalg.eigvalsh(gt)[0]), 0.0)
+    return max(g_mean - float(_lapack.eigvalsh(gt)[0]), 0.0)
 
 
 class _Point(NamedTuple):
@@ -258,7 +259,7 @@ class _Objective:
         """The point ``sigma(theta)``: its value, theta-gradient and sigma-gradient."""
         t = theta.reshape(self.rank, self.rank)
         # the inverse of _pack_hermitian; H's eigenvalues are shifted to max 0
-        lam, u = np.linalg.eigh(0.5 * ((t + t.T) + 1j * (t - t.T)))
+        lam, u = _lapack.eigh(0.5 * ((t + t.T) + 1j * (t - t.T)))
         lam = lam - lam[-1]
         ex = np.exp(lam)
         p = ex / ex.sum()
@@ -307,11 +308,11 @@ class _Objective:
             if gap <= tol or fw == math.inf:
                 break
             bound = max(bound, value - fw)
-            v = np.linalg.eigh(gt)[1][:, 0]
+            v = _lapack.eigh(gt)[1][:, 0]
             direction = np.outer(v, v.conj()) - np.diag(p)  # in the basis u
 
             def moved(gamma: float):
-                q, w = np.linalg.eigh(np.diag(p) + gamma * direction)
+                q, w = _lapack.eigh(np.diag(p) + gamma * direction)
                 return np.clip(q, 0.0, None), u @ w, w
 
             def slope(gamma: float) -> float:
@@ -502,7 +503,7 @@ def thm2_bounds(
     """
     _require_wellbehaved(f)
     d_cond = _conditioning_split(state.dims, cond)[2]
-    w = clamp_psd_spectrum(np.linalg.eigvalsh(state.entries))
+    w = clamp_psd_spectrum(_lapack.eigvalsh(state.entries))
     w = w[w > 0.0]
     lower = -float(np.sum(f(d_cond * w))) / d_cond
     upper = -float(np.sum(f(w)))

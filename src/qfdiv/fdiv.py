@@ -153,7 +153,8 @@ def _spectra(A, B):
     if m_a.shape != m_b.shape:
         raise DomainError(f"dimension mismatch: {m_a.shape} vs {m_b.shape}")
     (a, u), (b, v) = psd_eigh_pair(m_a, m_b)
-    table = np.abs(u.conj().T @ v) ** 2
+    table = np.abs(u.conj().T @ v)
+    table *= table
     return a, b, table, int(a.searchsorted(0.0, "right")), int(b.searchsorted(0.0, "right"))
 
 

@@ -1,9 +1,11 @@
 """Complex Hermitian linear algebra kernel.
 
-Eigendecompositions are computed with ``numpy.linalg.eigh`` (LAPACK
-``heevd``), which is deterministic for fixed input bits.  Every engine reads
-the spectrum of a positive operator through one rule, :func:`psd_eigh`: one
-eigensolve, a positive semi-definiteness check, and eigenvalues at or below
+Eigendecompositions are LAPACK ``heevd``, run through numpy's own gufunc by
+:mod:`qfdiv._lapack` (the one module that imports numpy's private LAPACK
+gufuncs) without numpy's Python wrapper, with the wrapper's bits; they are
+deterministic for fixed input bits.  Every engine reads the spectrum of a
+positive operator through one rule, :func:`psd_eigh`: one eigensolve, a
+positive semi-definiteness check, and eigenvalues at or below
 ``RANK_TOL * ||M||`` set to exact zeros (the kernel).  Nothing is merged:
 near-equal eigenvalues stay separate, which leaves spectral sums unchanged
 because they do not depend on the basis chosen inside an eigenspace.
@@ -34,12 +36,15 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _lapack
 from .errors import DomainError
 
 RANK_TOL = 1e-10
 
 _HERM_TOL = 1e-12
 _NORMALIZED_TOL = 1e-10  # how far a unit trace, probability sum or square sum may be off 1
+# the largest modulus of a raw matrix entry: M - M^dag and M + M^dag then stay finite
+_MAX_ENTRY = np.finfo(float).max / 2
 
 _FACTOR_LABELS = "ABC"
 
@@ -72,7 +77,7 @@ class DensityOperator:
     def __init__(self, entries) -> None:
         m = as_matrix(entries)
         m.setflags(write=False)
-        clamp_psd_spectrum(np.linalg.eigvalsh(m))
+        clamp_psd_spectrum(_lapack.eigvalsh(m))
         self.entries = m
         t = self.trace_value
         if not 0.0 < t <= 1.0 + _NORMALIZED_TOL:
@@ -139,17 +144,20 @@ def as_matrix(x) -> np.ndarray:
 
     A density operator's entries, a factored state's included, are returned as
     they are, since its constructor validated them.  A raw array must be
-    finite and Hermitian within ``1e-12 * (1 + max|M|)``, and is symmetrized
-    into a new array.
+    finite, with no entry of modulus above ``finfo(float).max / 2`` (so that
+    symmetrizing cannot overflow), and Hermitian within
+    ``1e-12 * (1 + max|M|)``, and is symmetrized into a new array.
     """
     if isinstance(x, DensityOperator):
         return x.entries
     m = np.asarray(x, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    scale = 1.0 + np.abs(m).max(initial=0.0)
-    if not math.isfinite(scale):  # max propagates NaN
-        raise DomainError("matrix entries must be finite")
+    with np.errstate(over="ignore"):  # |z| of a finite z can overflow; it is refused below
+        big = np.abs(m).max(initial=0.0)
+    if not big <= _MAX_ENTRY:  # max propagates NaN, which fails too
+        raise DomainError(f"matrix entries must be finite and of modulus at most {_MAX_ENTRY:.3e}")
+    scale = 1.0 + big
     mh = np.conjugate(m.T, order="C")
     defect = np.abs(m - mh).max(initial=0.0)
     if defect > _HERM_TOL * scale:
@@ -165,27 +173,30 @@ def as_matrix(x) -> np.ndarray:
 def clamp_psd_spectrum(w: np.ndarray) -> np.ndarray:
     """The kernel rule, applied in place to the ascending spectrum of a PSD matrix.
 
-    An eigenvalue below ``-RANK_TOL * ||M||`` is a domain error; eigenvalues
-    at or below ``RANK_TOL * ||M||`` become exact zeros, so the kernel is a
-    leading block of zeros.  Both thresholds are relative, so the rule does
-    not depend on the overall scale of ``M``.
+    An eigenvalue below ``-RANK_TOL * ||M||`` is a domain error, and so is a
+    NaN at either end of the spectrum; eigenvalues at or below
+    ``RANK_TOL * ||M||`` become exact zeros, so the kernel is a leading block
+    of zeros.  Both thresholds are relative, so the rule does not depend on
+    the overall scale of ``M``.
     """
     if not w.size:
         return w
     floor = RANK_TOL * max(w[-1], -w[0])
-    if w[0] < -floor:
-        raise DomainError(f"positive semi-definiteness violated: eigenvalue {w[0]:.3e}")
-    w[w <= floor] = 0.0
+    if not w[0] >= -floor:  # NaN fails too
+        raise DomainError(
+            f"positive semi-definiteness violated: eigenvalues from {w[0]:.3e} to {w[-1]:.3e}"
+        )
+    w[: w.searchsorted(floor, "right")] = 0.0  # ascending: the kernel is a leading block
     return w
 
 
 def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigensystem of a PSD matrix with the kernel clamped to exact zeros.
 
-    One ``eigh`` followed by :func:`clamp_psd_spectrum`, so the eigenvalues
+    One ``heevd`` followed by :func:`clamp_psd_spectrum`, so the eigenvalues
     read ``[0, ..., 0, positive part]``.
     """
-    w, v = np.linalg.eigh(m)
+    w, v = _lapack.eigh(m)
     return clamp_psd_spectrum(w), v
 
 
@@ -219,7 +230,7 @@ def psd_eigh_pair(m_a: np.ndarray, m_b: np.ndarray) -> tuple[tuple, tuple]:
     """
     if m_a.shape[0] < _CONCURRENT_MIN_DIM or _usable_cpus() < 2:
         return psd_eigh(m_a), psd_eigh(m_b)
-    future = _eigh_worker(os.getpid()).submit(np.linalg.eigh, m_b)
+    future = _eigh_worker(os.getpid()).submit(_lapack.eigh, m_b)
     try:
         eig_a = psd_eigh(m_a)
     finally:

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from . import _lapack
+
 _U64_MASK = (1 << 64) - 1
 
 
@@ -90,8 +92,7 @@ def haar_isometry(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} x {cols}")
-    q, r = np.linalg.qr(complex_gaussian(gen, (rows, cols)), mode="reduced")
-    d = r.diagonal()
+    q, d = _lapack.qr(complex_gaussian(gen, (rows, cols)))  # d: the diagonal of R
     absd = np.abs(d)
     # a zero diagonal entry has probability zero; its phase is 1
     q *= np.divide(d, absd, out=np.ones(cols, dtype=np.complex128), where=absd != 0)

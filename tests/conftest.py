@@ -25,17 +25,23 @@ def support_projector(a) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def in_fresh_interpreter(probe: str) -> str:
-    """What ``probe`` prints, run in a new interpreter that imports ``qfdiv`` from this tree."""
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports ``qfdiv`` from this tree."""
     path = os.pathsep.join([str(Path(qfdiv.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        check=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
-    ).stdout.strip()
+    )
+
+
+def in_fresh_interpreter(probe: str) -> str:
+    """What ``probe`` prints, run in a new interpreter that imports ``qfdiv`` from this tree."""
+    run = run_fresh("-c", probe)
+    run.check_returncode()
+    return run.stdout.strip()
 
 
 def bell_matrix() -> np.ndarray:

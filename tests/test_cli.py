@@ -9,7 +9,7 @@ from qfdiv.condent import BipartiteState
 from qfdiv.errors import DomainError
 from qfdiv.linalg import DensityOperator
 
-from conftest import bell_matrix
+from conftest import bell_matrix, run_fresh
 
 
 def write_state(path, matrix, dims=None):
@@ -336,6 +336,17 @@ class TestDivergenceCommand:
         assert main(["bounds", "--state", path, "--alpha", "0.5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("qfdiv: error:") and "semi-definiteness" in err
+
+    def test_huge_entries_are_one_error_line_under_warnings_as_errors(self, tmp_path, mixed_file):
+        # 1e308 + 1e308 overflows while symmetrizing: the entries are refused before that
+        big = write_state(tmp_path / "big.json", np.full((2, 2), 1e308))
+        run = run_fresh(
+            "-W", "error", "-m", "qfdiv", "divergence", "--a", big, "--b", mixed_file, "--family", "kl"
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == (
+            f"qfdiv: error: {big}: matrix entries must be finite and of modulus at most 8.988e+307\n"
+        )
 
 
 class TestBoundsCommand:

@@ -10,7 +10,7 @@ from qfdiv.channels import (
     random_density,
 )
 import qfdiv.condent as condent
-from qfdiv import rng
+from qfdiv import _lapack, rng
 from qfdiv.condent import (
     BipartiteState,
     OptimizerOptions,
@@ -709,16 +709,16 @@ class TestDescent:
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """The names of the ``np.linalg`` eigensolvers called, one entry per call."""
+    """The names of the ``qfdiv._lapack`` eigensolvers called, one entry per call."""
     calls = []
     for name in ("eigvalsh", "eigh"):
-        real = getattr(np.linalg, name)
+        real = getattr(_lapack, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(_lapack, name, spy)
     return calls
 
 
@@ -958,11 +958,9 @@ class TestBounds:
     def test_reads_the_spectrum_with_one_eigvalsh(self, monkeypatch):
         # the bounds need eigenvalues only: no eigenvectors are computed
         calls = []
-        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh") or eigh(m))
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda m: calls.append("eigvalsh") or eigvalsh(m)
-        )
+        eigh, eigvalsh = _lapack.eigh, _lapack.eigvalsh
+        monkeypatch.setattr(_lapack, "eigh", lambda m: calls.append("eigh") or eigh(m))
+        monkeypatch.setattr(_lapack, "eigvalsh", lambda m: calls.append("eigvalsh") or eigvalsh(m))
         thm2_bounds(random_bipartite((2, 3), 4, seed=77), make_tsallis_f(0.5))
         assert calls == ["eigvalsh"]
 

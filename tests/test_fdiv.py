@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from qfdiv import channels, fdiv, linalg
+from qfdiv import _lapack, channels, fdiv, linalg
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import (
     INF,
@@ -366,7 +366,7 @@ class TestEpsSweep:
         # B + c * I shares B's eigenvectors: every eps reuses one pair of spectra
         a = channels.random_density(4, 4, seed=140).entries
         b = channels.random_density(4, rank_b, seed=141).entries
-        eigh, spectra = np.linalg.eigh, fdiv._spectra
+        eigh, spectra = _lapack.eigh, fdiv._spectra
         calls = {"eigh": 0, "spectra": 0}
 
         def counted_eigh(m):
@@ -377,7 +377,7 @@ class TestEpsSweep:
             calls["spectra"] += 1
             return spectra(*args)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(_lapack, "eigh", counted_eigh)
         monkeypatch.setattr(fdiv, "_spectra", counted_spectra)
         quantum_f_divergence_eps_sweep(a, b, make_tsallis_f(0.5))
         assert calls == {"eigh": 2, "spectra": 1}
@@ -565,13 +565,13 @@ class TestConcurrentEigensolves:
     @pytest.mark.parametrize("d", [16, 24, 36, 64])
     def test_pair_is_two_psd_eigh_calls_bit_for_bit(self, two_cpus, monkeypatch, d):
         a, b = spectral_pair(d, d // 3, 200 + d)
-        eigh, on_main = np.linalg.eigh, {}
+        eigh, on_main = _lapack.eigh, {}
 
         def recorded_eigh(m):
             on_main["A" if m is a else "B"] = threading.current_thread() is threading.main_thread()
             return eigh(m)
 
-        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        monkeypatch.setattr(_lapack, "eigh", recorded_eigh)
         got = psd_eigh_pair(a, b)
         # A on the calling thread; B on the worker exactly when d reaches the threshold
         assert on_main == {"A": True, "B": d < linalg._CONCURRENT_MIN_DIM}
@@ -595,7 +595,7 @@ class TestConcurrentEigensolves:
 
     def test_an_error_waits_for_the_worker(self, two_cpus, monkeypatch):
         # A's solve raises at once; B's is still running and must finish first
-        eigh, finished = np.linalg.eigh, []
+        eigh, finished = _lapack.eigh, []
 
         def slow_eigh(m):
             if threading.current_thread() is threading.main_thread():
@@ -604,7 +604,7 @@ class TestConcurrentEigensolves:
             finished.append(True)
             return eigh(m)
 
-        monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+        monkeypatch.setattr(_lapack, "eigh", slow_eigh)
         a, b = spectral_pair(36, 36, 400)
         with pytest.raises(np.linalg.LinAlgError, match="A's solve"):
             psd_eigh_pair(a, b)

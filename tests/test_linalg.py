@@ -7,11 +7,13 @@ from qfdiv.condent import chain_rule_rhs
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import make_tsallis_f, quantum_f_divergence
 from qfdiv.linalg import (
+    RANK_TOL,
     BipartiteState,
     DensityOperator,
     _probability_vector,
     _schmidt_coefficients,
     as_matrix,
+    clamp_psd_spectrum,
     partial_trace,
     psd_eigh,
     ptrace_entries,
@@ -117,6 +119,25 @@ class TestAsMatrix:
         with pytest.raises(DomainError, match="finite"):
             DensityOperator(np.diag([1.0, bad]))
 
+    @pytest.mark.parametrize(
+        "big", [1e308, -9e307, 9e307j, 1.5e308 + 1.5e308j, np.finfo(float).max * (1 + 1j)]
+    )
+    def test_rejects_entries_whose_symmetrization_would_overflow(self, big):
+        # one error, and no overflow warning on the way (warnings are errors here)
+        for m in (np.full((2, 2), big), np.diag([0.5, big])):
+            with pytest.raises(DomainError, match="finite and of modulus at most 8.988e"):
+                as_matrix(m)
+            with pytest.raises(DomainError, match="finite and of modulus at most 8.988e"):
+                DensityOperator(m)
+
+    def test_entries_at_the_modulus_bound_pass_without_overflow(self):
+        z = np.finfo(float).max / 2 * np.exp(0.25j * np.pi)
+        m = np.array([[0.0, z], [np.conj(z), 0.0]])
+        assert as_matrix(m).tobytes() == m.tobytes()
+        # M - M^dag reaches 2|z|, the largest finite modulus: a Hermiticity error, not an overflow
+        with pytest.raises(DomainError, match="Hermiticity"):
+            as_matrix(np.array([[0.0, z], [-np.conj(z), 0.0]]))
+
     def test_symmetrizes_a_new_array(self):
         m = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
         out = as_matrix(m)
@@ -170,6 +191,20 @@ class TestPsdEigh:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(DomainError, match="semi-definiteness"):
             psd_eigh(PAULI_X)
+
+    @pytest.mark.parametrize("w", [[np.nan, 0.5, 1.0], [0.0, 0.5, np.nan], [np.nan] * 3])
+    def test_rejects_a_nan_at_either_end(self, w):
+        with pytest.raises(DomainError, match="semi-definiteness"):
+            clamp_psd_spectrum(np.array(w))
+
+    def test_kernel_slice_is_the_mask_rule(self):
+        # floor = RANK_TOL * 1.0: values at or below it, ties and -0.0 included, are kernel
+        floor = RANK_TOL * 1.0
+        w = np.array([-floor, -0.0, 0.0, 1e-12, floor, np.nextafter(floor, 1.0), 0.5, 0.5, 1.0])
+        want = np.where(w <= floor, 0.0, w)
+        got = clamp_psd_spectrum(w.copy())
+        assert got.tobytes() == want.tobytes()
+        assert clamp_psd_spectrum(np.zeros(3)).tobytes() == np.zeros(3).tobytes()
 
     @pytest.mark.parametrize(
         "engine",
