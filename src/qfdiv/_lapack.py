@@ -9,8 +9,10 @@ reports a failure through the invalid flag, which the ``errstate`` turns into
 :class:`numpy.linalg.LinAlgError`, and input that does not make LAPACK fail
 (some NaN entries do not) gives what the wrapper gives.
 
-These are numpy's private gufuncs (in ``numpy.linalg._umath_linalg`` since
-numpy 1.22), so this module is the one place that imports them.
+These are numpy's private gufuncs in ``numpy.linalg._umath_linalg``; the
+single ``qr_r_raw`` is there since numpy 2.0 (numpy 1.x split it into
+``qr_r_raw_m`` and ``qr_r_raw_n``), which sets the floor in ``pyproject.toml``.
+This module is the one place that imports them.
 """
 
 from __future__ import annotations

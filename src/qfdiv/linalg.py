@@ -43,7 +43,9 @@ RANK_TOL = 1e-10
 
 _HERM_TOL = 1e-12
 _NORMALIZED_TOL = 1e-10  # how far a unit trace, probability sum or square sum may be off 1
-# the largest modulus of a raw matrix entry: M - M^dag and M + M^dag then stay finite
+# divided by the dimension d, the largest modulus of a raw matrix entry: the
+# trace and every eigenvalue (at most d * max|M|) then stay at or below
+# finfo.max / 2, so M - M^dag and M + M^dag stay finite too
 _MAX_ENTRY = np.finfo(float).max / 2
 
 _FACTOR_LABELS = "ABC"
@@ -144,8 +146,9 @@ def as_matrix(x) -> np.ndarray:
 
     A density operator's entries, a factored state's included, are returned as
     they are, since its constructor validated them.  A raw array must be
-    finite, with no entry of modulus above ``finfo(float).max / 2`` (so that
-    symmetrizing cannot overflow), and Hermitian within
+    finite, with no entry of modulus above ``finfo(float).max / (2 d)`` for a
+    ``d x d`` matrix (so that neither symmetrizing nor the trace nor an
+    eigenvalue can overflow), and Hermitian within
     ``1e-12 * (1 + max|M|)``, and is symmetrized into a new array.
     """
     if isinstance(x, DensityOperator):
@@ -155,8 +158,9 @@ def as_matrix(x) -> np.ndarray:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(over="ignore"):  # |z| of a finite z can overflow; it is refused below
         big = np.abs(m).max(initial=0.0)
-    if not big <= _MAX_ENTRY:  # max propagates NaN, which fails too
-        raise DomainError(f"matrix entries must be finite and of modulus at most {_MAX_ENTRY:.3e}")
+    bound = _MAX_ENTRY / max(m.shape[0], 1)
+    if not big <= bound:  # max propagates NaN, which fails too
+        raise DomainError(f"matrix entries must be finite and of modulus at most {bound:.3e}")
     scale = 1.0 + big
     mh = np.conjugate(m.T, order="C")
     defect = np.abs(m - mh).max(initial=0.0)

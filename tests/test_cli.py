@@ -337,15 +337,29 @@ class TestDivergenceCommand:
         err = capsys.readouterr().err
         assert err.startswith("qfdiv: error:") and "semi-definiteness" in err
 
-    def test_huge_entries_are_one_error_line_under_warnings_as_errors(self, tmp_path, mixed_file):
-        # 1e308 + 1e308 overflows while symmetrizing: the entries are refused before that
-        big = write_state(tmp_path / "big.json", np.full((2, 2), 1e308))
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # 1e308 + 1e308 overflows while symmetrizing
+            np.full((2, 2), 1e308),
+            # 8e307 symmetrizes, but the trace of the first and the top
+            # eigenvalue of the second overflow
+            np.diag(np.full(3, 8e307)),
+            np.full((3, 3), 8e307),
+        ],
+    )
+    def test_huge_entries_are_one_error_line_under_warnings_as_errors(
+        self, tmp_path, mixed_file, matrix
+    ):
+        # the entries are refused before any arithmetic on them
+        big = write_state(tmp_path / "big.json", matrix)
         run = run_fresh(
             "-W", "error", "-m", "qfdiv", "divergence", "--a", big, "--b", mixed_file, "--family", "kl"
         )
+        bound = np.finfo(float).max / (2 * matrix.shape[0])
         assert (run.returncode, run.stdout) == (1, "")
         assert run.stderr == (
-            f"qfdiv: error: {big}: matrix entries must be finite and of modulus at most 8.988e+307\n"
+            f"qfdiv: error: {big}: matrix entries must be finite and of modulus at most {bound:.3e}\n"
         )
 
 

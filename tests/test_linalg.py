@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import qfdiv
-from qfdiv import channels
+from qfdiv import _lapack, channels
 from qfdiv.condent import chain_rule_rhs
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import make_tsallis_f, quantum_f_divergence
@@ -120,23 +122,45 @@ class TestAsMatrix:
             DensityOperator(np.diag([1.0, bad]))
 
     @pytest.mark.parametrize(
-        "big", [1e308, -9e307, 9e307j, 1.5e308 + 1.5e308j, np.finfo(float).max * (1 + 1j)]
+        "m",
+        [
+            *(
+                mk(big)
+                for big in (1e308, -9e307, 9e307j, 1.5e308 + 1.5e308j, np.finfo(float).max * (1 + 1j))
+                for mk in (lambda z: np.full((2, 2), z), lambda z: np.diag([0.5, z]))
+            ),
+            # 8e307 symmetrizes without overflow, but the trace of the first and
+            # the top eigenvalue of the second are 2.4e308
+            np.diag(np.full(3, 8e307)),
+            np.full((3, 3), 8e307),
+        ],
     )
-    def test_rejects_entries_whose_symmetrization_would_overflow(self, big):
+    def test_rejects_entries_whose_symmetrization_would_overflow(self, m):
         # one error, and no overflow warning on the way (warnings are errors here)
-        for m in (np.full((2, 2), big), np.diag([0.5, big])):
-            with pytest.raises(DomainError, match="finite and of modulus at most 8.988e"):
-                as_matrix(m)
-            with pytest.raises(DomainError, match="finite and of modulus at most 8.988e"):
-                DensityOperator(m)
+        bound = np.finfo(float).max / (2 * m.shape[0])
+        message = re.escape(f"finite and of modulus at most {bound:.3e}")
+        with pytest.raises(DomainError, match=message):
+            as_matrix(m)
+        with pytest.raises(DomainError, match=message):
+            DensityOperator(m)
 
     def test_entries_at_the_modulus_bound_pass_without_overflow(self):
-        z = np.finfo(float).max / 2 * np.exp(0.25j * np.pi)
+        z = np.finfo(float).max / 4 * np.exp(0.25j * np.pi)
         m = np.array([[0.0, z], [np.conj(z), 0.0]])
         assert as_matrix(m).tobytes() == m.tobytes()
-        # M - M^dag reaches 2|z|, the largest finite modulus: a Hermiticity error, not an overflow
+        # M - M^dag reaches 2|z|, which is finite: a Hermiticity error, not an overflow
         with pytest.raises(DomainError, match="Hermiticity"):
             as_matrix(np.array([[0.0, z], [-np.conj(z), 0.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_trace_and_spectrum_at_the_bound_stay_finite(self, d):
+        # every entry at finfo.max / (2 d): trace and top eigenvalue are finfo.max / 2
+        m = as_matrix(np.full((d, d), np.finfo(float).max / (2 * d)))
+        w = _lapack.eigvalsh(m)
+        assert np.isfinite(w).all() and np.isfinite(m.trace())
+        assert w[-1] == pytest.approx(np.finfo(float).max / 2, rel=1e-12)
+        with pytest.raises(DomainError, match="trace bound violated: trace = 8.98"):
+            DensityOperator(m)
 
     def test_symmetrizes_a_new_array(self):
         m = np.array([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
