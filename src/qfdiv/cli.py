@@ -54,7 +54,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, and UnicodeDecodeError on a file not in UTF-8
         raise DomainError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -79,7 +79,8 @@ def parse_matrix_file(path: str):
         raise DomainError(f"{path}: dim must be at least 1, got {dim}")
     if re.shape != (dim * dim,) or im.shape != (dim * dim,):
         raise DomainError(f"{path}: re and im must be flat lists of dim^2 = {dim * dim} entries")
-    matrix = (re + 1j * im).reshape(dim, dim)
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j; as_matrix refuses it
+        matrix = (re + 1j * im).reshape(dim, dim)
     try:
         if "dims" in doc:
             return BipartiteState(matrix, doc["dims"])

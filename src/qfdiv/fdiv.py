@@ -4,16 +4,17 @@ A divergence is described by a :class:`DivergenceFunction`: a convex scalar
 function on the positive axis together with its boundary data -- the limit at
 zero and the slope at infinity ``ell = lim f(x)/x``.  Every divergence
 returned here is an extended real: a finite ``float`` or ``math.inf``.
-The kernel convention ``0 * inf = 0`` is applied explicitly where the mass of
-the first argument outside the support of the second vanishes.
 
 The primary evaluation path is the exact spectral double sum over the
-eigenvalue pairs of the two operators plus a kernel term weighted by ``ell``;
-the epsilon sweep (second argument regularized to full rank) is a
-cross-validation mode.  Every route, closed forms included, reads both
-spectra through :func:`qfdiv.linalg.psd_eigh_pair` and calls a kernel mass
-significant when it exceeds ``RANK_TOL`` times the trace of the operator it
-is taken from.
+eigenvalue pairs of the two operators plus two boundary terms,
+``ell * tr A(1 - B^0)`` and ``f(0+) * tr B(1 - A^0)``; the epsilon sweep
+(second argument regularized to full rank) is a cross-validation mode.  Every
+route, closed forms included, reads both spectra through
+:func:`qfdiv.linalg.psd_eigh_pair`.  One function, :func:`_boundary_term`,
+decides every boundary term of the spectral sum, the sweep and
+:func:`csiszar_divergence`: a finite coefficient times its mass, and for an
+infinite one ``inf`` when the mass exceeds ``RANK_TOL`` times the trace of
+the operator it is taken from, else ``0 * inf = 0``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ class DivergenceFunction:
     the perspective ``s f(w/s)`` in ``s`` at ``x = w/s``, in the same way; it
     should be written so that nothing cancels (``-x**alpha`` for the power
     family).  ``f_at_zero`` is the limit at 0+ and ``ell`` the limit of
-    ``f(x)/x`` at infinity; either may be ``inf``.  ``operator_convex`` records
-    whether f is operator convex on the positive axis, which is what the
-    monotonicity results need.
+    ``f(x)/x`` at infinity; either may be ``inf``, neither ``-inf`` nor NaN.
+    ``operator_convex`` records whether f is operator convex on the positive
+    axis, which is what the monotonicity results need.
     """
 
     name: str
@@ -54,8 +55,10 @@ class DivergenceFunction:
     operator_convex: bool
 
     def __post_init__(self) -> None:
-        if self.ell == -INF:
-            raise DomainError("divergence functions with ell = -inf are not supported")
+        for name in ("ell", "f_at_zero"):
+            value = getattr(self, name)
+            if not value > -INF:  # a convex f has both limits in (-inf, inf]; NaN fails too
+                raise DomainError(f"divergence functions need {name} in (-inf, inf], got {value!r}")
 
     def __call__(self, xi):
         return self.fn(np.asarray(xi, dtype=float))
@@ -105,17 +108,27 @@ def make_tsallis_f(alpha: float) -> DivergenceFunction:
     )
 
 
+def _boundary_term(coeff: float, mass: float, weights: np.ndarray) -> float:
+    """``coeff * mass`` for a finite ``coeff``; for ``coeff = inf``, ``inf`` when ``mass``
+    exceeds ``RANK_TOL * weights.sum()`` and 0.0 otherwise (``0 * inf = 0``).
+
+    The one boundary rule: ``ell * tr A(1 - B^0)`` with the spectrum of ``A`` as
+    ``weights`` and ``f(0+) * tr B(1 - A^0)`` with that of ``B``.  The trace is
+    summed only for an infinite ``coeff``.
+    """
+    if coeff != INF:
+        return coeff * mass
+    return INF if mass > RANK_TOL * weights.sum() else 0.0
+
+
 def csiszar_divergence(p, q, f: DivergenceFunction) -> float:
     """Classical f-divergence ``sum_x q_x f(p_x / q_x)`` of two distributions.
 
     The kernel rule of :func:`quantum_f_divergence`, applied to the entries
     without an eigensolve: entries at or below ``RANK_TOL`` times their
-    vector's largest are zeros.  Terms with ``q_x = 0 < p_x`` contribute
-    ``p_x * ell`` and terms with ``p_x = 0 < q_x`` contribute
-    ``q_x * f(0+)``; an infinite ``ell`` or ``f(0+)`` gives ``inf`` only when
-    its mass exceeds ``RANK_TOL`` times the total of ``p`` or ``q``, and
-    multiplies a mass taken as zero below that.  Terms with
-    ``p_x = q_x = 0`` contribute nothing.
+    vector's largest are zeros.  The mass of ``p`` where ``q`` is zero and of
+    ``q`` where ``p`` is zero enter through :func:`_boundary_term`, with
+    ``ell`` and ``f(0+)``.  Terms with ``p_x = q_x = 0`` contribute nothing.
     """
     p = _probability_vector(p, "p")
     q = _probability_vector(q, "q")
@@ -128,15 +141,8 @@ def csiszar_divergence(p, q, f: DivergenceFunction) -> float:
     both = (p > 0) & (q > 0)
     if both.any():
         total += float(np.sum(q[both] * f(p[both] / q[both])))
-    for coeff, mass, scale in (
-        (f.ell, float(p[q == 0].sum()), float(p.sum())),
-        (f.f_at_zero, float(q[p == 0].sum()), float(q.sum())),
-    ):
-        if coeff != INF:
-            total += coeff * mass
-        elif mass > RANK_TOL * scale:
-            return INF
-    return total
+    total += _boundary_term(f.ell, float(p[q == 0].sum()), p)
+    return total + _boundary_term(f.f_at_zero, float(q[p == 0].sum()), q)
 
 
 def _spectra(A, B):
@@ -164,23 +170,13 @@ def _kernel_mass(a, table, ka: int, kb: int) -> float:
 
 
 def _spectral_sum(a, b, table, ka: int, kb: int, f: DivergenceFunction) -> float:
-    """The double sum and kernel terms of :func:`quantum_f_divergence` on given spectra."""
-    total = 0.0
-    if kb:
-        kernel_mass = _kernel_mass(a, table, ka, kb)
-        if f.ell != INF:
-            total = f.ell * kernel_mass
-        elif kernel_mass > RANK_TOL * a.sum():
-            return INF
-        # else 0 * inf := 0 -- mass inside rank tolerance contributes nothing
+    """The double sum and boundary terms of :func:`quantum_f_divergence` on given spectra."""
+    total = _boundary_term(f.ell, _kernel_mass(a, table, ka, kb), a) if kb else 0.0
     b_pos = b[kb:]
     if ka and f.f_at_zero != 0.0:
-        zero_mass = float(table[:ka, kb:].sum(axis=0) @ b_pos)
-        if f.f_at_zero == INF:
-            if zero_mass > RANK_TOL * b.sum():
-                return INF
-        else:
-            total += f.f_at_zero * zero_mass
+        total += _boundary_term(f.f_at_zero, float(table[:ka, kb:].sum(axis=0) @ b_pos), b)
+    if total == INF:
+        return INF
     block = table[ka:, kb:]
     with np.errstate(all="ignore"):
         fvals = f(a[ka:, None] / b_pos)
@@ -196,15 +192,12 @@ def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
     """Quantum f-divergence of PSD operator ``A`` with respect to ``B``.
 
     Evaluates the spectral double sum ``sum_{a, b>0} b f(a/b) tr(P_a Q_b)``
-    over the eigenpairs of ``A`` and ``B``, plus the kernel term
-    ``ell * tr(A (1 - B^0))`` and, when ``f(0+)`` is nonzero, the term
-    ``f(0+) * tr(B (1 - A^0))``.  Both spectra come from
-    :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below ``RANK_TOL`` times
-    the operator's largest eigenvalue are the kernel and count as exact
-    zeros.  The result is ``inf`` exactly when ``ell = inf`` and the kernel
-    mass exceeds ``RANK_TOL * tr A``, or ``f(0+) = inf`` and the mass of
-    ``B`` on the kernel of ``A`` exceeds ``RANK_TOL * tr B``; below those
-    thresholds the infinite coefficient multiplies a mass taken as zero.
+    over the eigenpairs of ``A`` and ``B``, plus the boundary terms
+    ``ell * tr(A (1 - B^0))`` and, when ``f(0+)`` is nonzero,
+    ``f(0+) * tr(B (1 - A^0))``, each from :func:`_boundary_term`.  Both
+    spectra come from :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below
+    ``RANK_TOL`` times the operator's largest eigenvalue are the kernel and
+    count as exact zeros.
     """
     return _spectral_sum(*_spectra(A, B), f)
 
@@ -229,17 +222,15 @@ def quantum_f_divergence_eps_sweep(
     geometric schedule, which covers a full-rank ``B`` (``p = 1``) and a
     rank-deficient ``B`` with finite ``ell``, where the power-family tail
     decays like ``eps**(1 - alpha)``.  The limit is ``inf`` when
-    ``ell = inf`` and the mass of ``A`` on the kernel of ``B`` exceeds
-    ``RANK_TOL * tr A`` (the test of :func:`quantum_f_divergence`; the
-    regularized values then grow only like ``log(1/eps)`` or a power of it),
-    or when the last regularized value is not finite (``f(0+) = inf`` and the
-    mass of ``B`` on the kernel of ``A`` exceeds ``RANK_TOL * tr B``, the
-    other test of :func:`quantum_f_divergence`).  With ``ell = inf`` below the
-    first threshold the sums leave out B's shifted kernel, the spectral
+    :func:`_boundary_term` makes the ``ell`` term of
+    :func:`quantum_f_divergence` infinite (the regularized values then grow
+    only like ``log(1/eps)`` or a power of it), or when the last regularized
+    value is not finite (an infinite ``f(0+)`` term).  With ``ell = inf`` and
+    a zero ``ell`` term the sums leave out B's shifted kernel, the spectral
     route's ``0 * inf = 0``.  Otherwise the limit is the extrapolation.
     """
     a, b, table, ka, kb = _spectra(A, B)
-    divergent = f.ell == INF and _kernel_mass(a, table, ka, kb) > RANK_TOL * a.sum()
+    divergent = _boundary_term(f.ell, _kernel_mass(a, table, ka, kb), a) == INF
     if f.ell == INF and not divergent:
         b, table = b[kb:], table[:, kb:]  # 0 * inf := 0: B's kernel columns drop out
     shifted = [b + eps * b.sum() for eps in EPS_SCHEDULE]  # B = 0 stays all kernel

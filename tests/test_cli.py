@@ -173,6 +173,14 @@ class TestMalformedMatrixFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("qfdiv: error:")
 
+    def test_file_not_in_utf8_is_one_parse_line(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark is not UTF-8: a parse error, not a UnicodeDecodeError
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"dim": 1, "re": [1], "im": [0]}')
+        assert main(["divergence", "--a", str(path), "--b", str(path), "--family", "kl"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"qfdiv: error: cannot parse {path}:")
+
 
 class TestCondentCommand:
     def test_bell_closed_prints_minus_one(self, bell_file, capsys):
@@ -360,6 +368,22 @@ class TestDivergenceCommand:
         assert (run.returncode, run.stdout) == (1, "")
         assert run.stderr == (
             f"qfdiv: error: {big}: matrix entries must be finite and of modulus at most {bound:.3e}\n"
+        )
+
+    def test_infinite_imaginary_part_is_one_error_line_under_warnings_as_errors(
+        self, tmp_path, mixed_file
+    ):
+        # 1j * inf is nan + inf j, which raises numpy's invalid flag; the entry is
+        # refused by the finiteness check instead
+        path = tmp_path / "inf-im.json"
+        path.write_text('{"dim": 2, "re": [0.5, 0, 0, 0.5], "im": [0, Infinity, 0, 0]}')
+        run = run_fresh(
+            "-W", "error", "-m", "qfdiv", "divergence", "--a", str(path), "--b", mixed_file, "--family", "kl"
+        )
+        bound = np.finfo(float).max / 4
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == (
+            f"qfdiv: error: {path}: matrix entries must be finite and of modulus at most {bound:.3e}\n"
         )
 
 

@@ -83,8 +83,16 @@ class TestCatalog:
             tsallis_divergence_closed(KET0, KET1, alpha)
 
     def test_rejects_negative_infinite_ell(self):
-        with pytest.raises(DomainError, match="ell"):
-            DivergenceFunction("bad", lambda x: -x * np.log(x), lambda x: x, 0.0, -INF, False)
+        # a convex f has f(0+) and ell in (-inf, inf]; a NaN or -inf limit is refused
+        # before any divergence could turn it into a nan or -inf result
+        for f_at_zero, ell, name in [
+            (0.0, -INF, "ell"),
+            (0.0, math.nan, "ell"),
+            (-INF, 1.0, "f_at_zero"),
+            (math.nan, 1.0, "f_at_zero"),
+        ]:
+            with pytest.raises(DomainError, match=name):
+                DivergenceFunction("bad", lambda x: x, lambda x: x, f_at_zero, ell, False)
 
 
 class TestCsiszar:
