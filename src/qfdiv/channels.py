@@ -109,10 +109,8 @@ def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChann
     The isometry ``V : d_in -> d_out * env_dim`` is drawn Haar (QR with phase
     fixing); Kraus operators are its environment slices.  Deterministic per seed.
     """
-    d_in, d_out = _integer(d_in, "d_in"), _integer(d_out, "d_out")
-    env_dim = _integer(env_dim, "env_dim")
-    if d_in < 1 or d_out < 1 or env_dim < 1:
-        raise DomainError("dimensions must be positive")
+    d_in, d_out = _integer(d_in, "d_in", least=1), _integer(d_out, "d_out", least=1)
+    env_dim = _integer(env_dim, "env_dim", least=1)
     if d_out * env_dim < d_in:
         raise DomainError(
             f"need d_out * env_dim >= d_in for an isometry, got {d_out}*{env_dim} < {d_in}"
@@ -123,10 +121,8 @@ def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChann
 
 def random_density(d: int, rank: int, seed: int) -> DensityOperator:
     """Normalized ``G G^dag`` for a ``d x rank`` complex Gaussian ``G``."""
-    d, rank = _integer(d, "dimension"), _integer(rank, "rank")
-    if d < 1:
-        raise DomainError(f"dimension must be at least 1, got {d}")
-    if not 1 <= rank <= d:
+    d, rank = _integer(d, "dimension", least=1), _integer(rank, "rank", least=1)
+    if rank > d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
     g = rng.complex_gaussian(rng.generator(seed), (d, rank))
     m = g @ g.conj().T
@@ -147,7 +143,7 @@ def pure_bipartite_from_schmidt(
 ) -> BipartiteState:
     """Pure bipartite state with the given Schmidt coefficients in Haar-random bases."""
     c = _schmidt_coefficients(coeffs)
-    d_a, d_b = _integer(d_a, "d_a"), _integer(d_b, "d_b")
+    d_a, d_b = _integer(d_a, "d_a", least=1), _integer(d_b, "d_b", least=1)
     if c.size > min(d_a, d_b):
         raise DomainError(f"at most min({d_a}, {d_b}) Schmidt coefficients allowed")
     gen = rng.generator(seed)
@@ -161,6 +157,7 @@ def pure_bipartite_from_schmidt(
 
 def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:
     """Tensor the identity on a left factor: ``id (x) phi`` acting on B of an AB state."""
+    d_left = _integer(d_left, "d_left", least=1)
     # the products np.kron(np.eye(d_left), ops) forms, in its operand order
     ops = np.eye(d_left)[:, None, :, None] * phi.kraus_ops[:, None, :, None, :]
     return KrausChannel._from_valid(ops.reshape(len(ops), d_left * phi.d_out, d_left * phi.d_in))
@@ -207,9 +204,7 @@ def build_classical_register_state(
 
 def embed_ancilla(state: BipartiteState, extra_b_dim: int) -> BipartiteState:
     """Zero-pad the conditioning factor of a two-factor state by ``extra_b_dim``."""
-    extra_b_dim = _integer(extra_b_dim, "extra_b_dim")
-    if extra_b_dim < 0:
-        raise DomainError(f"extra_b_dim must be nonnegative, got {extra_b_dim}")
+    extra_b_dim = _integer(extra_b_dim, "extra_b_dim", least=0)
     if len(state.dims) != 2:
         raise DomainError("embed_ancilla expects a two-factor state")
     if extra_b_dim == 0:

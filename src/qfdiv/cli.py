@@ -2,9 +2,10 @@
 
 Matrices travel as JSON documents with separate row-major real and imaginary
 arrays (``{"dim": d, "re": [...], "im": [...]}``, plus ``"dims": [dA, dB]``
-for factored states).
-Numbers are printed with 12 significant digits and ``inf`` is printed as the
-literal string ``inf``.  Exit codes: 0 success, 1 domain error, bad usage, an
+for factored states).  Numbers are printed with 12 significant digits at every
+magnitude (zeros past the twelfth) and ``inf`` as the literal string ``inf``; a
+failed ``suite --out`` run leaves an existing file as it was and creates none.
+Exit codes: 0 success, 1 domain error, bad usage, an
 unreadable input or unwritable output file, or an optimizer with no start
 certified within ``--value-tol`` (its Frank-Wolfe gap, an upper bound on its
 distance to the minimum), 2 suite failure.
@@ -29,11 +30,11 @@ from .condent import (
 )
 from .errors import ConvergenceError, DomainError
 from .fdiv import make_tsallis_f, quantum_f_divergence, quantum_f_divergence_eps_sweep
-from .linalg import BipartiteState, DensityOperator, _integer
+from .linalg import BipartiteState, DensityOperator, _factor_dims, _integer
 
 
 def format_number(x: float) -> str:
-    """12 significant digits in positional notation, trailing zeros kept.
+    """12 significant digits in positional notation, trailing zeros kept, at every magnitude.
 
     Infinities print as the literal ``inf``; a NaN is a :class:`DomainError`.
     """
@@ -43,9 +44,12 @@ def format_number(x: float) -> str:
         return "inf" if x > 0 else "-inf"
     if x == 0.0:
         return "0.00000000000"
-    # the decimal exponent of x once rounded to 12 significant digits
-    exponent = int(f"{x:.11e}".partition("e")[2])
-    return f"{x:.{max(0, 11 - exponent)}f}"
+    # x rounded to 12 significant digits, and the decimal places that leaves
+    mantissa, _, exponent = f"{x:.11e}".partition("e")
+    places = 11 - int(exponent)
+    if places < 0:  # %f would print every digit of the binary value, not 12
+        return mantissa.replace(".", "") + "0" * -places
+    return f"{x:.{places}f}"
 
 
 def _load_json(path: str) -> dict:
@@ -58,9 +62,9 @@ def _load_json(path: str) -> dict:
         raise DomainError(f"cannot parse {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
@@ -70,23 +74,30 @@ def parse_matrix_file(path: str):
     """Load a matrix document as a DensityOperator, or a BipartiteState if it has dims."""
     doc = _load_json(path)
     try:
-        dim = _integer(doc["dim"], "dim")
+        dim = doc["dim"]
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path}: expected fields dim, re, im ({exc})") from exc
-    if dim < 1:
-        raise DomainError(f"{path}: dim must be at least 1, got {dim}")
-    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
-        raise DomainError(f"{path}: re and im must be flat lists of dim^2 = {dim * dim} entries")
-    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j; as_matrix refuses it
-        matrix = (re + 1j * im).reshape(dim, dim)
     try:
+        dim = _integer(dim, "dim", least=1)
+        if re.shape != (dim * dim,) or im.shape != (dim * dim,):
+            raise DomainError(f"re and im must be flat lists of dim^2 = {dim * dim} entries")
+        with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j; as_matrix refuses it
+            matrix = (re + 1j * im).reshape(dim, dim)
         if "dims" in doc:
             return BipartiteState(matrix, doc["dims"])
         return DensityOperator(matrix)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
+
+
+def _factored_state(path: str) -> BipartiteState:
+    """The factored state in ``path``: a file without ``dims`` is refused."""
+    state = parse_matrix_file(path)
+    if not isinstance(state, BipartiteState):
+        raise DomainError(f"{path}: a conditional entropy needs a state file with a dims field")
+    return state
 
 
 def write_matrix_file(path: str, matrix: np.ndarray, dims=None) -> None:
@@ -185,9 +196,7 @@ def _cmd_divergence(args) -> int:
 
 def _cmd_condent(args) -> int:
     opts = OptimizerOptions(starts=args.starts, value_tol=args.value_tol, max_iters=args.max_iters)
-    state = parse_matrix_file(args.state)
-    if not isinstance(state, BipartiteState):
-        raise DomainError("condent needs a state file with a dims field")
+    state = _factored_state(args.state)
     alpha = _family_alpha(args.family, args.alpha)
     f = make_tsallis_f(alpha)
     if args.method == "closed":
@@ -199,10 +208,7 @@ def _cmd_condent(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    state = parse_matrix_file(args.state)
-    if not isinstance(state, BipartiteState):
-        raise DomainError("bounds needs a state file with a dims field")
-    lower, upper = thm2_bounds(state, make_tsallis_f(args.alpha))
+    lower, upper = thm2_bounds(_factored_state(args.state), make_tsallis_f(args.alpha))
     print(f"{format_number(lower)} {format_number(upper)}")
     return 0
 
@@ -210,13 +216,15 @@ def _cmd_bounds(args) -> int:
 def _cmd_suite(args) -> int:
     from .propsuite import PropertyConfig, run_suite
 
+    # appending nothing checks the path before any property runs and keeps an existing file
+    created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
-        _write_text(args.out, "")  # an unwritable path fails before any property runs
+        _write_text(args.out, "", mode="a")
     try:
         reports = run_suite(PropertyConfig(seed=args.seed), properties=args.filter)
     except BaseException:
-        if args.out:
-            os.remove(args.out)  # a failed command leaves no empty report behind
+        if created:
+            os.remove(args.out)  # a failed run creates no file
         raise
     payload = json.dumps([r.to_dict() for r in reports], indent=2)
     if args.out:
@@ -234,12 +242,10 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    dims = args.dims
+    dims = _factor_dims(args.dims)
     if not 1 <= len(dims) <= 3:
         raise DomainError("random state needs 1 to 3 dims")
-    if min(dims) < 1:
-        raise DomainError(f"every dimension must be at least 1, got dims {dims}")
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     rank = args.rank if args.rank is not None else d
     rho = random_density(d, rank, args.seed)
     write_matrix_file(args.out, rho.entries, dims=dims if len(dims) > 1 else None)

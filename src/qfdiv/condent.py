@@ -63,14 +63,11 @@ class OptimizerOptions:
     max_iters: int = 500
 
     def __post_init__(self) -> None:
-        for name in ("starts", "max_iters"):
-            _integer(getattr(self, name), name)
-        if self.starts not in (1, 2):
+        if _integer(self.starts, "starts") not in (1, 2):
             raise DomainError(f"starts must be 1 or 2, got {self.starts}")
+        _integer(self.max_iters, "max_iters", least=0)
         if not 0.0 < self.value_tol < math.inf:
             raise DomainError(f"value_tol must be finite and positive, got {self.value_tol!r}")
-        if self.max_iters < 0:
-            raise DomainError(f"max_iters must be nonnegative, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -559,9 +556,7 @@ def classical_register_closed_form(
 
 def chain_rule_rhs(h_abc_given_bc: float, d_c: int, alpha: float) -> float:
     """Upper bound on conditioning by less: ``d_C**(1-alpha) h + ln_alpha(d_C)``."""
-    d_c = _integer(d_c, "d_C")
-    if d_c < 1:
-        raise DomainError(f"d_C must be at least 1, got {d_c}")
+    d_c = _integer(d_c, "d_C", least=1)
     alpha = _monotone_alpha(alpha)
     h = float(h_abc_given_bc)
     if not math.isfinite(h):

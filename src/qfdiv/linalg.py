@@ -125,8 +125,8 @@ class BipartiteState(DensityOperator):
         else:
             super().__init__(rho)
         dims = _factor_dims(dims)
-        if len(dims) not in (2, 3) or any(d < 1 for d in dims):
-            raise DomainError(f"dims must be two or three positive factors, got {dims}")
+        if len(dims) not in (2, 3):
+            raise DomainError(f"dims must be two or three factors, got {dims}")
         if math.prod(dims) != self.dim:
             raise DomainError(
                 f"dimension mismatch: factors {dims} give {math.prod(dims)}, state has {self.dim}"
@@ -251,21 +251,24 @@ def _factor_indices(keep: str, n_factors: int) -> list[int]:
     raise DomainError(f"subsystem label {keep!r} invalid for {n_factors} factors")
 
 
-def _integer(x, name: str) -> int:
-    """``x`` as an ``int``; only an integer, numpy's included, passes: nothing is truncated."""
-    if not isinstance(x, bool):  # Python's bool is an int, but never a size or a count
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {x!r}")
+def _integer(x, name: str, least: int | None = None) -> int:
+    """``x`` as an ``int`` of at least ``least``; only an integer, numpy's included, passes."""
+    try:
+        if isinstance(x, bool):  # Python's bool is an int, but never a size or a count
+            raise TypeError
+        n = operator.index(x)  # never truncates
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {x!r}") from None
+    if least is not None and n < least:
+        raise DomainError(f"{name} must be at least {least}, got {n}")
+    return n
 
 
 def _factor_dims(dims) -> tuple[int, ...]:
-    """Factor dimensions as a tuple of ``int``; a non-sequence or non-integer is an error."""
+    """Factor dimensions as a tuple of positive ``int``; a non-sequence is an error."""
     if not np.iterable(dims):
         raise DomainError(f"dims must be a sequence of integers, got {dims!r}")
-    return tuple(_integer(d, "each of dims") for d in dims)
+    return tuple(_integer(d, "dims: each dimension", least=1) for d in dims)
 
 
 def _probability_vector(p, name: str = "probability vector") -> np.ndarray:

@@ -77,8 +77,8 @@ class PropertyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.trials is not None and _integer(self.trials, "trials") < 0:
-            raise DomainError(f"trials must be nonnegative, got {self.trials}")
+        if self.trials is not None:
+            _integer(self.trials, "trials", least=0)
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))  # a plain int in reports
 
 

@@ -54,6 +54,20 @@ class TestFormatNumber:
         assert format_number(5e-324) == "0." + "0" * 323 + "494065645841"
         assert format_number(1.000000000003e-312) == "0." + "0" * 311 + "100000000000"
 
+    @pytest.mark.parametrize(
+        "x, digits, zeros",
+        [
+            (1.23456789012345e14, "123456789012", 3),
+            (6.25e16, "625000000000", 5),
+            (62500000000000120.0, "625000000000", 5),
+            (2.5e300, "250000000000", 289),
+            (-1.797e308, "-179700000000", 297),
+        ],
+    )
+    def test_twelve_significant_digits_from_1e12_up(self, x, digits, zeros):
+        # positional notation of the float itself would print its binary value's digits
+        assert format_number(x) == digits + "0" * zeros
+
     def test_infinity_literal(self):
         assert format_number(math.inf) == "inf"
 
@@ -324,6 +338,14 @@ class TestDivergenceCommand:
         swept = float(capsys.readouterr().out)
         assert abs(spectral - swept) <= 1e-4
 
+    def test_large_value_prints_twelve_significant_digits(self, tmp_path, mixed_file, capsys):
+        # the value is the float 62500000000000120; its last digits are not significant
+        b = write_state(tmp_path / "b.json", np.diag([1.0 - 1e-9, 1e-9]))
+        code = main(
+            ["divergence", "--a", mixed_file, "--b", b, "--family", "tsallis", "--alpha", "3"]
+        )
+        assert (code, capsys.readouterr().out) == (0, "62500000000000000\n")
+
     def test_alpha_required_for_tsallis(self, mixed_file, capsys):
         code = main(["divergence", "--a", mixed_file, "--b", mixed_file, "--family", "tsallis"])
         assert code == 1
@@ -500,6 +522,12 @@ class TestSuiteCommand:
         out = tmp_path / "x.json"
         assert main(["suite", "--filter", "bogus", "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "prev.json"
+        out.write_bytes(b'[{"earlier": "report"}]\n')
+        assert main(["suite", "--filter", "bogus", "--out", str(out)]) == 1
+        assert out.read_bytes() == b'[{"earlier": "report"}]\n'
 
     def test_stdout_json_when_no_out(self, capsys):
         code = main(["suite", "--filter", "homogeneity", "--seed", "3"])

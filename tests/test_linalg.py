@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import qfdiv
 from qfdiv import _lapack, channels
-from qfdiv.condent import chain_rule_rhs
+from qfdiv.cli import parse_matrix_file
+from qfdiv.condent import OptimizerOptions, chain_rule_rhs
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import make_tsallis_f, quantum_f_divergence
 from qfdiv.linalg import (
@@ -20,6 +22,7 @@ from qfdiv.linalg import (
     psd_eigh,
     ptrace_entries,
 )
+from qfdiv.propsuite import PropertyConfig
 
 from conftest import bell_matrix, random_hermitian, support_projector
 
@@ -381,3 +384,75 @@ class TestIntegerDimensions:
 
     def test_chain_rule_accepts_numpy_integers(self):
         assert chain_rule_rhs(0.1, np.int64(2), 0.5) == chain_rule_rhs(0.1, 2, 0.5)
+
+
+def _matrix_file(tmp_path, dim):
+    """Parse a matrix file with the given ``dim`` and the one entry 1."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": dim, "re": [1.0], "im": [0.0]}))
+    return parse_matrix_file(str(path))
+
+
+_TWO_BY_TWO = np.eye(2) / 2
+
+# every entry point that takes a bounded integer: (name in the message, least, call)
+BOUNDED_INTEGERS = {
+    "random_channel d_in": ("d_in", 1, lambda v, tmp: channels.random_channel(v, 1, 1, seed=0)),
+    "random_channel d_out": ("d_out", 1, lambda v, tmp: channels.random_channel(1, v, 1, seed=0)),
+    "random_channel env_dim": (
+        "env_dim", 1, lambda v, tmp: channels.random_channel(1, 1, v, seed=0)
+    ),
+    "random_density d": ("dimension", 1, lambda v, tmp: channels.random_density(v, 1, seed=0)),
+    "random_density rank": ("rank", 1, lambda v, tmp: channels.random_density(2, v, seed=0)),
+    "pure_bipartite_from_schmidt d_a": (
+        "d_a", 1, lambda v, tmp: channels.pure_bipartite_from_schmidt([1.0], v, 2, seed=0)
+    ),
+    "pure_bipartite_from_schmidt d_b": (
+        "d_b", 1, lambda v, tmp: channels.pure_bipartite_from_schmidt([1.0], 2, v, seed=0)
+    ),
+    "extend_with_identity d_left": (
+        "d_left",
+        1,
+        lambda v, tmp: channels.extend_with_identity(channels.random_channel(2, 2, 1, seed=0), v),
+    ),
+    "random_bipartite dims": (
+        "dims: each dimension", 1, lambda v, tmp: channels.random_bipartite((v, 2), 1, seed=0)
+    ),
+    "BipartiteState dims": (
+        "dims: each dimension", 1, lambda v, tmp: BipartiteState(_TWO_BY_TWO, (v, 2))
+    ),
+    "partial_trace dims": (
+        "dims: each dimension", 1, lambda v, tmp: partial_trace(_TWO_BY_TWO, "B", dims=(v, 2))
+    ),
+    "embed_ancilla": (
+        "extra_b_dim",
+        0,
+        lambda v, tmp: channels.embed_ancilla(BipartiteState(np.eye(4) / 4, (2, 2)), v),
+    ),
+    "chain_rule_rhs d_C": ("d_C", 1, lambda v, tmp: chain_rule_rhs(0.1, v, 0.5)),
+    "OptimizerOptions max_iters": ("max_iters", 0, lambda v, tmp: OptimizerOptions(max_iters=v)),
+    "PropertyConfig trials": ("trials", 0, lambda v, tmp: PropertyConfig(trials=v)),
+    "matrix file dim": ("dim", 1, lambda v, tmp: _matrix_file(tmp, v)),
+}
+
+
+@pytest.mark.parametrize("entry", BOUNDED_INTEGERS)
+class TestBoundedIntegers:
+    """Each bounded integer goes through ``linalg._integer``: one bound check, one message."""
+
+    def test_below_least_is_refused(self, entry, tmp_path):
+        name, least, call = BOUNDED_INTEGERS[entry]
+        message = f"{name} must be at least {least}, got {least - 1}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(least - 1, tmp_path)
+
+    def test_least_is_accepted(self, entry, tmp_path):
+        name, least, call = BOUNDED_INTEGERS[entry]
+        call(least, tmp_path)
+
+    @pytest.mark.parametrize("value", [True, 2.0])
+    def test_non_integer_is_refused(self, entry, tmp_path, value):
+        name, least, call = BOUNDED_INTEGERS[entry]
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(value, tmp_path)
