@@ -10,7 +10,14 @@ eigenvalue pairs of the two operators plus two boundary terms,
 ``ell * tr A(1 - B^0)`` and ``f(0+) * tr B(1 - A^0)``; the epsilon sweep
 (second argument regularized to full rank) is a cross-validation mode.  Every
 route, closed forms included, reads both spectra through
-:func:`qfdiv.linalg.psd_eigh_pair`.  One function, :func:`_boundary_term`,
+:func:`qfdiv.linalg.psd_eigh_pair`.  The engine is stacked: spectra, overlap
+tables, kernel sizes, the double sum and the boundary terms take an optional
+leading stack axis, :func:`quantum_f_divergences` evaluates two stacks
+``(n, d, d)`` in one eigensolve per argument, and
+:func:`quantum_f_divergence` runs the same engine on one pair.  Only the two
+1-D dots whose reduction order sets their bits, the kernel mass and the
+double sum's last dot, are taken pair by pair, so a stacked value is bit for
+bit the value of its pair alone.  One function, :func:`_boundary_term`,
 decides every boundary term of the spectral sum, the sweep and
 :func:`csiszar_divergence`: a finite coefficient times its mass, and for an
 infinite one ``inf`` when the mass exceeds ``RANK_TOL`` times the trace of
@@ -108,17 +115,18 @@ def make_tsallis_f(alpha: float) -> DivergenceFunction:
     )
 
 
-def _boundary_term(coeff: float, mass: float, weights: np.ndarray) -> float:
+def _boundary_term(coeff: float, mass, weights: np.ndarray):
     """``coeff * mass`` for a finite ``coeff``; for ``coeff = inf``, ``inf`` when ``mass``
     exceeds ``RANK_TOL * weights.sum()`` and 0.0 otherwise (``0 * inf = 0``).
 
     The one boundary rule: ``ell * tr A(1 - B^0)`` with the spectrum of ``A`` as
     ``weights`` and ``f(0+) * tr B(1 - A^0)`` with that of ``B``.  The trace is
-    summed only for an infinite ``coeff``.
+    summed only for an infinite ``coeff``.  A stack of masses takes a stack
+    ``(n, d)`` of spectra and gives a stack of terms.
     """
     if coeff != INF:
         return coeff * mass
-    return INF if mass > RANK_TOL * weights.sum() else 0.0
+    return np.where(mass > RANK_TOL * weights.sum(axis=-1), INF, 0.0)[()]  # a scalar for one
 
 
 def csiszar_divergence(p, q, f: DivergenceFunction) -> float:
@@ -142,50 +150,93 @@ def csiszar_divergence(p, q, f: DivergenceFunction) -> float:
     if both.any():
         total += float(np.sum(q[both] * f(p[both] / q[both])))
     total += _boundary_term(f.ell, float(p[q == 0].sum()), p)
-    return total + _boundary_term(f.f_at_zero, float(q[p == 0].sum()), q)
+    return float(total + _boundary_term(f.f_at_zero, float(q[p == 0].sum()), q))
 
 
-def _spectra(A, B):
-    """Clamped spectra of two PSD operators, their overlap table, and their kernel sizes.
+def _spectra(m_a: np.ndarray, m_b: np.ndarray):
+    """Clamped spectra of two PSD operators, or of two stacks of them, their overlap tables,
+    and their kernel sizes.
 
-    Returns ``(a, b, table, ka, kb)``: ascending eigenvalues from
-    :func:`qfdiv.linalg.psd_eigh_pair`, ``table[i, j] = |<u_i|v_j>|^2`` for the
-    eigenvectors, and the number of leading zeros of ``a`` and of ``b``.
-    The double sums below do not depend on the basis chosen inside an
-    eigenspace, so near-equal eigenvalues need no merging.
+    ``m_a`` and ``m_b`` are matrices or stacks ``(n, d, d)`` that
+    :func:`qfdiv.linalg.as_matrix` has checked.  Returns
+    ``(a, b, table, ka, kb)``: ascending eigenvalues from
+    :func:`qfdiv.linalg.psd_eigh_pair`, ``table[..., i, j] = |<u_i|v_j>|^2``
+    for the eigenvectors of each pair, and the number of leading zeros of
+    each spectrum of ``a`` and of ``b``.  The double sums below do not depend
+    on the basis chosen inside an eigenspace, so near-equal eigenvalues need
+    no merging.
     """
-    m_a = as_matrix(A)
-    m_b = as_matrix(B)
     if m_a.shape != m_b.shape:
         raise DomainError(f"dimension mismatch: {m_a.shape} vs {m_b.shape}")
     (a, u), (b, v) = psd_eigh_pair(m_a, m_b)
-    table = np.abs(u.conj().T @ v)
+    table = np.abs(u.conj().mT @ v)
     table *= table
-    return a, b, table, int(a.searchsorted(0.0, "right")), int(b.searchsorted(0.0, "right"))
+    return a, b, table, _kernel_sizes(a), _kernel_sizes(b)
 
 
-def _kernel_mass(a, table, ka: int, kb: int) -> float:
-    """``tr(A (1 - B^0))``: the mass of ``A`` on the kernel of ``B``."""
-    return float(a[ka:] @ table[ka:, :kb].sum(axis=1))
+def _kernel_sizes(w: np.ndarray):
+    """The number of leading zeros of a clamped spectrum, an ``int``, or of each spectrum of a
+    stack ``(n, d)``, an array (a search cannot run along rows, and costs less on one)."""
+    return int(w.searchsorted(0.0, "right")) if w.ndim == 1 else np.add.reduce(w <= 0.0, -1)
 
 
-def _spectral_sum(a, b, table, ka: int, kb: int, f: DivergenceFunction) -> float:
-    """The double sum and boundary terms of :func:`quantum_f_divergence` on given spectra."""
+def _kernel_mass(a, table, ka: int, kb: int):
+    """``tr(A (1 - B^0))``, the mass of ``A`` on the kernel of ``B``, of one pair or of each pair
+    of a stack: one 1-D dot per pair."""
+    return np.vecdot(a[..., ka:], table[..., ka:, :kb].sum(axis=-1))
+
+
+def _spectral_sum(a, b, table, ka, kb, f: DivergenceFunction):
+    """The double sums and boundary terms of :func:`quantum_f_divergence` on given spectra: a
+    value for one pair, an array for a stack.
+
+    A stack's pairs are evaluated in groups of equal kernel sizes
+    ``(ka, kb)``, each by :func:`_group_sum`; one pair is one group.
+    """
+    if isinstance(ka, int):
+        return _group_sum(a, b, table, ka, kb, f)
+    keys = ka * (b.shape[-1] + 1) + kb
+    out = np.empty(len(keys))
+    for key in np.unique(keys):
+        idx = np.flatnonzero(keys == key)
+        out[idx] = _group_sum(a[idx], b[idx], table[idx], int(ka[idx[0]]), int(kb[idx[0]]), f)
+    return out
+
+
+def _every(flags) -> bool:
+    """``flags.all()``; the one flag of a single pair skips numpy's reduction."""
+    return bool(flags) if flags.size == 1 else bool(flags.all())
+
+
+def _group_sum(a, b, table, ka: int, kb: int, f: DivergenceFunction):
+    """:func:`_spectral_sum` of one pair, or of a stack whose pairs all have kernel sizes
+    ``ka`` and ``kb``.
+
+    Every step but the 1-D dots is elementwise or a sum along one axis, and
+    ``numpy.vecdot`` makes each pair's dot with the kernel a lone ``@`` would
+    use, so each value holds the bits of its pair alone.
+    """
+    # only an infinite coefficient makes a boundary term, and then the value, infinite
+    infinite = kb and f.ell == INF or ka and f.f_at_zero == INF
     total = _boundary_term(f.ell, _kernel_mass(a, table, ka, kb), a) if kb else 0.0
-    b_pos = b[kb:]
+    b_pos = b[..., kb:]
     if ka and f.f_at_zero != 0.0:
-        total += _boundary_term(f.f_at_zero, float(table[:ka, kb:].sum(axis=0) @ b_pos), b)
-    if total == INF:
-        return INF
-    block = table[ka:, kb:]
+        mass = np.vecdot(table[..., :ka, kb:].sum(axis=-2), b_pos)
+        total = total + _boundary_term(f.f_at_zero, mass, b)
+    if infinite:
+        divergent = total == INF
+        if _every(divergent):  # inf, whatever the pair sums
+            return total
+    block = table[..., ka:, kb:]
     with np.errstate(all="ignore"):
-        fvals = f(a[ka:, None] / b_pos)
-        pair_sum = float((fvals * block).sum(axis=0) @ b_pos)
-        if not math.isfinite(pair_sum):
-            # inf * 0 := 0 for eigenvector pairs that do not overlap
+        fvals = f(a[..., ka:, None] / b_pos[..., None, :])
+        pair_sum = np.vecdot((fvals * block).sum(axis=-2), b_pos)
+        if not _every(np.isfinite(pair_sum)):
+            # inf * 0 := 0 for eigenvector pairs that do not overlap; a no-op on finite sums
             fvals = np.where(np.isinf(fvals) & (block <= 0.0), 0.0, fvals)
-            pair_sum = float((fvals * block).sum(axis=0) @ b_pos)
-    return total + pair_sum
+            pair_sum = np.vecdot((fvals * block).sum(axis=-2), b_pos)
+        values = total + pair_sum
+    return np.where(divergent, INF, values) if infinite and np.ndim(divergent) else values
 
 
 def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
@@ -197,9 +248,22 @@ def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
     ``f(0+) * tr(B (1 - A^0))``, each from :func:`_boundary_term`.  Both
     spectra come from :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below
     ``RANK_TOL`` times the operator's largest eigenvalue are the kernel and
-    count as exact zeros.
+    count as exact zeros.  This is the stacked engine of
+    :func:`quantum_f_divergences` on one pair, with no stack axis; ``A`` is
+    checked before ``B``, so ``A``'s errors come first.
     """
-    return _spectral_sum(*_spectra(A, B), f)
+    return float(_spectral_sum(*_spectra(as_matrix(A), as_matrix(B)), f))
+
+
+def quantum_f_divergences(A, B, f: DivergenceFunction) -> np.ndarray:
+    """:func:`quantum_f_divergence` of each pair of two stacks ``(n, d, d)``, in one eigensolve
+    per stack.
+
+    Each stack is checked at once by :func:`qfdiv.linalg.as_matrix`, ``A``'s
+    first, and each value holds the bits of its pair's own call.  An error in
+    any pair raises for the whole stack.
+    """
+    return _spectral_sum(*_spectra(as_matrix(A, stack=True), as_matrix(B, stack=True)), f)
 
 
 def quantum_f_divergence_eps_sweep(
@@ -229,12 +293,16 @@ def quantum_f_divergence_eps_sweep(
     a zero ``ell`` term the sums leave out B's shifted kernel, the spectral
     route's ``0 * inf = 0``.  Otherwise the limit is the extrapolation.
     """
-    a, b, table, ka, kb = _spectra(A, B)
-    divergent = _boundary_term(f.ell, _kernel_mass(a, table, ka, kb), a) == INF
+    a, b, table, ka, kb = _spectra(as_matrix(A), as_matrix(B))
+    divergent = _boundary_term(f.ell, float(_kernel_mass(a, table, ka, kb)), a) == INF
     if f.ell == INF and not divergent:
         b, table = b[kb:], table[:, kb:]  # 0 * inf := 0: B's kernel columns drop out
-    shifted = [b + eps * b.sum() for eps in EPS_SCHEDULE]  # B = 0 stays all kernel
-    values = [_spectral_sum(a, s, table, ka, int(s.searchsorted(0.0, "right")), f) for s in shifted]
+    shifted = np.stack([b + eps * b.sum() for eps in EPS_SCHEDULE])  # B = 0 stays all kernel
+    n = len(EPS_SCHEDULE)
+    values = _spectral_sum(
+        np.broadcast_to(a, (n, *a.shape)), shifted, np.broadcast_to(table, (n, *table.shape)),
+        np.full(n, ka), _kernel_sizes(shifted), f,
+    ).tolist()
     if divergent:
         return values, INF
     _, v0, v1 = values
@@ -256,8 +324,8 @@ def tsallis_divergence_closed(A, B, alpha: float) -> float:
     ``RANK_TOL * tr A`` gives ``inf`` and one below adds nothing, as in the spectral sum.
     """
     c = _positive_alpha(alpha) - 1.0
-    a, b, table, ka, kb = _spectra(A, B)
-    mass = _kernel_mass(a, table, ka, kb)
+    a, b, table, ka, kb = _spectra(as_matrix(A), as_matrix(B))
+    mass = float(_kernel_mass(a, table, ka, kb))
     if c >= 0.0 and mass > RANK_TOL * a.sum():
         return INF
     a, b, table = a[ka:], b[kb:], table[ka:, kb:]

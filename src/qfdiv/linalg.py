@@ -10,16 +10,22 @@ positive semi-definiteness check, and eigenvalues at or below
 near-equal eigenvalues stay separate, which leaves spectral sums unchanged
 because they do not depend on the basis chosen inside an eigenspace.
 
+Spectra take leading stack axes: :func:`as_matrix` checks a stack
+``(n, d, d)`` at once, and :func:`clamp_psd_spectrum` and :func:`psd_eigh`
+apply the kernel rule to each matrix of a stack, with the bits of one call
+per matrix (LAPACK solves a stack one matrix at a time).
+
 A divergence needs the spectra of both of its arguments, and
-:func:`psd_eigh_pair` takes them together.  From ``d = 32``
-(``_CONCURRENT_MIN_DIM``) on, and when the process may use two CPUs, it
-solves the second argument on a one-thread worker while the calling thread
-solves the first; numpy releases the interpreter lock inside LAPACK, so the
-two solves overlap.  Each is the same LAPACK call on the same bits, so the
-eigenpairs, the errors and their order are those of two :func:`psd_eigh`
-calls.  Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), as the benchmark
-does: on a 2-core machine a threaded BLAS made one d = 36 divergence take
-1.4 ms in one run and 5.6 ms in the next.
+:func:`psd_eigh_pair` takes them together, one matrix or one stack each.
+From ``d = 32`` (``_CONCURRENT_MIN_DIM``) on, and when the process may use
+two CPUs, it solves the second argument on a one-thread worker while the
+calling thread solves the first; numpy releases the interpreter lock inside
+LAPACK, so the two solves overlap.  Each is the same LAPACK call on the same
+bits, so the eigenpairs, the errors and their order are those of two
+:func:`psd_eigh` calls.  Pin BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``), as the benchmark does: on a 2-core machine a
+threaded BLAS made one d = 36 divergence take 1.4 ms in one run and 5.6 ms
+in the next.
 
 Tensor index convention: the A index is outer and the B index inner, i.e.
 the composite row index is ``i_A * dim_B + i_B`` (the ``numpy.kron``
@@ -141,7 +147,7 @@ class BipartiteState(DensityOperator):
         return f"BipartiteState(dims={self.dims})"
 
 
-def as_matrix(x) -> np.ndarray:
+def as_matrix(x, stack: bool = False) -> np.ndarray:
     """Coerce a :class:`DensityOperator` or an array-like to a complex square ndarray.
 
     A density operator's entries, a factored state's included, are returned as
@@ -149,24 +155,30 @@ def as_matrix(x) -> np.ndarray:
     finite, with no entry of modulus above ``finfo(float).max / (2 d)`` for a
     ``d x d`` matrix (so that neither symmetrizing nor the trace nor an
     eigenvalue can overflow), and Hermitian within
-    ``1e-12 * (1 + max|M|)``, and is symmetrized into a new array.
+    ``1e-12 * (1 + max|M|)``, and is symmetrized into a new array.  With
+    ``stack``, ``x`` is a stack ``(n, d, d)`` and each matrix is checked by
+    its own entries, at once; the symmetrized stack holds the bits of ``n``
+    single calls.
     """
     if isinstance(x, DensityOperator):
         return x.entries
     m = np.asarray(x, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2]:
+        what = "a stack of square matrices" if stack else "a square matrix"
+        raise DomainError(f"expected {what}, got shape {m.shape}")
+    axes = (-2, -1) if stack else None  # one maximum per matrix
     with np.errstate(over="ignore"):  # |z| of a finite z can overflow; it is refused below
-        big = np.abs(m).max(initial=0.0)
-    bound = _MAX_ENTRY / max(m.shape[0], 1)
-    if not big <= bound:  # max propagates NaN, which fails too
+        big = np.abs(m).max(axis=axes, initial=0.0)
+    bound = _MAX_ENTRY / max(m.shape[-1], 1)
+    ok = big <= bound  # max propagates NaN, which fails too
+    if not (ok.all() if stack else ok):
         raise DomainError(f"matrix entries must be finite and of modulus at most {bound:.3e}")
-    scale = 1.0 + big
-    mh = np.conjugate(m.T, order="C")
-    defect = np.abs(m - mh).max(initial=0.0)
-    if defect > _HERM_TOL * scale:
+    mh = np.conjugate(m.mT, order="C")
+    defect = np.abs(m - mh).max(axis=axes, initial=0.0)
+    ok = defect <= _HERM_TOL * (1.0 + big)
+    if not (ok.all() if stack else ok):
         raise DomainError(
-            f"Hermiticity violated: max |M - M^dag| = {defect:.3e} "
+            f"Hermiticity violated: max |M - M^dag| = {defect[~ok].max():.3e} "
             f"exceeds {_HERM_TOL:.0e} * (1 + max|M|)"
         )
     mh += m
@@ -175,27 +187,44 @@ def as_matrix(x) -> np.ndarray:
 
 
 def clamp_psd_spectrum(w: np.ndarray) -> np.ndarray:
-    """The kernel rule, applied in place to the ascending spectrum of a PSD matrix.
+    """The kernel rule, applied in place to the ascending spectrum of a PSD matrix, or to
+    each row of a stack ``(..., d)`` of such spectra.
 
     An eigenvalue below ``-RANK_TOL * ||M||`` is a domain error, and so is a
     NaN at either end of the spectrum; eigenvalues at or below
     ``RANK_TOL * ||M||`` become exact zeros, so the kernel is a leading block
     of zeros.  Both thresholds are relative, so the rule does not depend on
-    the overall scale of ``M``.
+    the overall scale of ``M``.  A stack's first failing spectrum is the one
+    reported, and each row holds the bits of its own call.
     """
-    if not w.size:
+    if w.ndim == 1:  # one spectrum: scalar arithmetic and a slice, cheaper than array operations
+        if not w.size:
+            return w
+        floor = RANK_TOL * max(w[-1], -w[0])
+        if not w[0] >= -floor:  # NaN fails too
+            raise _indefinite(w)
+        w[: w.searchsorted(floor, "right")] = 0.0  # ascending: the kernel is a leading block
         return w
-    floor = RANK_TOL * max(w[-1], -w[0])
-    if not w[0] >= -floor:  # NaN fails too
-        raise DomainError(
-            f"positive semi-definiteness violated: eigenvalues from {w[0]:.3e} to {w[-1]:.3e}"
-        )
-    w[: w.searchsorted(floor, "right")] = 0.0  # ascending: the kernel is a leading block
+    if not w.shape[-1]:
+        return w
+    lo, hi = w[..., :1], w[..., -1:]
+    floor = RANK_TOL * np.maximum(hi, -lo)
+    ok = lo >= -floor  # NaN fails too
+    if not ok.all():
+        raise _indefinite(w.reshape(-1, w.shape[-1])[np.argmin(ok.ravel())])
+    np.putmask(w, w <= floor, 0.0)
     return w
 
 
+def _indefinite(w: np.ndarray) -> DomainError:
+    return DomainError(
+        f"positive semi-definiteness violated: eigenvalues from {w[0]:.3e} to {w[-1]:.3e}"
+    )
+
+
 def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigensystem of a PSD matrix with the kernel clamped to exact zeros.
+    """Ascending eigensystem of a PSD matrix, or of each matrix of a stack, with the kernel
+    clamped to exact zeros.
 
     One ``heevd`` followed by :func:`clamp_psd_spectrum`, so the eigenvalues
     read ``[0, ..., 0, positive part]``.
@@ -227,12 +256,13 @@ def _eigh_worker(pid: int):
 def psd_eigh_pair(m_a: np.ndarray, m_b: np.ndarray) -> tuple[tuple, tuple]:
     """``(psd_eigh(m_a), psd_eigh(m_b))``, with the two solves overlapped at large d.
 
-    From ``_CONCURRENT_MIN_DIM`` on, and when more than one CPU is usable,
+    ``m_a`` and ``m_b`` are two matrices or two stacks of them.  From
+    ``_CONCURRENT_MIN_DIM`` on, and when more than one CPU is usable,
     ``m_b`` is solved on the process's worker thread while this thread solves
     ``m_a``.  The worker's solve is waited for before anything returns or
     raises, and ``m_a``'s errors come first, as in the sequential calls.
     """
-    if m_a.shape[0] < _CONCURRENT_MIN_DIM or _usable_cpus() < 2:
+    if m_a.shape[-1] < _CONCURRENT_MIN_DIM or _usable_cpus() < 2:
         return psd_eigh(m_a), psd_eigh(m_b)
     future = _eigh_worker(os.getpid()).submit(_lapack.eigh, m_b)
     try:

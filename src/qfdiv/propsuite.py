@@ -15,8 +15,19 @@ residual), and the property passes when it recorded at least one margin and
 none violates it.  A trial whose check raises (an optimizer with no certified
 start, a domain error or a bug) records one NaN margin, and its property id,
 trial index and property seed are logged, so the other trials still count and
-the failure can be replayed.  Seeds derive deterministically from the master
-seed and the property id, so reports are reproducible up to timing.
+the failure can be replayed.
+
+The divergence rows (``dpi``, ``nonnegativity``, ``homogeneity``,
+``orthogonal-additivity`` and the padding margins of
+``extension-independence``) draw every trial first: their check returns the
+trial's divergence pairs and the rule that turns the pairs' values into its
+margins (a :class:`_Divergences`), each draw still from the trial's own
+seeds.  The driver then evaluates all pairs of one f and one dimension in one
+stacked call, :func:`qfdiv.fdiv.quantum_f_divergences`, whose values hold the
+bits of one call per pair; a group whose call raises is evaluated pair by
+pair, so the error is charged to its own trial.  Seeds derive
+deterministically from the master seed and the property id, so reports are
+reproducible up to timing.
 """
 
 from __future__ import annotations
@@ -53,7 +64,12 @@ from .condent import (
     tsallis_entropy,
 )
 from .errors import DomainError
-from .fdiv import DivergenceFunction, make_tsallis_f, quantum_f_divergence
+from .fdiv import (
+    DivergenceFunction,
+    make_tsallis_f,
+    quantum_f_divergence,
+    quantum_f_divergences,
+)
 from .linalg import BipartiteState, _integer, partial_trace
 from .rng import generator
 
@@ -151,46 +167,96 @@ def _agreement(trial: _Trial, state: BipartiteState, exact: float) -> float:
     return -abs(exact - conditional_entropy_optimize(state, _tsallis_f(trial.alpha), opts).value)
 
 
-def _check_dpi(trial: _Trial) -> list[float]:
-    d = trial.dims
-    f = _tsallis_f(trial.alpha)
-    rho = random_density(d, trial.rank(d), trial.seed("rho"))
-    sig = random_density(d, d, trial.seed("sig"))
-    phi = random_channel(d, trial.next_dims, 2, trial.seed("phi"))
-    pre = quantum_f_divergence(rho, sig, f)
-    post = quantum_f_divergence(apply_channel(phi, rho), apply_channel(phi, sig), f)
-    return [pre - post]
+@dataclass(frozen=True)
+class _Divergences:
+    """A trial's margins, pending: its divergence pairs under one f, and the rule that makes
+    the pairs' values, in order, into the trial's margins."""
+
+    f: DivergenceFunction
+    pairs: list[tuple[np.ndarray, np.ndarray]]
+    margins: Callable[[list[float]], list[float]]
 
 
-def _check_nonnegativity(trial: _Trial) -> list[float]:
-    d = trial.dims
-    rho = random_density(d, trial.rank(d), trial.seed("rho"))
-    sig = random_density(d, d, trial.seed("sig"))
-    return [quantum_f_divergence(rho, sig, _tsallis_f(trial.alpha))]
+def _evaluate(batch: Sequence[_Divergences]) -> list:
+    """Each pending trial's margins, or the exception its first failing pair raised.
 
-
-def _check_homogeneity(trial: _Trial) -> list[float]:
-    d = trial.dims
-    f = _tsallis_f(trial.alpha)
-    a = random_density(d, trial.rank(d), trial.seed("a"))
-    b = random_density(d, d, trial.seed("b"))
-    base = quantum_f_divergence(a, b, f)
+    The pairs of every trial are grouped by f and dimension, and each group is
+    one :func:`quantum_f_divergences` call.  When a group's call raises, its
+    pairs are evaluated one at a time by the same engine, so only the trials
+    whose own pairs fail are charged, each with its pair's own error.
+    """
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i, pending in enumerate(batch):
+        for j, (a, _) in enumerate(pending.pairs):
+            groups.setdefault((pending.f, a.shape[-1]), []).append((i, j))
+    values = [[math.nan] * len(pending.pairs) for pending in batch]
+    errors: list[Exception | None] = [None] * len(batch)
+    for (f, _), members in groups.items():
+        pairs = [batch[i].pairs[j] for i, j in members]
+        try:
+            if len(pairs) == 1:  # a lone pair needs no stack
+                out = [quantum_f_divergence(*pairs[0], f)]
+            else:
+                out = quantum_f_divergences(
+                    np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), f
+                ).tolist()
+        except Exception:
+            out = []
+            for (i, _), (a, b) in zip(members, pairs):
+                try:
+                    out.append(quantum_f_divergence(a, b, f))
+                except Exception as exc:
+                    errors[i] = errors[i] or exc
+                    out.append(math.nan)
+        for (i, j), value in zip(members, out):
+            values[i][j] = value
     return [
-        -abs(quantum_f_divergence(lam * a.entries, lam * b.entries, f) - lam * base)
-        for lam in (1e-9, 0.1, 0.5, 2.0)
+        pending.margins(v) if exc is None else exc
+        for pending, v, exc in zip(batch, values, errors)
     ]
 
 
-def _check_orthogonal_additivity(trial: _Trial) -> list[float]:
+def _check_dpi(trial: _Trial) -> _Divergences:
+    d = trial.dims
+    rho = random_density(d, trial.rank(d), trial.seed("rho"))
+    sig = random_density(d, d, trial.seed("sig"))
+    phi = random_channel(d, trial.next_dims, 2, trial.seed("phi"))
+    pairs = [(rho.entries, sig.entries), (apply_channel(phi, rho), apply_channel(phi, sig))]
+    return _Divergences(_tsallis_f(trial.alpha), pairs, lambda v: [v[0] - v[1]])
+
+
+def _check_nonnegativity(trial: _Trial) -> _Divergences:
+    d = trial.dims
+    rho = random_density(d, trial.rank(d), trial.seed("rho")).entries
+    sig = random_density(d, d, trial.seed("sig")).entries
+    return _Divergences(_tsallis_f(trial.alpha), [(rho, sig)], list)
+
+
+_SCALES = (1e-9, 0.1, 0.5, 2.0)
+
+
+def _check_homogeneity(trial: _Trial) -> _Divergences:
+    d = trial.dims
+    a = random_density(d, trial.rank(d), trial.seed("a")).entries
+    b = random_density(d, d, trial.seed("b")).entries
+    pairs = [(a, b), *((lam * a, lam * b) for lam in _SCALES)]
+    return _Divergences(
+        _tsallis_f(trial.alpha),
+        pairs,
+        lambda v: [-abs(scaled - lam * v[0]) for scaled, lam in zip(v[1:], _SCALES)],
+    )
+
+
+def _check_orthogonal_additivity(trial: _Trial) -> _Divergences:
     d1, d2 = trial.dims, trial.next_dims
-    f = _tsallis_f(trial.alpha)
     a1 = random_density(d1, trial.rank(d1), trial.seed("a1")).entries
     b1 = random_density(d1, d1, trial.seed("b1")).entries
     a2 = random_density(d2, trial.rank(d2, shift=1), trial.seed("a2")).entries
     b2 = random_density(d2, d2, trial.seed("b2")).entries
-    whole = quantum_f_divergence(_sectors(1, [a1, a2], d1 + d2), _sectors(1, [b1, b2], d1 + d2), f)
-    parts = quantum_f_divergence(a1, b1, f) + quantum_f_divergence(a2, b2, f)
-    return [-abs(whole - parts)]
+    whole = (_sectors(1, [a1, a2], d1 + d2), _sectors(1, [b1, b2], d1 + d2))
+    return _Divergences(
+        _tsallis_f(trial.alpha), [whole, (a1, b1), (a2, b2)], lambda v: [-abs(v[0] - (v[1] + v[2]))]
+    )
 
 
 def _check_thm2_bounds(trial: _Trial) -> list[float]:
@@ -257,8 +323,9 @@ def _check_product_identity(trial: _Trial) -> list[float]:
 
 def _padding_margins(
     trial: _Trial, state: BipartiteState, sigma: np.ndarray, f: DivergenceFunction
-) -> list[float]:
-    """``D_f(rho' || 1 (x) sigma') - D_f(rho || 1 (x) sigma)`` for each padding and epsilon.
+) -> _Divergences:
+    """``D_f(rho' || 1 (x) sigma') - D_f(rho || 1 (x) sigma)`` for each padding and epsilon,
+    pending: the base pair, then the six padded pairs.
 
     ``rho'`` is ``state`` zero-padded on B by k = 1 and 2, and ``sigma'`` is
     ``(1 - eps) sigma (+) eps tau`` with a random state ``tau`` on the padding.
@@ -269,23 +336,23 @@ def _padding_margins(
     concave f the inequality reverses.
     """
     d_a, d_b = state.dims
-    base = quantum_f_divergence(state, np.kron(np.eye(d_a), sigma), f)
-    margins = []
+    pairs = [(state.entries, np.kron(np.eye(d_a), sigma))]
     for k in (1, 2):
-        padded = embed_ancilla(state, k)
+        padded = embed_ancilla(state, k).entries
         tau = random_density(k, k, trial.seed(f"tau{k}")).entries
         for eps in (1e-3, 1e-2, 1e-1):
             sigma_k = np.kron(np.eye(d_a), _sectors(1, [(1 - eps) * sigma, eps * tau], d_b + k))
-            margins.append(quantum_f_divergence(padded, sigma_k, f) - base)
-    return margins
+            pairs.append((padded, sigma_k))
+    return _Divergences(f, pairs, lambda v: [x - v[0] for x in v[1:]])
 
 
-def _check_extension_independence(trial: _Trial) -> list[float]:
+def _check_extension_independence(trial: _Trial) -> _Divergences:
     state = trial.state()
     h, sigma = conditional_entropy_tsallis_closed(state, trial.alpha)
+    padding = _padding_margins(trial, state, sigma, _tsallis_f(trial.alpha))
     # the k = 4 solve exercises the optimizer's detection of supp rho_B
-    margins = _padding_margins(trial, state, sigma, _tsallis_f(trial.alpha))
-    return [_agreement(trial, embed_ancilla(state, 4), h), *margins]
+    agreement = _agreement(trial, embed_ancilla(state, 4), h)
+    return replace(padding, margins=lambda v: [agreement, *padding.margins(v)])
 
 
 def _check_thm3_data_processing(trial: _Trial) -> list[float]:
@@ -317,7 +384,7 @@ def _check_closed_vs_optimizer(trial: _Trial) -> list[float]:
 class _PropertySpec:
     """One property: its per-trial ``check``, ensemble and statement."""
 
-    check: Callable[[_Trial], list[float]]
+    check: Callable[[_Trial], list[float] | _Divergences]
     trials: int
     dims: tuple
     alphas: tuple[float, ...]
@@ -399,6 +466,17 @@ def _spec(property_id: str) -> _PropertySpec:
     return REGISTRY[property_id]
 
 
+def _logged(property_id: str, t: int, seed: int, out) -> list[float]:
+    """Trial ``t``'s margins, or one NaN margin, logged, when ``out`` is the exception it raised."""
+    if not isinstance(out, Exception):
+        return out
+    log.error(
+        "property %s trial %d (property seed %d) raised; recorded as a NaN margin",
+        property_id, t, seed, exc_info=out,
+    )
+    return [math.nan]
+
+
 def run_property(property_id: str, config: PropertyConfig | None = None) -> PropertyReport:
     """Run one property's ensemble and summarize its margins.
 
@@ -408,16 +486,20 @@ def run_property(property_id: str, config: PropertyConfig | None = None) -> Prop
     config = config or PropertyConfig()
     trials = spec.trials if config.trials is None else config.trials
     start = time.perf_counter()
-    margins = []
+    margins: list[float] = []
+    pending: list[tuple[int, _Divergences]] = []
     for t in range(trials):
         try:
-            margins.extend(spec.check(_Trial(spec, config.seed, t)))
-        except Exception:
-            log.exception(
-                "property %s trial %d (property seed %d) raised; recorded as a NaN margin",
-                property_id, t, config.seed,
-            )
-            margins.append(math.nan)
+            out = spec.check(_Trial(spec, config.seed, t))
+        except Exception as exc:
+            out = exc
+        if isinstance(out, _Divergences):
+            pending.append((t, out))
+        else:
+            margins.extend(_logged(property_id, t, config.seed, out))
+    results = _evaluate([divergences for _, divergences in pending])
+    for (t, _), out in zip(pending, results):
+        margins.extend(_logged(property_id, t, config.seed, out))
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     margins_arr = np.asarray(margins, dtype=float)
     if margins_arr.size == 0:

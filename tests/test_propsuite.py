@@ -108,7 +108,10 @@ class TestTrialCoordinates:
         spec = REGISTRY[pid]
         for t in range(2 * len(spec.alphas)):
             seen.clear()
-            spec.check(propsuite._Trial(spec, 0, t))
+            out = spec.check(propsuite._Trial(spec, 0, t))
+            if isinstance(out, propsuite._Divergences):  # a divergence row's pairs, evaluated
+                (out,) = propsuite._evaluate([out])
+            assert all(math.isfinite(m) for m in out)
             assert set(seen) == {spec.alphas[t % len(spec.alphas)]}
 
     def test_rank_cycles_with_the_trial_index(self):
@@ -156,6 +159,12 @@ def _negated(f: DivergenceFunction) -> DivergenceFunction:
     )
 
 
+def padding_margins(trial, state, sigma, f):
+    """The six padding margins of one trial, its pending pairs evaluated as the driver does."""
+    (margins,) = propsuite._evaluate([propsuite._padding_margins(trial, state, sigma, f)])
+    return margins
+
+
 class TestExtensionIndependence:
     """Each trial solves the k = 4 zero-padding of its state and compares it with
     the closed form; the k = 1 and 2 paddings are spectral margins, valid at any
@@ -175,14 +184,14 @@ class TestExtensionIndependence:
 
     def test_power_family_margins_have_slack(self, solved):
         for trial, state, f, sigma in solved:
-            margins = propsuite._padding_margins(trial, state, sigma, f)
+            margins = padding_margins(trial, state, sigma, f)
             assert len(margins) == 6
             assert min(margins) > 0.0, trial.t
 
     def test_concave_f_violates_on_every_trial(self, solved):
         tol = REGISTRY["extension-independence"].tolerance
         for trial, state, f, sigma in solved:
-            margins = propsuite._padding_margins(trial, state, sigma, _negated(f))
+            margins = padding_margins(trial, state, sigma, _negated(f))
             assert max(margins) < -tol, trial.t
 
     # at these master seeds a padded solve certified only to the optimizer's default
