@@ -107,8 +107,8 @@ def tsallis_entropy(rho, alpha: float) -> float:
     as ``-sum w _qlog(w, alpha - 1)`` over its spectrum: von Neumann's at ``alpha = 1``."""
     alpha = _positive_alpha(alpha)
     # the kernel is dropped: fractional powers would amplify its eigenvalue noise
-    w = clamp_psd_spectrum(_lapack.eigvalsh(as_matrix(rho)))
-    w = w[w > 0.0]
+    w = _lapack.eigvalsh(as_matrix(rho))
+    w = w[clamp_psd_spectrum(w):]
     return -float(w @ _qlog(w, alpha - 1.0))
 
 
@@ -211,17 +211,16 @@ class _Objective:
     def __init__(self, state: BipartiteState, cond: str, f: DivergenceFunction):
         self.f = f
         cond_idx, order, d_cond = _conditioning_split(state.dims, cond)
-        w, psi = psd_eigh(state.entries)
-        wb, vb = psd_eigh(ptrace_entries(state.entries, state.dims, cond_idx))
-        self.support = vb[:, wb > 0.0]
+        w, psi, k = psd_eigh(state.entries)
+        wb, vb, kb = psd_eigh(ptrace_entries(state.entries, state.dims, cond_idx))
+        self.support = vb[:, kb:]
         # the conditioning marginal in the support basis is diag(marginal)
-        self.marginal = wb[wb > 0.0]
+        self.marginal = wb[kb:]
         r = self.support.shape[1]
         self.rank = r
-        pos = w > 0.0
-        self.weights = w[pos, None]
+        self.weights = w[k:, None]
         # each ket as a tensor (*dims), its factors reordered to (rest, cond)
-        kets = np.ascontiguousarray(psi[:, pos].T).reshape(-1, *state.dims)
+        kets = np.ascontiguousarray(psi[:, k:].T).reshape(-1, *state.dims)
         kets = kets.transpose(0, *(1 + i for i in order)).reshape(len(kets), -1, d_cond)
         reduced = np.einsum("nkb,nkc->nbc", kets, kets.conj())
         self.reduced = self.support.conj().T @ reduced @ self.support
@@ -476,12 +475,12 @@ def conditional_entropy_tsallis_closed(
     """
     alpha = _monotone_alpha(alpha)
     cond_idx = _conditioning_split(state.dims, cond)[0]
-    w, v = psd_eigh(state.entries)
+    w, v, k = psd_eigh(state.entries)
     w /= w.sum()
     rho_pow = (v * w**alpha) @ v.conj().T
-    wt, vt = psd_eigh(ptrace_entries(rho_pow, state.dims, cond_idx))
+    wt, vt, kt = psd_eigh(ptrace_entries(rho_pow, state.dims, cond_idx))
     root = (vt * wt ** (1.0 / alpha)) @ vt.conj().T
-    w, wt = w[w > 0.0], wt[wt > 0.0]
+    w, wt = w[k:], wt[kt:]
     k = float(w @ _qlog(w, alpha - 1.0) - wt @ _qlog(wt, (1.0 - alpha) / alpha) / alpha)
     sigma = root / root.trace().real
     return _from_power_mean(k, alpha - 1.0), (sigma + sigma.conj().T) / 2.0
@@ -500,8 +499,8 @@ def thm2_bounds(
     """
     _require_wellbehaved(f)
     d_cond = _conditioning_split(state.dims, cond)[2]
-    w = clamp_psd_spectrum(_lapack.eigvalsh(state.entries))
-    w = w[w > 0.0]
+    w = _lapack.eigvalsh(state.entries)
+    w = w[clamp_psd_spectrum(w):]
     lower = -float(np.sum(f(d_cond * w))) / d_cond
     upper = -float(np.sum(f(w)))
     return lower, upper
@@ -521,8 +520,8 @@ def pure_state_bounds_tsallis(
     alpha = _monotone_alpha(alpha)
     # the squared coefficients are the conditioning marginal's spectrum, and the
     # Schmidt number counts those that the kernel rule keeps, as the closed form does
-    w = clamp_psd_spectrum(np.sort(_schmidt_coefficients(schmidt_coeffs) ** 2))
-    lower = alpha_log(1.0 / np.count_nonzero(w), alpha)
+    w = np.sort(_schmidt_coefficients(schmidt_coeffs) ** 2)
+    lower = alpha_log(1.0 / (w.size - clamp_psd_spectrum(w)), alpha)
     upper = alpha_log(float(w[-1]), alpha)
     return lower, upper
 

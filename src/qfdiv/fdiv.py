@@ -9,19 +9,19 @@ The primary evaluation path is the exact spectral double sum over the
 eigenvalue pairs of the two operators plus two boundary terms,
 ``ell * tr A(1 - B^0)`` and ``f(0+) * tr B(1 - A^0)``; the epsilon sweep
 (second argument regularized to full rank) is a cross-validation mode.  Every
-route, closed forms included, reads both spectra through
-:func:`qfdiv.linalg.psd_eigh_pair`.  The engine is stacked: spectra, overlap
-tables, kernel sizes, the double sum and the boundary terms take an optional
-leading stack axis, :func:`quantum_f_divergences` evaluates two stacks
-``(n, d, d)`` in one eigensolve per argument, and
-:func:`quantum_f_divergence` runs the same engine on one pair.  Only the two
-1-D dots whose reduction order sets their bits, the kernel mass and the
-double sum's last dot, are taken pair by pair, so a stacked value is bit for
-bit the value of its pair alone.  One function, :func:`_boundary_term`,
-decides every boundary term of the spectral sum, the sweep and
-:func:`csiszar_divergence`: a finite coefficient times its mass, and for an
-infinite one ``inf`` when the mass exceeds ``RANK_TOL`` times the trace of
-the operator it is taken from, else ``0 * inf = 0``.
+route, closed forms included, reads both spectra, and their kernel sizes,
+through :func:`qfdiv.linalg.psd_eigh_pair`.  The engine is stacked: spectra,
+overlap tables, kernel sizes, the double sum and the boundary terms take an
+optional leading stack axis.  :func:`_quantum_f_divergences` evaluates two
+stacks ``(n, d, d)`` that the package built, unchecked, in one eigensolve
+per argument, and :func:`quantum_f_divergence` runs the same engine on one
+checked pair.  Only the two 1-D dots whose reduction order sets their bits,
+the kernel mass and the double sum's last dot, are taken pair by pair, so a
+stacked value is bit for bit the value of its pair alone.  One function,
+:func:`_boundary_term`, decides every boundary term of the spectral sum, the
+sweep and :func:`csiszar_divergence`: a finite coefficient times its mass,
+and for an infinite one ``inf`` when the mass exceeds ``RANK_TOL`` times the
+trace of the operator it is taken from, else ``0 * inf = 0``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .linalg import RANK_TOL, _probability_vector, as_matrix, psd_eigh_pair
+from .linalg import RANK_TOL, _probability_vector, as_matrix, clamp_psd_spectrum, psd_eigh_pair
 
 INF = math.inf
 
@@ -157,27 +157,19 @@ def _spectra(m_a: np.ndarray, m_b: np.ndarray):
     """Clamped spectra of two PSD operators, or of two stacks of them, their overlap tables,
     and their kernel sizes.
 
-    ``m_a`` and ``m_b`` are matrices or stacks ``(n, d, d)`` that
-    :func:`qfdiv.linalg.as_matrix` has checked.  Returns
-    ``(a, b, table, ka, kb)``: ascending eigenvalues from
-    :func:`qfdiv.linalg.psd_eigh_pair`, ``table[..., i, j] = |<u_i|v_j>|^2``
-    for the eigenvectors of each pair, and the number of leading zeros of
-    each spectrum of ``a`` and of ``b``.  The double sums below do not depend
-    on the basis chosen inside an eigenspace, so near-equal eigenvalues need
-    no merging.
+    ``m_a`` and ``m_b`` are Hermitian matrices or stacks ``(n, d, d)`` of
+    them, with finite entries.  Returns ``(a, b, table, ka, kb)``: ascending
+    eigenvalues and kernel sizes from :func:`qfdiv.linalg.psd_eigh_pair`,
+    and ``table[..., i, j] = |<u_i|v_j>|^2`` for the eigenvectors of each
+    pair.  The double sums below do not depend on the basis chosen inside an
+    eigenspace, so near-equal eigenvalues need no merging.
     """
     if m_a.shape != m_b.shape:
         raise DomainError(f"dimension mismatch: {m_a.shape} vs {m_b.shape}")
-    (a, u), (b, v) = psd_eigh_pair(m_a, m_b)
+    (a, u, ka), (b, v, kb) = psd_eigh_pair(m_a, m_b)
     table = np.abs(u.conj().mT @ v)
     table *= table
-    return a, b, table, _kernel_sizes(a), _kernel_sizes(b)
-
-
-def _kernel_sizes(w: np.ndarray):
-    """The number of leading zeros of a clamped spectrum, an ``int``, or of each spectrum of a
-    stack ``(n, d)``, an array (a search cannot run along rows, and costs less on one)."""
-    return int(w.searchsorted(0.0, "right")) if w.ndim == 1 else np.add.reduce(w <= 0.0, -1)
+    return a, b, table, ka, kb
 
 
 def _kernel_mass(a, table, ka: int, kb: int):
@@ -249,21 +241,21 @@ def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
     spectra come from :func:`qfdiv.linalg.psd_eigh`: eigenvalues at or below
     ``RANK_TOL`` times the operator's largest eigenvalue are the kernel and
     count as exact zeros.  This is the stacked engine of
-    :func:`quantum_f_divergences` on one pair, with no stack axis; ``A`` is
+    :func:`_quantum_f_divergences` on one pair, with no stack axis; ``A`` is
     checked before ``B``, so ``A``'s errors come first.
     """
     return float(_spectral_sum(*_spectra(as_matrix(A), as_matrix(B)), f))
 
 
-def quantum_f_divergences(A, B, f: DivergenceFunction) -> np.ndarray:
+def _quantum_f_divergences(A: np.ndarray, B: np.ndarray, f: DivergenceFunction) -> np.ndarray:
     """:func:`quantum_f_divergence` of each pair of two stacks ``(n, d, d)``, in one eigensolve
-    per stack.
+    per stack; each value holds the bits of its pair's own call.
 
-    Each stack is checked at once by :func:`qfdiv.linalg.as_matrix`, ``A``'s
-    first, and each value holds the bits of its pair's own call.  An error in
-    any pair raises for the whole stack.
+    Unchecked: every matrix must be exactly Hermitian and finite, as the
+    package's own builders make them (:func:`qfdiv.linalg.as_matrix` then
+    returns it unchanged).  An error in any pair raises for the whole stack.
     """
-    return _spectral_sum(*_spectra(as_matrix(A, stack=True), as_matrix(B, stack=True)), f)
+    return _spectral_sum(*_spectra(A, B), f)
 
 
 def quantum_f_divergence_eps_sweep(
@@ -301,7 +293,7 @@ def quantum_f_divergence_eps_sweep(
     n = len(EPS_SCHEDULE)
     values = _spectral_sum(
         np.broadcast_to(a, (n, *a.shape)), shifted, np.broadcast_to(table, (n, *table.shape)),
-        np.full(n, ka), _kernel_sizes(shifted), f,
+        np.full(n, ka), clamp_psd_spectrum(shifted), f,
     ).tolist()
     if divergent:
         return values, INF

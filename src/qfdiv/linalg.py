@@ -10,10 +10,11 @@ positive semi-definiteness check, and eigenvalues at or below
 near-equal eigenvalues stay separate, which leaves spectral sums unchanged
 because they do not depend on the basis chosen inside an eigenspace.
 
-Spectra take leading stack axes: :func:`as_matrix` checks a stack
-``(n, d, d)`` at once, and :func:`clamp_psd_spectrum` and :func:`psd_eigh`
-apply the kernel rule to each matrix of a stack, with the bits of one call
-per matrix (LAPACK solves a stack one matrix at a time).
+The rule reports the kernel's size ``k``, so a reader takes the support as
+``w[k:]``.  :func:`clamp_psd_spectrum` and :func:`psd_eigh` also take a
+stack ``(n, d, d)`` that the package built itself, and apply the rule to
+each matrix of it, with the bits of one call per matrix (LAPACK solves a
+stack one matrix at a time) and one ``k`` per matrix.
 
 A divergence needs the spectra of both of its arguments, and
 :func:`psd_eigh_pair` takes them together, one matrix or one stack each.
@@ -57,9 +58,12 @@ _MAX_ENTRY = np.finfo(float).max / 2
 _FACTOR_LABELS = "ABC"
 
 # Below this dimension the two eigensolves of a pair run one after the other:
-# handing one to the worker costs 30-50 us, which an eigensolve below d = 32
-# does not repay (on a 2-vCPU machine, a divergence took 1.2-1.4x as long on
-# two threads at d = 16-20, about as long at 24-28, and 0.8-0.9x from 32 on).
+# handing one to the worker costs 30-50 us.  A pair's time on two threads over
+# its sequential time, on a 2-vCPU machine (OPENBLAS_NUM_THREADS=1, best of 9):
+#   d      16    20    24    28    32    36    48    64
+#   ratio  1.40  1.06  0.90  0.94  0.90  0.86  0.78  0.72
+# Two threads pay from d = 24, but no workload has d in 24-31, so a lower
+# threshold could not be measured, and it stays at 32.
 _CONCURRENT_MIN_DIM = 32
 
 
@@ -147,7 +151,7 @@ class BipartiteState(DensityOperator):
         return f"BipartiteState(dims={self.dims})"
 
 
-def as_matrix(x, stack: bool = False) -> np.ndarray:
+def as_matrix(x) -> np.ndarray:
     """Coerce a :class:`DensityOperator` or an array-like to a complex square ndarray.
 
     A density operator's entries, a factored state's included, are returned as
@@ -155,30 +159,23 @@ def as_matrix(x, stack: bool = False) -> np.ndarray:
     finite, with no entry of modulus above ``finfo(float).max / (2 d)`` for a
     ``d x d`` matrix (so that neither symmetrizing nor the trace nor an
     eigenvalue can overflow), and Hermitian within
-    ``1e-12 * (1 + max|M|)``, and is symmetrized into a new array.  With
-    ``stack``, ``x`` is a stack ``(n, d, d)`` and each matrix is checked by
-    its own entries, at once; the symmetrized stack holds the bits of ``n``
-    single calls.
+    ``1e-12 * (1 + max|M|)``, and is symmetrized into a new array.
     """
     if isinstance(x, DensityOperator):
         return x.entries
     m = np.asarray(x, dtype=np.complex128)
-    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2]:
-        what = "a stack of square matrices" if stack else "a square matrix"
-        raise DomainError(f"expected {what}, got shape {m.shape}")
-    axes = (-2, -1) if stack else None  # one maximum per matrix
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(over="ignore"):  # |z| of a finite z can overflow; it is refused below
-        big = np.abs(m).max(axis=axes, initial=0.0)
-    bound = _MAX_ENTRY / max(m.shape[-1], 1)
-    ok = big <= bound  # max propagates NaN, which fails too
-    if not (ok.all() if stack else ok):
+        big = np.abs(m).max(initial=0.0)
+    bound = _MAX_ENTRY / max(m.shape[0], 1)
+    if not big <= bound:  # max propagates NaN, which fails too
         raise DomainError(f"matrix entries must be finite and of modulus at most {bound:.3e}")
-    mh = np.conjugate(m.mT, order="C")
-    defect = np.abs(m - mh).max(axis=axes, initial=0.0)
-    ok = defect <= _HERM_TOL * (1.0 + big)
-    if not (ok.all() if stack else ok):
+    mh = np.conjugate(m.T, order="C")
+    defect = np.abs(m - mh).max(initial=0.0)
+    if not defect <= _HERM_TOL * (1.0 + big):
         raise DomainError(
-            f"Hermiticity violated: max |M - M^dag| = {defect[~ok].max():.3e} "
+            f"Hermiticity violated: max |M - M^dag| = {defect:.3e} "
             f"exceeds {_HERM_TOL:.0e} * (1 + max|M|)"
         )
     mh += m
@@ -186,34 +183,35 @@ def as_matrix(x, stack: bool = False) -> np.ndarray:
     return mh
 
 
-def clamp_psd_spectrum(w: np.ndarray) -> np.ndarray:
+def clamp_psd_spectrum(w: np.ndarray) -> int | np.ndarray:
     """The kernel rule, applied in place to the ascending spectrum of a PSD matrix, or to
-    each row of a stack ``(..., d)`` of such spectra.
+    each row of a stack ``(..., d)`` of such spectra; returns the kernel's size.
 
     An eigenvalue below ``-RANK_TOL * ||M||`` is a domain error, and so is a
     NaN at either end of the spectrum; eigenvalues at or below
     ``RANK_TOL * ||M||`` become exact zeros, so the kernel is a leading block
-    of zeros.  Both thresholds are relative, so the rule does not depend on
-    the overall scale of ``M``.  A stack's first failing spectrum is the one
-    reported, and each row holds the bits of its own call.
+    of zeros, ``w[:k]`` for the ``k`` returned: an ``int`` for one spectrum,
+    one count per row for a stack.  Both thresholds are relative, so the rule
+    does not depend on the overall scale of ``M``.  A stack's first failing
+    spectrum is the one reported, and each row holds the bits of its own call.
     """
     if w.ndim == 1:  # one spectrum: scalar arithmetic and a slice, cheaper than array operations
         if not w.size:
-            return w
+            return 0
         floor = RANK_TOL * max(w[-1], -w[0])
         if not w[0] >= -floor:  # NaN fails too
             raise _indefinite(w)
-        w[: w.searchsorted(floor, "right")] = 0.0  # ascending: the kernel is a leading block
-        return w
-    if not w.shape[-1]:
-        return w
+        k = int(w.searchsorted(floor, "right"))  # ascending: the kernel is a leading block
+        w[:k] = 0.0
+        return k
     lo, hi = w[..., :1], w[..., -1:]
     floor = RANK_TOL * np.maximum(hi, -lo)
     ok = lo >= -floor  # NaN fails too
     if not ok.all():
         raise _indefinite(w.reshape(-1, w.shape[-1])[np.argmin(ok.ravel())])
-    np.putmask(w, w <= floor, 0.0)
-    return w
+    kernel = w <= floor
+    np.putmask(w, kernel, 0.0)
+    return np.add.reduce(kernel, -1)
 
 
 def _indefinite(w: np.ndarray) -> DomainError:
@@ -222,15 +220,16 @@ def _indefinite(w: np.ndarray) -> DomainError:
     )
 
 
-def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigensystem of a PSD matrix, or of each matrix of a stack, with the kernel
-    clamped to exact zeros.
+def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | np.ndarray]:
+    """Ascending eigensystem ``(w, v, k)`` of a PSD matrix, or of each matrix of a stack, with
+    the kernel clamped to exact zeros.
 
     One ``heevd`` followed by :func:`clamp_psd_spectrum`, so the eigenvalues
-    read ``[0, ..., 0, positive part]``.
+    read ``[0, ..., 0, positive part]``: the support is ``w[k:]`` and
+    ``v[:, k:]``.
     """
     w, v = _lapack.eigh(m)
-    return clamp_psd_spectrum(w), v
+    return w, v, clamp_psd_spectrum(w)
 
 
 def _usable_cpus() -> int:
@@ -270,7 +269,7 @@ def psd_eigh_pair(m_a: np.ndarray, m_b: np.ndarray) -> tuple[tuple, tuple]:
     finally:
         future.exception()  # waits; never leaves the worker running on m_b
     w, v = future.result()
-    return eig_a, (clamp_psd_spectrum(w), v)
+    return eig_a, (w, v, clamp_psd_spectrum(w))
 
 
 def _factor_indices(keep: str, n_factors: int) -> list[int]:

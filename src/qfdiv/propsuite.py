@@ -23,11 +23,13 @@ The divergence rows (``dpi``, ``nonnegativity``, ``homogeneity``,
 trial's divergence pairs and the rule that turns the pairs' values into its
 margins (a :class:`_Divergences`), each draw still from the trial's own
 seeds.  The driver then evaluates all pairs of one f and one dimension in one
-stacked call, :func:`qfdiv.fdiv.quantum_f_divergences`, whose values hold the
-bits of one call per pair; a group whose call raises is evaluated pair by
-pair, so the error is charged to its own trial.  Seeds derive
-deterministically from the master seed and the property id, so reports are
-reproducible up to timing.
+stacked call, :func:`qfdiv.fdiv._quantum_f_divergences`, which gives the bits
+of one call per pair and checks nothing: every matrix stacked here is built
+exactly Hermitian and finite.  A lone pair, and each pair of a group whose
+stacked call raises, is evaluated by the checked
+:func:`qfdiv.fdiv.quantum_f_divergence`, so an error is charged to its own
+trial.  Seeds derive deterministically from the master seed and the property
+id, so reports are reproducible up to timing.
 """
 
 from __future__ import annotations
@@ -64,12 +66,7 @@ from .condent import (
     tsallis_entropy,
 )
 from .errors import DomainError
-from .fdiv import (
-    DivergenceFunction,
-    make_tsallis_f,
-    quantum_f_divergence,
-    quantum_f_divergences,
-)
+from .fdiv import DivergenceFunction, _quantum_f_divergences, make_tsallis_f, quantum_f_divergence
 from .linalg import BipartiteState, _integer, partial_trace
 from .rng import generator
 
@@ -151,9 +148,9 @@ class _Trial:
     def seed(self, label: str) -> int:
         return derive_seed(self.master, f"{label}/{self.t}")
 
-    def state(self, label: str = "state") -> BipartiteState:
+    def state(self) -> BipartiteState:
         """Random state on ``dims`` of rank ``rank(prod(dims))``."""
-        return random_bipartite(self.dims, self.rank(math.prod(self.dims)), self.seed(label))
+        return random_bipartite(self.dims, self.rank(math.prod(self.dims)), self.seed("state"))
 
 
 def _entropy(state: BipartiteState, alpha: float, cond: str = "B") -> float:
@@ -180,10 +177,11 @@ class _Divergences:
 def _evaluate(batch: Sequence[_Divergences]) -> list:
     """Each pending trial's margins, or the exception its first failing pair raised.
 
-    The pairs of every trial are grouped by f and dimension, and each group is
-    one :func:`quantum_f_divergences` call.  When a group's call raises, its
-    pairs are evaluated one at a time by the same engine, so only the trials
-    whose own pairs fail are charged, each with its pair's own error.
+    The pairs of every trial are grouped by f and dimension, and each group of
+    two or more is one :func:`_quantum_f_divergences` call.  A lone pair, and
+    each pair of a group whose call raises, is one :func:`quantum_f_divergence`
+    call of the same engine, so only the trials whose own pairs fail are
+    charged, each with its pair's own error.
     """
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for i, pending in enumerate(batch):
@@ -193,14 +191,15 @@ def _evaluate(batch: Sequence[_Divergences]) -> list:
     errors: list[Exception | None] = [None] * len(batch)
     for (f, _), members in groups.items():
         pairs = [batch[i].pairs[j] for i, j in members]
-        try:
-            if len(pairs) == 1:  # a lone pair needs no stack
-                out = [quantum_f_divergence(*pairs[0], f)]
-            else:
-                out = quantum_f_divergences(
+        out = None
+        if len(pairs) > 1:  # a lone pair needs no stack
+            try:
+                out = _quantum_f_divergences(
                     np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), f
                 ).tolist()
-        except Exception:
+            except Exception:
+                pass  # evaluated pair by pair below
+        if out is None:
             out = []
             for (i, _), (a, b) in zip(members, pairs):
                 try:

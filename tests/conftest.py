@@ -20,8 +20,8 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
 def support_projector(a) -> np.ndarray:
     """Orthogonal projector onto the range of a positive operator: the span of
     the eigenvectors that ``psd_eigh`` leaves outside the kernel."""
-    w, v = psd_eigh(as_matrix(a))
-    cols = v[:, w > 0.0]
+    _, v, k = psd_eigh(as_matrix(a))
+    cols = v[:, k:]
     return cols @ cols.conj().T
 
 

@@ -399,6 +399,21 @@ class TestEpsSweep:
         a = channels.random_density(3, 3, seed=142).entries
         assert quantum_f_divergence_eps_sweep(a, np.zeros((3, 3)), make_tsallis_f(alpha)) == expected
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_zero_arguments(self, alpha):
+        # no kernel mass: for ell = inf B's whole kernel drops out, leaving empty spectra
+        zero = np.zeros((3, 3))
+        assert quantum_f_divergence_eps_sweep(zero, zero, make_tsallis_f(alpha)) == ([0.0] * 3, 0.0)
+
+    def test_zero_second_argument_with_finite_boundary_data(self):
+        # ell = f(0+) = 1: the kernel mass tr A = 1 enters as is, and B = 0 adds nothing
+        hellinger = DivergenceFunction(
+            "hellinger", lambda x: (np.sqrt(x) - 1.0) ** 2, lambda x: 1.0 - np.sqrt(x), 1.0, 1.0, True
+        )
+        a, zero = channels.random_density(3, 3, seed=142).entries, np.zeros((3, 3))
+        assert quantum_f_divergence_eps_sweep(a, zero, hellinger) == ([1.0] * 3, 1.0)
+        assert quantum_f_divergence_eps_sweep(zero, zero, hellinger) == ([0.0] * 3, 0.0)
+
     def test_kernel_mass_within_tolerance_stays_finite(self):
         # sin^2 t = 3e-11 of A's mass lies on ker B, below RANK_TOL * tr A: the spectral
         # route counts it as zero, and so does the sweep, whose sums leave B's kernel
@@ -583,9 +598,10 @@ class TestConcurrentEigensolves:
         got = psd_eigh_pair(a, b)
         # A on the calling thread; B on the worker exactly when d reaches the threshold
         assert on_main == {"A": True, "B": d < linalg._CONCURRENT_MIN_DIM}
-        for (w, v), (w_ref, v_ref) in zip(got, (psd_eigh(a), psd_eigh(b))):
+        for (w, v, k), (w_ref, v_ref, k_ref) in zip(got, (psd_eigh(a), psd_eigh(b))):
             assert w.tobytes() == w_ref.tobytes()
             assert v.tobytes() == v_ref.tobytes()
+            assert k == k_ref
 
     @pytest.mark.parametrize("d", [16, 24, 36, 64])
     @pytest.mark.parametrize("rank_b", ["full", "deficient"])

@@ -113,6 +113,12 @@ class TestUnitSums:
 
 
 class TestAsMatrix:
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 3), (2,)])
+    def test_rejects_anything_but_one_square_matrix(self, shape):
+        # a stack included: as_matrix checks one matrix
+        with pytest.raises(DomainError, match="expected a square matrix"):
+            as_matrix(np.zeros(shape))
+
     def test_rejects_non_hermitian_array(self):
         with pytest.raises(DomainError, match="Hermiticity"):
             as_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -192,26 +198,27 @@ class TestAsMatrix:
 
 class TestPsdEigh:
     def test_kernel_is_a_leading_block_of_exact_zeros(self):
-        w, v = psd_eigh(np.diag([0.5, 0.0, 0.5, 1e-14]))
+        w, v, k = psd_eigh(np.diag([0.5, 0.0, 0.5, 1e-14]))
         np.testing.assert_array_equal(w, [0.0, 0.0, 0.5, 0.5])
+        assert k == 2
         np.testing.assert_allclose(np.abs(v[:, :2]).sum(axis=1), [0, 1, 0, 1], atol=1e-14)
 
     @pytest.mark.parametrize("lam", [1.0, 1e-9, 1e-12])
     def test_floor_is_relative_to_the_norm(self, lam):
         # a 1e-9 eigenvalue is support and a 1e-11 one kernel, at every scale
-        w, _ = psd_eigh(lam * np.diag([1.0, 1e-9, 1e-11]))
+        w, _, _ = psd_eigh(lam * np.diag([1.0, 1e-9, 1e-11]))
         np.testing.assert_array_equal(w == 0.0, [True, False, False])
         assert w[1] == pytest.approx(lam * 1e-9)
 
     def test_near_equal_eigenvalues_stay_separate(self):
-        w, _ = psd_eigh(np.diag([0.5, 0.5 + 1e-12, 1e-9]))
+        w, _, _ = psd_eigh(np.diag([0.5, 0.5 + 1e-12, 1e-9]))
         assert w[0] == 1e-9
         assert w[1] != w[2]
 
     @pytest.mark.parametrize("dim", [2, 5, 9, 16])
     def test_reconstruction(self, dim):
         rho = channels.random_density(dim, max(1, dim // 2), seed=100 + dim).entries
-        w, v = psd_eigh(rho)
+        w, v, _ = psd_eigh(rho)
         np.testing.assert_allclose((v * w) @ v.conj().T, rho, atol=1e-12)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
 
@@ -229,9 +236,12 @@ class TestPsdEigh:
         floor = RANK_TOL * 1.0
         w = np.array([-floor, -0.0, 0.0, 1e-12, floor, np.nextafter(floor, 1.0), 0.5, 0.5, 1.0])
         want = np.where(w <= floor, 0.0, w)
-        got = clamp_psd_spectrum(w.copy())
+        got = w.copy()
+        clamp_psd_spectrum(got)
         assert got.tobytes() == want.tobytes()
-        assert clamp_psd_spectrum(np.zeros(3)).tobytes() == np.zeros(3).tobytes()
+        zeros = np.zeros(3)
+        clamp_psd_spectrum(zeros)
+        assert zeros.tobytes() == np.zeros(3).tobytes()
 
     @pytest.mark.parametrize(
         "engine",
@@ -246,6 +256,33 @@ class TestPsdEigh:
         # eigenvalue -10 * ||M||: the PSD check is relative, so scale cannot hide it
         with pytest.raises(DomainError, match="semi-definiteness"):
             engine(1e-12 * np.diag([1.0, -10.0]))
+
+
+class TestKernelSize:
+    """``clamp_psd_spectrum`` returns the size ``k`` of the kernel it sets to zero: ``w[:k]``."""
+
+    def test_one_spectrum(self):
+        w = np.array([-1e-12, 0.0, 1e-11, 0.3, 1.0])
+        k = clamp_psd_spectrum(w)
+        assert type(k) is int and k == 3
+        assert (w[:k] == 0.0).all() and (w[k:] > 0.0).all()
+
+    def test_stack_with_mixed_sizes(self):
+        rows = np.array(
+            [[-1e-12, 1e-11, 0.5, 1.0], [1e-3, 0.2, 0.3, 0.5], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1e-9, 1.0]]
+        )
+        k = clamp_psd_spectrum(rows)
+        assert k.tolist() == [2, 0, 4, 2]
+        assert k.tolist() == np.count_nonzero(rows == 0.0, axis=-1).tolist()
+
+    def test_empty_spectrum(self):
+        assert clamp_psd_spectrum(np.zeros(0)) == 0
+        assert clamp_psd_spectrum(np.zeros((3, 0))).tolist() == [0, 0, 0]
+
+    def test_zero_operator_is_all_kernel(self):
+        w, _, k = psd_eigh(np.zeros((3, 3)))
+        assert k == 3 and w.tolist() == [0.0] * 3
+        assert clamp_psd_spectrum(np.zeros((2, 3))).tolist() == [3, 3]
 
 
 class TestSupportProjector:

@@ -1,11 +1,14 @@
 """The stacked spectral engine against one call per pair, bit for bit.
 
-:func:`qfdiv.fdiv.quantum_f_divergences` evaluates two stacks ``(n, d, d)`` in
-one eigensolve per stack, and the property suite's divergence rows evaluate
-all their pairs that way.  Every value it gives must be ``==`` the value of
-its pair's own :func:`qfdiv.fdiv.quantum_f_divergence` call.  Stacked
-``eigh_lo`` and ``numpy.vecdot`` are what make that so, and both are numpy's
-to change, so the ``numpy-floor`` CI job runs this module too.
+:func:`qfdiv.fdiv._quantum_f_divergences` evaluates two stacks ``(n, d, d)``
+in one eigensolve per stack, and the property suite's divergence rows
+evaluate all their pairs that way.  Every value it gives must be ``==`` the
+value of its pair's own :func:`qfdiv.fdiv.quantum_f_divergence` call.
+Stacked ``eigh_lo`` and ``numpy.vecdot`` are what make that so, and both are
+numpy's to change, so the ``numpy-floor`` CI job runs this module too.  The
+stacked call checks nothing, so this module also checks that every pair the
+divergence rows build is one that :func:`qfdiv.linalg.as_matrix` would pass
+unchanged.
 """
 
 import logging
@@ -22,9 +25,9 @@ from qfdiv.errors import DomainError
 from qfdiv.fdiv import (
     INF,
     DivergenceFunction,
+    _quantum_f_divergences,
     make_tsallis_f,
     quantum_f_divergence,
-    quantum_f_divergences,
 )
 from qfdiv.linalg import DensityOperator, as_matrix, clamp_psd_spectrum, psd_eigh
 from qfdiv.propsuite import REGISTRY, PropertyConfig, derive_seed, run_suite
@@ -68,7 +71,7 @@ def looped(pairs, f):
 
 
 def stacked(pairs, f):
-    return quantum_f_divergences(np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), f)
+    return _quantum_f_divergences(np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), f)
 
 
 @pytest.fixture(scope="module")
@@ -156,28 +159,14 @@ class TestBitIdentityGrid:
 
 
 class TestStackedChecks:
-    def test_as_matrix_checks_each_matrix_of_a_stack(self):
-        ms = [random_density(3, 2, seed=s).entries + 1e-14j * np.eye(3)[::-1] for s in range(5)]
-        got = as_matrix(np.stack(ms), stack=True)
-        for m, out in zip(ms, got):
-            assert out.tobytes() == as_matrix(m).tobytes()
-
-    def test_one_bad_matrix_fails_the_stack(self):
-        ms = np.stack([np.eye(2) / 2, np.array([[0.5, 1.0], [0.0, 0.5]])])
-        with pytest.raises(DomainError, match="Hermiticity violated: max .* = 1.000e\\+00"):
-            as_matrix(ms, stack=True)
-
-    def test_a_single_matrix_is_not_a_stack(self):
-        with pytest.raises(DomainError, match="stack of square matrices"):
-            as_matrix(np.eye(2), stack=True)
-        with pytest.raises(DomainError, match="a square matrix"):
-            as_matrix(np.zeros((1, 2, 2)))
-
     def test_clamp_applies_the_rule_row_by_row(self):
         rows = np.array([[-1e-12, 1e-11, 0.5, 1.0], [1e-3, 0.2, 0.3, 0.5], [0.0, 0.0, 0.0, 0.0]])
-        got = clamp_psd_spectrum(rows.copy())
-        for row, out in zip(rows, got):
-            assert out.tobytes() == clamp_psd_spectrum(row.copy()).tobytes()
+        got = rows.copy()
+        sizes = clamp_psd_spectrum(got)
+        for row, out, k in zip(rows, got, sizes):
+            row = row.copy()
+            assert k == clamp_psd_spectrum(row)
+            assert out.tobytes() == row.tobytes()
 
     def test_clamp_reports_the_first_failing_spectrum(self):
         rows = np.array([[0.0, 1.0], [-0.25, 1.0], [-0.5, 1.0]])
@@ -191,16 +180,17 @@ class TestStackedChecks:
 
     def test_psd_eigh_of_a_stack_is_each_matrix_alone(self):
         ms = np.stack([random_density(5, r, seed=r).entries for r in range(1, 6)])
-        w, v = psd_eigh(ms)
-        for m, wk, vk in zip(ms, w, v):
-            w1, v1 = psd_eigh(m)
+        w, v, k = psd_eigh(ms)
+        for m, wk, vk, kk in zip(ms, w, v, k):
+            w1, v1, k1 = psd_eigh(m)
             assert wk.tobytes() == w1.tobytes() and vk.tobytes() == v1.tobytes()
+            assert kk == k1
 
     def test_errors_of_a_come_first(self):
         a = np.stack([np.eye(2) / 2, np.diag([1.0, -0.25])])
         b = np.stack([np.eye(2) / 2, np.diag([1.0, -0.5])])
         with pytest.raises(DomainError, match="-2.500e-01"):
-            quantum_f_divergences(a, b, make_tsallis_f(0.5))
+            _quantum_f_divergences(a, b, make_tsallis_f(0.5))
 
 
 def indefinite_draw(monkeypatch, pid, k):
@@ -244,6 +234,35 @@ class TestErrorAttribution:
         trials = [propsuite._Trial(spec, master, t) for t in range(n)]
         clean = propsuite._evaluate([spec.check(trial) for trial in trials])
         indefinite_draw(monkeypatch, pid, k)
-        got = propsuite._evaluate([spec.check(trial) for trial in trials])
+        batch = [spec.check(trial) for trial in trials]
+        rho = batch[k].pairs[0][0]
+        checked, calls = propsuite.quantum_f_divergence, []
+
+        def spy(a, b, f):
+            calls.append(a is rho)
+            return checked(a, b, f)
+
+        monkeypatch.setattr(propsuite, "quantum_f_divergence", spy)
+        got = propsuite._evaluate(batch)
         assert isinstance(got[k], DomainError)
         assert got[:k] + got[k + 1:] == clean[:k] + clean[k + 1:]
+        # the failing pair, alone in its group or in a group whose stacked call raised,
+        # is evaluated once, by the checked call
+        assert calls.count(True) == 1
+
+
+DIVERGENCE_ROWS = ["dpi", "nonnegativity", "homogeneity", "orthogonal-additivity", "extension-independence"]
+
+
+@pytest.mark.parametrize("pid", DIVERGENCE_ROWS)
+@pytest.mark.parametrize("master", [42, 0])
+def test_row_pairs_pass_as_matrix_unchanged(pid, master):
+    """The stacked call is unchecked: every matrix a divergence row builds, at its default
+    trials, must be finite and exactly Hermitian, so that ``as_matrix`` returns it as it is."""
+    spec, seed = REGISTRY[pid], derive_seed(master, pid)
+    for t in range(spec.trials):
+        for pair in spec.check(propsuite._Trial(spec, seed, t)).pairs:
+            for m in pair:
+                assert np.isfinite(m).all(), (t, m)
+                assert (m == m.conj().T).all(), (t, m)
+                assert (as_matrix(m) == m).all(), (t, m)
