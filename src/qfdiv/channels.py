@@ -23,6 +23,7 @@ from .linalg import (
     BipartiteState,
     DensityOperator,
     _factor_dims,
+    _factored_dims,
     _integer,
     _probability_vector,
     _schmidt_coefficients,
@@ -192,23 +193,20 @@ def build_classical_register_state(
     w = _probability_vector(p)
     if w.size != len(blocks):
         raise DomainError("probability vector length must match the number of blocks")
-    if any(len(b.dims) != 2 for b in blocks):
-        raise DomainError("blocks must be two-factor states")
-    d_a = blocks[0].dims[0]
-    if any(b.dims[0] != d_a for b in blocks):
+    dims = [_factored_dims(b, 2) for b in blocks]
+    d_a = dims[0][0]
+    if any(d[0] != d_a for d in dims):
         raise DomainError("blocks must share the first factor dimension")
-    d_b = sum(b.dims[1] for b in blocks)
+    d_b = sum(d[1] for d in dims)
     out = _sectors(d_a, [weight * b.entries for weight, b in zip(w, blocks)], d_b)
     return BipartiteState(DensityOperator._from_valid(out), (d_a, d_b))
 
 
 def embed_ancilla(state: BipartiteState, extra_b_dim: int) -> BipartiteState:
-    """Zero-pad the conditioning factor of a two-factor state by ``extra_b_dim``."""
+    """Zero-pad B of a two-factor state by ``extra_b_dim``; ``_factored_dims`` checks it."""
     extra_b_dim = _integer(extra_b_dim, "extra_b_dim", least=0)
-    if len(state.dims) != 2:
-        raise DomainError("embed_ancilla expects a two-factor state")
+    d_a, d_b = _factored_dims(state, 2)
     if extra_b_dim == 0:
         return state
-    d_a, d_b = state.dims
     out = _sectors(d_a, [state.entries], d_b + extra_b_dim)
     return BipartiteState(DensityOperator._from_valid(out), (d_a, d_b + extra_b_dim))

@@ -92,14 +92,6 @@ def parse_matrix_file(path: str):
         raise DomainError(f"{path}: {exc}") from exc
 
 
-def _factored_state(path: str) -> BipartiteState:
-    """The factored state in ``path``: a file without ``dims`` is refused."""
-    state = parse_matrix_file(path)
-    if not isinstance(state, BipartiteState):
-        raise DomainError(f"{path}: a conditional entropy needs a state file with a dims field")
-    return state
-
-
 def write_matrix_file(path: str, matrix: np.ndarray, dims=None) -> None:
     doc = {
         "dim": int(matrix.shape[0]),
@@ -196,7 +188,7 @@ def _cmd_divergence(args) -> int:
 
 def _cmd_condent(args) -> int:
     opts = OptimizerOptions(starts=args.starts, value_tol=args.value_tol, max_iters=args.max_iters)
-    state = _factored_state(args.state)
+    state = parse_matrix_file(args.state)
     alpha = _family_alpha(args.family, args.alpha)
     f = make_tsallis_f(alpha)
     if args.method == "closed":
@@ -208,7 +200,7 @@ def _cmd_condent(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    lower, upper = thm2_bounds(_factored_state(args.state), make_tsallis_f(args.alpha))
+    lower, upper = thm2_bounds(parse_matrix_file(args.state), make_tsallis_f(args.alpha))
     print(f"{format_number(lower)} {format_number(upper)}")
     return 0
 

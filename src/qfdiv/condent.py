@@ -40,6 +40,7 @@ from .fdiv import DivergenceFunction, _positive_alpha, _qlog
 from .linalg import (
     BipartiteState,
     _factor_indices,
+    _factored_dims,
     _integer,
     _probability_vector,
     _schmidt_coefficients,
@@ -118,9 +119,10 @@ def _from_power_mean(k: float, c: float) -> float:
     return -(k + n * _qlog(n, c))
 
 
-def _conditioning_split(dims: tuple[int, ...], cond: str):
-    """``(cond_idx, order, d_cond)``: the indices of the ``cond`` factors, the
-    factor order that puts them after the others, and their joint dimension."""
+def _conditioning_split(state: BipartiteState, cond: str):
+    """``(cond_idx, order, d_cond)``: the ``cond`` factors' indices in ``state``'s checked
+    dims, the factor order that puts them after the others, and their joint dimension."""
+    dims = _factored_dims(state)
     cond_idx = _factor_indices(cond, len(dims))
     rest = [i for i in range(len(dims)) if i not in cond_idx]
     if not rest:
@@ -210,7 +212,7 @@ class _Objective:
 
     def __init__(self, state: BipartiteState, cond: str, f: DivergenceFunction):
         self.f = f
-        cond_idx, order, d_cond = _conditioning_split(state.dims, cond)
+        cond_idx, order, d_cond = _conditioning_split(state, cond)
         w, psi, k = psd_eigh(state.entries)
         wb, vb, kb = psd_eigh(ptrace_entries(state.entries, state.dims, cond_idx))
         self.support = vb[:, kb:]
@@ -474,7 +476,7 @@ def conditional_entropy_tsallis_closed(
     ``(0, 2]`` where the divergence is monotone.
     """
     alpha = _monotone_alpha(alpha)
-    cond_idx = _conditioning_split(state.dims, cond)[0]
+    cond_idx = _conditioning_split(state, cond)[0]
     w, v, k = psd_eigh(state.entries)
     w /= w.sum()
     rho_pow = (v * w**alpha) @ v.conj().T
@@ -498,7 +500,7 @@ def thm2_bounds(
     in the joint power-family entropy.
     """
     _require_wellbehaved(f)
-    d_cond = _conditioning_split(state.dims, cond)[2]
+    d_cond = _conditioning_split(state, cond)[2]
     w = _lapack.eigvalsh(state.entries)
     w = w[clamp_psd_spectrum(w):]
     lower = -float(np.sum(f(d_cond * w))) / d_cond

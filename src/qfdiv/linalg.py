@@ -300,6 +300,15 @@ def _factor_dims(dims) -> tuple[int, ...]:
     return tuple(_integer(d, "dims: each dimension", least=1) for d in dims)
 
 
+def _factored_dims(state, factors: int | None = None) -> tuple[int, ...]:
+    """A :class:`BipartiteState`'s ``dims``, of ``factors`` factors if given: the one check."""
+    if isinstance(state, BipartiteState) and factors in (None, len(state.dims)):
+        return state.dims
+    got = repr(state) if isinstance(state, DensityOperator) else type(state).__name__
+    need = f"{factors} dims" if factors else "dims"
+    raise DomainError(f"expected a state with {need} (a matrix file's dims field), got {got}")
+
+
 def _probability_vector(p, name: str = "probability vector") -> np.ndarray:
     """``p`` as a flat float array; a non-finite or negative entry or a sum off 1 is an error."""
     w = np.asarray(p, dtype=float).ravel()
@@ -341,14 +350,12 @@ def ptrace_entries(entries: np.ndarray, dims: Sequence[int], keep_idx: Sequence[
 def partial_trace(rho, keep: str, dims: Sequence[int] | None = None) -> DensityOperator:
     """Reduced state over the kept subsystems, e.g. ``keep="B"`` traces out A.
 
-    ``rho`` may be a :class:`BipartiteState` (dims taken from it),
-    or any operator together with an explicit ``dims`` tuple.  The partial
-    trace of a :class:`DensityOperator` is one by construction and is not
+    ``rho`` may be any operator with an explicit ``dims`` tuple; without one it must
+    be a :class:`BipartiteState`, whose dims :func:`_factored_dims` reads.  The
+    partial trace of a :class:`DensityOperator` is one by construction and is not
     re-checked; a raw array's is validated as a density operator.
     """
-    if dims is None and not isinstance(rho, BipartiteState):
-        raise DomainError("dims are required unless the state carries them")
-    dims = rho.dims if dims is None else _factor_dims(dims)
+    dims = _factored_dims(rho) if dims is None else _factor_dims(dims)
     entries = as_matrix(rho)
     keep_idx = _factor_indices(keep, len(dims))
     reduced = ptrace_entries(entries, dims, keep_idx)
