@@ -113,10 +113,19 @@ def tsallis_entropy(rho, alpha: float) -> float:
     return -float(w @ _qlog(w, alpha - 1.0))
 
 
-def _from_power_mean(k: float, c: float) -> float:
-    """``(1 - n**(1 + c)) / c`` for a power mean ``n = 1 + c k``, as ``-(k + n _qlog(n, c))``."""
-    n = 1.0 + c * k
-    return -(k + n * _qlog(n, c))
+def _from_power_mean(k: float, alpha: float, log_terms: np.ndarray) -> float:
+    """``(1 - n**alpha) / c``, ``c = alpha - 1``, for ``n = 1 + c k = sum exp(log_terms)``.
+
+    Evaluated as ``-expm1(alpha log n) / c`` (``-k`` at ``c = 0``), ``log n`` as ``log1p(c k)``
+    while ``-1/2 < c k < inf`` and else as the log-sum-exp of ``log_terms``: near ``alpha = 0``
+    ``1 + c k`` cancels and ``k`` may overflow, and ``1 + c`` would lose ``alpha``'s low bits.
+    """
+    c = alpha - 1.0
+    if c == 0.0:
+        return -k
+    ck = c * k
+    log_n = math.log1p(ck) if -0.5 < ck < math.inf else float(np.logaddexp.reduce(log_terms))
+    return -math.expm1(alpha * log_n) / c
 
 
 def _conditioning_split(state: BipartiteState, cond: str):
@@ -472,8 +481,9 @@ def conditional_entropy_tsallis_closed(
     with the conditioning marginal as the minimizer: with ``w`` the spectrum
     divided by its trace and ``t`` that of the reduced power, the trace's
     excess over 1 is ``alpha - 1`` times ``sum w _qlog(w, alpha - 1) -
-    sum t _qlog(t, (1 - alpha) / alpha) / alpha``.  Valid for ``alpha`` in
-    ``(0, 2]`` where the divergence is monotone.
+    sum t _qlog(t, (1 - alpha) / alpha) / alpha``.  Valid, and accurate to a few
+    eps (see :func:`_from_power_mean`), for ``alpha`` in ``(0, 2]`` where the
+    divergence is monotone.
     """
     alpha = _monotone_alpha(alpha)
     cond_idx = _conditioning_split(state, cond)[0]
@@ -481,11 +491,13 @@ def conditional_entropy_tsallis_closed(
     w /= w.sum()
     rho_pow = (v * w**alpha) @ v.conj().T
     wt, vt, kt = psd_eigh(ptrace_entries(rho_pow, state.dims, cond_idx))
-    root = (vt * wt ** (1.0 / alpha)) @ vt.conj().T
+    root = (vt * (wt / wt[-1]) ** (1.0 / alpha)) @ vt.conj().T  # scaled so that it cannot overflow
     w, wt = w[k:], wt[kt:]
-    k = float(w @ _qlog(w, alpha - 1.0) - wt @ _qlog(wt, (1.0 - alpha) / alpha) / alpha)
+    with np.errstate(over="ignore"):  # an infinite k takes the log-sum-exp
+        k = float(w @ _qlog(w, alpha - 1.0) - wt @ _qlog(wt, (1.0 - alpha) / alpha) / alpha)
     sigma = root / root.trace().real
-    return _from_power_mean(k, alpha - 1.0), (sigma + sigma.conj().T) / 2.0
+    h = _from_power_mean(k, alpha, np.log(wt) / alpha)
+    return h, (sigma + sigma.conj().T) / 2.0
 
 
 def thm2_bounds(
@@ -551,8 +563,10 @@ def classical_register_closed_form(
         raise DomainError(
             f"inconsistent block entropies: 1 + (1 - alpha) H = {t.min()!r} is not positive"
         )
-    k = -float(w @ (h + t * _qlog(t, (1.0 - alpha) / alpha) / alpha))
-    return _from_power_mean(k, alpha - 1.0)
+    w, h, t = w[w > 0.0], h[w > 0.0], t[w > 0.0]  # 0 * inf would be NaN
+    with np.errstate(over="ignore"):  # an infinite k takes the log-sum-exp
+        k = -float(w @ (h + t * _qlog(t, (1.0 - alpha) / alpha) / alpha))
+    return _from_power_mean(k, alpha, np.log(w) + np.log(t) / alpha)
 
 
 def chain_rule_rhs(h_abc_given_bc: float, d_c: int, alpha: float) -> float:

@@ -205,6 +205,15 @@ class TestProductIdentity:
             # the optimizing state of a product is the conditioning marginal
             np.testing.assert_allclose(DensityOperator(sigma).entries, rho_b.entries, atol=1e-8)
 
+    def test_far_below_one(self):
+        # the reduced power's spectrum is about 4 here, and its 1000th power overflows unscaled
+        rho_a = random_density(4, 4, seed=5)
+        rho_b = random_density(2, 2, seed=6)
+        state = BipartiteState(np.kron(rho_a.entries, rho_b.entries), (4, 2))
+        value, sigma = conditional_entropy_tsallis_closed(state, 0.001)
+        assert value == pytest.approx(tsallis_entropy(rho_a, 0.001), abs=1e-12)
+        np.testing.assert_allclose(sigma, rho_b.entries, atol=1e-10)
+
 
 class TestOptimizer:
     def test_agrees_with_closed_form(self):
@@ -1032,6 +1041,11 @@ class TestClassicalRegister:
     def test_single_block_collapses(self):
         for alpha in (0.5, 1.0, 2.0):
             assert classical_register_closed_form([-0.4], [1.0], alpha) == pytest.approx(-0.4)
+
+    def test_zero_weight_block_drops_out(self):
+        for alpha in (0.001, 0.5, 1.0, 2.0):
+            got = classical_register_closed_form([-0.4, 0.3], [1.0, 0.0], alpha)
+            assert got == classical_register_closed_form([-0.4], [1.0], alpha)
 
     def test_equal_blocks_are_fixed_point(self):
         for alpha in (0.5, 1.0, 2.0):

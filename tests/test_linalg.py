@@ -423,6 +423,45 @@ class TestIntegerDimensions:
         assert chain_rule_rhs(0.1, np.int64(2), 0.5) == chain_rule_rhs(0.1, 2, 0.5)
 
 
+# every public entry point that reads factor dims, and whether it needs exactly two factors
+_DIMS_READERS = {
+    "conditional_entropy_optimize": (
+        lambda s: qfdiv.conditional_entropy_optimize(s, make_tsallis_f(0.5)), False
+    ),
+    "conditional_entropy_tsallis_closed": (
+        lambda s: qfdiv.conditional_entropy_tsallis_closed(s, 0.5), False
+    ),
+    "thm2_bounds": (lambda s: qfdiv.thm2_bounds(s, make_tsallis_f(0.5)), False),
+    "partial_trace": (lambda s: partial_trace(s, "B"), False),
+    "embed_ancilla": (lambda s: channels.embed_ancilla(s, 1), True),
+    "build_classical_register_state": (
+        lambda s: channels.build_classical_register_state([s], [1.0]), True
+    ),
+}
+_UNFACTORED = {
+    "ndarray": lambda: np.eye(8) / 8,
+    "DensityOperator": lambda: DensityOperator(np.eye(8) / 8),
+    "three-factor": lambda: BipartiteState(np.eye(8) / 8, (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, argument",
+    [
+        (reader, argument)
+        for reader, (_, two_factors) in _DIMS_READERS.items()
+        for argument in _UNFACTORED
+        if two_factors or argument != "three-factor"
+    ],
+)
+def test_readers_of_dims_refuse_what_has_none(reader, argument):
+    """Each reader of factor dims refuses an argument without them, or with the
+    wrong number, with one domain error that names dims."""
+    call, _ = _DIMS_READERS[reader]
+    with pytest.raises(DomainError, match="dims"):
+        call(_UNFACTORED[argument]())
+
+
 def _matrix_file(tmp_path, dim):
     """Parse a matrix file with the given ``dim`` and the one entry 1."""
     path = tmp_path / "m.json"

@@ -15,7 +15,7 @@ PINS = [
     ("nonnegativity", 500, 0, 0.0012803272328886194),
     ("homogeneity", 180, 0, -1.0436096431476471e-14),
     ("orthogonal-additivity", 45, 0, -1.7053025658242404e-13),
-    ("extension-independence", 350, 0, -6.661338147750939e-14),
+    ("extension-independence", 350, 0, -6.658562590189376e-14),
 ]
 
 
