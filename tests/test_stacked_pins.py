@@ -4,6 +4,9 @@ These rows evaluate every trial's pairs in stacked calls.  Each row is one
 property's report from ``run_suite(PropertyConfig(seed=42), [property_id])``,
 recorded when every pair was still its own call: the number of margins, the
 number of violations and the worst margin, all compared with ``==``.
+``extension-independence`` reads the Tsallis closed form; its pin was
+recorded again when that form moved to the ``expm1`` evaluation, and per-pair
+evaluation of the row (every stacked call made to fail) gives the same bits.
 """
 
 import pytest
