@@ -113,18 +113,22 @@ def tsallis_entropy(rho, alpha: float) -> float:
     return -float(w @ _qlog(w, alpha - 1.0))
 
 
-def _from_power_mean(k: float, alpha: float, log_terms: np.ndarray) -> float:
-    """``(1 - n**alpha) / c``, ``c = alpha - 1``, for ``n = 1 + c k = sum exp(log_terms)``.
+def _from_power_mean(k: float, alpha: float, t: np.ndarray, p=1.0) -> float:
+    """``(1 - n**alpha) / c``, ``c = alpha - 1``, for ``n = 1 + c k = sum p t**(1/alpha)``.
 
     Evaluated as ``-expm1(alpha log n) / c`` (``-k`` at ``c = 0``), ``log n`` as ``log1p(c k)``
-    while ``-1/2 < c k < inf`` and else as the log-sum-exp of ``log_terms``: near ``alpha = 0``
-    ``1 + c k`` cancels and ``k`` may overflow, and ``1 + c`` would lose ``alpha``'s low bits.
+    while ``-1/2 < c k < inf`` and else as the log-sum-exp of ``log p + log t / alpha``: near
+    ``alpha = 0`` ``1 + c k`` cancels and ``k`` may overflow, and ``1 + c`` would lose
+    ``alpha``'s low bits.  Only that fallback takes logs of the terms.
     """
     c = alpha - 1.0
     if c == 0.0:
         return -k
     ck = c * k
-    log_n = math.log1p(ck) if -0.5 < ck < math.inf else float(np.logaddexp.reduce(log_terms))
+    if -0.5 < ck < math.inf:
+        log_n = math.log1p(ck)
+    else:
+        log_n = float(np.logaddexp.reduce(np.log(t) / alpha + np.log(p)))
     return -math.expm1(alpha * log_n) / c
 
 
@@ -496,8 +500,7 @@ def conditional_entropy_tsallis_closed(
     with np.errstate(over="ignore"):  # an infinite k takes the log-sum-exp
         k = float(w @ _qlog(w, alpha - 1.0) - wt @ _qlog(wt, (1.0 - alpha) / alpha) / alpha)
     sigma = root / root.trace().real
-    h = _from_power_mean(k, alpha, np.log(wt) / alpha)
-    return h, (sigma + sigma.conj().T) / 2.0
+    return _from_power_mean(k, alpha, wt), (sigma + sigma.conj().T) / 2.0
 
 
 def thm2_bounds(
@@ -566,7 +569,7 @@ def classical_register_closed_form(
     w, h, t = w[w > 0.0], h[w > 0.0], t[w > 0.0]  # 0 * inf would be NaN
     with np.errstate(over="ignore"):  # an infinite k takes the log-sum-exp
         k = -float(w @ (h + t * _qlog(t, (1.0 - alpha) / alpha) / alpha))
-    return _from_power_mean(k, alpha, np.log(w) + np.log(t) / alpha)
+    return _from_power_mean(k, alpha, t, w)
 
 
 def chain_rule_rhs(h_abc_given_bc: float, d_c: int, alpha: float) -> float:

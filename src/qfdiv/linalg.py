@@ -305,7 +305,7 @@ def _factored_dims(state, factors: int | None = None) -> tuple[int, ...]:
     if isinstance(state, BipartiteState) and factors in (None, len(state.dims)):
         return state.dims
     got = repr(state) if isinstance(state, DensityOperator) else type(state).__name__
-    need = f"{factors} dims" if factors else "dims"
+    need = f"dims of {factors} factors" if factors else "dims"
     raise DomainError(f"expected a state with {need} (a matrix file's dims field), got {got}")
 
 

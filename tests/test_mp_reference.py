@@ -17,10 +17,11 @@ eigenvalues, whose errors are eps times the norm; for a divergence, the
 overlaps' errors add ``sum |term_ij| (||A|| / gap_i + ||B|| / gap_j)``, with
 ``gap`` an eigenvalue's distance to the rest of its spectrum.  A closed form
 ``H = (1 - n**alpha) / (alpha - 1)`` of a power mean ``n = 1 + (alpha - 1) k``
-scales the condition number of ``k`` (with ``|k|`` for rounding it) by
-``|dH/dk| = alpha n**(alpha - 1)`` and adds ``|H| (1 + |alpha log n|)`` for the
-final ``expm1`` and division: far below ``alpha = 1``, ``n`` and ``k`` overflow
-while ``H`` stays near 1.  ``K`` is the
+takes the smaller of two: ``|k| + |n _qlog(n, alpha - 1)|`` plus that of ``k``,
+and that of ``k`` (with ``|k|`` for rounding it) scaled by ``|dH/dk| =
+alpha n**(alpha - 1)`` plus ``|H| (1 + |alpha log n|)`` for the final ``expm1``
+and division.  The first is tighter near ``alpha = 1``; the second stays finite
+far below it, where ``n`` and ``k`` overflow while ``H`` stays near 1.  ``K`` is the
 dimension for a route that eigensolves, as the eigensolver's backward error
 and each sum grow like it, and 4 for a scalar formula.
 """
@@ -188,8 +189,12 @@ def _tsallis(w, c):
 
 
 def _power_mean_kappa(kappa_k, k, n, a, value):
-    """``kappa`` of ``H = (1 - n**a) / (a - 1)``, ``n = 1 + (a - 1) k``, from ``k``'s."""
-    return a * n ** (a - 1) * (kappa_k + abs(k)) + abs(value) * (1 + abs(a * MP.log(n)))
+    """``kappa`` of ``H = (1 - n**a) / (a - 1)``, ``n = 1 + (a - 1) k``, from ``k``'s: the
+    smaller of that of ``H`` as a function of ``k`` and ``|k| + |n _qlog(n, a - 1)|`` plus
+    ``k``'s, which is tighter near ``a = 1`` and grows without bound far below it."""
+    near_one = abs(k) + abs(n * _qlog(n, a - 1)) + kappa_k
+    far = a * n ** (a - 1) * (kappa_k + abs(k)) + abs(value) * (1 + abs(a * MP.log(n)))
+    return min(near_one, far)
 
 
 def conditional_reference(dims, rank, seed, alpha):
