@@ -566,7 +566,8 @@ def classical_register_closed_form(
         raise DomainError(
             f"inconsistent block entropies: 1 + (1 - alpha) H = {t.min()!r} is not positive"
         )
-    w, h, t = w[w > 0.0], h[w > 0.0], t[w > 0.0]  # 0 * inf would be NaN
+    keep = w > 0.0  # 0 * inf would be NaN
+    w, h, t = w[keep], h[keep], t[keep]
     with np.errstate(over="ignore"):  # an infinite k takes the log-sum-exp
         k = -float(w @ (h + t * _qlog(t, (1.0 - alpha) / alpha) / alpha))
     return _from_power_mean(k, alpha, t, w)
