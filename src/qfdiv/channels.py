@@ -90,13 +90,20 @@ class KrausChannel:
         return f"KrausChannel(n={len(self.kraus_ops)}, d_in={self.d_in}, d_out={self.d_out})"
 
 
+def _channel(phi) -> KrausChannel:
+    """``phi`` if it is a :class:`KrausChannel`: the one check of a channel argument."""
+    if isinstance(phi, KrausChannel):
+        return phi
+    raise DomainError(f"expected a KrausChannel, got {type(phi).__name__}")
+
+
 def apply_channel(phi: KrausChannel, rho) -> np.ndarray:
     """The Hermitian ndarray ``sum_n K_n rho K_n^dag``, for a wrapped or a raw input.
 
     The output is not validated; wrap it in a :class:`DensityOperator` or a
     :class:`BipartiteState` where a checked state is needed.
     """
-    m = as_matrix(rho)
+    phi, m = _channel(phi), as_matrix(rho)
     if m.shape[0] != phi.d_in:
         raise DomainError(f"dimension mismatch: channel input {phi.d_in}, state {m.shape[0]}")
     k = phi.kraus_ops
@@ -160,7 +167,7 @@ def extend_with_identity(phi: KrausChannel, d_left: int) -> KrausChannel:
     """Tensor the identity on a left factor: ``id (x) phi`` acting on B of an AB state."""
     d_left = _integer(d_left, "d_left", least=1)
     # the products np.kron(np.eye(d_left), ops) forms, in its operand order
-    ops = np.eye(d_left)[:, None, :, None] * phi.kraus_ops[:, None, :, None, :]
+    ops = np.eye(d_left)[:, None, :, None] * _channel(phi).kraus_ops[:, None, :, None, :]
     return KrausChannel._from_valid(ops.reshape(len(ops), d_left * phi.d_out, d_left * phi.d_in))
 
 

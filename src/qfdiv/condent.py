@@ -179,16 +179,11 @@ _ROOT_RTOL = 1e-3
 _ROOT_STEPS = 100
 
 
-def _fw_gap(gt: np.ndarray, g_mean: float, tol: float = math.inf) -> float:
+def _fw_gap(gt: np.ndarray, g_mean: float) -> float:
     """Frank-Wolfe gap ``tr(G sigma) - lambda_min(G)``: the one rule that certifies an iterate.
 
-    Its lower bound ``tr(G sigma) - min_i Re G_ii`` (as ``lambda_min(G) <= min_i G_ii``)
-    is returned when it exceeds ``tol``, without an eigensolve; otherwise the gap
-    is exact, and ``inf`` when G is not finite.
+    It is exact, from one eigensolve, and ``inf`` without one when G is not finite.
     """
-    bound = g_mean - float(gt.diagonal().real.min())
-    if bound > tol:
-        return bound
     if not (math.isfinite(g_mean) and np.isfinite(gt).all()):
         return math.inf
     return max(g_mean - float(_lapack.eigvalsh(gt)[0]), 0.0)
@@ -293,11 +288,9 @@ class _Objective:
     def certify(self, point: _Point, gap: float, tol: float) -> tuple[float, np.ndarray, float]:
         """Value, sigma and gap of a finished start, polished while the gap exceeds ``tol``.
 
-        ``point`` is the start's last iterate and ``gap`` its
-        ``_fw_gap(point.gt, point.g_mean, t)`` at some ``t >= tol``, such as
-        the descent's: a gap within ``tol`` is then exact and taken as it is,
-        so a start its descent certified costs no second eigensolve; any other
-        is recomputed.  Near a face of the state space the theta-gradient
+        ``point`` is the start's last iterate and ``gap`` its ``_fw_gap``, such
+        as the descent's, so a start its descent certified costs no second
+        eigensolve.  Near a face of the state space the theta-gradient
         vanishes along the eigenvectors whose eigenvalues are tiny, however
         steep F is there, so a descent can stop with a small theta-gradient and
         a large gap.  Such a start takes up to ``_POLISH_STEPS`` Frank-Wolfe steps
@@ -312,9 +305,8 @@ class _Objective:
         returned is the last value minus the greatest of these bounds: never
         above any gap seen.
         """
-        _, value, _, p, u, gt, g_mean = point
-        fw = gap = gap if gap <= tol else _fw_gap(gt, g_mean)
-        bound = -math.inf
+        _, value, _, p, u, gt, _ = point
+        fw, bound = gap, -math.inf
         for _ in range(_POLISH_STEPS):
             if gap <= tol or fw == math.inf:
                 break
@@ -391,11 +383,11 @@ def _descend(objective: _Objective, x: np.ndarray, tol: float, max_iters: int):
 
     The inverse Hessian starts as the identity, is rescaled to
     ``(s.y / y.y) I`` after the first step, and skips its update when
-    ``s.y <= 0``.  Returns the last iterate, its ``_fw_gap`` at ``tol``, the
-    iterations taken and why the descent stopped.
+    ``s.y <= 0``.  Returns the last iterate, its ``_fw_gap``, the iterations
+    taken and why the descent stopped.
     """
     point = objective.evaluate(x)
-    gap = _fw_gap(point.gt, point.g_mean, tol)
+    gap = _fw_gap(point.gt, point.g_mean)
     if gap <= tol:
         return point, gap, 0, "certified"
     if not math.isfinite(point.value):
@@ -415,7 +407,7 @@ def _descend(objective: _Objective, x: np.ndarray, tol: float, max_iters: int):
             hys = hy[:, None] * s  # np.outer(hy, s), without its wrapper
             h += (sy + float(y @ hy)) / sy**2 * (s[:, None] * s) - (hys + hys.T) / sy
         point = new
-        gap = _fw_gap(point.gt, point.g_mean, tol)
+        gap = _fw_gap(point.gt, point.g_mean)
         if gap <= tol:
             return point, gap, it, "certified"
     return point, gap, max_iters, "max_iters reached"

@@ -122,6 +122,17 @@ class TestApplyChannel:
         with pytest.raises(DomainError, match="dimension mismatch"):
             apply_channel(KrausChannel((np.eye(2),)), np.eye(3) / 3)
 
+    def test_raw_kraus_operators_are_refused(self):
+        # no wrapping: only a KrausChannel carries checked, complete operators
+        ops = np.eye(2)[None] * 1.0
+        for call in (
+            lambda: apply_channel(ops, np.eye(2) / 2),
+            lambda: apply_channel(ops.tolist(), np.eye(2) / 2),
+            lambda: extend_with_identity(ops, 2),
+        ):
+            with pytest.raises(DomainError, match="expected a KrausChannel"):
+                call()
+
     def test_preserves_trace_hermiticity_psd(self):
         for t in range(500):
             d_in = 2 + t % 3
