@@ -79,7 +79,7 @@ class DensityOperator:
     arrays and matrix files included.  Builders whose result is a density
     operator by construction from validated parts (``random_density``, the
     Schmidt, register and ancilla builders in :mod:`qfdiv.channels`, and
-    :func:`partial_trace` of a wrapped state) wrap it with
+    :func:`partial_trace`) wrap it with
     :meth:`_from_valid`, which skips those checks.  Every engine still reads
     a spectrum through :func:`psd_eigh`, which rejects a negative eigenvalue.
     """
@@ -334,12 +334,8 @@ def _schmidt_coefficients(coeffs) -> np.ndarray:
 
 
 def ptrace_entries(entries: np.ndarray, dims: Sequence[int], keep_idx: Sequence[int]) -> np.ndarray:
-    """Partial trace at the array level, keeping the listed factor indices in order."""
+    """Partial trace of a matrix of a factored state's shape, keeping the listed factor indices."""
     n = len(dims)
-    if entries.shape != (math.prod(dims),) * 2:
-        raise DomainError(
-            f"dimension mismatch: matrix of shape {entries.shape} vs factors {dims}"
-        )
     t = entries.reshape(*dims, *dims)
     for removed, ax in enumerate(sorted(set(range(n)) - set(keep_idx), reverse=True)):
         t = t.trace(axis1=ax, axis2=ax + n - removed)
@@ -347,18 +343,9 @@ def ptrace_entries(entries: np.ndarray, dims: Sequence[int], keep_idx: Sequence[
     return np.ascontiguousarray(t.reshape(d_keep, d_keep))
 
 
-def partial_trace(rho, keep: str, dims: Sequence[int] | None = None) -> DensityOperator:
-    """Reduced state over the kept subsystems, e.g. ``keep="B"`` traces out A.
-
-    ``rho`` may be any operator with an explicit ``dims`` tuple; without one it must
-    be a :class:`BipartiteState`, whose dims :func:`_factored_dims` reads.  The
-    partial trace of a :class:`DensityOperator` is one by construction and is not
-    re-checked; a raw array's is validated as a density operator.
-    """
-    dims = _factored_dims(rho) if dims is None else _factor_dims(dims)
-    entries = as_matrix(rho)
-    keep_idx = _factor_indices(keep, len(dims))
-    reduced = ptrace_entries(entries, dims, keep_idx)
-    if isinstance(rho, DensityOperator):
-        return DensityOperator._from_valid(reduced)
-    return DensityOperator(reduced)
+def partial_trace(state, keep: str) -> DensityOperator:
+    """A :class:`BipartiteState`'s reduced state over the kept factors, e.g. ``keep="B"``
+    traces out A; a density operator by construction, so it is not re-checked."""
+    dims = _factored_dims(state)
+    reduced = ptrace_entries(state.entries, dims, _factor_indices(keep, len(dims)))
+    return DensityOperator._from_valid(reduced)

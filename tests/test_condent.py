@@ -25,7 +25,7 @@ from qfdiv.condent import (
 )
 from qfdiv.errors import ConvergenceError, DomainError, PreconditionError
 from qfdiv.fdiv import DivergenceFunction, make_tsallis_f, quantum_f_divergence
-from qfdiv.linalg import DensityOperator, partial_trace
+from qfdiv.linalg import DensityOperator, partial_trace, psd_eigh, ptrace_entries
 from qfdiv.propsuite import derive_seed
 
 from conftest import bell_matrix, random_hermitian, support_projector
@@ -464,6 +464,31 @@ class TestObjectiveGradient:
         gen = np.random.Generator(np.random.Philox(key=5))
         self.assert_matches_fd(objective, np.zeros(objective.n_params))
         self.assert_matches_fd(objective, gen.standard_normal(objective.n_params))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize(
+        "dims, cond",
+        [((2, 2), "B"), ((2, 3), "B"), ((3, 3), "B"), ((2, 4), "B"), ((2, 3, 2), "B"),
+         ((2, 3, 2), "AC")],
+    )
+    def test_exact_at_the_start_point(self, dims, cond, alpha):
+        # theta = 0 gives sigma = P / r on the marginal's support P, so every divided
+        # difference is g'(1/r) = -(w r)**alpha and G = -r**alpha P^dag tr_rest(rho**alpha) P
+        d = math.prod(dims)
+        cond_idx = ["ABC".index(label) for label in cond]
+        for rank in sorted({1, d // 2, d}):
+            state = random_bipartite(dims, rank, seed=70 + rank)
+            objective = condent._Objective(state, cond, make_tsallis_f(alpha))
+            point = objective.evaluate(np.zeros(objective.n_params))
+            w, v, k = psd_eigh(state.entries)
+            rho_pow = (v[:, k:] * w[k:] ** alpha) @ v[:, k:].conj().T
+            p, r = objective.support, objective.rank
+            reduced = p.conj().T @ ptrace_entries(rho_pow, dims, cond_idx) @ p
+            expected = -(r**alpha) * reduced
+            got = point.u @ point.gt @ point.u.conj().T
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+            g_mean = -(r ** (alpha - 1)) * np.trace(reduced).real
+            assert point.g_mean == pytest.approx(g_mean, rel=1e-13, abs=0.0)
 
     @staticmethod
     def floored_theta(objective):

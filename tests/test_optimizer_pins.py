@@ -6,7 +6,10 @@ apart from ``max_iters``: the dims, the rank and seed of the random state, alpha
 and ``max_iters``, then either the iterations each start took with the value and
 gap reported, or the exact ``ConvergenceError`` message of a solve that no start
 certified.  Capped descents (``max_iters`` 0, 1 and 3) leave gaps above
-``value_tol``, so the Frank-Wolfe polish runs on them.
+``value_tol``, so the Frank-Wolfe polish runs on them.  Three default-option
+solves (seeds 1001, 1088 and 1131, at alpha 0.1) stop start 0's descent with a
+failed line search above ``value_tol``, and only the polish certifies them:
+without it each raises ``ConvergenceError``.
 """
 
 import numpy as np
@@ -43,6 +46,10 @@ SOLVED = [
     # start 0's line search fails after 2 iterations and its polish stops at gap 2.6e-5;
     # start 1 certifies
     ((4, 4), 1, 1022, 0.2, 500, (2, 47), -0.3208768264591105, 3.0689497054758874e-08),
+    # start 0's line search fails at gap 6.23; the polish certifies it
+    ((2, 4), 2, 1088, 0.1, 500, (38,), 0.40560665707425003, 3.2616145340114144e-09),
+    # start 0's line search fails at gap 5.99e-6; the polish certifies it
+    ((3, 4), 2, 1131, 0.1, 500, (75,), -0.03420361300614441, 5.543973322641449e-07),
 ]
 
 UNCERTIFIED = [
