@@ -49,12 +49,14 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
 
 
 def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a complex ``(m, n)`` matrix, ``m >= n``: ``Q`` and the diagonal of ``R``.
+    """Reduced QR of a complex ``(m, n)`` matrix, ``m >= n``, or of each matrix of a stack
+    ``(k, m, n)``: ``Q`` and the diagonal of ``R``.
 
     LAPACK ``geqrf`` writes R over ``a``, so ``a`` must be a fresh array that
     nothing else reads (the wrapper works on such a copy); ``ungqr`` then forms Q.
+    The gufuncs factor a stack one matrix at a time, each with its own call's bits.
     """
     with _guard(_qr_failed):
         tau = qr_r_raw(a, signature="D->D")
         q = qr_reduced(a, tau, signature="DD->D")
-    return q, a.diagonal()
+    return q, a.diagonal(axis1=-2, axis2=-1)

@@ -8,6 +8,10 @@ bit-identical objects.
 The state builders check their inputs and wrap their results, which are states
 by construction, without the constructor's eigensolve; likewise the channel
 builders skip the constructor's copy and checks.
+
+:func:`random_density`, :func:`random_channel` and :func:`apply_channel` are
+the stacks of one of private, unchecked calls that serve many seeds, or
+channels and states, of one shape at once, each with its own call's bits.
 """
 
 from __future__ import annotations
@@ -106,9 +110,13 @@ def apply_channel(phi: KrausChannel, rho) -> np.ndarray:
     phi, m = _channel(phi), as_matrix(rho)
     if m.shape[0] != phi.d_in:
         raise DomainError(f"dimension mismatch: channel input {phi.d_in}, state {m.shape[0]}")
-    k = phi.kraus_ops
-    out = (k @ m @ k.conj().transpose(0, 2, 1)).sum(axis=0)
-    return (out + out.conj().T) / 2.0
+    return _apply_channels(phi.kraus_ops[None], m[None])[0]
+
+
+def _apply_channels(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Kraus operators ``k[i]`` applied to ``m[i]``, stacked; unchecked."""
+    out = (k @ m[:, None] @ k.conj().mT).sum(axis=1)
+    return (out + out.conj().mT) / 2.0
 
 
 def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChannel:
@@ -123,8 +131,13 @@ def random_channel(d_in: int, d_out: int, env_dim: int, seed: int) -> KrausChann
         raise DomainError(
             f"need d_out * env_dim >= d_in for an isometry, got {d_out}*{env_dim} < {d_in}"
         )
-    v = rng.haar_isometry(rng.generator(seed), d_out * env_dim, d_in)
-    return KrausChannel._from_valid(v.reshape(d_out, env_dim, d_in).transpose(1, 0, 2).copy())
+    return KrausChannel._from_valid(_random_channels(d_in, d_out, env_dim, [seed])[0])
+
+
+def _random_channels(d_in: int, d_out: int, env_dim: int, seeds) -> np.ndarray:
+    """The Kraus operators of :func:`random_channel` for each seed, stacked; unchecked."""
+    v = rng._haar_isometries(rng._complex_gaussians(seeds, (d_out * env_dim, d_in)))
+    return v.reshape(-1, d_out, env_dim, d_in).swapaxes(1, 2).copy()
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityOperator:
@@ -132,9 +145,14 @@ def random_density(d: int, rank: int, seed: int) -> DensityOperator:
     d, rank = _integer(d, "dimension", least=1), _integer(rank, "rank", least=1)
     if rank > d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
-    g = rng.complex_gaussian(rng.generator(seed), (d, rank))
-    m = g @ g.conj().T
-    return DensityOperator._from_valid(m / m.trace().real)
+    return DensityOperator._from_valid(_random_densities(d, rank, [seed])[0])
+
+
+def _random_densities(d: int, rank: int, seeds) -> np.ndarray:
+    """Normalized ``G G^dag`` for each seed, stacked, before ``_from_valid``; unchecked."""
+    g = rng._complex_gaussians(seeds, (d, rank))
+    m = g @ g.conj().mT
+    return m / m.trace(axis1=1, axis2=2).real[:, None, None]
 
 
 def random_bipartite(dims: Sequence[int], rank: int, seed: int) -> BipartiteState:

@@ -17,7 +17,9 @@ a submersion onto the interior of the states on the support, so every
 stationary theta is a global minimum, with no local one to escape.
 For the power family there is an independent closed form (the reduced
 ``alpha``-power trace, which is the entropy difference at ``alpha = 1``),
-which the test suite cross-validates against the optimizer.
+which the test suite cross-validates against the optimizer.  Its call is the
+stack of one of the private ``_tsallis_closed``, which serves a stack of
+states of one dims, alpha and ``cond`` with the bits of one call each.
 
 States carry their factor dimensions; ``cond`` selects the conditioning
 factors by label, any proper subset of them, e.g. ``cond="B"`` on an
@@ -483,16 +485,31 @@ def conditional_entropy_tsallis_closed(
     """
     alpha = _monotone_alpha(alpha)
     cond_idx = _conditioning_split(state, cond)[0]
-    w, v, k = psd_eigh(state.entries)
-    w /= w.sum()
-    rho_pow = (v * w**alpha) @ v.conj().T
-    wt, vt, kt = psd_eigh(ptrace_entries(rho_pow, state.dims, cond_idx))
-    root = (vt * (wt / wt[-1]) ** (1.0 / alpha)) @ vt.conj().T  # scaled so that it cannot overflow
-    w, wt = w[k:], wt[kt:]
-    with np.errstate(over="ignore"):  # an infinite k takes the log-sum-exp
+    return _tsallis_closed(state.entries, state.dims, alpha, cond_idx)
+
+
+def _tsallis_closed(rho: np.ndarray, dims, alpha: float, cond_idx):
+    """:func:`conditional_entropy_tsallis_closed` of a state's entries, or of each state of a
+    stack ``(n, d, d)`` with its own call's bits, as a list of values and a stack of
+    minimizers.  Unchecked; only the spectral sums are taken state by state."""
+    w, v, k = psd_eigh(rho)
+    w /= w.sum(axis=-1, keepdims=True)
+    rho_pow = (v * (w**alpha)[..., None, :]) @ v.conj().mT
+    wt, vt, kt = psd_eigh(ptrace_entries(rho_pow, dims, cond_idx))
+    # scaled so that it cannot overflow
+    root = (vt * ((wt / wt[..., -1:]) ** (1.0 / alpha))[..., None, :]) @ vt.conj().mT
+    sigma = root / root.trace(axis1=-2, axis2=-1).real[..., None, None]
+    sigma = (sigma + sigma.conj().mT) / 2.0
+
+    def value(w, wt, k, kt) -> float:
+        w, wt = w[k:], wt[kt:]
         k = float(w @ _qlog(w, alpha - 1.0) - wt @ _qlog(wt, (1.0 - alpha) / alpha) / alpha)
-    sigma = root / root.trace().real
-    return _from_power_mean(k, alpha, wt), (sigma + sigma.conj().T) / 2.0
+        return _from_power_mean(k, alpha, wt)
+
+    with np.errstate(over="ignore"):  # an infinite k takes the log-sum-exp
+        if rho.ndim == 2:
+            return value(w, wt, k, kt), sigma
+        return [value(*each) for each in zip(w, wt, k, kt)], sigma
 
 
 def thm2_bounds(

@@ -334,13 +334,14 @@ def _schmidt_coefficients(coeffs) -> np.ndarray:
 
 
 def ptrace_entries(entries: np.ndarray, dims: Sequence[int], keep_idx: Sequence[int]) -> np.ndarray:
-    """Partial trace of a matrix of a factored state's shape, keeping the listed factor indices."""
-    n = len(dims)
-    t = entries.reshape(*dims, *dims)
+    """Partial trace of a matrix of a factored state's shape, or of each matrix of a stack
+    ``(n, d, d)`` with the bits of its own call, keeping the listed factor indices."""
+    n, lead = len(dims), entries.shape[:-2]
+    t = entries.reshape(*lead, *dims, *dims)
     for removed, ax in enumerate(sorted(set(range(n)) - set(keep_idx), reverse=True)):
-        t = t.trace(axis1=ax, axis2=ax + n - removed)
+        t = t.trace(axis1=len(lead) + ax, axis2=len(lead) + ax + n - removed)
     d_keep = math.prod(dims[i] for i in keep_idx)
-    return np.ascontiguousarray(t.reshape(d_keep, d_keep))
+    return np.ascontiguousarray(t.reshape(*lead, d_keep, d_keep))
 
 
 def partial_trace(state, keep: str) -> DensityOperator:

@@ -17,19 +17,24 @@ start, a domain error or a bug) records one NaN margin, and its property id,
 trial index and property seed are logged, so the other trials still count and
 the failure can be replayed.
 
-The divergence rows (``dpi``, ``nonnegativity``, ``homogeneity``,
-``orthogonal-additivity`` and the padding margins of
-``extension-independence``) draw every trial first: their check returns the
-trial's divergence pairs and the rule that turns the pairs' values into its
-margins (a :class:`_Divergences`), each draw still from the trial's own
-seeds.  The driver then evaluates all pairs of one f and one dimension in one
-stacked call, :func:`qfdiv.fdiv._quantum_f_divergences`, which gives the bits
-of one call per pair and checks nothing: every matrix stacked here is built
-exactly Hermitian and finite.  A lone pair, and each pair of a group whose
-stacked call raises, is evaluated by the checked
-:func:`qfdiv.fdiv.quantum_f_divergence`, so an error is charged to its own
-trial.  Seeds derive deterministically from the master seed and the property
-id, so reports are reproducible up to timing.
+Every row is staged: its check is a generator that yields its trial's
+calls as requests (:class:`_Request`) and is sent their values.  A request
+is a density draw keyed by (d, rank), a channel draw keyed by (d_in, d_out,
+env), a channel application keyed by the channel's shape, a closed form
+keyed by (dims, alpha, cond) or a divergence pair keyed by (f, d).
+:func:`run_property` advances the trials of a block of ``_BLOCK`` together,
+round by round, and serves each group of equal keys with one stacked call
+(``channels._random_densities``, ``_random_channels`` and
+``_apply_channels``, ``condent._tsallis_closed``,
+``fdiv._quantum_f_divergences``), whose values hold the bits of one call
+each, every draw from its own trial's seed; the stacked calls check nothing,
+and every matrix stacked here is built by the package, exactly Hermitian and
+finite.  A lone request, and each request of a group whose stacked call
+raises, is its own checked one-item call (``random_density`` and the other
+public functions), so an error is charged to its own trial.  Optimizer
+solves stay one per trial, inside the check.  Seeds derive
+deterministically from the master seed and the property id, so reports are
+reproducible up to timing.
 """
 
 from __future__ import annotations
@@ -39,24 +44,29 @@ import hashlib
 import logging
 import math
 import time
+from collections.abc import Generator
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import (
+    KrausChannel,
+    _apply_channels,
+    _random_channels,
+    _random_densities,
     _sectors,
     apply_channel,
     build_classical_register_state,
     embed_ancilla,
     extend_with_identity,
     pure_bipartite_from_schmidt,
-    random_bipartite,
     random_channel,
     random_density,
 )
 from .condent import (
     OptimizerOptions,
+    _tsallis_closed,
     chain_rule_rhs,
     classical_register_closed_form,
     conditional_entropy_optimize,
@@ -67,7 +77,7 @@ from .condent import (
 )
 from .errors import DomainError
 from .fdiv import DivergenceFunction, _quantum_f_divergences, make_tsallis_f, quantum_f_divergence
-from .linalg import BipartiteState, _integer, partial_trace
+from .linalg import BipartiteState, DensityOperator, _factor_indices, _integer, partial_trace
 from .rng import generator
 
 log = logging.getLogger(__name__)
@@ -119,6 +129,65 @@ class PropertyReport:
 _BIPARTITE_DIMS = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2))
 _WIDE_ALPHAS = (0.3, 0.5, 1.0, 1.5, 2.0)
 _REGISTER_DIMS = (((2, 1), (2, 2)), ((2, 2), (2, 1), (2, 2)))  # the blocks of one register state
+_BLOCK = 250  # trials that run_property advances together: it bounds the arrays held at once
+
+
+class _Request(NamedTuple):
+    """A call a trial's check waits for: alone, the checked ``one(*args)``; with the requests
+    of equal ``key``, a share of one stacked ``key[0]([args, ...])``, a value per request."""
+
+    key: tuple
+    args: tuple
+    one: Callable
+
+
+def _draw(d: int, rank: int, seed: int) -> _Request:
+    return _Request((_draws, d, rank), (d, rank, seed), random_density)
+
+
+def _draws(args: list) -> list:
+    stack = _random_densities(*args[0][:2], [seed for *_, seed in args])
+    return [DensityOperator._from_valid(m) for m in stack]
+
+
+def _channel(d_in: int, d_out: int, env_dim: int, seed: int) -> _Request:
+    return _Request((_channels, d_in, d_out, env_dim), (d_in, d_out, env_dim, seed), random_channel)
+
+
+def _channels(args: list) -> list:
+    stack = _random_channels(*args[0][:3], [seed for *_, seed in args])
+    return [KrausChannel._from_valid(k) for k in stack]
+
+
+def _applied(phi: KrausChannel, rho: DensityOperator) -> _Request:
+    return _Request((_applications, phi.kraus_ops.shape), (phi, rho), apply_channel)
+
+
+def _applications(args: list) -> list:
+    k, m = np.stack([phi.kraus_ops for phi, _ in args]), np.stack([rho.entries for _, rho in args])
+    return list(_apply_channels(k, m))
+
+
+def _closed(state: BipartiteState, alpha: float, cond: str = "B") -> _Request:
+    """The closed form's value and minimizer, ``conditional_entropy_tsallis_closed``."""
+    return _Request((_closed_forms, state.dims, alpha, cond), (state, alpha, cond),
+                    conditional_entropy_tsallis_closed)
+
+
+def _closed_forms(args: list) -> list:
+    state, alpha, cond = args[0]
+    rho = np.stack([s.entries for s, _, _ in args])
+    values, sigma = _tsallis_closed(rho, state.dims, alpha, _factor_indices(cond, len(state.dims)))
+    return list(zip(values, sigma))
+
+
+def _divergence(f: DivergenceFunction, a: np.ndarray, b: np.ndarray) -> _Request:
+    return _Request((_divergences, f, a.shape[-1]), (a, b, f), quantum_f_divergence)
+
+
+def _divergences(args: list) -> list:
+    a, b = np.stack([a for a, _, _ in args]), np.stack([b for _, b, _ in args])
+    return _quantum_f_divergences(a, b, args[0][2]).tolist()
 
 
 @dataclass(frozen=True)
@@ -148,13 +217,11 @@ class _Trial:
     def seed(self, label: str) -> int:
         return derive_seed(self.master, f"{label}/{self.t}")
 
-    def state(self) -> BipartiteState:
-        """Random state on ``dims`` of rank ``rank(prod(dims))``."""
-        return random_bipartite(self.dims, self.rank(math.prod(self.dims)), self.seed("state"))
-
-
-def _entropy(state: BipartiteState, alpha: float, cond: str = "B") -> float:
-    return conditional_entropy_tsallis_closed(state, alpha, cond=cond)[0]
+    def state(self):
+        """Random state on ``dims`` of rank ``rank(prod(dims))``: ``yield from`` it in a check."""
+        d = math.prod(self.dims)
+        (rho,) = yield [_draw(d, self.rank(d), self.seed("state"))]
+        return BipartiteState(rho, self.dims)
 
 
 def _agreement(trial: _Trial, state: BipartiteState, exact: float) -> float:
@@ -164,141 +231,157 @@ def _agreement(trial: _Trial, state: BipartiteState, exact: float) -> float:
     return -abs(exact - conditional_entropy_optimize(state, _tsallis_f(trial.alpha), opts).value)
 
 
-@dataclass(frozen=True)
-class _Divergences:
-    """A trial's margins, pending: its divergence pairs under one f, and the rule that makes
-    the pairs' values, in order, into the trial's margins."""
+def _serve(batch: list[list[_Request]]) -> list:
+    """Each trial's request values, in order, or the exception its first failing request raised.
 
-    f: DivergenceFunction
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-    margins: Callable[[list[float]], list[float]]
-
-
-def _evaluate(batch: Sequence[_Divergences]) -> list:
-    """Each pending trial's margins, or the exception its first failing pair raised.
-
-    The pairs of every trial are grouped by f and dimension, and each group of
-    two or more is one :func:`_quantum_f_divergences` call.  A lone pair, and
-    each pair of a group whose call raises, is one :func:`quantum_f_divergence`
-    call of the same engine, so only the trials whose own pairs fail are
-    charged, each with its pair's own error.
+    The requests of every trial are grouped by key, and each group of two or
+    more is one stacked call.  A lone request, and each request of a group
+    whose stacked call raises, is its own checked one-item call, so only the
+    trials whose own requests fail are charged, each with its request's error.
     """
     groups: dict[tuple, list[tuple[int, int]]] = {}
-    for i, pending in enumerate(batch):
-        for j, (a, _) in enumerate(pending.pairs):
-            groups.setdefault((pending.f, a.shape[-1]), []).append((i, j))
-    values = [[math.nan] * len(pending.pairs) for pending in batch]
+    for i, requests in enumerate(batch):
+        for j, request in enumerate(requests):
+            groups.setdefault(request.key, []).append((i, j))
+    values = [[None] * len(requests) for requests in batch]
     errors: list[Exception | None] = [None] * len(batch)
-    for (f, _), members in groups.items():
-        pairs = [batch[i].pairs[j] for i, j in members]
+    for key, members in groups.items():
+        requests = [batch[i][j] for i, j in members]
         out = None
-        if len(pairs) > 1:  # a lone pair needs no stack
+        if len(requests) > 1:  # a lone request needs no stack
             try:
-                out = _quantum_f_divergences(
-                    np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), f
-                ).tolist()
+                out = key[0]([request.args for request in requests])
             except Exception:
-                pass  # evaluated pair by pair below
+                pass  # served one by one below
         if out is None:
             out = []
-            for (i, _), (a, b) in zip(members, pairs):
+            for (i, _), request in zip(members, requests):
                 try:
-                    out.append(quantum_f_divergence(a, b, f))
+                    out.append(request.one(*request.args))
                 except Exception as exc:
                     errors[i] = errors[i] or exc
-                    out.append(math.nan)
+                    out.append(None)
         for (i, j), value in zip(members, out):
             values[i][j] = value
-    return [
-        pending.margins(v) if exc is None else exc
-        for pending, v, exc in zip(batch, values, errors)
+    return [v if exc is None else exc for v, exc in zip(values, errors)]
+
+
+def _advance(outs: list) -> list:
+    """Each check's margins, or the exception that ended it, from what the checks returned.
+
+    A check returns its margins, or a generator that yields lists of requests
+    and is sent each list's values; the generators advance together, round by
+    round, and each round's requests are served by :func:`_serve`.  A trial
+    whose request fails is closed and charged with its request's error.
+    """
+    results = list(outs)
+    live = {i: None for i, out in enumerate(outs) if isinstance(out, Generator)}
+    while live:
+        pending = {}
+        for i, values in live.items():
+            try:
+                pending[i] = outs[i].send(values)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:
+                results[i] = exc
+        live = {}
+        for i, values in zip(pending, _serve(list(pending.values()))):
+            if isinstance(values, Exception):
+                outs[i].close()
+                results[i] = values
+            else:
+                live[i] = values
+    return results
+
+
+def _check_dpi(trial: _Trial):
+    d, d_out = trial.dims, trial.next_dims
+    rho, sig, phi = yield [
+        _draw(d, trial.rank(d), trial.seed("rho")),
+        _draw(d, d, trial.seed("sig")),
+        _channel(d, d_out, 2, trial.seed("phi")),
     ]
+    out_rho, out_sig = yield [_applied(phi, rho), _applied(phi, sig)]
+    f = _tsallis_f(trial.alpha)
+    pairs = [(rho.entries, sig.entries), (out_rho, out_sig)]
+    before, after = yield [_divergence(f, *pair) for pair in pairs]
+    return [before - after]
 
 
-def _check_dpi(trial: _Trial) -> _Divergences:
+def _check_nonnegativity(trial: _Trial):
     d = trial.dims
-    rho = random_density(d, trial.rank(d), trial.seed("rho"))
-    sig = random_density(d, d, trial.seed("sig"))
-    phi = random_channel(d, trial.next_dims, 2, trial.seed("phi"))
-    pairs = [(rho.entries, sig.entries), (apply_channel(phi, rho), apply_channel(phi, sig))]
-    return _Divergences(_tsallis_f(trial.alpha), pairs, lambda v: [v[0] - v[1]])
-
-
-def _check_nonnegativity(trial: _Trial) -> _Divergences:
-    d = trial.dims
-    rho = random_density(d, trial.rank(d), trial.seed("rho")).entries
-    sig = random_density(d, d, trial.seed("sig")).entries
-    return _Divergences(_tsallis_f(trial.alpha), [(rho, sig)], list)
+    rho, sig = yield [_draw(d, trial.rank(d), trial.seed("rho")), _draw(d, d, trial.seed("sig"))]
+    return (yield [_divergence(_tsallis_f(trial.alpha), rho.entries, sig.entries)])
 
 
 _SCALES = (1e-9, 0.1, 0.5, 2.0)
 
 
-def _check_homogeneity(trial: _Trial) -> _Divergences:
+def _check_homogeneity(trial: _Trial):
     d = trial.dims
-    a = random_density(d, trial.rank(d), trial.seed("a")).entries
-    b = random_density(d, d, trial.seed("b")).entries
+    a, b = yield [_draw(d, trial.rank(d), trial.seed("a")), _draw(d, d, trial.seed("b"))]
+    a, b, f = a.entries, b.entries, _tsallis_f(trial.alpha)
     pairs = [(a, b), *((lam * a, lam * b) for lam in _SCALES)]
-    return _Divergences(
-        _tsallis_f(trial.alpha),
-        pairs,
-        lambda v: [-abs(scaled - lam * v[0]) for scaled, lam in zip(v[1:], _SCALES)],
-    )
+    base, *scaled = yield [_divergence(f, *pair) for pair in pairs]
+    return [-abs(value - lam * base) for value, lam in zip(scaled, _SCALES)]
 
 
-def _check_orthogonal_additivity(trial: _Trial) -> _Divergences:
+def _check_orthogonal_additivity(trial: _Trial):
     d1, d2 = trial.dims, trial.next_dims
-    a1 = random_density(d1, trial.rank(d1), trial.seed("a1")).entries
-    b1 = random_density(d1, d1, trial.seed("b1")).entries
-    a2 = random_density(d2, trial.rank(d2, shift=1), trial.seed("a2")).entries
-    b2 = random_density(d2, d2, trial.seed("b2")).entries
-    whole = (_sectors(1, [a1, a2], d1 + d2), _sectors(1, [b1, b2], d1 + d2))
-    return _Divergences(
-        _tsallis_f(trial.alpha), [whole, (a1, b1), (a2, b2)], lambda v: [-abs(v[0] - (v[1] + v[2]))]
-    )
+    a1, b1, a2, b2 = (rho.entries for rho in (yield [
+        _draw(d1, trial.rank(d1), trial.seed("a1")),
+        _draw(d1, d1, trial.seed("b1")),
+        _draw(d2, trial.rank(d2, shift=1), trial.seed("a2")),
+        _draw(d2, d2, trial.seed("b2")),
+    ]))
+    f = _tsallis_f(trial.alpha)
+    whole, first, second = yield [
+        _divergence(f, _sectors(1, [a1, a2], d1 + d2), _sectors(1, [b1, b2], d1 + d2)),
+        _divergence(f, a1, b1),
+        _divergence(f, a2, b2),
+    ]
+    return [-abs(whole - (first + second))]
 
 
-def _check_thm2_bounds(trial: _Trial) -> list[float]:
-    state = trial.state()
-    h = _entropy(state, trial.alpha)
+def _check_thm2_bounds(trial: _Trial):
+    state = yield from trial.state()
+    ((h, _),) = yield [_closed(state, trial.alpha)]
     lower, upper = thm2_bounds(state, _tsallis_f(trial.alpha))
     return [h - lower, upper - h]
 
 
-def _check_chain_rule(trial: _Trial) -> list[float]:
-    state = trial.state()
-    h_b = _entropy(state, trial.alpha, cond="B")
-    h_bc = _entropy(state, trial.alpha, cond="BC")
+def _check_chain_rule(trial: _Trial):
+    state = yield from trial.state()
+    (h_b, _), (h_bc, _) = yield [_closed(state, trial.alpha, cond) for cond in ("B", "BC")]
     return [chain_rule_rhs(h_bc, state.dims[2], trial.alpha) - h_b]
 
 
 def _register_blocks(trial: _Trial):
     """One random block on each of the trial's dims, and their mixing weights."""
-    blocks = [
-        random_bipartite(dims, trial.rank(math.prod(dims), shift=y), trial.seed(f"block{y}"))
-        for y, dims in enumerate(trial.dims)
-    ]
-    w = generator(trial.seed("p")).random(len(blocks)) + 0.1
-    return blocks, w / w.sum()
+    d = [math.prod(dims) for dims in trial.dims]
+    drawn = yield [_draw(n, trial.rank(n, y), trial.seed(f"block{y}")) for y, n in enumerate(d)]
+    w = generator(trial.seed("p")).random(len(d)) + 0.1
+    return [BipartiteState(rho, dims) for rho, dims in zip(drawn, trial.dims)], w / w.sum()
 
 
-def _check_mixture_exact(trial: _Trial) -> list[float]:
+def _check_mixture_exact(trial: _Trial):
     alpha = trial.alpha
-    blocks, p = _register_blocks(trial)
+    blocks, p = yield from _register_blocks(trial)
+    closed = yield [_closed(block, alpha) for block in blocks]
+    formula = classical_register_closed_form([h for h, _ in closed], p, alpha)
+    return [_agreement(trial, build_classical_register_state(blocks, p), formula)]
+
+
+def _check_mixture_lower(trial: _Trial):
+    alpha = trial.alpha
+    blocks, p = yield from _register_blocks(trial)
     assembled = build_classical_register_state(blocks, p)
-    formula = classical_register_closed_form([_entropy(b, alpha) for b in blocks], p, alpha)
-    return [_agreement(trial, assembled, formula)]
+    *closed, (rhs, _) = yield [_closed(state, alpha) for state in (*blocks, assembled)]
+    return [rhs - float(np.dot(p, [h for h, _ in closed]))]
 
 
-def _check_mixture_lower(trial: _Trial) -> list[float]:
-    alpha = trial.alpha
-    blocks, p = _register_blocks(trial)
-    lhs = float(np.dot(p, [_entropy(b, alpha) for b in blocks]))
-    rhs = _entropy(build_classical_register_state(blocks, p), alpha)
-    return [rhs - lhs]
-
-
-def _check_pure_bounds(trial: _Trial) -> list[float]:
+def _check_pure_bounds(trial: _Trial):
     dims = trial.dims
     k = trial.rank(min(dims))
     if trial.t % 10 == 0:
@@ -307,24 +390,27 @@ def _check_pure_bounds(trial: _Trial) -> list[float]:
         u = generator(trial.seed("coeffs")).random(k) + 1e-3
         coeffs = np.sqrt(u / u.sum())
     state = pure_bipartite_from_schmidt(coeffs, dims[0], dims[1], trial.seed("bases"))
-    h = _entropy(state, trial.alpha)
+    ((h, _),) = yield [_closed(state, trial.alpha)]
     lower, upper = pure_state_bounds_tsallis(coeffs, trial.alpha)
     return [h - lower, upper - h]
 
 
-def _check_product_identity(trial: _Trial) -> list[float]:
+def _check_product_identity(trial: _Trial):
     dims = trial.dims
-    rho_a = random_density(dims[0], trial.rank(dims[0]), trial.seed("a"))
-    rho_b = random_density(dims[1], trial.rank(dims[1], shift=1), trial.seed("b"))
+    rho_a, rho_b = yield [
+        _draw(dims[0], trial.rank(dims[0]), trial.seed("a")),
+        _draw(dims[1], trial.rank(dims[1], shift=1), trial.seed("b")),
+    ]
     state = BipartiteState(np.kron(rho_a.entries, rho_b.entries), dims)
-    return [-abs(_entropy(state, trial.alpha) - tsallis_entropy(rho_a, trial.alpha))]
+    ((h, _),) = yield [_closed(state, trial.alpha)]
+    return [-abs(h - tsallis_entropy(rho_a, trial.alpha))]
 
 
 def _padding_margins(
     trial: _Trial, state: BipartiteState, sigma: np.ndarray, f: DivergenceFunction
-) -> _Divergences:
-    """``D_f(rho' || 1 (x) sigma') - D_f(rho || 1 (x) sigma)`` for each padding and epsilon,
-    pending: the base pair, then the six padded pairs.
+):
+    """``D_f(rho' || 1 (x) sigma') - D_f(rho || 1 (x) sigma)`` for each padding and epsilon:
+    the base pair, then the six padded pairs, as staged requests.
 
     ``rho'`` is ``state`` zero-padded on B by k = 1 and 2, and ``sigma'`` is
     ``(1 - eps) sigma (+) eps tau`` with a random state ``tau`` on the padding.
@@ -335,55 +421,59 @@ def _padding_margins(
     concave f the inequality reverses.
     """
     d_a, d_b = state.dims
+    taus = yield [_draw(k, k, trial.seed(f"tau{k}")) for k in (1, 2)]
     pairs = [(state.entries, np.kron(np.eye(d_a), sigma))]
-    for k in (1, 2):
+    for k, tau in zip((1, 2), taus):
         padded = embed_ancilla(state, k).entries
-        tau = random_density(k, k, trial.seed(f"tau{k}")).entries
         for eps in (1e-3, 1e-2, 1e-1):
-            sigma_k = np.kron(np.eye(d_a), _sectors(1, [(1 - eps) * sigma, eps * tau], d_b + k))
-            pairs.append((padded, sigma_k))
-    return _Divergences(f, pairs, lambda v: [x - v[0] for x in v[1:]])
+            blocks = [(1 - eps) * sigma, eps * tau.entries]
+            pairs.append((padded, np.kron(np.eye(d_a), _sectors(1, blocks, d_b + k))))
+    base, *padded = yield [_divergence(f, a, b) for a, b in pairs]
+    return [value - base for value in padded]
 
 
-def _check_extension_independence(trial: _Trial) -> _Divergences:
-    state = trial.state()
-    h, sigma = conditional_entropy_tsallis_closed(state, trial.alpha)
-    padding = _padding_margins(trial, state, sigma, _tsallis_f(trial.alpha))
+def _check_extension_independence(trial: _Trial):
+    state = yield from trial.state()
+    ((h, sigma),) = yield [_closed(state, trial.alpha)]
+    padding = yield from _padding_margins(trial, state, sigma, _tsallis_f(trial.alpha))
     # the k = 4 solve exercises the optimizer's detection of supp rho_B
-    agreement = _agreement(trial, embed_ancilla(state, 4), h)
-    return replace(padding, margins=lambda v: [agreement, *padding.margins(v)])
+    return [_agreement(trial, embed_ancilla(state, 4), h), *padding]
 
 
-def _check_thm3_data_processing(trial: _Trial) -> list[float]:
-    state = trial.state()
+def _check_thm3_data_processing(trial: _Trial):
+    state = yield from trial.state()
     d_a, d_b = state.dims
-    psi = random_channel(d_b, d_b, 2, trial.seed("chan"))
-    moved = BipartiteState(apply_channel(extend_with_identity(psi, d_a), state), state.dims)
-    return [_entropy(moved, trial.alpha) - _entropy(state, trial.alpha)]
+    (psi,) = yield [_channel(d_b, d_b, 2, trial.seed("chan"))]
+    (moved,) = yield [_applied(extend_with_identity(psi, d_a), state)]
+    moved = BipartiteState(moved, state.dims)
+    (after, _), (before, _) = yield [_closed(moved, trial.alpha), _closed(state, trial.alpha)]
+    return [after - before]
 
 
-def _check_conditioning_reduces(trial: _Trial) -> list[float]:
-    state = trial.state()
+def _check_conditioning_reduces(trial: _Trial):
+    state = yield from trial.state()
     reduced = BipartiteState(partial_trace(state, "AB"), state.dims[:2])
-    return [_entropy(reduced, trial.alpha, cond="B") - _entropy(state, trial.alpha, cond="BC")]
+    (less, _), (more, _) = yield [_closed(reduced, trial.alpha), _closed(state, trial.alpha, "BC")]
+    return [less - more]
 
 
-def _check_alpha_continuity(trial: _Trial) -> list[float]:
-    state = trial.state()
-    h = _entropy(state, trial.alpha)
-    return [-abs(_entropy(state, trial.alpha + da) - h) for da in (-1e-4, 1e-4)]
+def _check_alpha_continuity(trial: _Trial):
+    state, alpha = (yield from trial.state()), trial.alpha
+    (h, _), *near = yield [_closed(state, a) for a in (alpha, alpha - 1e-4, alpha + 1e-4)]
+    return [-abs(value - h) for value, _ in near]
 
 
-def _check_closed_vs_optimizer(trial: _Trial) -> list[float]:
-    state = trial.state()
-    return [_agreement(trial, state, _entropy(state, trial.alpha))]
+def _check_closed_vs_optimizer(trial: _Trial):
+    state = yield from trial.state()
+    ((h, _),) = yield [_closed(state, trial.alpha)]
+    return [_agreement(trial, state, h)]
 
 
 @dataclass(frozen=True)
 class _PropertySpec:
     """One property: its per-trial ``check``, ensemble and statement."""
 
-    check: Callable[[_Trial], list[float] | _Divergences]
+    check: Callable[[_Trial], list[float] | Generator]
     trials: int
     dims: tuple
     alphas: tuple[float, ...]
@@ -486,19 +576,15 @@ def run_property(property_id: str, config: PropertyConfig | None = None) -> Prop
     trials = spec.trials if config.trials is None else config.trials
     start = time.perf_counter()
     margins: list[float] = []
-    pending: list[tuple[int, _Divergences]] = []
-    for t in range(trials):
-        try:
-            out = spec.check(_Trial(spec, config.seed, t))
-        except Exception as exc:
-            out = exc
-        if isinstance(out, _Divergences):
-            pending.append((t, out))
-        else:
+    for block in (range(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)):
+        outs = []
+        for t in block:
+            try:
+                outs.append(spec.check(_Trial(spec, config.seed, t)))
+            except Exception as exc:
+                outs.append(exc)
+        for t, out in zip(block, _advance(outs)):
             margins.extend(_logged(property_id, t, config.seed, out))
-    results = _evaluate([divergences for _, divergences in pending])
-    for (t, _), out in zip(pending, results):
-        margins.extend(_logged(property_id, t, config.seed, out))
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     margins_arr = np.asarray(margins, dtype=float)
     if margins_arr.size == 0:

@@ -6,6 +6,11 @@ a seed pins the full bit stream.  Normal deviates are produced by the explicit
 Box-Muller transform on the generator's uniform doubles rather than a library
 sampler, keeping the stream reproducible by any implementation of the same
 two building blocks.
+
+The stacked draws serve many seeds at once: each matrix comes from its own
+seed's stream, with the bits of its own call, and one Box-Muller pass and
+one stacked QR serve the stack; :func:`haar_isometry` is the stack of one of
+its stacked form.
 """
 
 from __future__ import annotations
@@ -77,11 +82,39 @@ def complex_gaussian(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     sine deviates) and the last ``2m`` the imaginary parts, alike.  The pass
     writes them through a float view of the result.
     """
-    n = math.prod(shape)
-    m = (n + 1) // 2
-    z = np.empty(2 * m, dtype=np.complex128)
-    _box_muller(gen.random(4 * m).reshape(2, 2, m), z.view(np.float64).reshape(2 * m, 2).T)
-    return z[:n].reshape(shape)
+    return _gaussians(gen.random(4 * ((math.prod(shape) + 1) // 2))[None], shape)[0]
+
+
+def _complex_gaussians(seeds, shape: tuple[int, ...]) -> np.ndarray:
+    """:func:`complex_gaussian` of ``generator(seed)`` for each seed, stacked."""
+    return _gaussians(_uniforms(seeds, 4 * ((math.prod(shape) + 1) // 2)), shape)
+
+
+def _uniforms(seeds, n: int) -> np.ndarray:
+    """``generator(seed).random(n)`` for each seed, stacked.
+
+    The first seed's generator serves every seed: its bit generator is
+    re-keyed by setting a new generator's state (counter 0, nothing
+    buffered) with the next key, which costs a fourth of building one.
+    """
+    out = np.empty((len(seeds), n))
+    gen = generator(seeds[0])
+    fresh = gen.bit_generator.state if len(seeds) > 1 else None
+    for k, (seed, row) in enumerate(zip(seeds, out)):
+        if k:
+            fresh["state"]["key"][0] = int(seed) & _U64_MASK
+            gen.bit_generator.state = fresh
+        gen.random(out=row)
+    return out
+
+
+def _gaussians(u: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex Gaussian matrix of ``shape`` from each row of ``4m`` uniforms, stacked: one
+    Box-Muller pass serves every row."""
+    n, m = math.prod(shape), u.shape[1] // 4
+    z = np.empty((len(u), 2 * m), dtype=np.complex128)
+    _box_muller(u.reshape(-1, 2, 2, m), z.view(np.float64).reshape(-1, 2 * m, 2).swapaxes(-1, -2))
+    return z[:, :n].reshape(-1, *shape)
 
 
 def haar_isometry(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -92,8 +125,14 @@ def haar_isometry(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} x {cols}")
-    q, d = _lapack.qr(complex_gaussian(gen, (rows, cols)))  # d: the diagonal of R
+    return _haar_isometries(complex_gaussian(gen, (rows, cols))[None])[0]
+
+
+def _haar_isometries(g: np.ndarray) -> np.ndarray:
+    """:func:`haar_isometry` of each complex Gaussian matrix of a stack, which it overwrites,
+    from one stacked QR; unchecked."""
+    q, d = _lapack.qr(g)  # d: the diagonals of R
     absd = np.abs(d)
     # a zero diagonal entry has probability zero; its phase is 1
-    q *= np.divide(d, absd, out=np.ones(cols, dtype=np.complex128), where=absd != 0)
+    q *= np.divide(d, absd, out=np.ones(d.shape, dtype=np.complex128), where=absd != 0)[:, None]
     return q

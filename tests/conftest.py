@@ -44,6 +44,21 @@ def in_fresh_interpreter(probe: str) -> str:
     return run.stdout.strip()
 
 
+def served(check, record=None):
+    """What a property check returns, with each request it stages served alone, in order, by
+    its own checked one-item call: one trial's requests, as ``run_property`` serves a lone
+    request.  ``record``, a list, collects every request served."""
+    values = None
+    while True:
+        try:
+            requests = check.send(values)
+        except StopIteration as stop:
+            return stop.value
+        if record is not None:
+            record.extend(requests)
+        values = [request.one(*request.args) for request in requests]
+
+
 def bell_matrix() -> np.ndarray:
     m = np.zeros((4, 4))
     m[np.ix_((0, 3), (0, 3))] = 0.5

@@ -76,6 +76,19 @@ class TestSameBits:
             same_bytes(rng.haar_isometry(rng.generator(seed), rows, cols), want)
 
 
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (4, 3), (6, 4), (9, 3), (16, 16)])
+    def test_stacked_qr_is_numpys_qr_of_each_matrix(self, rows, cols):
+        # qr_r_raw and qr_reduced factor a stack one matrix at a time; at an odd rows * cols
+        # the stacked Gaussian draws leave a gap between one matrix and the next
+        for n in (1, 2, 7):
+            g = rng._complex_gaussians(range(n), (rows, cols))
+            want = [np.linalg.qr(m, mode="reduced") for m in g]
+            q, d = _lapack.qr(g)
+            for k, (wq, wr) in enumerate(want):
+                same_bytes(q[k].copy(), wq)
+                same_bytes(d[k].copy(), wr.diagonal().copy())
+
+
 def nan_inputs():
     """Inputs with NaN or inf entries: LAPACK fails on some and not on others."""
     cases = {
@@ -200,7 +213,7 @@ def test_every_call_site_passes_complex128(monkeypatch):
         ("eigvalsh", "__init__"),
         ("eigh", "psd_eigh"),
         ("eigh", "worker"),
-        ("qr", "haar_isometry"),
+        ("qr", "_haar_isometries"),
         ("eigvalsh", "tsallis_entropy"),
         ("eigvalsh", "thm2_bounds"),
         ("eigvalsh", "_fw_gap"),

@@ -19,6 +19,8 @@ from qfdiv.propsuite import (
     run_suite,
 )
 
+from conftest import served
+
 
 def without_timing(report):
     d = report.to_dict()
@@ -86,31 +88,29 @@ class TestTrialCoordinates:
     def test_each_trial_sees_its_own_alpha_only(self, pid, monkeypatch):
         # every alpha these checks use passes through one of the three spied names
         seen = []
-        real_f, real_entropy, real_rhs = (
-            propsuite._tsallis_f, propsuite._entropy, propsuite.chain_rule_rhs
+        real_f, real_closed, real_rhs = (
+            propsuite._tsallis_f, propsuite._closed, propsuite.chain_rule_rhs
         )
 
         def spy_f(alpha):
             seen.append(alpha)
             return real_f(alpha)
 
-        def spy_entropy(state, alpha, cond="B"):
+        def spy_closed(state, alpha, cond="B"):
             seen.append(alpha)
-            return real_entropy(state, alpha, cond)
+            return real_closed(state, alpha, cond)
 
         def spy_rhs(h, d_c, alpha):
             seen.append(alpha)
             return real_rhs(h, d_c, alpha)
 
         monkeypatch.setattr(propsuite, "_tsallis_f", spy_f)
-        monkeypatch.setattr(propsuite, "_entropy", spy_entropy)
+        monkeypatch.setattr(propsuite, "_closed", spy_closed)
         monkeypatch.setattr(propsuite, "chain_rule_rhs", spy_rhs)
         spec = REGISTRY[pid]
         for t in range(2 * len(spec.alphas)):
             seen.clear()
-            out = spec.check(propsuite._Trial(spec, 0, t))
-            if isinstance(out, propsuite._Divergences):  # a divergence row's pairs, evaluated
-                (out,) = propsuite._evaluate([out])
+            out = served(spec.check(propsuite._Trial(spec, 0, t)))
             assert all(math.isfinite(m) for m in out)
             assert set(seen) == {spec.alphas[t % len(spec.alphas)]}
 
@@ -160,9 +160,8 @@ def _negated(f: DivergenceFunction) -> DivergenceFunction:
 
 
 def padding_margins(trial, state, sigma, f):
-    """The six padding margins of one trial, its pending pairs evaluated as the driver does."""
-    (margins,) = propsuite._evaluate([propsuite._padding_margins(trial, state, sigma, f)])
-    return margins
+    """The six padding margins of one trial, its staged requests served one at a time."""
+    return served(propsuite._padding_margins(trial, state, sigma, f))
 
 
 class TestExtensionIndependence:
@@ -177,7 +176,7 @@ class TestExtensionIndependence:
         out = []
         for t in range(spec.trials):
             trial = propsuite._Trial(spec, master, t)
-            state = trial.state()
+            state = served(trial.state())
             f = propsuite._tsallis_f(trial.alpha)
             out.append((trial, state, f, conditional_entropy_optimize(state, f).sigma_star))
         return out

@@ -1,26 +1,38 @@
-"""The stacked spectral engine against one call per pair, bit for bit.
+"""The stacked calls against one call per item, bit for bit, and the staged property rows.
 
 :func:`qfdiv.fdiv._quantum_f_divergences` evaluates two stacks ``(n, d, d)``
-in one eigensolve per stack, and the property suite's divergence rows
-evaluate all their pairs that way.  Every value it gives must be ``==`` the
-value of its pair's own :func:`qfdiv.fdiv.quantum_f_divergence` call.
-Stacked ``eigh_lo`` and ``numpy.vecdot`` are what make that so, and both are
-numpy's to change, so the ``numpy-floor`` CI job runs this module too.  The
-stacked call checks nothing, so this module also checks that every pair the
-divergence rows build is one that :func:`qfdiv.linalg.as_matrix` would pass
-unchanged.
+in one eigensolve per stack; the stacked draws, channels, channel
+applications and closed forms serve many seeds or states of one shape at
+once.  The property suite's rows are served that way, so every value a
+stacked call gives must be ``==`` the value of its item's own one-item call.
+Stacked ``eigh_lo``, stacked QR, the stacked Gram matmul and
+``numpy.vecdot`` are what make that so, and all are numpy's to change, so the
+``numpy-floor`` CI job runs this module too.  The stacked calls check
+nothing, so this module also checks that every pair the divergence rows
+build is one that :func:`qfdiv.linalg.as_matrix` would pass unchanged, and
+that a failing request is charged to its own trial alone.
 """
 
 import logging
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qfdiv.propsuite as propsuite
 from qfdiv import _lapack, linalg
-from qfdiv.channels import random_density
+from qfdiv.channels import (
+    _apply_channels,
+    _random_channels,
+    _random_densities,
+    apply_channel,
+    random_bipartite,
+    random_channel,
+    random_density,
+)
+from qfdiv.condent import _tsallis_closed, conditional_entropy_tsallis_closed
 from qfdiv.errors import DomainError
 from qfdiv.fdiv import (
     INF,
@@ -29,8 +41,10 @@ from qfdiv.fdiv import (
     make_tsallis_f,
     quantum_f_divergence,
 )
-from qfdiv.linalg import DensityOperator, as_matrix, clamp_psd_spectrum, psd_eigh
-from qfdiv.propsuite import REGISTRY, PropertyConfig, derive_seed, run_suite
+from qfdiv.linalg import DensityOperator, _factor_indices, as_matrix, clamp_psd_spectrum, psd_eigh
+from qfdiv.propsuite import REGISTRY, PropertyConfig, derive_seed, run_property, run_suite
+
+from conftest import served
 
 ALPHAS = (0.5, 1.0, 2.0)
 PAIRS_PER_CELL = 400  # per (d, alpha), every ninth a diagonal pair below: 3600 in all
@@ -194,16 +208,42 @@ class TestStackedChecks:
 
 
 def indefinite_draw(monkeypatch, pid, k):
-    """Make trial ``k``'s ``rho`` draw of ``pid`` at master seed 42 indefinite."""
-    bad_seed = propsuite._Trial(REGISTRY[pid], derive_seed(42, pid), k).seed("rho")
-    original = propsuite.random_density
+    """Make trial ``k``'s ``rho`` draw of ``pid`` at master seed 42 indefinite, whether it is
+    drawn alone or in a stack; returns the indefinite matrix."""
+    spec = REGISTRY[pid]
+    bad_seed = propsuite._Trial(spec, derive_seed(42, pid), k).seed("rho")
+    d = spec.dims[k % len(spec.dims)]
+    bad = np.diag([1.5, -0.5] + [0.0] * (d - 2)).astype(complex)
+    original, stacked = propsuite.random_density, propsuite._random_densities
 
     def draw(d, rank, seed):
         if seed == bad_seed:
-            return DensityOperator._from_valid(np.diag([1.5, -0.5] + [0.0] * (d - 2)))
+            return DensityOperator._from_valid(bad)
         return original(d, rank, seed)
 
+    def draws(d, rank, seeds):
+        out = stacked(d, rank, seeds)
+        out[[seed == bad_seed for seed in seeds]] = bad
+        return out
+
     monkeypatch.setattr(propsuite, "random_density", draw)
+    monkeypatch.setattr(propsuite, "_random_densities", draws)
+    return bad
+
+
+def outcomes(monkeypatch, pid, config):
+    """``pid``'s report under ``config`` and each trial's margins, or the exception it raised,
+    as :func:`qfdiv.propsuite.run_property` hands them to its logger."""
+    got, logged = [], propsuite._logged
+
+    def spy(property_id, t, seed, out):
+        got.append(out)
+        return logged(property_id, t, seed, out)
+
+    monkeypatch.setattr(propsuite, "_logged", spy)
+    (report,) = run_suite(config, [pid])
+    monkeypatch.setattr(propsuite, "_logged", logged)
+    return report, got
 
 
 class TestErrorAttribution:
@@ -231,24 +271,133 @@ class TestErrorAttribution:
     def test_every_other_trial_keeps_its_margins(self, monkeypatch, n):
         pid, k = "dpi", 7
         spec, master = REGISTRY[pid], derive_seed(42, pid)
-        trials = [propsuite._Trial(spec, master, t) for t in range(n)]
-        clean = propsuite._evaluate([spec.check(trial) for trial in trials])
-        indefinite_draw(monkeypatch, pid, k)
-        batch = [spec.check(trial) for trial in trials]
-        rho = batch[k].pairs[0][0]
+        clean = [served(spec.check(propsuite._Trial(spec, master, t))) for t in range(n)]
+        bad = indefinite_draw(monkeypatch, pid, k)
         checked, calls = propsuite.quantum_f_divergence, []
 
         def spy(a, b, f):
-            calls.append(a is rho)
+            calls.append(np.array_equal(a, bad))
             return checked(a, b, f)
 
         monkeypatch.setattr(propsuite, "quantum_f_divergence", spy)
-        got = propsuite._evaluate(batch)
+        got = outcomes(monkeypatch, pid, PropertyConfig(seed=42, trials=n))[1]
         assert isinstance(got[k], DomainError)
         assert got[:k] + got[k + 1:] == clean[:k] + clean[k + 1:]
         # the failing pair, alone in its group or in a group whose stacked call raised,
         # is evaluated once, by the checked call
         assert calls.count(True) == 1
+
+
+def trial_state(pid, k):
+    """Trial ``k``'s random state of ``pid`` at master seed 42, and the seed it is drawn from."""
+    trial = propsuite._Trial(REGISTRY[pid], derive_seed(42, pid), k)
+    return served(trial.state()), trial.seed("state")
+
+
+def trial_rho(pid, k):
+    trial = propsuite._Trial(REGISTRY[pid], derive_seed(42, pid), k)
+    return random_density(trial.dims, trial.rank(trial.dims), trial.seed("rho")), trial.seed("rho")
+
+
+# a row, the stacked call made to raise, its checked one-item call, and which arguments of the
+# one-item call are trial k's: its draw's seed, or its state's entries (for chain-rule, the
+# closed form conditioned on B and C)
+FAILURES = {
+    "dpi-draw": ("dpi", "_random_densities", "random_density", trial_rho,
+                 lambda own, seed: lambda d, rank, s: s == seed),
+    "dpi-application": ("dpi", "_apply_channels", "apply_channel", trial_rho,
+                        lambda own, seed: lambda phi, rho: np.array_equal(rho.entries, own.entries)),
+    "chain-rule-draw": ("chain-rule", "_random_densities", "random_density", trial_state,
+                        lambda own, seed: lambda d, rank, s: s == seed),
+    "chain-rule-closed-form": (
+        "chain-rule", "_tsallis_closed", "conditional_entropy_tsallis_closed", trial_state,
+        lambda own, seed: lambda state, alpha, cond="B":
+            cond == "BC" and np.array_equal(state.entries, own.entries),
+    ),
+    "thm2-bounds-draw": ("thm2-bounds", "_random_densities", "random_density", trial_state,
+                         lambda own, seed: lambda d, rank, s: s == seed),
+    "thm2-bounds-closed-form": (
+        "thm2-bounds", "_tsallis_closed", "conditional_entropy_tsallis_closed", trial_state,
+        lambda own, seed: lambda state, alpha, cond="B": np.array_equal(state.entries, own.entries),
+    ),
+}
+
+
+class TestStagedErrorAttribution:
+    """Every stacked call raises and one member's one-item call raises too: that trial alone
+    records one NaN margin, and every other trial, served one item at a time, keeps the bits
+    of its stacked margins."""
+
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_one_nan_margin_at_the_failing_trial(self, monkeypatch, caplog, case):
+        pid, stacked, one, own_input, picks = FAILURES[case]
+        k, config = 7, PropertyConfig(seed=42)
+        clean_report, clean = outcomes(monkeypatch, pid, config)
+        is_bad = picks(*own_input(pid, k))
+        original = getattr(propsuite, one)
+
+        def refused(*args):
+            raise RuntimeError("stacked call refused")
+
+        def one_item(*args):
+            if is_bad(*args):
+                raise DomainError("this member fails")
+            return original(*args)
+
+        monkeypatch.setattr(propsuite, stacked, refused)
+        monkeypatch.setattr(propsuite, one, one_item)
+        with caplog.at_level(logging.ERROR, logger="qfdiv.propsuite"):
+            report, got = outcomes(monkeypatch, pid, config)
+        assert clean_report.passed and len(clean) == REGISTRY[pid].trials
+        assert report.violations == 1 and math.isnan(report.worst_margin)
+        assert report.trials == clean_report.trials - len(clean[k]) + 1
+        (record,) = caplog.records
+        assert record.args == (pid, k, derive_seed(42, pid))
+        assert str(record.exc_info[1]) == "this member fails"
+        assert isinstance(got[k], DomainError)
+        assert got[:k] + got[k + 1:] == clean[:k] + clean[k + 1:]
+
+
+class TestCallCounts:
+    """The staged rows stay staged, and the optimizer rows solve through the name that
+    ``perfbench``'s ``ConvergenceLog`` wraps."""
+
+    def test_dpi_draws_one_stack_per_dimension_and_rank(self, monkeypatch):
+        spec, master = REGISTRY["dpi"], derive_seed(42, "dpi")
+        calls, stacked = [], propsuite._random_densities
+
+        def counted(d, rank, seeds):
+            calls.append((d, rank))
+            return stacked(d, rank, seeds)
+
+        monkeypatch.setattr(propsuite, "_random_densities", counted)
+        assert run_property("dpi", PropertyConfig(seed=master, trials=100)).passed
+        trials = [propsuite._Trial(spec, master, t) for t in range(100)]
+        keys = {(t.dims, t.rank(t.dims)) for t in trials} | {(t.dims, t.dims) for t in trials}
+        assert sorted(calls) == sorted(keys)
+
+    @pytest.mark.parametrize("pid", ["closed-form-vs-optimizer", "mixture-exact", "extension-independence"])
+    def test_one_solve_per_trial(self, monkeypatch, pid):
+        calls, original = [], propsuite.conditional_entropy_optimize
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propsuite, "conditional_entropy_optimize", counted)
+        assert run_property(pid, PropertyConfig(seed=42, trials=10)).passed
+        assert len(calls) == 10
+
+
+def test_default_dpi_run_holds_a_block_of_trials_at_once():
+    # every trial drawn first kept 2.2 MB alive at 1000 trials; blocks of _BLOCK bound it
+    tracemalloc.start()
+    try:
+        assert run_property("dpi", PropertyConfig(seed=42)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6  # about 1.0 MB at _BLOCK = 250
 
 
 DIVERGENCE_ROWS = ["dpi", "nonnegativity", "homogeneity", "orthogonal-additivity", "extension-independence"]
@@ -261,8 +410,63 @@ def test_row_pairs_pass_as_matrix_unchanged(pid, master):
     trials, must be finite and exactly Hermitian, so that ``as_matrix`` returns it as it is."""
     spec, seed = REGISTRY[pid], derive_seed(master, pid)
     for t in range(spec.trials):
-        for pair in spec.check(propsuite._Trial(spec, seed, t)).pairs:
-            for m in pair:
+        requests = []
+        served(spec.check(propsuite._Trial(spec, seed, t)), requests)
+        for request in requests:
+            if request.key[0] is not propsuite._divergences:
+                continue
+            for m in request.args[:2]:
                 assert np.isfinite(m).all(), (t, m)
                 assert (m == m.conj().T).all(), (t, m)
                 assert (as_matrix(m) == m).all(), (t, m)
+
+
+def same(got, want):
+    """Equal bits: the same dtype, shape and bytes."""
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestStackedCalls:
+    """Each stacked draw or evaluation against its one-item call, bit for bit, for stacks of 1,
+    2 and 50."""
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_draws(self, d):
+        for rank in sorted({1, (d + 1) // 2, d}):
+            for n in (1, 2, 50):
+                seeds = [1000 * d + 100 * rank + s for s in range(n)]
+                stack = _random_densities(d, rank, seeds)
+                for seed, m in zip(seeds, stack):
+                    want = random_density(d, rank, seed).entries
+                    assert same(DensityOperator._from_valid(m).entries, want), (d, rank, n, seed)
+
+    @pytest.mark.parametrize(
+        "d_in,d_out,env", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2), (4, 2, 3), (3, 9, 4)]
+    )
+    def test_channels_and_their_applications(self, d_in, d_out, env):
+        for n in (1, 2, 50):
+            seeds = [97 * n + s for s in range(n)]
+            kraus = _random_channels(d_in, d_out, env, seeds)
+            rho = np.stack([random_density(d_in, 1 + s % d_in, s).entries for s in seeds])
+            applied = _apply_channels(kraus, rho)
+            for seed, k, m, out in zip(seeds, kraus, rho, applied):
+                phi = random_channel(d_in, d_out, env, seed)
+                assert same(k, phi.kraus_ops), (n, seed)
+                assert same(out, apply_channel(phi, m)), (n, seed)
+
+    @pytest.mark.parametrize(
+        "dims,cond", [((2, 2), "B"), ((3, 3), "B"), ((4, 4), "B"), ((2, 16), "B"),
+                      ((2, 2, 2), "B"), ((2, 2, 2), "BC"), ((2, 2, 2), "AC")],
+    )
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.0])
+    def test_closed_forms(self, dims, cond, alpha):
+        d = math.prod(dims)
+        states = [random_bipartite(dims, 1 + (s * 5) % d, 31 * d + s) for s in range(24)]
+        for n in (1, 2, 24):
+            values, sigmas = _tsallis_closed(
+                np.stack([s.entries for s in states[:n]]), dims, alpha, _factor_indices(cond, len(dims))
+            )
+            for state, h, sigma in zip(states, values, sigmas):
+                want_h, want_sigma = conditional_entropy_tsallis_closed(state, alpha, cond)
+                assert h == want_h, (n, state)
+                assert same(sigma, want_sigma), (n, state)
