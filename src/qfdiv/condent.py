@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class OptimizationReport:
     value: float
     sigma_star: np.ndarray
     iterations_per_start: tuple[int, ...]
-    converged: bool
+    converged: ClassVar[bool] = True  # a solve with no certified start raises instead
     # the accepted start's value minus the best lower bound on the optimum that its
     # Frank-Wolfe gaps gave: its value is within this of the optimum
     gap: float
@@ -436,9 +436,9 @@ def conditional_entropy_optimize(
     line search fails.  Whatever the reason, a finished start whose gap exceeds
     ``opts.value_tol`` takes a few Frank-Wolfe polish steps, and a start is
     accepted iff its gap is then at most ``opts.value_tol``.  The first
-    accepted start ends the solve, so ``converged`` is true on every report
-    returned.  Raises :class:`ConvergenceError`, with each start's gap,
-    iterations and stop reason, when no start is accepted.
+    accepted start ends the solve, so every report returned is certified.
+    Raises :class:`ConvergenceError`, with each start's gap, iterations and
+    stop reason, when no start is accepted.
     """
     _require_wellbehaved(f)
     opts = opts or OptimizerOptions()
@@ -454,7 +454,6 @@ def conditional_entropy_optimize(
                 value=-value,
                 sigma_star=sigma,
                 iterations_per_start=tuple(nit for nit, _, _ in runs),
-                converged=True,
                 gap=gap,
             )
     details = "; ".join(

@@ -76,7 +76,8 @@ def _qlog(x, c: float):
     deformed logarithm of every power-family formula, the only code that tells alpha = 1 apart.
 
     A scalar gives a float, through ``math``: numpy's 0-d calls cost ten times as
-    much, and the closed forms call this on scalars.  An array gives a new array.
+    much.  Of the package's callers only ``condent.alpha_log`` passes a scalar; the
+    closed forms pass spectra.  An array gives a new array.
     """
     if not isinstance(x, np.ndarray) or x.ndim == 0:
         x = float(x)

@@ -7,21 +7,23 @@ and the number of trials.  :func:`run_property` is the one trial driver, and
 its :class:`_Trial` the only source of a trial's coordinates: trial ``t`` is
 one problem at the ``t``-th dims and alpha of the cycled lists, with ranks
 ``1 + (t + shift) % d`` from :meth:`_Trial.rank` and sub-seeds derived from
-the master seed, the draw's label and ``t``.  A check returns
-signed margins: for an inequality ``LHS <= RHS`` the margin is ``RHS - LHS``
-(slack), for an exact identity it is ``-|residual|``.  A margin violates the
-property when it falls below ``-tolerance`` or is NaN (an undefined
-residual), and the property passes when it recorded at least one margin and
-none violates it.  A trial whose check raises (an optimizer with no certified
-start, a domain error or a bug) records one NaN margin, and its property id,
-trial index and property seed are logged, so the other trials still count and
-the failure can be replayed.
+the master seed, the draw's label and ``t``.  A check is a generator
+function: its generator yields its trial's calls as requests
+(:class:`_Request`), is sent their values and returns signed margins: for
+an inequality ``LHS <= RHS`` the margin is ``RHS - LHS`` (slack), for an
+exact identity it is ``-|residual|``.  A margin violates the property when
+it falls below ``-tolerance`` or is NaN (an undefined residual), and the
+property passes when it recorded at least one margin and none violates it.
+A trial whose check raises (an optimizer with no certified start, a domain
+error or a bug) records one NaN margin, and its property id, trial index and
+property seed are logged, so the other trials still count and the failure
+can be replayed.  A failed request is thrown into its check at the
+``yield`` that asked for it, so it ends the check as the check's own raise
+would, and its logged traceback names the check.
 
-Every row is staged: its check is a generator that yields its trial's
-calls as requests (:class:`_Request`) and is sent their values.  A request
-is a density draw keyed by (d, rank), a channel draw keyed by (d_in, d_out,
-env), a channel application keyed by the channel's shape, a closed form
-keyed by (dims, alpha, cond) or a divergence pair keyed by (f, d).
+A request is a density draw keyed by (d, rank), a channel draw keyed by
+(d_in, d_out, env), a channel application keyed by the channel's shape, a
+closed form keyed by (dims, alpha, cond) or a divergence pair keyed by (f, d).
 :func:`run_property` advances the trials of a block of ``_BLOCK`` together,
 round by round, and serves each group of equal keys with one stacked call
 (``channels._random_densities``, ``_random_channels`` and
@@ -31,7 +33,7 @@ each, every draw from its own trial's seed; the stacked calls check nothing,
 and every matrix stacked here is built by the package, exactly Hermitian and
 finite.  A lone request, and each request of a group whose stacked call
 raises, is its own checked one-item call (``random_density`` and the other
-public functions), so an error is charged to its own trial.  Optimizer
+public functions), so an error is thrown into its own trial only.  Optimizer
 solves stay one per trial, inside the check.  Seeds derive
 deterministically from the master seed and the property id, so reports are
 reproducible up to timing.
@@ -78,7 +80,7 @@ from .condent import (
 from .errors import DomainError
 from .fdiv import DivergenceFunction, _quantum_f_divergences, make_tsallis_f, quantum_f_divergence
 from .linalg import BipartiteState, DensityOperator, _factor_indices, _integer, partial_trace
-from .rng import generator
+from .rng import _philox_key_type, generator
 
 log = logging.getLogger(__name__)
 
@@ -266,32 +268,29 @@ def _serve(batch: list[list[_Request]]) -> list:
     return [v if exc is None else exc for v, exc in zip(values, errors)]
 
 
-def _advance(outs: list) -> list:
-    """Each check's margins, or the exception that ended it, from what the checks returned.
+def _advance(checks: list[Generator]) -> list:
+    """Each check's margins, or the exception that ended it.
 
-    A check returns its margins, or a generator that yields lists of requests
-    and is sent each list's values; the generators advance together, round by
-    round, and each round's requests are served by :func:`_serve`.  A trial
-    whose request fails is closed and charged with its request's error.
+    The checks advance together, round by round: each is sent its last
+    round's values, and each round's requests are served by :func:`_serve`.
+    A check whose request failed is thrown that request's error at its
+    ``yield``, so the error ends it, and names it, as its own raise would.
     """
-    results = list(outs)
-    live = {i: None for i, out in enumerate(outs) if isinstance(out, Generator)}
+    results: list = [None] * len(checks)
+    live = dict.fromkeys(range(len(checks)))
     while live:
         pending = {}
         for i, values in live.items():
             try:
-                pending[i] = outs[i].send(values)
+                if isinstance(values, Exception):
+                    pending[i] = checks[i].throw(values)
+                else:
+                    pending[i] = checks[i].send(values)
             except StopIteration as stop:
                 results[i] = stop.value
             except Exception as exc:
                 results[i] = exc
-        live = {}
-        for i, values in zip(pending, _serve(list(pending.values()))):
-            if isinstance(values, Exception):
-                outs[i].close()
-                results[i] = values
-            else:
-                live[i] = values
+        live = dict(zip(pending, _serve(list(pending.values()))))
     return results
 
 
@@ -401,7 +400,7 @@ def _check_product_identity(trial: _Trial):
         _draw(dims[0], trial.rank(dims[0]), trial.seed("a")),
         _draw(dims[1], trial.rank(dims[1], shift=1), trial.seed("b")),
     ]
-    state = BipartiteState(np.kron(rho_a.entries, rho_b.entries), dims)
+    state = BipartiteState(DensityOperator._from_valid(np.kron(rho_a.entries, rho_b.entries)), dims)
     ((h, _),) = yield [_closed(state, trial.alpha)]
     return [-abs(h - tsallis_entropy(rho_a, trial.alpha))]
 
@@ -445,7 +444,7 @@ def _check_thm3_data_processing(trial: _Trial):
     d_a, d_b = state.dims
     (psi,) = yield [_channel(d_b, d_b, 2, trial.seed("chan"))]
     (moved,) = yield [_applied(extend_with_identity(psi, d_a), state)]
-    moved = BipartiteState(moved, state.dims)
+    moved = BipartiteState(DensityOperator._from_valid(moved), state.dims)
     (after, _), (before, _) = yield [_closed(moved, trial.alpha), _closed(state, trial.alpha)]
     return [after - before]
 
@@ -473,7 +472,7 @@ def _check_closed_vs_optimizer(trial: _Trial):
 class _PropertySpec:
     """One property: its per-trial ``check``, ensemble and statement."""
 
-    check: Callable[[_Trial], list[float] | Generator]
+    check: Callable[[_Trial], Generator]
     trials: int
     dims: tuple
     alphas: tuple[float, ...]
@@ -574,16 +573,12 @@ def run_property(property_id: str, config: PropertyConfig | None = None) -> Prop
     spec = _spec(property_id)
     config = config or PropertyConfig()
     trials = spec.trials if config.trials is None else config.trials
+    _philox_key_type()  # loads numpy.random, a cost of the process and not of this row
     start = time.perf_counter()
     margins: list[float] = []
     for block in (range(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)):
-        outs = []
-        for t in block:
-            try:
-                outs.append(spec.check(_Trial(spec, config.seed, t)))
-            except Exception as exc:
-                outs.append(exc)
-        for t, out in zip(block, _advance(outs)):
+        checks = [spec.check(_Trial(spec, config.seed, t)) for t in block]
+        for t, out in zip(block, _advance(checks)):
             margins.extend(_logged(property_id, t, config.seed, out))
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     margins_arr = np.asarray(margins, dtype=float)

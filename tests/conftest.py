@@ -59,6 +59,17 @@ def served(check, record=None):
         values = [request.one(*request.args) for request in requests]
 
 
+def staged(margins):
+    """A property check, a generator function, that stages no request and returns what
+    ``margins(trial)`` returns, or raises what it raises."""
+
+    def check(trial):
+        yield from ()
+        return margins(trial)
+
+    return check
+
+
 def bell_matrix() -> np.ndarray:
     m = np.zeros((4, 4))
     m[np.ix_((0, 3), (0, 3))] = 0.5

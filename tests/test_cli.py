@@ -9,7 +9,7 @@ from qfdiv.condent import BipartiteState
 from qfdiv.errors import DomainError
 from qfdiv.linalg import DensityOperator
 
-from conftest import bell_matrix, run_fresh
+from conftest import bell_matrix, run_fresh, staged
 
 
 def write_state(path, matrix, dims=None):
@@ -539,7 +539,7 @@ class TestSuiteCommand:
         from qfdiv import propsuite
 
         broken = propsuite._PropertySpec(
-            check=lambda trial: [-1.0],
+            check=staged(lambda trial: [-1.0]),
             trials=1,
             dims=(2,),
             alphas=(1.0,),

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import logging
 import math
@@ -19,7 +20,7 @@ from qfdiv.propsuite import (
     run_suite,
 )
 
-from conftest import served
+from conftest import in_fresh_interpreter, served, staged
 
 
 def without_timing(report):
@@ -254,7 +255,9 @@ class TestRunSuite:
 
     def test_unknown_property_rejected_before_any_check_runs(self, monkeypatch):
         ran = []
-        spec = dataclasses.replace(REGISTRY["homogeneity"], check=lambda trial: ran.append(trial))
+        spec = dataclasses.replace(
+            REGISTRY["homogeneity"], check=staged(lambda trial: ran.append(trial))
+        )
         monkeypatch.setitem(REGISTRY, "counted", spec)
         with pytest.raises(DomainError, match="'bogus'"):
             run_suite(PropertyConfig(seed=1), properties=["counted", "bogus"])
@@ -263,9 +266,27 @@ class TestRunSuite:
     def test_registry_has_fifteen_properties(self):
         assert len(REGISTRY) == 15
 
+    @pytest.mark.parametrize("pid", sorted(REGISTRY))
+    def test_every_check_is_a_generator_function(self, pid):
+        assert inspect.isgeneratorfunction(REGISTRY[pid].check)
+
+    def test_numpy_random_loads_before_the_clock_starts(self):
+        # the first generator imports numpy.random; that cost must not land in the first row
+        probe = (
+            "import sys, time, types, qfdiv.propsuite as p\n"
+            "seen = []\n"
+            "def clock():\n"
+            "    seen.append('numpy.random' in sys.modules)\n"
+            "    return time.perf_counter()\n"
+            "p.time = types.SimpleNamespace(perf_counter=clock)\n"
+            "p.run_property('homogeneity', p.PropertyConfig(trials=1))\n"
+            "print(seen[0])"
+        )
+        assert in_fresh_interpreter(probe) == "True"
+
     def test_errors_become_failed_reports(self, monkeypatch):
         broken = _PropertySpec(
-            check=lambda trial: [][1] if trial.t % 2 else [0.0, 1.0],  # odd trials raise
+            check=staged(lambda trial: [][1] if trial.t % 2 else [0.0, 1.0]),  # odd trials raise
             trials=4,
             dims=(2,),
             alphas=(1.0,),
@@ -283,7 +304,7 @@ class TestRunSuite:
 
     def test_failed_report_keeps_registry_tolerance(self, monkeypatch):
         broken = _PropertySpec(
-            check=lambda trial: [][1],  # raises IndexError
+            check=staged(lambda trial: [][1]),  # raises IndexError
             trials=1,
             dims=(2,),
             alphas=(1.0,),
@@ -295,7 +316,7 @@ class TestRunSuite:
 
     def test_nan_margin_is_a_violation(self, monkeypatch):
         spec = _PropertySpec(
-            check=lambda trial: [0.0, math.inf - math.inf, 1.0],
+            check=staged(lambda trial: [0.0, math.inf - math.inf, 1.0]),
             trials=1,
             dims=(2,),
             alphas=(1.0,),
@@ -313,7 +334,7 @@ class TestRunSuite:
 
     def test_empty_ensemble_fails(self, monkeypatch):
         spec = _PropertySpec(
-            check=lambda trial: [],
+            check=staged(lambda trial: []),
             trials=0,
             dims=(2,),
             alphas=(1.0,),

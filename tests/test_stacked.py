@@ -16,6 +16,7 @@ that a failing request is charged to its own trial alone.
 import logging
 import math
 import threading
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -286,6 +287,17 @@ class TestErrorAttribution:
         # the failing pair, alone in its group or in a group whose stacked call raised,
         # is evaluated once, by the checked call
         assert calls.count(True) == 1
+
+
+def test_a_failed_request_is_raised_in_its_check(monkeypatch, caplog):
+    # thrown into the check at the yield that asked for it, the request's error is logged
+    # with a traceback through the driver and the check to the call that failed
+    indefinite_draw(monkeypatch, "dpi", 7)
+    with caplog.at_level(logging.ERROR, logger="qfdiv.propsuite"):
+        run_suite(PropertyConfig(seed=42, trials=8), ["dpi"])
+    (record,) = caplog.records
+    frames = [frame.name for frame in traceback.extract_tb(record.exc_info[2])]
+    assert frames[:4] == ["_advance", "_check_dpi", "_serve", "quantum_f_divergence"]
 
 
 def trial_state(pid, k):
