@@ -19,7 +19,8 @@ For the power family there is an independent closed form (the reduced
 ``alpha``-power trace, which is the entropy difference at ``alpha = 1``),
 which the test suite cross-validates against the optimizer.  Its call is the
 stack of one of the private ``_tsallis_closed``, which serves a stack of
-states of one dims, alpha and ``cond`` with the bits of one call each.
+states of one dims and ``cond``, each at its own alpha, with the bits of one
+call each.
 
 States carry their factor dimensions; ``cond`` selects the conditioning
 factors by label, any proper subset of them, e.g. ``cond="B"`` on an
@@ -487,28 +488,43 @@ def conditional_entropy_tsallis_closed(
     return _tsallis_closed(state.entries, state.dims, alpha, cond_idx)
 
 
-def _tsallis_closed(rho: np.ndarray, dims, alpha: float, cond_idx):
+def _power(x: np.ndarray, e):
+    """``x ** e``; for a list ``e`` of one exponent per row of a stack ``x``, each row to its own,
+    from one float power of the stack per distinct exponent.  An array of exponents would
+    miss numpy's square-root and square paths for 0.5 and 2 and move a one-item call's bits."""
+    if isinstance(e, float):
+        return x**e
+    index: dict[float, int] = {}
+    codes = [index.setdefault(u, len(index)) for u in e]
+    return np.stack([x**u for u in index])[codes, range(len(codes))]
+
+
+def _tsallis_closed(rho: np.ndarray, dims, alpha, cond_idx):
     """:func:`conditional_entropy_tsallis_closed` of a state's entries, or of each state of a
     stack ``(n, d, d)`` with its own call's bits, as a list of values and a stack of
-    minimizers.  Unchecked; only the spectral sums are taken state by state."""
+    minimizers.  ``alpha`` is one float for every state or a sequence of one per state, so
+    states of one dims and ``cond`` share a stack; each power step is taken once per
+    distinct alpha.  Unchecked; only the spectral sums are taken state by state."""
     w, v, k = psd_eigh(rho)
     w /= w.sum(axis=-1, keepdims=True)
-    rho_pow = (v * (w**alpha)[..., None, :]) @ v.conj().mT
+    rho_pow = (v * _power(w, alpha)[..., None, :]) @ v.conj().mT
     wt, vt, kt = psd_eigh(ptrace_entries(rho_pow, dims, cond_idx))
     # scaled so that it cannot overflow
-    root = (vt * ((wt / wt[..., -1:]) ** (1.0 / alpha))[..., None, :]) @ vt.conj().mT
+    inverse = 1.0 / alpha if isinstance(alpha, float) else [1.0 / a for a in alpha]
+    root = (vt * _power(wt / wt[..., -1:], inverse)[..., None, :]) @ vt.conj().mT
     sigma = root / root.trace(axis1=-2, axis2=-1).real[..., None, None]
     sigma = (sigma + sigma.conj().mT) / 2.0
 
-    def value(w, wt, k, kt) -> float:
+    def value(w, wt, k, kt, alpha) -> float:
         w, wt = w[k:], wt[kt:]
         k = float(w @ _qlog(w, alpha - 1.0) - wt @ _qlog(wt, (1.0 - alpha) / alpha) / alpha)
         return _from_power_mean(k, alpha, wt)
 
     with np.errstate(over="ignore"):  # an infinite k takes the log-sum-exp
         if rho.ndim == 2:
-            return value(w, wt, k, kt), sigma
-        return [value(*each) for each in zip(w, wt, k, kt)], sigma
+            return value(w, wt, k, kt, alpha), sigma
+        alphas = [alpha] * len(k) if isinstance(alpha, float) else alpha
+        return [value(*each) for each in zip(w, wt, k, kt, alphas)], sigma
 
 
 def thm2_bounds(

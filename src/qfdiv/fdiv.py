@@ -13,15 +13,16 @@ route, closed forms included, reads both spectra, and their kernel sizes,
 through :func:`qfdiv.linalg.psd_eigh_pair`.  The engine is stacked: spectra,
 overlap tables, kernel sizes, the double sum and the boundary terms take an
 optional leading stack axis.  :func:`_quantum_f_divergences` evaluates two
-stacks ``(n, d, d)`` that the package built, unchecked, in one eigensolve
-per argument, and :func:`quantum_f_divergence` runs the same engine on one
-checked pair.  Only the two 1-D dots whose reduction order sets their bits,
-the kernel mass and the double sum's last dot, are taken pair by pair, so a
-stacked value is bit for bit the value of its pair alone.  One function,
-:func:`_boundary_term`, decides every boundary term of the spectral sum, the
-sweep and :func:`csiszar_divergence`: a finite coefficient times its mass,
-and for an infinite one ``inf`` when the mass exceeds ``RANK_TOL`` times the
-trace of the operator it is taken from, else ``0 * inf = 0``.
+stacks ``(n, d, d)`` that the package built, unchecked, each pair with its
+own f, in one eigensolve per argument, and :func:`quantum_f_divergence`
+runs the same engine on one checked pair.  Only the two 1-D dots whose
+reduction order sets their bits, the kernel mass and the double sum's last
+dot, are taken pair by pair, so a stacked value is bit for bit the value of
+its pair alone.  One function, :func:`_boundary_term`, decides every
+boundary term of the spectral sum, the sweep and :func:`csiszar_divergence`:
+a finite coefficient times its mass, and for an infinite one ``inf`` when
+the mass exceeds ``RANK_TOL`` times the trace of the operator it is taken
+from, else ``0 * inf = 0``.
 """
 
 from __future__ import annotations
@@ -179,20 +180,23 @@ def _kernel_mass(a, table, ka: int, kb: int):
     return np.vecdot(a[..., ka:], table[..., ka:, :kb].sum(axis=-1))
 
 
-def _spectral_sum(a, b, table, ka, kb, f: DivergenceFunction):
+def _spectral_sum(a, b, table, ka, kb, f):
     """The double sums and boundary terms of :func:`quantum_f_divergence` on given spectra: a
     value for one pair, an array for a stack.
 
-    A stack's pairs are evaluated in groups of equal kernel sizes
-    ``(ka, kb)``, each by :func:`_group_sum`; one pair is one group.
+    A stack takes one ``f`` or a sequence of one per pair, and its pairs are
+    gathered and summed by :func:`_group_sum` in groups of one ``f`` and equal
+    kernel sizes ``(ka, kb)``; one pair is one group.
     """
     if isinstance(ka, int):
         return _group_sum(a, b, table, ka, kb, f)
-    keys = ka * (b.shape[-1] + 1) + kb
-    out = np.empty(len(keys))
-    for key in np.unique(keys):
-        idx = np.flatnonzero(keys == key)
-        out[idx] = _group_sum(a[idx], b[idx], table[idx], int(ka[idx[0]]), int(kb[idx[0]]), f)
+    fs = [f] * len(ka) if isinstance(f, DivergenceFunction) else f
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(map(id, fs), ka.tolist(), kb.tolist())):
+        groups.setdefault(key, []).append(i)
+    out = np.empty(len(ka))
+    for (_, k_a, k_b), idx in groups.items():
+        out[idx] = _group_sum(a[idx], b[idx], table[idx], k_a, k_b, fs[idx[0]])
     return out
 
 
@@ -248,9 +252,10 @@ def quantum_f_divergence(A, B, f: DivergenceFunction) -> float:
     return float(_spectral_sum(*_spectra(as_matrix(A), as_matrix(B)), f))
 
 
-def _quantum_f_divergences(A: np.ndarray, B: np.ndarray, f: DivergenceFunction) -> np.ndarray:
+def _quantum_f_divergences(A: np.ndarray, B: np.ndarray, f) -> np.ndarray:
     """:func:`quantum_f_divergence` of each pair of two stacks ``(n, d, d)``, in one eigensolve
-    per stack; each value holds the bits of its pair's own call.
+    per stack; each value holds the bits of its pair's own call.  ``f`` is one f for every
+    pair or a sequence of one per pair, so pairs of one dimension share a stack.
 
     Unchecked: every matrix must be exactly Hermitian and finite, as the
     package's own builders make them (:func:`qfdiv.linalg.as_matrix` then

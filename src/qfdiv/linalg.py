@@ -103,9 +103,14 @@ class DensityOperator:
         constructor does, so they are bitwise equal to ``DensityOperator(m)``'s.
         """
         m = np.asarray(m, dtype=np.complex128)
+        return DensityOperator._wrap((m + m.conj().T) / 2.0)
+
+    @staticmethod
+    def _wrap(m: np.ndarray) -> DensityOperator:
+        """:meth:`_from_valid` of a matrix it has already symmetrized: ``m`` made read-only."""
         op = object.__new__(DensityOperator)
-        op.entries = (m + m.conj().T) / 2.0
-        op.entries.setflags(write=False)
+        op.entries = m
+        m.setflags(write=False)
         return op
 
     @property

@@ -23,9 +23,11 @@ would, and its logged traceback names the check.
 
 A request is a density draw keyed by (d, rank), a channel draw keyed by
 (d_in, d_out, env), a channel application keyed by the channel's shape, a
-closed form keyed by (dims, alpha, cond) or a divergence pair keyed by (f, d).
-:func:`run_property` advances the trials of a block of ``_BLOCK`` together,
-round by round, and serves each group of equal keys with one stacked call
+closed form keyed by (dims, cond) or a divergence pair keyed by d.  A closed
+form's alpha and a pair's f travel with the request, so one stack serves
+every alpha of a shape and every f of a dimension.  :func:`run_property`
+advances the trials of a block of ``_BLOCK`` together, round by round, and
+serves each group of equal keys with one stacked call
 (``channels._random_densities``, ``_random_channels`` and
 ``_apply_channels``, ``condent._tsallis_closed``,
 ``fdiv._quantum_f_divergences``), whose values hold the bits of one call
@@ -149,7 +151,8 @@ def _draw(d: int, rank: int, seed: int) -> _Request:
 
 def _draws(args: list) -> list:
     stack = _random_densities(*args[0][:2], [seed for *_, seed in args])
-    return [DensityOperator._from_valid(m) for m in stack]
+    stack = (stack + stack.conj().mT) / 2.0  # DensityOperator._from_valid's symmetrization, once
+    return [DensityOperator._wrap(m) for m in stack]
 
 
 def _channel(d_in: int, d_out: int, env_dim: int, seed: int) -> _Request:
@@ -172,24 +175,24 @@ def _applications(args: list) -> list:
 
 def _closed(state: BipartiteState, alpha: float, cond: str = "B") -> _Request:
     """The closed form's value and minimizer, ``conditional_entropy_tsallis_closed``."""
-    return _Request((_closed_forms, state.dims, alpha, cond), (state, alpha, cond),
+    return _Request((_closed_forms, state.dims, cond), (state, alpha, cond),
                     conditional_entropy_tsallis_closed)
 
 
 def _closed_forms(args: list) -> list:
-    state, alpha, cond = args[0]
-    rho = np.stack([s.entries for s, _, _ in args])
-    values, sigma = _tsallis_closed(rho, state.dims, alpha, _factor_indices(cond, len(state.dims)))
+    state, _, cond = args[0]
+    rho, alphas = np.stack([s.entries for s, _, _ in args]), [alpha for _, alpha, _ in args]
+    values, sigma = _tsallis_closed(rho, state.dims, alphas, _factor_indices(cond, len(state.dims)))
     return list(zip(values, sigma))
 
 
 def _divergence(f: DivergenceFunction, a: np.ndarray, b: np.ndarray) -> _Request:
-    return _Request((_divergences, f, a.shape[-1]), (a, b, f), quantum_f_divergence)
+    return _Request((_divergences, a.shape[-1]), (a, b, f), quantum_f_divergence)
 
 
 def _divergences(args: list) -> list:
     a, b = np.stack([a for a, _, _ in args]), np.stack([b for _, b, _ in args])
-    return _quantum_f_divergences(a, b, args[0][2]).tolist()
+    return _quantum_f_divergences(a, b, [f for _, _, f in args]).tolist()
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@
 :func:`qfdiv.fdiv._quantum_f_divergences` evaluates two stacks ``(n, d, d)``
 in one eigensolve per stack; the stacked draws, channels, channel
 applications and closed forms serve many seeds or states of one shape at
-once.  The property suite's rows are served that way, so every value a
-stacked call gives must be ``==`` the value of its item's own one-item call.
-Stacked ``eigh_lo``, stacked QR, the stacked Gram matmul and
-``numpy.vecdot`` are what make that so, and all are numpy's to change, so the
-``numpy-floor`` CI job runs this module too.  The stacked calls check
+once, a closed-form stack at one alpha per state and a divergence stack
+with one f per pair.  The property suite's rows are served that way, so
+every value a stacked call gives must be ``==`` the value of its item's own
+one-item call.  Stacked ``eigh_lo``, stacked QR, the stacked Gram matmul,
+``numpy.vecdot`` and the closed form's float powers (one per distinct alpha,
+so that 0.5 and 2 take numpy's square-root and square paths) are what make
+that so, and all are numpy's to change, so the ``numpy-floor`` CI job runs
+this module too.  The stacked calls check
 nothing, so this module also checks that every pair the divergence rows
 build is one that :func:`qfdiv.linalg.as_matrix` would pass unchanged, and
 that a failing request is charged to its own trial alone.
@@ -48,6 +51,10 @@ from qfdiv.propsuite import REGISTRY, PropertyConfig, derive_seed, run_property,
 from conftest import served
 
 ALPHAS = (0.5, 1.0, 2.0)
+MIXED_ALPHAS = (0.05, 0.3, 0.5, 1.0, 1.5, 2.0)
+HELLINGER = DivergenceFunction(
+    "hellinger", lambda x: (np.sqrt(x) - 1.0) ** 2, lambda x: 1.0 - np.sqrt(x), 1.0, 1.0, True,
+)
 PAIRS_PER_CELL = 400  # per (d, alpha), every ninth a diagonal pair below: 3600 in all
 # A scaled so that a/b overflows f on B's smallest eigenvalue but not on its others
 OVERFLOW_SCALE = {0.5: 1e300, 1.0: 1e300, 2.0: 1e150}
@@ -125,10 +132,7 @@ class TestBitIdentityGrid:
     @pytest.mark.parametrize(
         "f",
         [
-            DivergenceFunction(
-                "hellinger", lambda x: (np.sqrt(x) - 1.0) ** 2, lambda x: 1.0 - np.sqrt(x),
-                1.0, 1.0, True,
-            ),
+            HELLINGER,
             DivergenceFunction("-log", lambda x: -np.log(x), lambda x: 1.0 - np.log(x), INF, 0.0, True),
         ],
         ids=["hellinger", "-log"],
@@ -326,6 +330,12 @@ FAILURES = {
         lambda own, seed: lambda state, alpha, cond="B":
             cond == "BC" and np.array_equal(state.entries, own.entries),
     ),
+    # trial k's closed form at alpha + 1e-4 fails, one member of a stack that mixes alphas
+    "alpha-continuity-closed-form": (
+        "alpha-continuity", "_tsallis_closed", "conditional_entropy_tsallis_closed", trial_state,
+        lambda own, seed: lambda state, alpha, cond="B":
+            alpha > 1.0 and np.array_equal(state.entries, own.entries),
+    ),
     "thm2-bounds-draw": ("thm2-bounds", "_random_densities", "random_density", trial_state,
                          lambda own, seed: lambda d, rank, s: s == seed),
     "thm2-bounds-closed-form": (
@@ -388,6 +398,33 @@ class TestCallCounts:
         keys = {(t.dims, t.rank(t.dims)) for t in trials} | {(t.dims, t.dims) for t in trials}
         assert sorted(calls) == sorted(keys)
 
+    @pytest.mark.parametrize("pid", ["alpha-continuity", "chain-rule"])
+    def test_one_closed_form_stack_per_dims_and_cond(self, monkeypatch, pid):
+        # whatever the alphas: alpha-continuity asks three per state, chain-rule's row cycles three
+        spec, master = REGISTRY[pid], derive_seed(42, pid)
+        calls, stacked = [], propsuite._tsallis_closed
+
+        def counted(rho, dims, alpha, cond_idx):
+            calls.append((dims, tuple(cond_idx), np.unique(alpha).size))
+            return stacked(rho, dims, alpha, cond_idx)
+
+        monkeypatch.setattr(propsuite, "_tsallis_closed", counted)
+        assert run_property(pid, PropertyConfig(seed=master, trials=100)).passed
+        conds = [(1,), (1, 2)] if pid == "chain-rule" else [(1,)]
+        assert sorted(calls) == sorted((dims, cond, 3) for dims in spec.dims for cond in conds)
+
+    def test_one_divergence_stack_per_dimension(self, monkeypatch):
+        spec, master = REGISTRY["nonnegativity"], derive_seed(42, "nonnegativity")
+        calls, stacked = [], propsuite._quantum_f_divergences
+
+        def counted(a, b, f):
+            calls.append((a.shape[-1], len(set(f)) if isinstance(f, list) else 1))
+            return stacked(a, b, f)
+
+        monkeypatch.setattr(propsuite, "_quantum_f_divergences", counted)
+        assert run_property("nonnegativity", PropertyConfig(seed=master, trials=100)).passed
+        assert sorted(calls) == [(d, len(spec.alphas)) for d in spec.dims]
+
     @pytest.mark.parametrize("pid", ["closed-form-vs-optimizer", "mixture-exact", "extension-independence"])
     def test_one_solve_per_trial(self, monkeypatch, pid):
         calls, original = [], propsuite.conditional_entropy_optimize
@@ -440,7 +477,7 @@ def same(got, want):
 
 class TestStackedCalls:
     """Each stacked draw or evaluation against its one-item call, bit for bit, for stacks of 1,
-    2 and 50."""
+    2 and 50, and for closed-form and divergence stacks that mix alphas or fs."""
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_draws(self, d):
@@ -448,9 +485,12 @@ class TestStackedCalls:
             for n in (1, 2, 50):
                 seeds = [1000 * d + 100 * rank + s for s in range(n)]
                 stack = _random_densities(d, rank, seeds)
-                for seed, m in zip(seeds, stack):
+                # the driver's draws: the stack symmetrized in one pass, each row read-only
+                draws = propsuite._draws([(d, rank, seed) for seed in seeds])
+                for seed, m, rho in zip(seeds, stack, draws):
                     want = random_density(d, rank, seed).entries
                     assert same(DensityOperator._from_valid(m).entries, want), (d, rank, n, seed)
+                    assert same(rho.entries, want) and not rho.entries.flags.writeable
 
     @pytest.mark.parametrize(
         "d_in,d_out,env", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2), (4, 2, 3), (3, 9, 4)]
@@ -482,3 +522,34 @@ class TestStackedCalls:
                 want_h, want_sigma = conditional_entropy_tsallis_closed(state, alpha, cond)
                 assert h == want_h, (n, state)
                 assert same(sigma, want_sigma), (n, state)
+
+    @pytest.mark.parametrize(
+        "dims,cond", [((2, 2), "B"), ((3, 3), "B"), ((4, 4), "B"), ((2, 16), "B"),
+                      ((2, 2, 2), "B"), ((2, 2, 2), "BC"), ((2, 2, 2), "AC")],
+    )
+    def test_closed_forms_that_mix_alphas(self, dims, cond):
+        # each power step is taken once per distinct alpha; 0.5 and 2 have numpy's own paths
+        d = math.prod(dims)
+        states = [random_bipartite(dims, 1 + (s * 5) % d, 37 * d + s) for s in range(24)]
+        alphas = [MIXED_ALPHAS[s % len(MIXED_ALPHAS)] for s in range(24)]
+        for n in (2, 24):
+            values, sigmas = _tsallis_closed(
+                np.stack([s.entries for s in states[:n]]), dims, alphas[:n],
+                _factor_indices(cond, len(dims)),
+            )
+            for state, alpha, h, sigma in zip(states, alphas, values, sigmas):
+                want_h, want_sigma = conditional_entropy_tsallis_closed(state, alpha, cond)
+                assert h == want_h, (n, alpha, state)
+                assert same(sigma, want_sigma), (n, alpha, state)
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_divergences_that_mix_fs(self, d):
+        # each f meets a full-rank B and one of rank d - 1: there ell = inf (alpha >= 1) gives
+        # inf and a finite ell (alpha < 1, hellinger) a finite boundary term; hellinger's
+        # f(0+) = 1 adds the term on A's kernel
+        fs = [make_tsallis_f(alpha) for alpha in (0.3, 0.5, 1.0, 1.5, 2.0)] + [HELLINGER]
+        pairs = random_pairs(d, 60, seed=500 + d)
+        each = [fs[(k // 2) % len(fs)] for k in range(len(pairs))]
+        want = [quantum_f_divergence(a, b, f) for (a, b), f in zip(pairs, each)]
+        assert INF in want and all(math.isfinite(v) for v, f in zip(want, each) if f.ell != INF)
+        assert stacked(pairs, each).tolist() == want
